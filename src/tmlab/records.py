@@ -96,12 +96,19 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then atomically replace."""
+    """Write via a temp file in the same directory, then atomically replace.
+
+    ``mkstemp`` creates the temp file with mode 0600; it is widened to the
+    mode a plain ``open`` would give, 0666 less the process umask.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

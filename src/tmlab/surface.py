@@ -239,24 +239,18 @@ class Surface:
             raise PreconditionError("degenerate or mis-oriented triangle present")
 
         # Edge incidence: interior edges in exactly 2 triangles, boundary in 1.
-        edges = {}
-        for tri in self.triangles:
-            for k in range(3):
-                u, v = int(tri[k]), int(tri[(k + 1) % 3])
-                key = (min(u, v), max(u, v))
-                edges[key] = edges.get(key, 0) + 1
-        if any(c > 2 for c in edges.values()):
+        nv = self.num_vertices
+        _, keys, _, counts = _edge_topology(self.triangles, nv)
+        if np.any(counts > 2):
             raise PreconditionError("non-manifold edge (shared by >2 triangles)")
-        topo_boundary = {k for k, c in edges.items() if c == 1}
-        declared = {
-            (min(int(u), int(v)), max(int(u), int(v)))
-            for u, v in self.boundary_edges
-        }
-        if topo_boundary != declared:
+        declared = np.sort(self.boundary_edges.reshape(-1, 2), axis=1)
+        in_range = declared.size == 0 or (declared.min() >= 0 and declared.max() < nv)
+        declared_keys = np.unique(declared[:, 0] * nv + declared[:, 1])
+        if not (in_range and np.array_equal(keys[counts == 1], declared_keys)):
             raise PreconditionError("boundary_edges do not match topological boundary")
 
         # Disk topology: V - E + F = 1.
-        euler = self.num_vertices - len(edges) + self.num_triangles
+        euler = nv - keys.size + self.num_triangles
         if euler != 1:
             raise PreconditionError(f"unexpected Euler characteristic {euler}")
 
@@ -403,18 +397,29 @@ def _triangulate_band(inner_idx, inner_ang, outer_idx, outer_ang):
     return tris
 
 
+def _edge_topology(tris: np.ndarray, n: int):
+    """Edge incidence of a triangle array, vectorized.
+
+    Returns ``(oriented, keys, inverse, counts)``: the (3nt, 2) oriented
+    edges in blocks 01, 12, 20 (triangle order within each block); the
+    sorted unique undirected edge keys ``lo * n + hi``, where ``n`` exceeds
+    every vertex index; the index into ``keys`` of each oriented edge; and
+    the number of triangles sharing each unique edge.
+    """
+    oriented = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    lo = oriented.min(axis=1)
+    hi = oriented.max(axis=1)
+    keys, inverse, counts = np.unique(
+        lo * n + hi, return_inverse=True, return_counts=True
+    )
+    return oriented, keys, inverse, counts
+
+
 def _extract_boundary(tris: np.ndarray) -> np.ndarray:
-    """Oriented boundary edges: those appearing in exactly one triangle."""
-    count: dict[tuple, int] = {}
-    oriented: dict[tuple, tuple] = {}
-    for tri in tris:
-        for kk in range(3):
-            u, v = int(tri[kk]), int(tri[(kk + 1) % 3])
-            key = (min(u, v), max(u, v))
-            count[key] = count.get(key, 0) + 1
-            oriented[key] = (u, v)
-    out = [oriented[key] for key, c in count.items() if c == 1]
-    return np.asarray(sorted(out), dtype=np.int64).reshape(-1, 2)
+    """Oriented boundary edges, those in exactly one triangle, sorted by (u, v)."""
+    oriented, _, inverse, counts = _edge_topology(tris, int(tris.max()) + 1)
+    out = oriented[counts[inverse] == 1]
+    return out[np.lexsort((out[:, 1], out[:, 0]))]
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +433,30 @@ def _arc_radius(spec: DomainSpec) -> float | None:
     return None
 
 
-def _is_arc_vertex(verts: np.ndarray, idx, radius: float) -> np.ndarray:
-    r = np.hypot(verts[idx, 0], verts[idx, 1])
-    return np.abs(r - radius) <= 1e-9 * radius
+def _arc_chord(pu, pv, radius: float):
+    """Whether the edge pu–pv is a chord of the boundary arc |x| = radius.
+
+    Both ends must lie on the arc (|r − radius| ≤ 1e-9·radius) and the edge
+    must run across the radius, not along it.  The straight sides of
+    ``half_disk`` and ``disk_sector`` lie on rays through the origin, and
+    near a corner both ends of a short straight-side edge pass the on-arc
+    tolerance; reprojecting its midpoint would land on the corner itself.
+    With m the midpoint and d = pv − pu, a chord has m·d ≈ 0 while a radial
+    edge has m × d ≈ 0, so the edge counts as tangential when
+    |m × d| > |m·d|, i.e. |pu × pv| > ½·| |pv|² − |pu|² |.  Accepts single
+    points or (n, 2) arrays of them.
+    """
+    pu = np.asarray(pu, dtype=float)
+    pv = np.asarray(pv, dtype=float)
+    xu, yu = pu[..., 0], pu[..., 1]
+    xv, yv = pv[..., 0], pv[..., 1]
+    tol = 1e-9 * radius
+    on_arc = (np.abs(np.hypot(xu, yu) - radius) <= tol) & (
+        np.abs(np.hypot(xv, yv) - radius) <= tol
+    )
+    cross = xu * yv - yu * xv
+    dnorm = (xv * xv + yv * yv) - (xu * xu + yu * yu)
+    return on_arc & (np.abs(cross) > 0.5 * np.abs(dnorm))
 
 
 def _new_f(spec: DomainSpec, old_f, verts, new_slice, parents):
@@ -453,18 +479,13 @@ def refine(surface: Surface) -> Surface:
     nv = surface.num_vertices
 
     # Global edge list and midpoint index per edge.
-    e = np.concatenate(
-        [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]], axis=0
-    )
-    e = np.sort(e, axis=1)
-    uniq, inverse = np.unique(e, axis=0, return_inverse=True)
+    _, keys, inverse, _ = _edge_topology(tris, nv)
+    uniq = np.column_stack(np.divmod(keys, nv))
     mids = 0.5 * (verts[uniq[:, 0]] + verts[uniq[:, 1]])
 
     radius = _arc_radius(surface.spec)
     if radius is not None:
-        on_arc = _is_arc_vertex(verts, uniq[:, 0], radius) & _is_arc_vertex(
-            verts, uniq[:, 1], radius
-        )
+        on_arc = _arc_chord(verts[uniq[:, 0]], verts[uniq[:, 1]], radius)
         if on_arc.any():
             r = np.hypot(mids[on_arc, 0], mids[on_arc, 1])
             mids[on_arc] *= (radius / r)[:, None]
@@ -493,6 +514,35 @@ def refine(surface: Surface) -> Surface:
     )
 
 
+class _EdgeOwners(dict):
+    """Lazy map from an undirected edge ``(lo, hi)`` to the ids of the
+    triangles containing it, for one call of `refine_local`.
+
+    An edge's set is built on first access from the input mesh's
+    vertex→triangle incidence (``tri_of[start[v]:start[v + 1]]`` lists the
+    input triangles at vertex v in ascending id), adding owners in ascending
+    id; an edge at a vertex created during the call starts empty.  Always
+    index with ``edge_map[key]``: ``dict.setdefault`` and ``dict.get`` skip
+    ``__missing__`` and would see an edge's input owners as absent.
+    """
+
+    def __init__(self, tris: list, tri_of: list, start: list):
+        super().__init__()
+        self._tris = tris
+        self._tri_of = tri_of
+        self._start = start
+
+    def __missing__(self, key: tuple) -> set:
+        lo, hi = key
+        owners = set()
+        if hi < len(self._start) - 1:  # both ends are input vertices
+            for tid in self._tri_of[self._start[lo] : self._start[lo + 1]]:
+                if hi in self._tris[tid]:
+                    owners.add(tid)
+        self[key] = owners
+        return owners
+
+
 def refine_local(surface: Surface, marked) -> Surface:
     """Bisect the marked triangles across their longest edges.
 
@@ -501,6 +551,24 @@ def refine_local(surface: Surface, marked) -> Surface:
     (or lies on the boundary), otherwise the blocking neighbor is bisected
     first.  Termination follows from edge lengths increasing strictly along
     each propagation chain.
+
+    Cost: one call does whole-mesh work only in numpy (list conversion of
+    the input arrays, a vertex→triangle incidence table, the boundary of the
+    result) and Python work only for the triangles it bisects and their
+    neighbors.  Input triangles stay in a list; bisected ones are recorded
+    in ``removed`` and their children in ``new`` (ids from ``nt`` upward), so
+    the result is the input with ``removed`` rows deleted followed by the
+    surviving children in id order.  Edge owner sets are built lazily by
+    `_EdgeOwners`.
+
+    Ordering invariant: ``split_pair`` numbers children in the iteration
+    order of an edge's owner set, and a Python set's iteration order depends
+    on its contents *and* its history of adds and discards.  Each owner set
+    therefore sees exactly the adds and discards of a map built over the
+    whole mesh with owners in ascending triangle id, so triangle order and
+    ``content_hash`` do not depend on which edges were ever looked at.
+    Sorting owners before iterating, or keeping one map alive across calls
+    with persistent ids, would change the order of the result.
     """
     marked = np.asarray(marked)
     if marked.dtype == bool:
@@ -510,23 +578,31 @@ def refine_local(surface: Surface, marked) -> Surface:
     if marked_ids.size == 0:
         return surface
 
-    verts: list = [tuple(p) for p in surface.vertices]
-    f_vals: list = list(surface.f_nodal)
-    tris: dict[int, tuple] = {i: tuple(map(int, t)) for i, t in enumerate(surface.triangles)}
-    next_tid = len(tris)
+    nv, nt = surface.num_vertices, surface.num_triangles
+    verts: list = surface.vertices.tolist()
+    f_vals: list = surface.f_nodal.tolist()
+    tris_in: list = surface.triangles.tolist()
+    removed: set = set()
+    new: dict[int, tuple] = {}
+    next_tid = nt
     radius = _arc_radius(surface.spec)
     f_fn = surface.spec.f_callable() if surface.spec.f_expr is not None else None
 
-    edge_map: dict[tuple, set] = {}
+    flat = surface.triangles.ravel()
+    tri_of = (np.argsort(flat, kind="stable") // 3).tolist()
+    start = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=nv))))
+    edge_map = _EdgeOwners(tris_in, tri_of, start.tolist())
 
     def ekey(u, v):
         return (u, v) if u < v else (v, u)
 
-    for tid, t in tris.items():
-        for kk in range(3):
-            edge_map.setdefault(ekey(t[kk], t[(kk + 1) % 3]), set()).add(tid)
+    def alive(tid: int) -> bool:
+        return tid in new if tid >= nt else tid >= 0 and tid not in removed
 
-    def longest_edge(t: tuple) -> tuple:
+    def tri(tid: int):
+        return new[tid] if tid >= nt else tris_in[tid]
+
+    def longest_edge(t) -> tuple:
         best, best_l = None, -1.0
         for kk in range(3):
             u, v = t[kk], t[(kk + 1) % 3]
@@ -539,16 +615,11 @@ def refine_local(surface: Surface, marked) -> Surface:
                 best_l, best = ll, ekey(u, v)
         return best
 
-    def on_arc(u) -> bool:
-        x, y = verts[u]
-        return abs(math.hypot(x, y) - radius) <= 1e-9 * radius
-
     def make_midpoint(u, v) -> int:
-        nonlocal verts, f_vals
         x = 0.5 * (verts[u][0] + verts[v][0])
         y = 0.5 * (verts[u][1] + verts[v][1])
         boundary = len(edge_map[ekey(u, v)]) == 1
-        if boundary and radius is not None and on_arc(u) and on_arc(v):
+        if boundary and radius is not None and _arc_chord(verts[u], verts[v], radius):
             r = math.hypot(x, y)
             x, y = x * radius / r, y * radius / r
         if abs(x) < _SNAP:
@@ -562,20 +633,21 @@ def refine_local(surface: Surface, marked) -> Surface:
             f_vals.append(0.5 * (f_vals[u] + f_vals[v]))
         return len(verts) - 1
 
-    def replace(tid: int, children: list) -> list:
+    def replace(tid: int, children: list) -> None:
         nonlocal next_tid
-        t = tris.pop(tid)
+        if tid >= nt:
+            t = new.pop(tid)
+        else:
+            t = tris_in[tid]
+            removed.add(tid)
         for kk in range(3):
             edge_map[ekey(t[kk], t[(kk + 1) % 3])].discard(tid)
-        out = []
         for child in children:
             cid = next_tid
             next_tid += 1
-            tris[cid] = child
+            new[cid] = child
             for kk in range(3):
-                edge_map.setdefault(ekey(child[kk], child[(kk + 1) % 3]), set()).add(cid)
-            out.append(cid)
-        return out
+                edge_map[ekey(child[kk], child[(kk + 1) % 3])].add(cid)
 
     def split_pair(tid: int, edge: tuple):
         """Split ``tid`` (and its neighbor across ``edge``, if any) at the
@@ -583,7 +655,7 @@ def refine_local(surface: Surface, marked) -> Surface:
         owners = list(edge_map[ekey(*edge)])
         m = make_midpoint(*edge)
         for oid in owners:
-            t = tris[oid]
+            t = tri(oid)
             u, v = edge
             # Local orientation of the shared edge within this triangle.
             for kk in range(3):
@@ -596,7 +668,7 @@ def refine_local(surface: Surface, marked) -> Surface:
     queue = deque(int(i) for i in marked_ids)
     while queue:
         tid = queue.popleft()
-        if tid not in tris:
+        if not alive(tid):
             continue  # consumed by a conformity split
         chain = [tid]
         guard = 0
@@ -605,14 +677,14 @@ def refine_local(surface: Surface, marked) -> Surface:
             if guard > 10_000_000:
                 raise PreconditionError("bisection propagation did not terminate")
             cur = chain[-1]
-            if cur not in tris:
+            if not alive(cur):
                 chain.pop()
                 continue
-            edge = longest_edge(tris[cur])
+            edge = longest_edge(tri(cur))
             owners = edge_map[ekey(*edge)]
             blocker = None
             for oid in owners:
-                if oid != cur and longest_edge(tris[oid]) != edge:
+                if oid != cur and longest_edge(tri(oid)) != edge:
                     blocker = oid
                     break
             if blocker is None:
@@ -621,9 +693,13 @@ def refine_local(surface: Surface, marked) -> Surface:
             else:
                 chain.append(blocker)
 
-    order = sorted(tris)
-    new_tris = np.asarray([tris[i] for i in order], dtype=np.int64)
-    new_verts = np.asarray(verts, dtype=float)
+    children = np.asarray(list(new.values()), dtype=np.int64).reshape(-1, 3)
+    new_tris = np.concatenate(
+        [np.delete(surface.triangles, sorted(removed), axis=0), children]
+    )
+    new_verts = np.concatenate(
+        [surface.vertices, np.asarray(verts[nv:], dtype=float).reshape(-1, 2)]
+    )
     return Surface(
         new_verts,
         new_tris,

@@ -96,3 +96,15 @@ def test_hash_file_stable(tmp_path):
     q = tmp_path / "y.bin"
     q.write_bytes(b"abd")
     assert records.hash_file(str(p)) != records.hash_file(str(q))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_files_respect_umask(tmp_path, umask):
+    path = tmp_path / "out.json"
+    old = os.umask(umask)
+    try:
+        records.write_json(str(path), {"x": 1.5}, records.RunRecord("t", {}))
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert json.loads(path.read_text())["x"] == 1.5

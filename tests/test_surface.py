@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 
 from tmlab.assembly import area
-from tmlab.errors import UsageError
-from tmlab.surface import DomainSpec, Surface, build_domain, refine
+from tmlab.errors import PreconditionError, UsageError
+from tmlab.surface import (
+    DomainSpec,
+    Surface,
+    _extract_boundary,
+    adapt_for_point,
+    build_domain,
+    refine,
+    refine_local,
+)
 
 PI = math.pi
 
@@ -156,3 +164,210 @@ def test_malformed_mesh_dict_rejected(half_disk):
     d2["format_version"] = 99
     with pytest.raises(UsageError):
         Surface.from_dict(d2)
+
+
+# ---------------------------------------------------------------------------
+# validate: one broken mesh per failure
+# ---------------------------------------------------------------------------
+
+
+def _flat_surface(verts, tris, bedges=None):
+    tris = np.asarray(tris, dtype=np.int64)
+    return Surface(
+        vertices=np.asarray(verts, dtype=float),
+        triangles=tris,
+        boundary_edges=_extract_boundary(tris) if bedges is None else bedges,
+        f_nodal=np.zeros(len(verts)),
+        spec=DomainSpec("rectangle", (1.0, 1.0)),
+    )
+
+
+def _square_annulus():
+    """Outer square [0, 3]², inner hole [1, 2]²: 8 vertices, 8 triangles."""
+    outer = [(0.0, 0.0), (3.0, 0.0), (3.0, 3.0), (0.0, 3.0)]
+    inner = [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)]
+    tris = []
+    for k in range(4):
+        o0, o1, i0, i1 = k, (k + 1) % 4, 4 + k, 4 + (k + 1) % 4
+        tris += [(o0, o1, i1), (o0, i1, i0)]
+    return outer + inner, tris
+
+
+def test_validate_rejects_non_manifold_edge():
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)]
+    s = _flat_surface(verts, [(0, 1, 2), (1, 0, 3), (0, 1, 4)])
+    with pytest.raises(PreconditionError, match="non-manifold edge"):
+        s.validate()
+
+
+def test_validate_rejects_boundary_mismatch(unit_square):
+    for bedges in (unit_square.boundary_edges[1:], unit_square.boundary_edges + 1):
+        s = Surface(
+            unit_square.vertices,
+            unit_square.triangles,
+            bedges,
+            unit_square.f_nodal,
+            unit_square.spec,
+        )
+        with pytest.raises(PreconditionError, match="boundary_edges do not match"):
+            s.validate()
+
+
+def test_validate_rejects_wrong_euler_characteristic():
+    verts, tris = _square_annulus()
+    with pytest.raises(PreconditionError, match="Euler characteristic 0"):
+        _flat_surface(verts, tris).validate()
+
+
+def test_validate_rejects_unreferenced_vertex():
+    # Annulus (V - E + F = 0) plus one stray vertex restores the disk count.
+    verts, tris = _square_annulus()
+    s = _flat_surface(verts + [(5.0, 5.0)], tris)
+    with pytest.raises(PreconditionError, match="unreferenced vertices"):
+        s.validate()
+
+
+def test_extract_boundary_sorted_and_oriented(half_disk):
+    b = half_disk.boundary_edges
+    assert [tuple(e) for e in b] == sorted(tuple(e) for e in b)
+    # Domain on the left: the boundary encloses positive area.
+    p, q = half_disk.vertices[b[:, 0]], half_disk.vertices[b[:, 1]]
+    shoelace = 0.5 * np.sum(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+    assert abs(shoelace - half_disk.euclidean_tri_areas().sum()) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# refine_local / adapt_for_point
+# ---------------------------------------------------------------------------
+
+# content_hash values of adapted meshes, recorded before refine_local and
+# the edge-topology helper were vectorized; any drift means the mesh changed.
+GOLDEN_ADAPT = {
+    "rectangle": (
+        DomainSpec("rectangle", (1.0, 1.0)),
+        (1.0, 0.5),
+        "66c5094e35e2147a62296cb0c6bd62110abfe5eb52b29512097f35932c007fbf",
+    ),
+    "half_disk_arc": (
+        DomainSpec("half_disk", (1.0,)),
+        (math.cos(0.3), math.sin(0.3)),
+        "70bf16b421860421a3302de02739282bdeaf7a9df8056d31a83a0bebe4fda306",
+    ),
+    "f_expr": (
+        DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"),
+        (0.6, 0.8),
+        "6063b5dc7d974202d3c56bd8f6748b65a2b1d3ae6977bed09e4d92af4a051b21",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ADAPT))
+def test_adapt_for_point_golden_hash(case):
+    spec, center, digest = GOLDEN_ADAPT[case]
+    s = adapt_for_point(build_domain(spec, 0.1), center, 1e-3, 0.3)
+    assert s.content_hash() == digest
+
+
+def test_refine_golden_hash():
+    s = refine(refine(build_domain(DomainSpec("half_disk", (1.0,)), 0.2)))
+    assert s.content_hash() == (
+        "27dbe3727a12df1c88c3ef124b648456d1c3c02249ac3f483ea072fdf3546adb"
+    )
+
+
+def _assert_graded(s, center, inner, outer, ratio=8.0):
+    """The postcondition stated in the adapt_for_point docstring."""
+    cc = s.tri_coords().mean(axis=1)
+    d = np.hypot(cc[:, 0] - center[0], cc[:, 1] - center[1])
+    longest = s.edge_lengths().max(axis=1)
+    near = d <= outer
+    bound = np.maximum(inner, np.minimum(d, outer)) / ratio
+    assert near.any()
+    assert np.all(longest[near] <= bound[near])
+
+
+def _assert_boundary_on_half_disk(s):
+    x, y = s.vertices[s.boundary_vertex_indices()].T
+    on_diameter = np.abs(x) <= 1e-12
+    on_arc = np.abs(np.hypot(x, y) - 1.0) <= 1e-12
+    assert np.all(on_diameter | on_arc)
+
+
+def test_adapt_rectangle_properties(rng):
+    base = build_domain(DomainSpec("rectangle", (2.0, 1.0)), 0.2)
+    x1, x2 = base.vertices.T
+    # Flat spec with a non-constant f: new vertices take the parent average,
+    # which reproduces a linear function.
+    linear = Surface(base.vertices, base.triangles, base.boundary_edges,
+                     x1 + 2.0 * x2, base.spec)
+    for _ in range(3):
+        center = (rng.uniform(0.0, 2.0), rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        inner = 10.0 ** rng.uniform(-6.0, -2.0)
+        outer = rng.uniform(0.1, 0.4)
+        s = adapt_for_point(linear, center, inner, outer)
+        s.validate()
+        _assert_graded(s, center, inner, outer)
+        assert abs(s.euclidean_tri_areas().sum() - 2.0) <= 1e-12
+        assert np.allclose(s.f_nodal, s.vertices[:, 0] + 2.0 * s.vertices[:, 1],
+                           rtol=0.0, atol=1e-12)
+
+
+def test_adapt_half_disk_arc_properties(rng):
+    base = build_domain(DomainSpec("half_disk", (1.0,)), 0.1)
+    for _ in range(3):
+        th = rng.uniform(-1.2, 1.2)
+        center = (math.cos(th), math.sin(th))
+        inner = 10.0 ** rng.uniform(-6.0, -2.0)
+        outer = rng.uniform(0.1, 0.4)
+        s = adapt_for_point(base, center, inner, outer)
+        s.validate()
+        _assert_graded(s, center, inner, outer)
+        _assert_boundary_on_half_disk(s)
+        # New arc vertices were projected, so the area can only grow.
+        assert s.euclidean_tri_areas().sum() >= base.euclidean_tri_areas().sum()
+
+
+def test_adapt_resamples_f_expr(rng):
+    spec = DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2")
+    s = adapt_for_point(build_domain(spec, 0.1), (rng.uniform(0.1, 0.9), 0.0),
+                        1e-4, 0.3)
+    s.validate()
+    x1, x2 = s.vertices.T
+    assert np.allclose(s.f_nodal, 0.2 * x1 * x2 + 0.1 * x1**2, rtol=0.0, atol=1e-15)
+
+
+def test_refine_local_random_marks(rng, half_disk):
+    marks = rng.random(half_disk.num_triangles) < 0.1
+    s = refine_local(half_disk, marks)
+    s.validate()
+    _assert_boundary_on_half_disk(s)
+    assert s.num_triangles >= half_disk.num_triangles + marks.sum()
+    kept = {tuple(t) for t in s.triangles.tolist()}
+    assert not any(tuple(t) in kept for t in half_disk.triangles[marks].tolist())
+    # Unmarked survivors keep their input order at the front.
+    survivors = [t for t in half_disk.triangles.tolist() if tuple(t) in kept]
+    assert s.triangles[: len(survivors)].tolist() == survivors
+
+
+def test_refine_local_no_marks_is_identity(half_disk):
+    assert refine_local(half_disk, np.zeros(half_disk.num_triangles, bool)) is half_disk
+
+
+@pytest.mark.parametrize(
+    "spec, corner",
+    [
+        (DomainSpec("half_disk", (1.0,)), (0.0, 1.0)),
+        (DomainSpec("disk_sector", (1.0, PI / 2)), (1.0, 0.0)),
+        (DomainSpec("disk_sector", (1.0, 1.0)), (math.cos(1.0), math.sin(1.0))),
+    ],
+    ids=["half_disk", "quarter_disk", "sector_1rad"],
+)
+def test_adapt_at_straight_side_corner_terminates(spec, corner):
+    # Short straight-side edges at a corner have both ends within the 1e-9
+    # arc tolerance; they must not be reprojected onto the corner.
+    s = adapt_for_point(build_domain(spec, 0.1), corner, inner_scale=1e-9,
+                        outer_radius=0.5)
+    s.validate()
+    for c in spec.corners():
+        d = np.hypot(s.vertices[:, 0] - c[0], s.vertices[:, 1] - c[1])
+        assert np.count_nonzero(d <= 1e-12) == 1
