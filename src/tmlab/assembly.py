@@ -183,6 +183,24 @@ def km_solver(surface: Surface):
     return surface.cache[key]
 
 
+def refined_solve(lu, matrix, b: np.ndarray, rtol: float) -> tuple:
+    """Solve ``matrix @ x = b`` from its LU factors with iterative refinement.
+
+    Up to three correction steps x += lu.solve(b − matrix·x) are taken
+    until the relative residual ‖b − matrix·x‖/‖b‖ is at most ``rtol``.
+    Returns x and its relative residual.
+    """
+    x = lu.solve(b)
+    scale = float(np.linalg.norm(b))
+    for _ in range(3):
+        r = b - matrix @ x
+        residual = float(np.linalg.norm(r)) / scale
+        if residual <= rtol:
+            return x, residual
+        x += lu.solve(r)
+    return x, float(np.linalg.norm(b - matrix @ x)) / scale
+
+
 def dual_norm(surface: Surface, r: np.ndarray) -> float:
     """√(rᵀ (K+M)⁻¹ r), the H¹-dual norm of a residual vector."""
     z = km_solver(surface).solve(r)

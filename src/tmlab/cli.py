@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -138,17 +136,6 @@ def _radial_profile(surf: surface_mod.Surface, values, center,
     return r[order], np.asarray(values)[order]
 
 
-def _jobs_default() -> int:
-    raw = os.environ.get("TMLAB_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"TMLAB_JOBS={raw!r} is not an integer") from exc
-    if jobs < 1:
-        raise UsageError("jobs must be at least 1")
-    return jobs
-
-
 # ---------------------------------------------------------------------------
 # mesh
 # ---------------------------------------------------------------------------
@@ -239,9 +226,7 @@ def cmd_eigen(args) -> int:
 
 
 def _eigen_seed(surf: surface_mod.Surface) -> np.ndarray:
-    if "lambda1" not in surf.cache:
-        surf.cache["lambda1"] = spectrum.first_eigenpair(surf, tol=1e-8)
-    return surf.cache["lambda1"].vector.copy()
+    return spectrum.lambda1(surf).vector.copy()
 
 
 def _bubble_seed(surf: surface_mod.Surface) -> np.ndarray:
@@ -330,31 +315,21 @@ def cmd_sweep(args) -> int:
     eps_ladder = _parse_float_list(args.eps_ladder, "eps ladder")
     if any(a < 0 for a in alphas):
         raise UsageError("alpha grid entries must be nonnegative")
-    jobs = args.jobs if args.jobs is not None else _jobs_default()
 
-    if "lambda1" not in surf.cache:
-        surf.cache["lambda1"] = spectrum.first_eigenpair(surf, tol=1e-8)
-    threshold = surf.cache["lambda1"].value
+    threshold = spectrum.lambda1(surf).value
     if args.relative:
         alphas = [a * threshold for a in alphas]
     vertex = witness.peak_boundary_vertex(surf)
     need_eigen = any(a >= threshold * (1.0 - 1e-12) for a in alphas)
 
     # Rung meshes and cap states are shared across the whole alpha grid;
-    # building them is the expensive part, so it happens once, serially.
+    # building them is the expensive part, so it happens once.
     rungs = witness.ladder_states(
         surf, vertex, eps_ladder, q=args.q,
         need_eigen_branch=need_eigen, adapt=not args.no_adapt,
     )
-
-    def cell(alpha: float) -> witness.WitnessLadder:
-        return witness.evaluate_ladder(rungs, alpha, args.beta, threshold)
-
-    if jobs == 1 or len(alphas) == 1:
-        ladders = [cell(a) for a in alphas]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            ladders = list(pool.map(cell, alphas))
+    ladders = [witness.evaluate_ladder(rungs, a, args.beta, threshold)
+               for a in alphas]
 
     header = [
         "alpha", "level", "eps", "t", "delta", "F_value", "ratio", "growth",
@@ -374,7 +349,6 @@ def cmd_sweep(args) -> int:
         "eps_ladder": args.eps_ladder,
         "beta": args.beta,
         "q": args.q,
-        "jobs": jobs,
         "lambda1": threshold,
         "vertex": vertex,
     }
@@ -425,9 +399,7 @@ def _witness_bubble(args, started) -> int:
 
 def _witness_moser(args, started) -> int:
     surf, mesh_hash = _load_surface(args.mesh)
-    if "lambda1" not in surf.cache:
-        surf.cache["lambda1"] = spectrum.first_eigenpair(surf, tol=1e-8)
-    eigenpair = surf.cache["lambda1"]
+    eigenpair = spectrum.lambda1(surf)
     vertex = args.vertex if args.vertex is not None \
         else witness.peak_boundary_vertex(surf)
     v, seq = witness.moser_sequence(surf, eigenpair, vertex, args.eps,
@@ -630,8 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="eigen-branch amplitude exponent t = L^-q")
     p.add_argument("--no-adapt", action="store_true",
                    help="skip per-rung mesh adaptation")
-    p.add_argument("--jobs", type=int,
-                   help="worker threads (default: TMLAB_JOBS or 1)")
     common(p)
     p.set_defaults(func=cmd_sweep)
 

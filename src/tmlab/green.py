@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import assembly
+from . import assembly, spectrum
 from .errors import NumericalError, PreconditionError, UsageError
 from .surface import Surface
 
@@ -62,11 +62,7 @@ def green_function(surface: Surface, vertex: int, alpha: float = 0.0) -> GreenRe
     if alpha > 0.0:
         # The shifted operator is definite on mean-zero fields only below
         # the first nonzero Neumann eigenvalue; alpha = 0 needs no check.
-        from . import spectrum
-
-        if "lambda1" not in surface.cache:
-            surface.cache["lambda1"] = spectrum.first_eigenpair(surface, tol=1e-8)
-        lam1 = surface.cache["lambda1"].value
+        lam1 = spectrum.lambda1(surface).value
         if alpha >= lam1:
             raise PreconditionError(
                 f"alpha = {alpha} is not below the spectral threshold {lam1:.6f}"
@@ -85,20 +81,11 @@ def green_function(surface: Surface, vertex: int, alpha: float = 0.0) -> GreenRe
          [sp.csc_matrix(m1[None, :]), None]],
         format="csc",
     )
-    rhs_full = np.concatenate([rhs, [0.0]])
-    rhs_scale = float(np.linalg.norm(rhs_full))
     try:
         lu = spla.splu(mat)
-        sol = lu.solve(rhs_full)
-        residual = np.inf
-        for _ in range(3):
-            r = rhs_full - mat @ sol
-            residual = float(np.linalg.norm(r)) / rhs_scale
-            if residual <= 1e-13:
-                break
-            sol += lu.solve(r)
-        else:
-            residual = float(np.linalg.norm(rhs_full - mat @ sol)) / rhs_scale
+        sol, residual = assembly.refined_solve(
+            lu, mat, np.concatenate([rhs, [0.0]]), 1e-13
+        )
     except RuntimeError as exc:
         raise NumericalError(f"Green solve failed: {exc}") from exc
     if residual > 1e-10:

@@ -16,18 +16,24 @@ ascent with an adaptive step until the stationarity residual is small,
 then damped Newton on the bordered KKT system (exact Hessian; the α-terms
 contribute a symmetric rank-two correction, handled by bordering) with
 quadratic terminal convergence.
+
+Each state the maximizer visits is one ``_State``: value, gradient, KKT
+multipliers and residual, the Newton system and the Euler–Lagrange data
+are all read from it, so no (u, α, β) is interpolated or exponentiated
+twice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import assembly, quadrature as quad
+from . import assembly, spectrum
 from .errors import NumericalError, PreconditionError, UsageError
 from .surface import Surface
 
@@ -128,7 +134,13 @@ def _check_params(alpha: float, eps: float) -> float:
 
 
 class _State:
-    """Shared quadrature fields of (surface, u, alpha, beta)."""
+    """Every quadrature-derived quantity of one (surface, u, alpha, beta).
+
+    The interpolated field and its exponential are computed on
+    construction.  Value, gradient, KKT data, Euler–Lagrange data and the
+    Newton system all read them, and what they derive is cached here, so
+    a state is evaluated once however many of these are asked for.
+    """
 
     def __init__(self, surface: Surface, u: np.ndarray, alpha: float, beta: float):
         self.surface = surface
@@ -157,18 +169,91 @@ class _State:
     def moment_live(self, k: int) -> float:
         return float(np.sum(self.w * self.uq**k * self.eE * self.live))
 
-    # -- load vectors ∫ u^k e^E φ_i dv (derivative-side: clamp-masked) ----
+    def live_field(self, k: int) -> np.ndarray:
+        """u^k e^E at the quadrature points, zero where E was clamped."""
+        return self.uq**k * self.eE * self.live
 
-    def load_live(self, k: int) -> np.ndarray:
-        gq = self.uq**k * self.eE * self.live
-        contrib = np.einsum("tq,qi->ti", self.w * gq, quad.BARY)
-        out = np.zeros(self.surface.num_vertices)
-        np.add.at(out, self.surface.triangles.ravel(), contrib.ravel())
-        return out
+    # -- value and first-order data ----------------------------------------
 
-    def weighted_mass_live(self, k: int) -> sp.csr_matrix:
-        gq = self.uq**k * self.eE * self.live
-        return assembly.weighted_mass(self.surface, gq)
+    @cached_property
+    def value(self) -> float:
+        return float(np.sum(self.w * self.eE))
+
+    @cached_property
+    def s1(self) -> np.ndarray:
+        """Load vector ∫ u e^E φ_i dv (derivative side: clamp-masked)."""
+        return assembly.load(self.surface, self.live_field(1))
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        lam = self.moment_live(2)
+        return (
+            2.0 * self.alpha_eps * self.s1
+            + 2.0 * self.alpha * self.beta * lam * self.mu_vec
+        )
+
+    @cached_property
+    def ku(self) -> np.ndarray:
+        return np.asarray(assembly.stiffness(self.surface) @ self.u)
+
+    @cached_property
+    def multipliers(self) -> tuple:
+        """Estimates (A, ν) at a feasible u: A from the sphere, ν from the mean.
+
+        ν solves min ‖g − 2A·Ku − ν·M1‖ in the dual pairing with constants:
+        1ᵀ(g − 2A·Ku) = ν·1ᵀM1 and 1ᵀKu = 0.
+        """
+        g = self.gradient
+        a_mult = 0.5 * float(self.u @ g)
+        nu = float(np.sum(g) - 2.0 * a_mult * np.sum(self.ku))
+        nu /= assembly.area(self.surface)
+        return a_mult, nu
+
+    @cached_property
+    def lagrangian_gradient(self) -> np.ndarray:
+        """g − 2A·Ku − ν·M1, the gradient of the Lagrangian."""
+        a_mult, nu = self.multipliers
+        m1 = assembly.mass_row_of_ones(self.surface)
+        return self.gradient - 2.0 * a_mult * self.ku - nu * m1
+
+    @cached_property
+    def kkt_residual(self) -> float:
+        """Stationarity residual: dual norm of the Lagrangian gradient over 2|A|."""
+        denom = max(2.0 * abs(self.multipliers[0]), 1e-300)
+        return assembly.dual_norm(self.surface, self.lagrangian_gradient) / denom
+
+    # -- Euler–Lagrange data -----------------------------------------------
+
+    @cached_property
+    def coefficients(self) -> ELCoefficients:
+        lam = self.moment(2)
+        if lam <= 0:
+            raise PreconditionError("lambda_eps vanishes: state is identically zero")
+        alpha, s = self.alpha, self.norm_sq
+        beta_eps = (1.0 + alpha * s) / (1.0 + 2.0 * alpha * s)
+        gamma_eps = alpha / (1.0 + 2.0 * alpha * s)
+        mu_eps = beta_eps * self.moment(1) / assembly.area(self.surface)
+        return ELCoefficients(
+            alpha_eps=self.alpha_eps,
+            beta_eps=beta_eps,
+            gamma_eps=gamma_eps,
+            lambda_eps=lam,
+            mu_eps=mu_eps,
+            multiplier=self.beta * lam * (1.0 + 2.0 * alpha * s),
+            norm_sq=s,
+            tainted=self.tainted,
+        )
+
+    def el_residual(self) -> float:
+        co = self.coefficients
+        lam = co.lambda_eps
+        r = (
+            self.ku
+            - (co.beta_eps / lam) * self.s1
+            - co.gamma_eps * self.mu_vec
+            + (co.mu_eps / lam) * assembly.mass_row_of_ones(self.surface)
+        )
+        return assembly.dual_norm(self.surface, r)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +282,7 @@ def functional_at_beta(
         raise UsageError("alpha must be nonnegative and finite")
     st = _State(surface, u, alpha, beta)
     return FunctionalValue(
-        value=float(np.sum(st.w * st.eE)),
-        tainted=st.tainted,
-        max_exponent=st.max_exponent,
+        value=st.value, tainted=st.tainted, max_exponent=st.max_exponent
     )
 
 
@@ -209,32 +292,12 @@ def gradient(surface: Surface, u, alpha: float, eps: float) -> np.ndarray:
     ∇F = 2β(1+αs)·∫ u e^E φ_i + 2αβ·(∫ u² e^E)·Mu,  s = ‖u‖₂².
     Clamped quadrature points contribute zero derivative.
     """
-    st = _State(surface, u, alpha, _check_params(alpha, eps))
-    s1 = st.load_live(1)
-    lam = st.moment_live(2)
-    return 2.0 * st.alpha_eps * s1 + 2.0 * st.alpha * st.beta * lam * st.mu_vec
+    return _State(surface, u, alpha, _check_params(alpha, eps)).gradient
 
 
 def el_coefficients(surface: Surface, u, alpha: float, eps: float) -> ELCoefficients:
     """Euler–Lagrange coefficients of the state u (see class docstring)."""
-    st = _State(surface, u, alpha, _check_params(alpha, eps))
-    lam = st.moment(2)
-    if lam <= 0:
-        raise PreconditionError("lambda_eps vanishes: state is identically zero")
-    s = st.norm_sq
-    beta_eps = (1.0 + alpha * s) / (1.0 + 2.0 * alpha * s)
-    gamma_eps = alpha / (1.0 + 2.0 * alpha * s)
-    mu_eps = beta_eps * st.moment(1) / assembly.area(surface)
-    return ELCoefficients(
-        alpha_eps=st.alpha_eps,
-        beta_eps=beta_eps,
-        gamma_eps=gamma_eps,
-        lambda_eps=lam,
-        mu_eps=mu_eps,
-        multiplier=st.beta * lam * (1.0 + 2.0 * alpha * s),
-        norm_sq=s,
-        tainted=st.tainted,
-    )
+    return _State(surface, u, alpha, _check_params(alpha, eps)).coefficients
 
 
 def el_residual(surface: Surface, u, alpha: float, eps: float) -> float:
@@ -245,36 +308,12 @@ def el_residual(surface: Surface, u, alpha: float, eps: float) -> float:
     and the residual is measured in the (K+M)⁻¹ dual norm, which is
     mesh-size robust.
     """
-    st = _State(surface, u, alpha, _check_params(alpha, eps))
-    lam = st.moment(2)
-    if lam <= 0:
-        raise PreconditionError("el_residual of the zero state")
-    s = st.norm_sq
-    beta_eps = (1.0 + alpha * s) / (1.0 + 2.0 * alpha * s)
-    gamma_eps = alpha / (1.0 + 2.0 * alpha * s)
-    mu_eps = beta_eps * st.moment(1) / assembly.area(surface)
-    s1 = st.load_live(1)
-    k = assembly.stiffness(surface)
-    r = (
-        np.asarray(k @ st.u)
-        - (beta_eps / lam) * s1
-        - gamma_eps * st.mu_vec
-        + (mu_eps / lam) * assembly.mass_row_of_ones(surface)
-    )
-    return assembly.dual_norm(surface, r)
+    return _State(surface, u, alpha, _check_params(alpha, eps)).el_residual()
 
 
 # ---------------------------------------------------------------------------
 # Maximization
 # ---------------------------------------------------------------------------
-
-
-def _lambda1(surface: Surface) -> float:
-    if "lambda1" not in surface.cache:
-        from . import spectrum
-
-        surface.cache["lambda1"] = spectrum.first_eigenpair(surface, tol=1e-8)
-    return surface.cache["lambda1"].value
 
 
 def _retract(surface: Surface, v: np.ndarray) -> np.ndarray:
@@ -286,25 +325,38 @@ def _retract(surface: Surface, v: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
-def _kkt_multipliers(surface: Surface, u, g):
-    """Multiplier estimates at a feasible u: A from the sphere, ν from the mean."""
+def _ascent_step(st: _State, km, step: float):
+    """One Armijo step of projected ascent from ``st``.
+
+    The direction is the (K+M)-preconditioned gradient, or the raw
+    gradient when that is not an ascent direction, projected onto the
+    tangent space of the constraints.  The step is halved from ``step``
+    until the sufficient-increase test holds.  Returns the accepted
+    (state, step), or None when no ascent direction or step exists.
+    """
+    surface, u, g = st.surface, st.u, st.gradient
     k = assembly.stiffness(surface)
-    ku = np.asarray(k @ u)
-    a_mult = 0.5 * float(u @ g)
-    nu = float(np.sum(g) - 2.0 * a_mult * np.sum(ku)) / assembly.area(surface)
-    # note: ∑_i (M1)_i g... ν solves min ‖g − 2A·Ku − ν·M1‖ in the dual
-    # pairing with constants: 1ᵀ(g − 2A·Ku) = ν·1ᵀM1 and 1ᵀKu = 0.
-    return a_mult, nu, ku
+    d = km.solve(g)
+    d = assembly.mean_zero_project(surface, d)
+    d = d - float(u @ (k @ d)) * u
+    slope = float(g @ d)
+    if slope <= 0:
+        d = assembly.mean_zero_project(surface, g)
+        d = d - float(u @ (k @ d)) * u
+        slope = float(g @ d)
+        if slope <= 0:
+            return None  # stationary to machine precision
+    for _ in range(40):
+        trial = _State(surface, _retract(surface, u + step * d), st.alpha, st.beta)
+        if trial.value >= st.value + 1e-4 * step * slope:
+            return trial, step
+        step *= 0.5
+        if step < 1e-18:
+            break
+    return None
 
 
-def _kkt_residual(surface: Surface, u, g, a_mult, nu, ku) -> float:
-    m1 = assembly.mass_row_of_ones(surface)
-    r = g - 2.0 * a_mult * ku - nu * m1
-    denom = max(2.0 * abs(a_mult), 1e-300)
-    return assembly.dual_norm(surface, r) / denom
-
-
-def _newton_step(surface: Surface, st: _State, a_mult: float, nu: float):
+def _newton_step(st: _State) -> np.ndarray:
     """Assemble and solve the bordered KKT Newton system; return δu.
 
     Hessian of F:  H = H_sp + U C₂ Uᵀ with
@@ -315,32 +367,27 @@ def _newton_step(surface: Surface, st: _State, a_mult: float, nu: float):
     the constraint gradients B = [2Ku, M·1] and the rank-two correction is
     bordered via C₂⁻¹ = [[0,1],[1,−κ]].
     """
-    n = st.surface.num_vertices
+    surface = st.surface
+    n = surface.num_vertices
     alpha, beta = st.alpha, st.beta
-    s = st.norm_sq
     ae = st.alpha_eps
     k = assembly.stiffness(surface)
     m = assembly.mass(surface)
+    a_mult = st.multipliers[0]
 
     lam = st.moment_live(2)
     h_sp = (
-        2.0 * ae * st.weighted_mass_live(0)
-        + 4.0 * ae * ae * st.weighted_mass_live(2)
+        2.0 * ae * assembly.weighted_mass(surface, st.live_field(0))
+        + 4.0 * ae * ae * assembly.weighted_mass(surface, st.live_field(2))
         + (2.0 * alpha * beta * lam) * m
     )
     h_c = (h_sp - (2.0 * a_mult) * k).tocsc()
 
-    ku = np.asarray(k @ st.u)
-    m1 = assembly.mass_row_of_ones(surface)
-    g = 2.0 * ae * st.load_live(1) + 2.0 * alpha * beta * lam * st.mu_vec
-    g_l = g - 2.0 * a_mult * ku - nu * m1
-
-    b = np.column_stack([2.0 * ku, m1])
+    b = np.column_stack([2.0 * st.ku, assembly.mass_row_of_ones(surface)])
     if alpha > 0.0:
-        s1 = st.load_live(1)
-        s3 = st.load_live(3)
+        s3 = assembly.load(surface, st.live_field(3))
         lam4 = st.moment_live(4)
-        w_t = 4.0 * alpha * beta * (s1 + ae * s3)
+        w_t = 4.0 * alpha * beta * (st.s1 + ae * s3)
         kappa = 4.0 * alpha * alpha * beta * beta * lam4
         uu = np.column_stack([st.mu_vec, w_t])
         c2inv = np.array([[0.0, 1.0], [1.0, -kappa]])
@@ -352,13 +399,13 @@ def _newton_step(surface: Surface, st: _State, a_mult: float, nu: float):
             ],
             format="csc",
         )
-        rhs = np.concatenate([-g_l, np.zeros(2), np.zeros(2)])
+        rhs = np.concatenate([-st.lagrangian_gradient, np.zeros(2), np.zeros(2)])
     else:
         mat = sp.bmat(
             [[h_c, sp.csc_matrix(b)], [sp.csc_matrix(b.T), sp.csc_matrix((2, 2))]],
             format="csc",
         )
-        rhs = np.concatenate([-g_l, np.zeros(2)])
+        rhs = np.concatenate([-st.lagrangian_gradient, np.zeros(2)])
 
     try:
         lu = spla.splu(mat)
@@ -386,125 +433,70 @@ def maximize_subcritical(
     eigenfunction scaled to unit energy.  Phase 1 is (K+M)-preconditioned
     projected gradient ascent with adaptive step and a sufficient-increase
     test; phase 2 is damped Newton on the bordered KKT system, accepting
-    steps only when the stationarity residual decreases.
+    steps only when the stationarity residual decreases, with one ascent
+    step where no damped Newton step does.  At most the current state and
+    one trial state are alive at a time.
     """
-    _check_params(alpha, eps)
+    beta = _check_params(alpha, eps)
     if alpha > 0.0 or u0 is None:
         # alpha = 0 always lies below the spectral threshold; resolve the
         # eigenpair only when the threshold bites or it seeds the ascent.
-        lam1 = _lambda1(surface)
+        lam1 = spectrum.lambda1(surface).value
         if alpha >= lam1:
             raise PreconditionError(
                 f"alpha = {alpha} is not below the spectral threshold {lam1:.6f}"
             )
 
     if u0 is None:
-        u = surface.cache["lambda1"].vector.copy()
+        u = spectrum.lambda1(surface).vector.copy()
     else:
         u = np.asarray(u0, dtype=float)
         if u.shape != (surface.num_vertices,):
             raise UsageError("seed vector length does not match the mesh")
-    u = _retract(surface, u)
-
-    def value(vec) -> FunctionalValue:
-        return functional(surface, vec, alpha, eps)
-
-    fv = value(u)
-    tainted = fv.tainted
-    g = gradient(surface, u, alpha, eps)
-    a_mult, nu, ku = _kkt_multipliers(surface, u, g)
-    res = _kkt_residual(surface, u, g, a_mult, nu, ku)
+    st = _State(surface, _retract(surface, u), alpha, beta)
+    tainted = st.tainted
 
     km = assembly.km_solver(surface)
     step = 1.0
     n_ascent = 0
     for n_ascent in range(1, max_ascent + 1):
-        if res <= max(newton_switch, tol):
+        if st.kkt_residual <= max(newton_switch, tol):
             break
-        d = km.solve(g)
-        d = assembly.mean_zero_project(surface, d)
-        d = d - float(u @ (assembly.stiffness(surface) @ d)) * u
-        slope = float(g @ d)
-        if slope <= 0:
-            d = assembly.mean_zero_project(surface, g)
-            d = d - float(u @ (assembly.stiffness(surface) @ d)) * u
-            slope = float(g @ d)
-            if slope <= 0:
-                break  # stationary to machine precision
-        accepted = False
-        for _ in range(40):
-            trial = _retract(surface, u + step * d)
-            fv_t = value(trial)
-            if fv_t.value >= fv.value + 1e-4 * step * slope:
-                u, fv = trial, fv_t
-                tainted = tainted or fv_t.tainted
-                step = min(step * 1.3, 1e6)
-                accepted = True
-                break
-            step *= 0.5
-            if step < 1e-18:
-                break
-        if not accepted:
+        accepted = _ascent_step(st, km, step)
+        if accepted is None:
             break
-        g = gradient(surface, u, alpha, eps)
-        a_mult, nu, ku = _kkt_multipliers(surface, u, g)
-        res = _kkt_residual(surface, u, g, a_mult, nu, ku)
+        st, step = accepted
+        tainted = tainted or st.tainted
+        step = min(step * 1.3, 1e6)
 
     n_newton = 0
-    beta = TWO_PI - eps
-    while res > tol and n_newton < max_newton:
+    while st.kkt_residual > tol and n_newton < max_newton:
         n_newton += 1
-        st = _State(surface, u, alpha, beta)
-        du = _newton_step(surface, st, a_mult, nu)
-        improved = False
+        du = _newton_step(st)
         tau = 1.0
         for _ in range(12):
-            trial = _retract(surface, u + tau * du)
-            g_t = gradient(surface, trial, alpha, eps)
-            a_t, nu_t, ku_t = _kkt_multipliers(surface, trial, g_t)
-            res_t = _kkt_residual(surface, trial, g_t, a_t, nu_t, ku_t)
-            if res_t < res:
-                u, g, a_mult, nu, ku, res = trial, g_t, a_t, nu_t, ku_t, res_t
-                improved = True
+            trial = _State(surface, _retract(surface, st.u + tau * du), alpha, beta)
+            if trial.kkt_residual < st.kkt_residual:
+                st = trial
                 break
             tau *= 0.5
-        if not improved:
+        else:
             # One safeguarded ascent step, then retry Newton.
-            d = km.solve(g)
-            d = assembly.mean_zero_project(surface, d)
-            d = d - float(u @ (assembly.stiffness(surface) @ d)) * u
-            slope = float(g @ d)
-            if slope <= 0:
+            accepted = _ascent_step(st, km, 1.0)
+            if accepted is None:
                 break
-            fv = value(u)
-            s_a = 1.0
-            stepped = False
-            for _ in range(40):
-                trial = _retract(surface, u + s_a * d)
-                fv_t = value(trial)
-                if fv_t.value >= fv.value + 1e-4 * s_a * slope:
-                    u = trial
-                    g = gradient(surface, u, alpha, eps)
-                    a_mult, nu, ku = _kkt_multipliers(surface, u, g)
-                    res = _kkt_residual(surface, u, g, a_mult, nu, ku)
-                    stepped = True
-                    break
-                s_a *= 0.5
-                if s_a < 1e-18:
-                    break
-            if not stepped:
-                break
+            st = accepted[0]
+            tainted = tainted or st.tainted
 
-    fv = value(u)
-    el_res = el_residual(surface, u, alpha, eps)
+    el_res = st.el_residual()
     return MaximizeResult(
-        u=u,
-        value=fv.value,
+        u=st.u,
+        value=st.value,
         residual=el_res,
         ascent_iterations=n_ascent,
         newton_iterations=n_newton,
         converged=bool(el_res <= tol),
-        tainted=bool(tainted or fv.tainted),
+        tainted=bool(tainted or st.tainted),
     )
 
 

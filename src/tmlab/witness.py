@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import assembly, green as green_mod, moser
+from . import assembly, green as green_mod, moser, spectrum
 from .errors import NumericalError, PreconditionError, UsageError
 from .surface import Surface, adapt_for_point
 
@@ -263,13 +263,7 @@ def cap_state(
     vec = cap
     if t != 0.0:
         if u0 is None:
-            from . import spectrum
-
-            if "lambda1" not in surface.cache:
-                surface.cache["lambda1"] = spectrum.first_eigenpair(
-                    surface, tol=1e-8
-                )
-            u0 = surface.cache["lambda1"].vector
+            u0 = spectrum.lambda1(surface).vector
         sign = 1.0 if u0[vertex] >= 0 else -1.0
         vec = cap + (t * sign) * u0
 
@@ -533,11 +527,7 @@ def peak_boundary_vertex(surface: Surface) -> int:
     (relative) of the boundary maximum, prefers the one farthest from
     the corners; the final tie-break is the lowest index.
     """
-    from . import spectrum
-
-    if "lambda1" not in surface.cache:
-        surface.cache["lambda1"] = spectrum.first_eigenpair(surface, tol=1e-8)
-    u0 = surface.cache["lambda1"].vector
+    u0 = spectrum.lambda1(surface).vector
     corner_set = set(int(c) for c in surface.corner_vertex_indices())
     candidates = [
         int(i) for i in surface.boundary_vertex_indices() if int(i) not in corner_set
@@ -561,11 +551,7 @@ def divergence_witness(
     ratio: float = 8.0,
 ) -> WitnessLadder:
     """Witness ladder for one α: values, ratios, side-condition data."""
-    from . import spectrum
-
-    if "lambda1" not in surface.cache:
-        surface.cache["lambda1"] = spectrum.first_eigenpair(surface, tol=1e-8)
-    threshold = surface.cache["lambda1"].value
+    threshold = spectrum.lambda1(surface).value
     if vertex is None:
         vertex = peak_boundary_vertex(surface)
     need_eigen = alpha >= threshold * (1.0 - 1e-12)
@@ -592,11 +578,7 @@ def divergence_matrix(
     Adapted rung meshes and cap states are shared across all α; only the
     functional evaluation differs, so the matrix is cheap in α.
     """
-    from . import spectrum
-
-    if "lambda1" not in surface.cache:
-        surface.cache["lambda1"] = spectrum.first_eigenpair(surface, tol=1e-8)
-    threshold = surface.cache["lambda1"].value
+    threshold = spectrum.lambda1(surface).value
     if vertex is None:
         vertex = peak_boundary_vertex(surface)
     alphas = [float(a) for a in alphas]
@@ -771,11 +753,7 @@ def lower_bound_check(
     the certified inequality is asymptotic in small α.
     """
     if alpha > 0.0:
-        from . import spectrum
-
-        if "lambda1" not in surface.cache:
-            surface.cache["lambda1"] = spectrum.first_eigenpair(surface, tol=1e-8)
-        lam1 = surface.cache["lambda1"].value
+        lam1 = spectrum.lambda1(surface).value
         if alpha > alpha_cap_fraction * lam1 * (1.0 + 1e-12):
             raise PreconditionError(
                 f"alpha = {alpha} exceeds {alpha_cap_fraction}·lambda1 "
@@ -847,7 +825,8 @@ def concentration_study(
     witness center, then alternates maximize → measure the concentration
     radius r → re-adapt the mesh near the peak until the local mesh size
     resolves r, warm-restarting from the interpolated previous state.
-    Returns one :class:`ConcentrationResult` per subcriticality ε.
+    Returns one :class:`ConcentrationResult` per subcriticality ε; raises
+    :class:`NumericalError` when a rung's final maximizer is unconverged.
     """
     eps_list = [float(e) for e in eps_ladder]
     x0 = surface.vertices[vertex].copy()
@@ -881,6 +860,11 @@ def concentration_study(
                 surf, alpha, eps, u0=u_new / nrm, tol=tol
             )
             diag = moser.blowup_diagnostics(surf, res.u, alpha, eps)
+        if not res.converged:
+            raise NumericalError(
+                f"maximizer at eps = {eps} ended unconverged: residual "
+                f"{res.residual:.3e} > tol {tol:.1e}"
+            )
         results.append(
             ConcentrationResult(
                 eps=eps,

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -138,7 +140,7 @@ def test_sweep_csv_rows(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--mesh", str(mesh), "--alphas", "0,1.2",
                "--relative", "--eps-ladder", "1e-2,1e-3",
-               "--jobs", "2", "--out", str(out)) == 0
+               "--out", str(out)) == 0
     lines = out.read_text().splitlines()
     assert lines[1].split(",")[0] == "alpha"
     data = [ln.split(",") for ln in lines[2:]]
@@ -233,3 +235,68 @@ def test_green_requires_exactly_one_pole_flag(half_disk_mesh, tmp_path):
     assert run("green", "--mesh", str(half_disk_mesh), "--out", out) == 2
     assert run("green", "--mesh", str(half_disk_mesh), "--point", "1,0",
                "--vertex", "3", "--out", out) == 2
+
+
+# ---------------------------------------------------------------------------
+# golden bytes
+# ---------------------------------------------------------------------------
+
+# Relative paths, run from one directory: the run record embeds the path
+# arguments, so these bytes do not depend on where the suite runs.
+GOLDEN_COMMANDS = [
+    ["mesh", "--shape", "half-disk", "--radius", "1", "--h", "0.05",
+     "--out", "half.json"],
+    ["eigen", "--mesh", "half.json", "--out", "eig.json"],
+    ["maximize", "--mesh", "half.json", "--alpha", "0", "--eps", "0.5",
+     "--out", "max0.json"],
+    ["maximize", "--mesh", "half.json", "--alpha", "1.0", "--eps", "0.5",
+     "--out", "max1.json"],
+    ["mesh", "--shape", "half-disk", "--radius", "1", "--h", "0.1",
+     "--out", "hd.json"],
+    ["mesh", "--refine", "hd.json", "--times", "2", "--out", "hd2.json"],
+    ["green", "--mesh", "hd2.json", "--point", "1,0", "--alpha", "0",
+     "--out", "g0.json"],
+    ["green", "--mesh", "hd2.json", "--point", "1,0", "--alpha", "0.5",
+     "--out", "g05.json"],
+    ["mesh", "--shape", "rectangle", "--width", "2", "--height", "1",
+     "--h", "0.2", "--out", "r.json"],
+    ["sweep", "--mesh", "r.json", "--alphas", "0,1.2", "--relative",
+     "--eps-ladder", "1e-2,1e-3", "--out", "sweep.csv"],
+]
+
+# sha256 of each output file; for sweep.csv, of the lines after the run
+# record (the header and the data rows).
+GOLDEN_OUTPUTS = {
+    "eig.json": "9955bff9fe2c84c8a91da483e7fe4814247d654f6f772a4013e54644f82a03a8",
+    "eig.u0.json": "bea9628b8610ac9b9fa3c38a86550451b0ac1a6f6580840af5d081ff64b719a8",
+    "max0.json": "080208e04c33c56458e908494e7f0dcde2d11ec6b2dcc59f1ca2f918a7d4b7e1",
+    "max0.u.json": "55cbf569018d72722ebde1999c823d8ea3463250b3f22492fc0e5fdfbeaf0d36",
+    "max1.json": "c2cfb5a3362b0fc1cb77cfb9d47bbe6ad57278ff33d5279b75a6592b2374dda5",
+    "max1.u.json": "51e7924844ae77e45f0af874cf3a151833faac01723470d36c5f1afdef45c581",
+    "g0.json": "e18d8666d5b639efa941c2c1bbe21e5b1d94596d18a569280ba90e132f67baf3",
+    "g0.G.json": "e2de9a86d149cde17c08bfbe059650f8f45f0edfd1cd3808cd49c98a4909e69d",
+    "g05.json": "f99b934417f9fdfde1b9c7a4bee9912d50eee92268a4e144906c995f47d5d1a9",
+    "g05.G.json": "e00341b90b004388512626e358ebb5daffed70c12d553367d56ca2ead2da146c",
+    "sweep.csv": "ca08334476c8b02cbabd972b71f1f0b9a4d83f5dec00e90592c5efb8ecd4b604",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("golden")
+    back = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv in GOLDEN_COMMANDS:
+            assert run(*argv) == 0, argv
+    finally:
+        os.chdir(back)
+    return workdir
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_golden_output_bytes(golden_dir, name):
+    data = (golden_dir / name).read_bytes()
+    if name.endswith(".csv"):
+        data = data.split(b"\n", 1)[1]
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_OUTPUTS[name]

@@ -167,3 +167,50 @@ def test_blowup_phi_nonpositive(half_disk, maximized):
     diag = moser.blowup_diagnostics(half_disk, maximized.u, 0.0, 0.5)
     finite = diag.phi[np.isfinite(diag.phi)]
     assert finite.max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per visited state
+# ---------------------------------------------------------------------------
+
+
+def test_maximizer_builds_each_state_once(half_disk, monkeypatch):
+    alpha = 0.3 * spectrum.first_eigenpair(half_disk, tol=1e-8).value
+    seen = []
+    init = moser._State.__init__
+
+    def record(self, surface, u, alpha, beta):
+        seen.append((np.asarray(u, dtype=float).tobytes(), float(alpha),
+                     float(beta)))
+        init(self, surface, u, alpha, beta)
+
+    monkeypatch.setattr(moser._State, "__init__", record)
+    res = moser.maximize_subcritical(half_disk, alpha=alpha, eps=0.5)
+    assert res.converged
+    assert res.newton_iterations > 0
+    assert len(seen) == len(set(seen))
+
+
+def test_newton_fallback_ascent_step(half_disk, monkeypatch):
+    # Phase 1 cut short, so ascent steps are still acceptable when the
+    # (zeroed) Newton step fails and the fallback takes over.
+    kw = dict(alpha=0.0, eps=0.5, max_ascent=3)
+    accepted = []
+    ascent = moser._ascent_step
+
+    def recorded(st, km, step):
+        out = ascent(st, km, step)
+        accepted.append(out is not None)
+        return out
+
+    monkeypatch.setattr(moser, "_ascent_step", recorded)
+    phase1 = moser.maximize_subcritical(half_disk, max_newton=0, **kw)
+    n_phase1 = len(accepted)
+    monkeypatch.setattr(moser, "_newton_step",
+                        lambda st: np.zeros(half_disk.num_vertices))
+    res = moser.maximize_subcritical(half_disk, max_newton=5, **kw)
+    fallback = accepted[2 * n_phase1:]
+    assert any(fallback)
+    assert res.newton_iterations >= len(fallback)
+    assert math.isfinite(res.value)
+    assert res.value >= phase1.value

@@ -9,7 +9,7 @@ import pytest
 import scipy.integrate
 
 from tmlab import assembly, spectrum, witness
-from tmlab.errors import PreconditionError, UsageError
+from tmlab.errors import NumericalError, PreconditionError, UsageError
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -203,3 +203,20 @@ def test_unit_radius_gap_of_synthetic_profile():
         phi = np.tile(witness.bubble_phi(rho), (3, 1))
 
     assert witness.unit_radius_gap(FakeDiag()) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# concentration study
+# ---------------------------------------------------------------------------
+
+
+def test_concentration_study_rejects_unconverged_rung(half_disk):
+    # Near θ = −0.2 the maximizers on this mesh stall far from stationarity
+    # (residual ≈ 0.16 on the first rung); a profile from such a state is
+    # not a maximizer's and must not be reported.
+    vtx = witness.smooth_boundary_vertex(
+        half_disk, (math.cos(-0.2), math.sin(-0.2))
+    )
+    with pytest.raises(NumericalError, match="eps = 1.0 ended unconverged"):
+        witness.concentration_study(half_disk, vtx, eps_ladder=(1.0, 0.5, 0.25))
+
