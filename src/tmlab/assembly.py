@@ -13,6 +13,8 @@ stiffness matrix is the flat one and does not involve f.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -27,19 +29,19 @@ from .surface import Surface
 
 
 def p1_gradients(surface: Surface) -> np.ndarray:
-    """(nt, 3, 2) gradients of the three hat functions on each triangle."""
-    key = "p1_gradients"
-    if key not in surface.cache:
-        c = surface.tri_coords()
-        areas = surface.euclidean_tri_areas()
-        g = np.empty((surface.num_triangles, 3, 2))
-        for i in range(3):
-            e = c[:, (i + 2) % 3] - c[:, (i + 1) % 3]
-            g[:, i, 0] = -e[:, 1]
-            g[:, i, 1] = e[:, 0]
-        g /= (2.0 * areas)[:, None, None]
-        surface.cache[key] = g
-    return surface.cache[key]
+    """(nt, 3, 2) gradients of the three hat functions on each triangle.
+
+    Not cached: only the (cached) stiffness matrix reads them.
+    """
+    c = surface.tri_coords()
+    areas = surface.euclidean_tri_areas()
+    g = np.empty((surface.num_triangles, 3, 2))
+    for i in range(3):
+        e = c[:, (i + 2) % 3] - c[:, (i + 1) % 3]
+        g[:, i, 0] = -e[:, 1]
+        g[:, i, 1] = e[:, 0]
+    g /= (2.0 * areas)[:, None, None]
+    return g
 
 
 def quad_points(surface: Surface) -> np.ndarray:
@@ -70,16 +72,66 @@ def interpolate(surface: Surface, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _csr_pattern(surface: Surface) -> tuple:
+    """The fixed CSR pattern that element matrices assemble into.
+
+    Returns ``(perm, step, indices, indptr)``.  The (nt, 3, 3) element
+    entries, flattened, in the order ``perm`` (int32) are the entries of
+    the COO matrix of :func:`_scatter` as ``coo_matrix(...).tocsr()`` sorts
+    them: stably by row, then by column with scipy's own index sort.
+    Entries that share a position of the summed CSR matrix (column
+    ``indices``, row pointer ``indptr``, both int32) are consecutive;
+    ``step`` (bool) marks each entry after the first that starts a new
+    position, so ``cumsum(step)`` is every entry's position.  Summing in
+    that order adds duplicates in the order ``tocsr`` does.  Cached per
+    surface.
+    """
+    key = "csr_pattern"
+    if key not in surface.cache:
+        n = surface.num_vertices
+        nnz = 9 * surface.num_triangles
+        # The cached arrays are allocated before the build's temporaries,
+        # so they sit below them on the heap.
+        perm = np.empty(nnz, dtype=np.int32)
+        step = np.empty(nnz, dtype=bool)
+        tris = surface.triangles.astype(np.int32)
+        # Element entry 3f + j (f = 3t + i) lies in row tris[t, i] and
+        # column tris[t, j]; a stable sort of the f by row, each expanded
+        # to its three entries, is a stable sort of the entries by row.
+        inc = np.argsort(tris.ravel(), kind="stable").astype(np.int32)
+        np.add(3 * inc[:, None], np.arange(3, dtype=np.int32),
+               out=perm.reshape(-1, 3))
+        cols = tris[inc // 3].ravel()
+        del inc
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(3 * np.bincount(tris.ravel(), minlength=n), out=indptr[1:])
+        # scipy's in-place index sort permutes the data with the indices,
+        # so data = perm comes back as the permutation it applied.
+        mat = sp.csr_matrix((perm, cols, indptr), shape=(n, n))
+        mat.sort_indices()
+        perm, cols = mat.data, mat.indices
+        step[0] = True
+        np.not_equal(cols[1:], cols[:-1], out=step[1:])
+        step[indptr[:-1][np.diff(indptr) > 0]] = True
+        slots = np.zeros(nnz + 1, dtype=np.int32)
+        np.cumsum(step, out=slots[1:])
+        indices, indptr = cols[step], slots[indptr]
+        step[0] = False
+        surface.cache[key] = (perm, step, indices, indptr)
+    return surface.cache[key]
+
+
 def _scatter(surface: Surface, element: np.ndarray) -> sp.csr_matrix:
-    """Assemble (nt, 3, 3) element matrices into a CSR vertex matrix."""
-    tris = surface.triangles
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    mat = sp.coo_matrix(
-        (element.ravel(), (rows, cols)),
-        shape=(surface.num_vertices, surface.num_vertices),
-    )
-    return mat.tocsr()
+    """Assemble (nt, 3, 3) element matrices into a CSR vertex matrix.
+
+    Byte-identical to ``coo_matrix((element.ravel(), (rows, cols))).tocsr()``
+    with rows and columns from the triangles' vertex pairs.
+    """
+    perm, step, indices, indptr = _csr_pattern(surface)
+    pos = np.cumsum(step, dtype=np.int32)
+    data = np.bincount(pos, weights=element.ravel()[perm], minlength=indices.size)
+    n = surface.num_vertices
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def stiffness(surface: Surface) -> sp.csr_matrix:
@@ -113,9 +165,8 @@ def weighted_mass(surface: Surface, gq: np.ndarray) -> sp.csr_matrix:
 def load(surface: Surface, gq: np.ndarray) -> np.ndarray:
     """Load vector l_i = ∫ g φ_i dv from a quadrature-point field g."""
     contrib = np.einsum("tq,qi->ti", quad_weights(surface) * gq, quad.BARY)
-    out = np.zeros(surface.num_vertices)
-    np.add.at(out, surface.triangles.ravel(), contrib.ravel())
-    return out
+    return np.bincount(surface.triangles.ravel(), weights=contrib.ravel(),
+                       minlength=surface.num_vertices)
 
 
 def integral(surface: Surface, gq: np.ndarray) -> float:
@@ -212,79 +263,137 @@ def dual_norm(surface: Surface, r: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(surface: Surface, u: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate the piecewise-linear field ``u`` at arbitrary points.
+# A point counts as inside a triangle when its barycentric coordinates are
+# all at least -HIT_TOL.  A point inside no triangle is clamped onto the
+# triangle of least summed barycentric misfit when that misfit is at most
+# CLAMP_COLLAR: points on the analytic boundary arc sit up to a chord
+# sagitta (~local_edge/8 in barycentric units) outside the polygon of a
+# coarser mesh.  Beyond the collar a point is outside the domain.
+HIT_TOL = 1e-10
+CLAMP_COLLAR = 0.05
+_CANDIDATES = 32  # nearest-centroid triangles tried before the full scan
+_BLOCK = 1024  # points per candidate pass
+_SCAN_CHUNK = 8  # points per whole-mesh scan; bounds its (points, nt) arrays
 
-    Points must lie inside (or within roundoff of) the domain.  Location
-    uses a centroid KD-tree with a brute-force fallback, so heavily graded
-    meshes are handled correctly.
+
+class Location(NamedTuple):
+    """Points located in a mesh by :func:`locate`.
+
+    ``tri`` holds each point's triangle and ``w1``, ``w2`` the barycentric
+    weights of that triangle's second and third vertex (the first has
+    ``1 - w1 - w2``).  ``outside`` marks points beyond the clamp collar;
+    their triangle and weights are meaningless.
+    """
+
+    tri: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    outside: np.ndarray
+
+    def values(self, surface: Surface, u: np.ndarray) -> np.ndarray:
+        """The piecewise-linear field ``u`` at the points, NaN outside."""
+        uu = u[surface.triangles[self.tri]]
+        out = (1 - self.w1 - self.w2) * uu[:, 0] + self.w1 * uu[:, 1] \
+            + self.w2 * uu[:, 2]
+        out[self.outside] = np.nan
+        return out
+
+
+def _barycentric(p0, d1, d2, det, p):
+    """Weights of the second and third vertex of triangles (p0, p0+d1, p0+d2)."""
+    rhs = p - p0
+    b1 = (rhs[..., 0] * d2[..., 1] - rhs[..., 1] * d2[..., 0]) / det
+    b2 = (d1[..., 0] * rhs[..., 1] - d1[..., 1] * rhs[..., 0]) / det
+    return b1, b2
+
+
+def _hits(b1, b2) -> np.ndarray:
+    return (b1 >= -HIT_TOL) & (b2 >= -HIT_TOL) & (b1 + b2 <= 1 + HIT_TOL)
+
+
+def locate(surface: Surface, points: np.ndarray) -> Location:
+    """Find the triangle and barycentric weights of each of (n, 2) points.
+
+    Each point is first tested against the 32 triangles with the nearest
+    centroids (a KD-tree cached on the surface), nearest first; the first
+    that contains it wins, with its weights as computed.  A point none of
+    them contains is tested against every triangle: the lowest-index
+    triangle that contains it wins, with its weights clipped to [0, 1].  If
+    no triangle contains it, the triangle of least summed barycentric
+    misfit is used with clipped weights (the point is clamped), and the
+    point is ``outside`` when that misfit exceeds :data:`CLAMP_COLLAR`.
+    The whole-mesh scan runs a few points at a time, so graded meshes are
+    handled correctly in bounded memory.
     """
     from scipy.spatial import cKDTree
 
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != 2:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
         raise UsageError("points must be an (n, 2) array")
-
     key = "centroid_tree"
     if key not in surface.cache:
         surface.cache[key] = cKDTree(surface.tri_coords().mean(axis=1))
     tree = surface.cache[key]
 
     c = surface.tri_coords()
-    uu = u[surface.triangles]  # (nt, 3)
-    out = np.full(pts.shape[0], np.nan)
-    tol = 1e-10
+    p0 = c[:, 0]
+    d1 = c[:, 1] - p0
+    d2 = c[:, 2] - p0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
-    k = min(32, surface.num_triangles)
-    _, cand = tree.query(pts, k=k)
-    cand = np.atleast_2d(cand)
+    n = pts.shape[0]
+    tri = np.zeros(n, dtype=np.int64)
+    w1 = np.zeros(n)
+    w2 = np.zeros(n)
+    found = np.zeros(n, dtype=bool)
+    k = min(_CANDIDATES, surface.num_triangles)
+    for lo in range(0, n, _BLOCK):
+        blk = pts[lo:lo + _BLOCK]
+        m = blk.shape[0]
+        cand = np.asarray(tree.query(blk, k=k)[1]).reshape(m, k)
+        b1, b2 = _barycentric(p0[cand], d1[cand], d2[cand], det[cand],
+                              blk[:, None, :])
+        ok = _hits(b1, b2)
+        first = ok.argmax(axis=1)
+        rows = np.arange(m)
+        tri[lo:lo + m] = cand[rows, first]
+        w1[lo:lo + m] = b1[rows, first]
+        w2[lo:lo + m] = b2[rows, first]
+        found[lo:lo + m] = ok.any(axis=1)
 
-    def bary(tids: np.ndarray, p: np.ndarray):
-        p0 = c[tids, 0]
-        d1 = c[tids, 1] - p0
-        d2 = c[tids, 2] - p0
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        rhs = p - p0
-        b1 = (rhs[:, 0] * d2[:, 1] - rhs[:, 1] * d2[:, 0]) / det
-        b2 = (d1[:, 0] * rhs[:, 1] - d1[:, 1] * rhs[:, 0]) / det
-        return b1, b2
+    outside = np.zeros(n, dtype=bool)
+    missed = np.flatnonzero(~found)
+    for lo in range(0, missed.size, _SCAN_CHUNK):
+        idx = missed[lo:lo + _SCAN_CHUNK]
+        b1, b2 = _barycentric(p0, d1, d2, det, pts[idx, None, :])
+        ok = _hits(b1, b2)
+        hit = ok.any(axis=1)
+        misfit = np.maximum(-b1, 0) + np.maximum(-b2, 0) + np.maximum(
+            b1 + b2 - 1, 0
+        )
+        j = np.where(hit, ok.argmax(axis=1), misfit.argmin(axis=1))
+        rows = np.arange(idx.size)
+        tri[idx] = j
+        w1[idx] = np.clip(b1[rows, j], 0, 1)
+        w2[idx] = np.clip(b2[rows, j], 0, 1)
+        outside[idx] = ~hit & (misfit[rows, j] > CLAMP_COLLAR)
+    return Location(tri, w1, w2, outside)
 
-    unresolved = []
-    for i, p in enumerate(pts):
-        tids = cand[i]
-        b1, b2 = bary(tids, p[None, :])
-        ok = (b1 >= -tol) & (b2 >= -tol) & (b1 + b2 <= 1 + tol)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            j = tids[hits[0]]
-            w1, w2 = float(b1[hits[0]]), float(b2[hits[0]])
-            out[i] = (1 - w1 - w2) * uu[j, 0] + w1 * uu[j, 1] + w2 * uu[j, 2]
-        else:
-            unresolved.append(i)
 
-    if unresolved:
-        all_t = np.arange(surface.num_triangles)
-        for i in unresolved:
-            b1, b2 = bary(all_t, pts[i][None, :])
-            ok = (b1 >= -tol) & (b2 >= -tol) & (b1 + b2 <= 1 + tol)
-            hits = np.flatnonzero(ok)
-            if not hits.size:
-                # Closest triangle by clamped barycentric misfit.  Points on
-                # the analytic boundary arc sit up to a chord sagitta
-                # (~local_edge/8 in barycentric units) outside the polygon of
-                # a coarser mesh; clamp those onto the nearest triangle, and
-                # reject only points clearly beyond that collar.
-                miss = np.maximum(-b1, 0) + np.maximum(-b2, 0) + np.maximum(
-                    b1 + b2 - 1, 0
-                )
-                j = int(np.argmin(miss))
-                if miss[j] > 0.05:
-                    raise UsageError(
-                        f"evaluation point {pts[i]} lies outside the domain"
-                    )
-            else:
-                j = int(hits[0])
-            w1 = float(np.clip(b1[j], 0, 1))
-            w2 = float(np.clip(b2[j], 0, 1))
-            out[i] = (1 - w1 - w2) * uu[j, 0] + w1 * uu[j, 1] + w2 * uu[j, 2]
+def evaluate(surface: Surface, u: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Evaluate the piecewise-linear field ``u`` at arbitrary points.
+
+    A point or an (n, 2) array of points gives a scalar or an (n,) array.
+    Points are placed by :func:`locate`.  A point inside no triangle but
+    within the clamp collar of one (summed barycentric misfit at most
+    :data:`CLAMP_COLLAR`, e.g. a point on the boundary arc between two
+    boundary vertices) is clamped onto that triangle.  Raises
+    :class:`UsageError` naming the first point beyond the collar.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    loc = locate(surface, pts)
+    if loc.outside.any():
+        i = int(np.argmax(loc.outside))
+        raise UsageError(f"evaluation point {pts[i]} lies outside the domain")
+    out = loc.values(surface, u)
     return out if np.asarray(points).ndim == 2 else out[0]

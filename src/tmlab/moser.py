@@ -557,21 +557,11 @@ def blowup_diagnostics(
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     rho = np.linspace(0.0, rho_max, n_radii)
 
-    psi = np.full((n_dirs, n_radii), np.nan)
-    phi = np.full((n_dirs, n_radii), np.nan)
-    for i, w in enumerate(dirs):
-        pts = x_star[None, :] + (r * rho)[:, None] * w[None, :]
-        try:
-            vals = assembly.evaluate(surface, u, pts)
-        except UsageError:
-            vals = np.array(
-                [
-                    _safe_eval(surface, u, p)
-                    for p in pts
-                ]
-            )
-        psi[i] = vals / c
-        phi[i] = c * (vals - c)
+    pts = x_star + (r * rho)[None, :, None] * dirs[:, None, :]
+    vals = assembly.locate(surface, pts.reshape(-1, 2)).values(surface, u)
+    vals = vals.reshape(n_dirs, n_radii)
+    psi = vals / c
+    phi = c * (vals - c)
     # The center sample is exact by construction.
     psi[:, 0] = 1.0
     phi[:, 0] = 0.0
@@ -590,9 +580,3 @@ def blowup_diagnostics(
         sign_flipped=flipped,
     )
 
-
-def _safe_eval(surface: Surface, u, p) -> float:
-    try:
-        return float(assembly.evaluate(surface, u, p[None, :])[0])
-    except UsageError:
-        return float("nan")

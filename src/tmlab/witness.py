@@ -720,16 +720,21 @@ def glued_state(
 
     Convenience driver around :func:`glued_sequence`: grades the mesh so
     the bubble core scale ε is resolved, re-locates the center vertex,
-    and computes the α-modified Green solution there.
+    and computes the α-modified Green solution there.  The adapted mesh
+    is cached on ``surface`` per (centre, ε, ratio), so calls that differ
+    only in α adapt once.
     """
     if not (0 < eps < 0.1):
         raise UsageError("glued-state scale eps must lie in (0, 0.1)")
     x0 = surface.vertices[vertex].copy()
     surf = surface
     if adapt:
-        surf = adapt_for_point(
-            surface, x0, inner_scale=eps, outer_radius=0.5, ratio=ratio
-        )
+        key = ("glued_adapt", float(x0[0]), float(x0[1]), eps, ratio)
+        if key not in surface.cache:
+            surface.cache[key] = adapt_for_point(
+                surface, x0, inner_scale=eps, outer_radius=0.5, ratio=ratio
+            )
+        surf = surface.cache[key]
     vtx = smooth_boundary_vertex(surf, x0)
     if not np.allclose(surf.vertices[vtx], x0, atol=1e-12):
         raise NumericalError("glue center drifted during adaptation")

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tmlab import assembly
-from tmlab.surface import DomainSpec, build_domain
+from tmlab import quadrature as quad
+from tmlab.errors import UsageError
+from tmlab.surface import DomainSpec, Surface, adapt_for_point, build_domain
 
 PI = math.pi
 
@@ -160,3 +164,208 @@ def test_l2_norm_matches_independent_oracle(unit_square, rng):
         got = assembly.l2_norm(unit_square, u) ** 2
         want = _p1_l2_sq_oracle(unit_square, u)
         assert abs(got - want) <= 1e-10 * max(1.0, want)
+
+
+# ---------------------------------------------------------------------------
+# fixed CSR pattern and vectorized point location against the loop versions
+# ---------------------------------------------------------------------------
+
+
+def _scatter_reference(surface, element):
+    """COO→CSR assembly, as :func:`assembly._scatter` was written before."""
+    tris = surface.triangles
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    mat = sp.coo_matrix(
+        (element.ravel(), (rows, cols)),
+        shape=(surface.num_vertices, surface.num_vertices),
+    )
+    return mat.tocsr()
+
+
+def _evaluate_reference(surface: Surface, u: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per-point loop, as :func:`assembly.evaluate` was written before."""
+    from scipy.spatial import cKDTree
+
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != 2:
+        raise UsageError("points must be an (n, 2) array")
+
+    key = "centroid_tree"
+    if key not in surface.cache:
+        surface.cache[key] = cKDTree(surface.tri_coords().mean(axis=1))
+    tree = surface.cache[key]
+
+    c = surface.tri_coords()
+    uu = u[surface.triangles]  # (nt, 3)
+    out = np.full(pts.shape[0], np.nan)
+    tol = 1e-10
+
+    k = min(32, surface.num_triangles)
+    _, cand = tree.query(pts, k=k)
+    cand = np.atleast_2d(cand)
+
+    def bary(tids: np.ndarray, p: np.ndarray):
+        p0 = c[tids, 0]
+        d1 = c[tids, 1] - p0
+        d2 = c[tids, 2] - p0
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        rhs = p - p0
+        b1 = (rhs[:, 0] * d2[:, 1] - rhs[:, 1] * d2[:, 0]) / det
+        b2 = (d1[:, 0] * rhs[:, 1] - d1[:, 1] * rhs[:, 0]) / det
+        return b1, b2
+
+    unresolved = []
+    for i, p in enumerate(pts):
+        tids = cand[i]
+        b1, b2 = bary(tids, p[None, :])
+        ok = (b1 >= -tol) & (b2 >= -tol) & (b1 + b2 <= 1 + tol)
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            j = tids[hits[0]]
+            w1, w2 = float(b1[hits[0]]), float(b2[hits[0]])
+            out[i] = (1 - w1 - w2) * uu[j, 0] + w1 * uu[j, 1] + w2 * uu[j, 2]
+        else:
+            unresolved.append(i)
+
+    if unresolved:
+        all_t = np.arange(surface.num_triangles)
+        for i in unresolved:
+            b1, b2 = bary(all_t, pts[i][None, :])
+            ok = (b1 >= -tol) & (b2 >= -tol) & (b1 + b2 <= 1 + tol)
+            hits = np.flatnonzero(ok)
+            if not hits.size:
+                miss = np.maximum(-b1, 0) + np.maximum(-b2, 0) + np.maximum(
+                    b1 + b2 - 1, 0
+                )
+                j = int(np.argmin(miss))
+                if miss[j] > 0.05:
+                    raise UsageError(
+                        f"evaluation point {pts[i]} lies outside the domain"
+                    )
+            else:
+                j = int(hits[0])
+            w1 = float(np.clip(b1[j], 0, 1))
+            w2 = float(np.clip(b2[j], 0, 1))
+            out[i] = (1 - w1 - w2) * uu[j, 0] + w1 * uu[j, 1] + w2 * uu[j, 2]
+    return out if np.asarray(points).ndim == 2 else out[0]
+
+
+def _reference_or_nan(surface, u, p) -> float:
+    try:
+        return float(_evaluate_reference(surface, u, p[None, :])[0])
+    except UsageError:
+        return float("nan")
+
+
+@pytest.fixture(scope="module")
+def located_meshes(half_disk, half_disk_refined, rect21):
+    arc = (math.cos(0.3), math.sin(0.3))
+    return {
+        "half_disk": half_disk,
+        "refined": half_disk_refined,
+        "adapted": adapt_for_point(half_disk, arc, 1e-3, 0.3),
+        "rect21": rect21,
+    }
+
+
+MESHES = ["half_disk", "refined", "adapted", "rect21"]
+
+
+def _probe_points(s, rng) -> np.ndarray:
+    """Interior points, vertices, points on edges, and boundary probes.
+
+    Boundary probes sit on boundary-edge midpoints pushed outward by 0,
+    1%, 20% and 100% of the edge length; on the half-disk, points on the
+    arc between vertices; and far outside the domain.
+    """
+    c = s.tri_coords()
+    t = rng.integers(s.num_triangles, size=40)
+    interior = np.einsum("ti,tij->tj", rng.dirichlet(np.ones(3), size=40), c[t])
+    vertices = s.vertices[rng.choice(s.num_vertices, size=20, replace=False)]
+    t = rng.integers(s.num_triangles, size=30)
+    along = rng.uniform(size=(30, 1))
+    on_edges = c[t, 0] + along * (c[t, 1] - c[t, 0])
+    be = s.boundary_edges[rng.choice(len(s.boundary_edges), size=12,
+                                     replace=False)]
+    pu, pv = s.vertices[be[:, 0]], s.vertices[be[:, 1]]
+    e = pv - pu
+    outward = np.column_stack([e[:, 1], -e[:, 0]])
+    mid = 0.5 * (pu + pv)
+    pushed = [mid + f * outward for f in (0.0, 0.01, 0.2, 1.0)]
+    far = s.vertices.mean(axis=0) + np.array([[10.0, 0.0], [0.0, -7.5]])
+    probes = [interior, vertices, on_edges, *pushed, far]
+    if s.spec.kind == "half_disk":
+        theta = rng.uniform(-0.5 * PI, 0.5 * PI, size=30)
+        probes.append(np.column_stack([np.cos(theta), np.sin(theta)]))
+    return np.concatenate(probes)
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_locate_matches_per_point_reference(located_meshes, name, rng):
+    s = located_meshes[name]
+    u = rng.standard_normal(s.num_vertices)
+    pts = _probe_points(s, rng)
+    want = np.array([_reference_or_nan(s, u, p) for p in pts])
+    loc = assembly.locate(s, pts)
+    got = loc.values(s, u)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(loc.outside, np.isnan(want))
+    assert loc.outside.any() and not loc.outside.all()
+
+    inside = pts[~loc.outside]
+    assert (assembly.evaluate(s, u, inside).tobytes()
+            == _evaluate_reference(s, u, inside).tobytes())
+    assert assembly.evaluate(s, u, inside[3]) == _evaluate_reference(
+        s, u, inside[3])
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_scatter_matches_coo_reference(located_meshes, name, rng):
+    s = located_meshes[name]
+    g = assembly.p1_gradients(s)
+    gq = rng.standard_normal((s.num_triangles, 6))
+    w = assembly.quad_weights(s)
+    cases = [
+        (assembly.stiffness(s),
+         np.einsum("t,tik,tjk->tij", s.euclidean_tri_areas(), g, g)),
+        (assembly.mass(s), np.einsum("tq,qi,qj->tij", w, quad.BARY, quad.BARY)),
+        (assembly.weighted_mass(s, gq),
+         np.einsum("tq,qi,qj->tij", w * gq, quad.BARY, quad.BARY)),
+    ]
+    for got, element in cases:
+        want = _scatter_reference(s, element)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).dtype == getattr(want, part).dtype
+            assert (getattr(got, part).tobytes()
+                    == getattr(want, part).tobytes()), part
+
+    contrib = np.einsum("tq,qi->ti", w * gq, quad.BARY)
+    want = np.zeros(s.num_vertices)
+    np.add.at(want, s.triangles.ravel(), contrib.ravel())
+    assert assembly.load(s, gq).tobytes() == want.tobytes()
+
+
+def test_point_on_arc_between_boundary_vertices_is_clamped(half_disk):
+    pu, pv = (half_disk.vertices[half_disk.boundary_edges[:, i]]
+              for i in (0, 1))
+    on_arc = (np.abs(np.hypot(*pu.T) - 1.0) < 1e-12) & (
+        np.abs(np.hypot(*pv.T) - 1.0) < 1e-12)
+    i = int(np.flatnonzero(on_arc)[0])
+    theta = 0.5 * (math.atan2(pu[i, 1], pu[i, 0]) + math.atan2(pv[i, 1], pv[i, 0]))
+    point = np.array([math.cos(theta), math.sin(theta)])
+    # The point is beyond the chord, so no triangle contains it.
+    assert np.hypot(*(0.5 * (pu[i] + pv[i]))) < 1.0 - 1e-6
+    loc = assembly.locate(half_disk, point[None, :])
+    assert not loc.outside[0]
+    value = assembly.evaluate(half_disk, half_disk.vertices[:, 0].copy(), point)
+    assert math.isfinite(value)
+    assert abs(value - point[0]) <= 0.05
+
+
+def test_point_beyond_collar_is_named(half_disk):
+    u = np.zeros(half_disk.num_vertices)
+    pts = np.array([[0.5, 0.0], [1.2, 0.0], [1.5, 0.0]])
+    with pytest.raises(UsageError, match=re.escape(str(pts[1]))):
+        assembly.evaluate(half_disk, u, pts)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from tmlab import assembly, moser, spectrum
+from tmlab import assembly, cli, moser, spectrum
 from tmlab.errors import PreconditionError, UsageError
+from tmlab.surface import refine
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -167,6 +169,58 @@ def test_blowup_phi_nonpositive(half_disk, maximized):
     diag = moser.blowup_diagnostics(half_disk, maximized.u, 0.0, 0.5)
     finite = diag.phi[np.isfinite(diag.phi)]
     assert finite.max() <= 1e-10
+
+
+# sha256 of the psi and phi arrays of blowup_diagnostics at the better of
+# the eigen- and bubble-seeded maximizers (eps = 0.5), recorded with the
+# per-point evaluation loop.  The peak is the corner (0, 1), so part of each
+# fan lies outside the domain and reads NaN.
+GOLDEN_BLOWUP = {
+    ("h0.05", 0.0, 1.0): (
+        "217679b4c323ceccd6b017d5de7f8a6a00d28a9eccfb989f13a19b55bbdbd52e",
+        "9e6504e2e55a37c6e2743366ec2cbf0dc988700fe22624c5938234719e5f67a9",
+    ),
+    ("h0.05", 1.0, 1.0): (
+        "1ad496039d5606b098efe5b50871834f95d883e33fcf6cf0f64209b34f608b2a",
+        "665b58d85cb893ad5ef1c561496225ff2d4070410be2f9e475ee342b0cf8b192",
+    ),
+    ("h0.05", 0.0, 40.0): (
+        "c55ed02e97e8fd15a781bfc86cb0c16824de026e55be47a9d1202e0ae143b9a1",
+        "0eb9e815e384d0fff1de1b4c2540bba2ff1de1e350b71d9d4964e64565c73fd6",
+    ),
+    ("h0.1 refined", 0.0, 1.0): (
+        "9dffe0db27192c82ba5271da898bb57b7d203e061a69a23368982df529cdff2f",
+        "2f082baf14d02670bb814746f3387a3f729546c5968f193d0d9df7fed44192bc",
+    ),
+    ("h0.1 refined", 1.0, 1.0): (
+        "45385016d5d6e0e5058c1a0b67d8a3ffd6eb0bb1d7c567a335909d917f9d8a6e",
+        "54c9ee3a0a106e646d66da2928dda6d500ad7400297284e4bdb900d2170a890c",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def blowup_maximizers(half_disk, half_disk_fine):
+    meshes = {"h0.05": half_disk_fine, "h0.1 refined": refine(half_disk)}
+    out = {}
+    for mesh, alpha, _ in GOLDEN_BLOWUP:
+        if (mesh, alpha) not in out:
+            s = meshes[mesh]
+            runs = [moser.maximize_subcritical(s, alpha, 0.5, u0=u0)
+                    for u0 in (cli._eigen_seed(s), cli._bubble_seed(s))]
+            out[mesh, alpha] = s, max(runs, key=lambda r: r.value).u
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_BLOWUP))
+def test_blowup_golden_bytes(blowup_maximizers, case):
+    mesh, alpha, rho_max = case
+    s, u = blowup_maximizers[mesh, alpha]
+    diag = moser.blowup_diagnostics(s, u, alpha, 0.5, rho_max=rho_max)
+    assert np.isnan(diag.psi).any()
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (diag.psi, diag.phi))
+    assert digests == GOLDEN_BLOWUP[case]
 
 
 # ---------------------------------------------------------------------------

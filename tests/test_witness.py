@@ -10,6 +10,7 @@ import scipy.integrate
 
 from tmlab import assembly, spectrum, witness
 from tmlab.errors import NumericalError, PreconditionError, UsageError
+from tmlab.surface import DomainSpec, build_domain
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -183,6 +184,32 @@ def test_lower_bound_check_passes(half_disk):
     assert out["passed"]
     assert out["margin"] > 0
     assert out["value"] > out["bound"]
+
+
+def test_lower_bound_check_adapts_once_across_alpha(monkeypatch):
+    def fresh():
+        return build_domain(DomainSpec("half_disk", (1.0,)), 0.1)
+
+    s = fresh()
+    vtx = witness.smooth_boundary_vertex(s, (1.0, 0.0))
+    alphas = (0.0, 0.05 * spectrum.lambda1(s).value)
+    want = [witness.lower_bound_check(fresh(), vtx, 1e-4, alpha=a)
+            for a in alphas]
+    adapt = witness.adapt_for_point
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return adapt(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "adapt_for_point", counted)
+    got = [witness.lower_bound_check(s, vtx, 1e-4, alpha=a) for a in alphas]
+    assert len(calls) == 1
+    for g, w in zip(got, want):
+        for key in ("value", "bound", "margin", "A", "b", "c_sq"):
+            assert g[key] == w[key], key
+        assert (g["state"].surface.content_hash()
+                == w["state"].surface.content_hash())
 
 
 def test_lower_bound_alpha_cap(half_disk):
