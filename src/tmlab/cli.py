@@ -316,20 +316,11 @@ def cmd_sweep(args) -> int:
     if any(a < 0 for a in alphas):
         raise UsageError("alpha grid entries must be nonnegative")
 
-    threshold = spectrum.lambda1(surf).value
     if args.relative:
-        alphas = [a * threshold for a in alphas]
-    vertex = witness.peak_boundary_vertex(surf)
-    need_eigen = any(a >= threshold * (1.0 - 1e-12) for a in alphas)
-
-    # Rung meshes and cap states are shared across the whole alpha grid;
-    # building them is the expensive part, so it happens once.
-    rungs = witness.ladder_states(
-        surf, vertex, eps_ladder, q=args.q,
-        need_eigen_branch=need_eigen, adapt=not args.no_adapt,
-    )
-    ladders = [witness.evaluate_ladder(rungs, a, args.beta, threshold)
-               for a in alphas]
+        alphas = [a * spectrum.lambda1(surf).value for a in alphas]
+    matrix = witness.divergence_matrix(surf, alphas, eps_ladder,
+                                       beta=args.beta, q=args.q)
+    ladders = matrix["ladders"]
 
     header = [
         "alpha", "level", "eps", "t", "delta", "F_value", "ratio", "growth",
@@ -349,8 +340,8 @@ def cmd_sweep(args) -> int:
         "eps_ladder": args.eps_ladder,
         "beta": args.beta,
         "q": args.q,
-        "lambda1": threshold,
-        "vertex": vertex,
+        "lambda1": matrix["lambda1"],
+        "vertex": matrix["vertex"],
     }
     record = _record("sweep", params, {"mesh": mesh_hash}, started,
                      args.timing)
@@ -397,14 +388,11 @@ def _witness_bubble(args, started) -> int:
     return 0
 
 
-def _witness_moser(args, started) -> int:
-    surf, mesh_hash = _load_surface(args.mesh)
+def _witness_moser(args, started, surf, mesh_hash, vertex) -> int:
     eigenpair = spectrum.lambda1(surf)
-    vertex = args.vertex if args.vertex is not None \
-        else witness.peak_boundary_vertex(surf)
-    v, seq = witness.moser_sequence(surf, eigenpair, vertex, args.eps,
-                                    q=args.q)
-    fv = moser.functional_at_beta(surf, v, args.alpha, args.beta)
+    state = witness.moser_sequence(surf, eigenpair, vertex, args.eps,
+                                   q=args.q)
+    fv = moser.functional_at_beta(surf, state.v, args.alpha, args.beta)
     if fv.tainted:
         raise NumericalError(
             "witness evaluation overflowed the exponential range; "
@@ -416,13 +404,13 @@ def _witness_moser(args, started) -> int:
         "alpha": args.alpha,
         "beta": args.beta,
         "lambda1": eigenpair.value,
-        "eps": seq.eps,
-        "t": seq.t,
-        "delta": seq.delta,
-        "bump_amplitude": seq.s_amp,
-        "vertex": seq.vertex,
-        "center": [float(c) for c in surf.vertices[seq.vertex]],
-        "plateau_radius": seq.plateau_radius,
+        "eps": state.eps,
+        "t": state.t,
+        "delta": state.delta,
+        "bump_amplitude": state.bump_amplitude,
+        "vertex": state.vertex,
+        "center": [float(c) for c in surf.vertices[state.vertex]],
+        "plateau_radius": state.delta * math.sqrt(state.eps),
         "F_value": fv.value,
     }
     params = {
@@ -434,17 +422,14 @@ def _witness_moser(args, started) -> int:
                      args.timing)
     records.write_json(args.out, payload, record)
     if args.plot:
-        xs, ys = _radial_profile(surf, v, surf.vertices[seq.vertex],
-                                 r_max=3.0 * seq.delta)
+        xs, ys = _radial_profile(surf, state.v, surf.vertices[state.vertex],
+                                 r_max=3.0 * state.delta)
         _write_profile(args.plot, xs, ys, record)
     print(f"witness moser: F = {fv.value:.12g} -> {args.out}")
     return 0
 
 
-def _witness_glued(args, started) -> int:
-    surf, mesh_hash = _load_surface(args.mesh)
-    vertex = args.vertex if args.vertex is not None \
-        else witness.peak_boundary_vertex(surf)
+def _witness_glued(args, started, surf, mesh_hash, vertex) -> int:
     check = witness.lower_bound_check(surf, vertex, args.eps,
                                       alpha=args.alpha)
     state = check.pop("state")
@@ -480,9 +465,14 @@ def cmd_witness(args) -> int:
         raise UsageError(f"witness kind {args.kind!r} requires --mesh")
     if not (0 < args.eps < 0.1):
         raise UsageError("eps must lie in (0, 0.1) for witness states")
-    if args.kind == "moser":
-        return _witness_moser(args, started)
-    return _witness_glued(args, started)
+    surf, mesh_hash = _load_surface(args.mesh)
+    if args.vertex is None:
+        vertex = witness.peak_boundary_vertex(surf)
+    else:
+        green_mod._require_smooth_boundary_vertex(surf, args.vertex)
+        vertex = args.vertex
+    build = _witness_moser if args.kind == "moser" else _witness_glued
+    return build(args, started, surf, mesh_hash, vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=TWO_PI)
     p.add_argument("--q", type=float, default=0.28,
                    help="eigen-branch amplitude exponent t = L^-q")
-    p.add_argument("--no-adapt", action="store_true",
-                   help="skip per-rung mesh adaptation")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -615,7 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=TWO_PI)
     p.add_argument("--q", type=float, default=0.28)
     p.add_argument("--vertex", type=int,
-                   help="boundary vertex index of the concentration point")
+                   help="smooth boundary vertex index of the concentration "
+                        "point (default: where u0 peaks on the boundary)")
     p.add_argument("--rho-max", type=float, default=5.0,
                    help="bubble: largest sampled radius")
     p.add_argument("--samples", type=int, default=201,

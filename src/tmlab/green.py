@@ -42,15 +42,16 @@ class GreenResult:
 
 
 def _require_smooth_boundary_vertex(surface: Surface, vertex: int) -> None:
+    """Usage error out of range; precondition error off the smooth boundary."""
     if not (0 <= vertex < surface.num_vertices):
-        raise UsageError("pole vertex index out of range")
+        raise UsageError(f"vertex index {vertex} out of range")
     if vertex not in set(surface.boundary_vertex_indices().tolist()):
-        raise PreconditionError("Green pole must sit on the boundary")
+        raise PreconditionError(f"vertex {vertex} is not on the boundary")
     corners = set(surface.corner_vertex_indices().tolist())
     if vertex in corners:
         raise PreconditionError(
-            "Green pole sits at a corner, where the smooth-boundary "
-            "log coefficient does not apply"
+            f"vertex {vertex} is a domain corner, where the smooth-boundary "
+            "constants do not apply"
         )
 
 
@@ -106,11 +107,18 @@ def green_function(surface: Surface, vertex: int, alpha: float = 0.0) -> GreenRe
     )
 
 
-def _annulus(surface: Surface, x0: np.ndarray, r_inner: float, r_outer: float):
+def _annulus(surface: Surface, x0: np.ndarray, r_inner: float,
+             r_outer: float, min_points: int):
+    """Indices and radii of the ≥ ``min_points`` vertices in the annulus."""
     r = np.hypot(
         surface.vertices[:, 0] - x0[0], surface.vertices[:, 1] - x0[1]
     )
     idx = np.flatnonzero((r >= r_inner) & (r <= r_outer))
+    if idx.size < min_points:
+        raise PreconditionError(
+            f"annulus [{r_inner}, {r_outer}] holds only {idx.size} vertices "
+            f"(need {min_points}); refine the mesh"
+        )
     return idx, r[idx]
 
 
@@ -128,12 +136,7 @@ def extract_A(
     constant together with a fit report carrying the annulus bounds, the
     point count, and the RMS of the per-point deviations from the fit.
     """
-    idx, r = _annulus(surface, green.x0, r_inner, r_outer)
-    if idx.size < min_points:
-        raise PreconditionError(
-            f"annulus [{r_inner}, {r_outer}] holds only {idx.size} vertices "
-            f"(need {min_points}); refine the mesh"
-        )
+    idx, r = _annulus(surface, green.x0, r_inner, r_outer, min_points)
     samples = green.values[idx] - LOG_COEFF * np.log(r)
     a = float(np.mean(samples))
     report = {
@@ -157,12 +160,7 @@ def log_coefficient_fit(
     Returns (c_log, c0, n_points); c_log should approach −1/π at a smooth
     boundary pole.
     """
-    idx, r = _annulus(surface, green.x0, r_inner, r_outer)
-    if idx.size < min_points:
-        raise PreconditionError(
-            f"annulus [{r_inner}, {r_outer}] holds only {idx.size} vertices "
-            f"(need {min_points}); refine the mesh"
-        )
+    idx, r = _annulus(surface, green.x0, r_inner, r_outer, min_points)
     basis = np.column_stack([np.log(r), np.ones(idx.size)])
     coef, *_ = np.linalg.lstsq(basis, green.values[idx], rcond=None)
     return float(coef[0]), float(coef[1]), int(idx.size)

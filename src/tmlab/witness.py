@@ -297,54 +297,27 @@ def cap_state(
     )
 
 
-@dataclass(frozen=True)
-class MoserSequenceParams:
-    """Scalars of one capped-log witness: rates, radii, mean correction."""
-
-    eps: float
-    t: float
-    delta: float
-    s_amp: float
-    vertex: int
-    plateau_radius: float
-    bump_center: tuple
-    bump_radius: float
-
-
 def moser_sequence(
     surface: Surface,
     eigenpair,
     vertex: int,
     eps: float,
     q: float = 0.28,
-    delta: float | None = None,
-):
+) -> CapState:
     """Eigenfunction-reinforced capped-log witness at a boundary vertex.
 
     Interpolates cap + t·u₀ with t = (−log ε)^{−q}, cancels the mean with
     the bulk mollifier (amplitude solved exactly), and normalizes to unit
-    energy.  Returns ``(field, MoserSequenceParams)``.  When ``delta`` is
-    not given it is the coupled radius 1/(t√L) clipped to the domain.
+    energy.  The cap radius is the coupled radius 1/(t√L) clipped to the
+    domain.
     """
     if not (0 < q < 0.5):
         raise UsageError("t-exponent q must lie in (0, 0.5)")
     if not (0 < eps < 1):
         raise UsageError("cap parameter eps must lie in (0, 1)")
     _, t, delta_formula = rung_parameters(eps, q)
-    if delta is None:
-        delta = min(delta_formula, default_delta(surface, vertex))
-    state = cap_state(surface, vertex, eps, delta, t=t, u0=eigenpair.vector)
-    params = MoserSequenceParams(
-        eps=eps,
-        t=t,
-        delta=delta,
-        s_amp=state.bump_amplitude,
-        vertex=vertex,
-        plateau_radius=delta * math.sqrt(eps),
-        bump_center=state.bump_center,
-        bump_radius=state.bump_radius,
-    )
-    return state.v, params
+    delta = min(delta_formula, default_delta(surface, vertex))
+    return cap_state(surface, vertex, eps, delta, t=t, u0=eigenpair.vector)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +329,7 @@ def moser_sequence(
 class LadderRung:
     """One ε-rung: adapted mesh plus the witness states living on it."""
 
-    eps: float
-    big_l: float
-    t: float
-    delta: float
     surface: Surface = field(repr=False)
-    vertex: int
     state_plain: CapState = field(repr=False)
     state_eigen: CapState | None = field(repr=False)
 
@@ -371,16 +339,11 @@ class WitnessLadder:
     """Functional values of a witness family along an ε-ladder."""
 
     alpha: float
-    beta: float
-    threshold: float
     eps: list
     values: list
     ratios: list
     ts: list
     deltas: list
-    t2l: list
-    t2sqrtl: list
-    peaks: list
     growth: bool
     used_eigen_branch: bool
 
@@ -424,55 +387,42 @@ def ladder_states(
     vertex: int,
     eps_ladder,
     q: float = 0.28,
-    delta: float | None = None,
     need_eigen_branch: bool = False,
     adapt: bool = True,
-    ratio: float = 8.0,
 ) -> list:
     """Build per-rung adapted meshes and witness states.
 
     Each rung adapts the mesh around the cap center down to the plateau
     radius δ√ε, rebuilds the cap there, and (when requested) also builds
-    the eigenfunction-reinforced state with t = L^{−q}.  When ``delta``
-    is not given, each rung uses the coupled radius δ = 1/(t√L) clipped
-    to 90% of the corner-free radius so the cap always fits the domain.
+    the eigenfunction-reinforced state with t = L^{−q}.  Each rung uses
+    the coupled radius δ = 1/(t√L) clipped to 90% of the corner-free
+    radius so the cap always fits the domain.
     """
     if not (0 < q < 0.5):
         raise UsageError("t-exponent q must lie in (0, 0.5)")
     eps_list = [float(e) for e in eps_ladder]
     if not eps_list or any(not (0 < e < 1) for e in eps_list):
         raise UsageError("eps ladder entries must lie in (0, 1)")
-    if sorted(eps_list, reverse=True) != eps_list:
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise UsageError("eps ladder must be strictly decreasing")
     delta_cap = default_delta(surface, vertex)
     x0 = surface.vertices[vertex].copy()
 
     rungs = []
     for eps in eps_list:
-        big_l, t, delta_formula = rung_parameters(eps, q)
-        delta_r = min(delta_formula, delta_cap) if delta is None else delta
+        _, t, delta_formula = rung_parameters(eps, q)
+        delta = min(delta_formula, delta_cap)
         surf = surface
         if adapt:
-            inner = delta_r * math.sqrt(eps)
-            surf = adapt_for_point(surface, x0, inner_scale=inner,
-                                   outer_radius=delta_r, ratio=ratio)
+            surf = adapt_for_point(surface, x0,
+                                   inner_scale=delta * math.sqrt(eps),
+                                   outer_radius=delta)
         vtx = smooth_boundary_vertex(surf, x0)
         if not np.allclose(surf.vertices[vtx], x0, atol=1e-12):
             raise NumericalError("cap center drifted during adaptation")
-        plain = cap_state(surf, vtx, eps, delta_r, t=0.0)
-        eig = cap_state(surf, vtx, eps, delta_r, t=t) if need_eigen_branch else None
-        rungs.append(
-            LadderRung(
-                eps=eps,
-                big_l=big_l,
-                t=t,
-                delta=delta_r,
-                surface=surf,
-                vertex=vtx,
-                state_plain=plain,
-                state_eigen=eig,
-            )
-        )
+        plain = cap_state(surf, vtx, eps, delta, t=0.0)
+        eig = cap_state(surf, vtx, eps, delta, t=t) if need_eigen_branch else None
+        rungs.append(LadderRung(surface=surf, state_plain=plain, state_eigen=eig))
     return rungs
 
 
@@ -485,7 +435,7 @@ def evaluate_ladder(
     the spectral threshold of the base surface.
     """
     use_eigen = alpha >= threshold * (1.0 - 1e-12)
-    values, ts, peaks = [], [], []
+    states, values = [], []
     for rung in rungs:
         state = rung.state_eigen if use_eigen else rung.state_plain
         if state is None:
@@ -498,23 +448,16 @@ def evaluate_ladder(
             raise NumericalError(
                 "witness evaluation overflowed the exponential range"
             )
+        states.append(state)
         values.append(fv.value)
-        ts.append(state.t)
-        peaks.append(state.peak)
     ratios = [values[i + 1] / values[i] for i in range(len(values) - 1)]
-    t_used = [t if use_eigen else 0.0 for t in ts]
     return WitnessLadder(
         alpha=alpha,
-        beta=beta,
-        threshold=threshold,
-        eps=[r.eps for r in rungs],
+        eps=[s.eps for s in states],
         values=values,
         ratios=ratios,
-        ts=t_used,
-        deltas=[r.delta for r in rungs],
-        t2l=[t * t * r.big_l for t, r in zip(t_used, rungs)],
-        t2sqrtl=[t * t * math.sqrt(r.big_l) for t, r in zip(t_used, rungs)],
-        peaks=peaks,
+        ts=[s.t for s in states],
+        deltas=[s.delta for s in states],
         growth=bool(ratios and ratios[-1] >= 2.0),
         used_eigen_branch=use_eigen,
     )
@@ -539,29 +482,6 @@ def peak_boundary_vertex(surface: Surface) -> int:
     return min(band, key=lambda i: (-corner_free_radius(surface, i), i))
 
 
-def divergence_witness(
-    surface: Surface,
-    alpha: float,
-    eps_ladder,
-    vertex: int | None = None,
-    beta: float = TWO_PI,
-    q: float = 0.28,
-    delta: float | None = None,
-    adapt: bool = True,
-    ratio: float = 8.0,
-) -> WitnessLadder:
-    """Witness ladder for one α: values, ratios, side-condition data."""
-    threshold = spectrum.lambda1(surface).value
-    if vertex is None:
-        vertex = peak_boundary_vertex(surface)
-    need_eigen = alpha >= threshold * (1.0 - 1e-12)
-    rungs = ladder_states(
-        surface, vertex, eps_ladder, q=q, delta=delta,
-        need_eigen_branch=need_eigen, adapt=adapt, ratio=ratio,
-    )
-    return evaluate_ladder(rungs, alpha, beta, threshold)
-
-
 def divergence_matrix(
     surface: Surface,
     alphas,
@@ -569,14 +489,13 @@ def divergence_matrix(
     vertex: int | None = None,
     beta: float = TWO_PI,
     q: float = 0.28,
-    delta: float | None = None,
     adapt: bool = True,
-    ratio: float = 8.0,
 ) -> dict:
     """Witness values over an (ε, α) grid with per-α growth flags.
 
     Adapted rung meshes and cap states are shared across all α; only the
-    functional evaluation differs, so the matrix is cheap in α.
+    functional evaluation differs, so the matrix is cheap in α.  The cap
+    center defaults to :func:`peak_boundary_vertex`.
     """
     threshold = spectrum.lambda1(surface).value
     if vertex is None:
@@ -584,22 +503,18 @@ def divergence_matrix(
     alphas = [float(a) for a in alphas]
     need_eigen = any(a >= threshold * (1.0 - 1e-12) for a in alphas)
     rungs = ladder_states(
-        surface, vertex, eps_ladder, q=q, delta=delta,
-        need_eigen_branch=need_eigen, adapt=adapt, ratio=ratio,
+        surface, vertex, eps_ladder, q=q,
+        need_eigen_branch=need_eigen, adapt=adapt,
     )
     ladders = [evaluate_ladder(rungs, a, beta, threshold) for a in alphas]
     return {
-        "alphas": alphas,
-        "eps": [r.eps for r in rungs],
-        "beta": beta,
         "lambda1": threshold,
+        "vertex": vertex,
         "values": [lad.values for lad in ladders],  # indexed [alpha][eps]
         "ratios": [lad.ratios for lad in ladders],
         "growth_flags": [lad.growth for lad in ladders],
         "eigen_branch": [lad.used_eigen_branch for lad in ladders],
         "ts": [lad.ts for lad in ladders],
-        "t2l": [lad.t2l for lad in ladders],
-        "t2sqrtl": [lad.t2sqrtl for lad in ladders],
         "ladders": ladders,
     }
 
@@ -626,6 +541,10 @@ class GluedState:
     bound: float
     alpha: float
     prenorm: float
+
+
+# Largest α/λ₁ at which the small-α lower bound is checked.
+ALPHA_CAP_FRACTION = 0.1
 
 
 def sharp_bound(area: float, a_const: float) -> float:
@@ -713,28 +632,24 @@ def glued_state(
     vertex: int,
     eps: float,
     alpha: float = 0.0,
-    adapt: bool = True,
-    ratio: float = 8.0,
 ) -> GluedState:
     """Adapt near the vertex, solve the Green problem, glue the state.
 
     Convenience driver around :func:`glued_sequence`: grades the mesh so
     the bubble core scale ε is resolved, re-locates the center vertex,
     and computes the α-modified Green solution there.  The adapted mesh
-    is cached on ``surface`` per (centre, ε, ratio), so calls that differ
-    only in α adapt once.
+    is cached on ``surface`` per (centre, ε), so calls that differ only
+    in α adapt once.
     """
     if not (0 < eps < 0.1):
         raise UsageError("glued-state scale eps must lie in (0, 0.1)")
     x0 = surface.vertices[vertex].copy()
-    surf = surface
-    if adapt:
-        key = ("glued_adapt", float(x0[0]), float(x0[1]), eps, ratio)
-        if key not in surface.cache:
-            surface.cache[key] = adapt_for_point(
-                surface, x0, inner_scale=eps, outer_radius=0.5, ratio=ratio
-            )
-        surf = surface.cache[key]
+    key = ("glued_adapt", float(x0[0]), float(x0[1]), eps)
+    if key not in surface.cache:
+        surface.cache[key] = adapt_for_point(
+            surface, x0, inner_scale=eps, outer_radius=0.5
+        )
+    surf = surface.cache[key]
     vtx = smooth_boundary_vertex(surf, x0)
     if not np.allclose(surf.vertices[vtx], x0, atol=1e-12):
         raise NumericalError("glue center drifted during adaptation")
@@ -747,25 +662,23 @@ def lower_bound_check(
     vertex: int,
     eps: float,
     alpha: float = 0.0,
-    adapt: bool = True,
-    alpha_cap_fraction: float = 0.1,
 ) -> dict:
     """Evaluate the glued state at the critical exponent against the bound.
 
     Returns the functional value, the target Area + (π/2)e^{1+2πA}, the
     margin (value − bound), and ``passed`` = strict exceedance.  The
-    quadratic coefficient must stay small (α ≤ alpha_cap_fraction·λ₁):
+    quadratic coefficient must stay small (α ≤ ALPHA_CAP_FRACTION·λ₁):
     the certified inequality is asymptotic in small α.
     """
     if alpha > 0.0:
         lam1 = spectrum.lambda1(surface).value
-        if alpha > alpha_cap_fraction * lam1 * (1.0 + 1e-12):
+        if alpha > ALPHA_CAP_FRACTION * lam1 * (1.0 + 1e-12):
             raise PreconditionError(
-                f"alpha = {alpha} exceeds {alpha_cap_fraction}·lambda1 "
-                f"= {alpha_cap_fraction * lam1:.6f}; the exceedance "
+                f"alpha = {alpha} exceeds {ALPHA_CAP_FRACTION}·lambda1 "
+                f"= {ALPHA_CAP_FRACTION * lam1:.6f}; the exceedance "
                 "experiment is only meaningful for small alpha"
             )
-    state = glued_state(surface, vertex, eps, alpha=alpha, adapt=adapt)
+    state = glued_state(surface, vertex, eps, alpha=alpha)
     fv = moser.functional_at_beta(state.surface, state.v, alpha, TWO_PI)
     if fv.tainted:
         raise NumericalError("glued-state evaluation overflowed")
@@ -787,6 +700,11 @@ def lower_bound_check(
 # ---------------------------------------------------------------------------
 # Concentration study (maximizers vs. the bubble)
 # ---------------------------------------------------------------------------
+
+STUDY_SEED_SCALE = 0.02  # ε of the glued seed state
+STUDY_MAX_ADAPT_ROUNDS = 6  # re-adaptations per subcriticality rung
+STUDY_TOL = 1e-8  # maximizer stationarity tolerance
+STUDY_RESOLVE_FACTOR = 6.0  # peak edge length must reach r / this
 
 
 @dataclass
@@ -819,10 +737,6 @@ def concentration_study(
     vertex: int,
     eps_ladder=(1.0, 0.5, 0.25),
     alpha: float = 0.0,
-    seed_scale: float = 0.02,
-    max_adapt_rounds: int = 6,
-    tol: float = 1e-8,
-    resolve_factor: float = 6.0,
 ) -> list:
     """Maximize at shrinking subcriticality and compare against the bubble.
 
@@ -836,23 +750,25 @@ def concentration_study(
     eps_list = [float(e) for e in eps_ladder]
     x0 = surface.vertices[vertex].copy()
 
-    seed_state = glued_state(surface, vertex, seed_scale, alpha=alpha)
+    seed_state = glued_state(surface, vertex, STUDY_SEED_SCALE, alpha=alpha)
     surf = seed_state.surface
     u_seed = seed_state.v
     results = []
     for eps in eps_list:
-        res = moser.maximize_subcritical(surf, alpha, eps, u0=u_seed, tol=tol)
+        res = moser.maximize_subcritical(
+            surf, alpha, eps, u0=u_seed, tol=STUDY_TOL
+        )
         diag = moser.blowup_diagnostics(surf, res.u, alpha, eps)
-        for _ in range(max_adapt_rounds):
+        for _ in range(STUDY_MAX_ADAPT_ROUNDS):
             local = _peak_resolution(surf, diag.vertex)
-            if local <= diag.r / resolve_factor:
+            if local <= diag.r / STUDY_RESOLVE_FACTOR:
                 break
             new_surf = adapt_for_point(
                 surf,
                 diag.x,
                 inner_scale=diag.r,
                 outer_radius=min(0.5, 200.0 * diag.r),
-                ratio=resolve_factor * 1.5,
+                ratio=STUDY_RESOLVE_FACTOR * 1.5,
             )
             u_new = assembly.evaluate(surf, res.u, new_surf.vertices)
             # Interpolation is exact on old-mesh functions; re-admissibilize.
@@ -862,13 +778,13 @@ def concentration_study(
                 raise NumericalError("state transfer degenerated")
             surf = new_surf
             res = moser.maximize_subcritical(
-                surf, alpha, eps, u0=u_new / nrm, tol=tol
+                surf, alpha, eps, u0=u_new / nrm, tol=STUDY_TOL
             )
             diag = moser.blowup_diagnostics(surf, res.u, alpha, eps)
         if not res.converged:
             raise NumericalError(
                 f"maximizer at eps = {eps} ended unconverged: residual "
-                f"{res.residual:.3e} > tol {tol:.1e}"
+                f"{res.residual:.3e} > tol {STUDY_TOL:.1e}"
             )
         results.append(
             ConcentrationResult(

@@ -198,6 +198,18 @@ def test_witness_moser_emits_params(half_disk_mesh, tmp_path):
     assert doc["F_value"] > 0
 
 
+# On the h = 0.2 half-disk: 100000 is out of range, 65 is the corner
+# (0, 1) and 30 is an interior vertex.
+@pytest.mark.parametrize("kind", ["moser", "glued"])
+@pytest.mark.parametrize("vertex,code", [(100000, 2), (65, 3), (30, 3)])
+def test_witness_vertex_must_be_smooth_boundary(half_disk_mesh, tmp_path,
+                                                kind, vertex, code):
+    out = tmp_path / "w.json"
+    assert run("witness", "--kind", kind, "--mesh", str(half_disk_mesh),
+               "--vertex", str(vertex), "--out", str(out)) == code
+    assert not out.exists()
+
+
 def test_witness_overflow_exits_4(half_disk_mesh, tmp_path):
     assert run("witness", "--kind", "moser", "--mesh", str(half_disk_mesh),
                "--eps", "1e-3", "--beta", "5000",
@@ -262,6 +274,12 @@ GOLDEN_COMMANDS = [
      "--h", "0.2", "--out", "r.json"],
     ["sweep", "--mesh", "r.json", "--alphas", "0,1.2", "--relative",
      "--eps-ladder", "1e-2,1e-3", "--out", "sweep.csv"],
+    ["witness", "--kind", "bubble", "--out", "wb.json", "--plot", "wb.dat"],
+    ["witness", "--kind", "moser", "--mesh", "hd.json", "--out", "wm.json",
+     "--plot", "wm.dat"],
+    # Vertex 210 of hd.json is its boundary vertex at (1, 0).
+    ["witness", "--kind", "glued", "--mesh", "hd.json", "--vertex", "210",
+     "--out", "wg.json", "--plot", "wg.dat"],
 ]
 
 # sha256 of each output file; for sweep.csv, of the lines after the run
@@ -278,6 +296,12 @@ GOLDEN_OUTPUTS = {
     "g05.json": "f99b934417f9fdfde1b9c7a4bee9912d50eee92268a4e144906c995f47d5d1a9",
     "g05.G.json": "e00341b90b004388512626e358ebb5daffed70c12d553367d56ca2ead2da146c",
     "sweep.csv": "ca08334476c8b02cbabd972b71f1f0b9a4d83f5dec00e90592c5efb8ecd4b604",
+    "wb.json": "9869dadaa8fa922ca18b4f60d548066dffca85450ec1887cb98fd64a22ce2612",
+    "wb.dat": "23be5030ebfba36c79fd14a7354fc396aad5f72ff2a0bb24abf931047c2e6e9d",
+    "wm.json": "67ca15f1d92319075cca428e7d73d889c5ed4f76e50bd9fede918a9567d93865",
+    "wm.dat": "e60168543bba694ac724a1adbd1d665ef083b0d2b9e5211778d42e67fab3ccec",
+    "wg.json": "1478f784ec8bce3e202399acb981de5b80f7435e449dd44c2882d12f4b2f9f05",
+    "wg.dat": "313a27f66c3055a516f12c632753127af81b9872836678d6b6df57ca70bc0ad7",
 }
 
 

@@ -83,13 +83,14 @@ def test_side_conditions_fail_outside_range():
 def test_moser_sequence_is_exactly_admissible(half_disk):
     pair = spectrum.first_eigenpair(half_disk, tol=1e-8)
     vtx = witness.smooth_boundary_vertex(half_disk, (1.0, 0.0))
-    v, params = witness.moser_sequence(half_disk, pair, vtx, eps=1e-3)
+    state = witness.moser_sequence(half_disk, pair, vtx, eps=1e-3)
+    v = state.v
     a = assembly.area(half_disk)
     assert abs(assembly.mean(half_disk, v)) <= 1e-12 * a
     assert abs(assembly.dirichlet_norm(half_disk, v) - 1.0) <= 1e-12
-    assert params.eps == 1e-3
-    assert params.t > 0
-    assert params.plateau_radius < params.delta
+    assert state.eps == 1e-3
+    assert state.t > 0
+    assert state.delta * math.sqrt(state.eps) < state.delta
 
 
 def test_cap_peak_grows_as_scale_shrinks(half_disk):
@@ -110,8 +111,9 @@ def test_cap_rejects_corner_center(half_disk):
 
 def test_ladder_requires_decreasing_eps(half_disk):
     vtx = witness.smooth_boundary_vertex(half_disk, (1.0, 0.0))
-    with pytest.raises(UsageError):
-        witness.ladder_states(half_disk, vtx, [1e-4, 1e-2], adapt=False)
+    for ladder in ([1e-4, 1e-2], [1e-2, 1e-2]):
+        with pytest.raises(UsageError, match="strictly decreasing"):
+            witness.ladder_states(half_disk, vtx, ladder, adapt=False)
 
 
 # ---------------------------------------------------------------------------
