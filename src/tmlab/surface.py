@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -195,17 +194,8 @@ class Surface:
             out[:, k] = np.hypot(d[:, 0], d[:, 1])
         return out
 
-    def mesh_size(self) -> float:
-        """Longest edge in the mesh (flat metric)."""
-        return float(self.edge_lengths().max())
-
     def boundary_vertex_indices(self) -> np.ndarray:
         return np.unique(self.boundary_edges)
-
-    def is_boundary_vertex(self) -> np.ndarray:
-        mask = np.zeros(self.num_vertices, dtype=bool)
-        mask[self.boundary_vertex_indices()] = True
-        return mask
 
     def corner_vertex_indices(self) -> np.ndarray:
         """Indices of mesh vertices sitting at the domain's corners."""
@@ -514,197 +504,100 @@ def refine(surface: Surface) -> Surface:
     )
 
 
-class _EdgeOwners(dict):
-    """Lazy map from an undirected edge ``(lo, hi)`` to the ids of the
-    triangles containing it, for one call of `refine_local`.
+def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
+    """Bisect the marked triangles and close the refinement conformingly.
 
-    An edge's set is built on first access from the input mesh's
-    vertex→triangle incidence (``tri_of[start[v]:start[v + 1]]`` lists the
-    input triangles at vertex v in ascending id), adding owners in ascending
-    id; an edge at a vertex created during the call starts empty.  Always
-    index with ``edge_map[key]``: ``dict.setdefault`` and ``dict.get`` skip
-    ``__missing__`` and would see an edge's input owners as absent.
-    """
+    ``marked`` is a bool mask with one entry per triangle.  Each triangle's
+    reference edge is its longest edge, ties going to the larger sorted
+    vertex pair.  Closure rule: mark the reference edges of the marked
+    triangles, then the reference edge of every triangle that has a marked
+    edge, until no edge is added.  A triangle with a marked edge is bisected
+    across its reference edge, and each child is bisected again across its
+    other parent edge if that edge is marked: 2, 3 or 4 children.  The result
+    is conforming because every marked edge is split at its midpoint in both
+    triangles containing it, and triangles with no marked edge are unchanged.
 
-    def __init__(self, tris: list, tri_of: list, start: list):
-        super().__init__()
-        self._tris = tris
-        self._tri_of = tri_of
-        self._start = start
-
-    def __missing__(self, key: tuple) -> set:
-        lo, hi = key
-        owners = set()
-        if hi < len(self._start) - 1:  # both ends are input vertices
-            for tid in self._tri_of[self._start[lo] : self._start[lo + 1]]:
-                if hi in self._tris[tid]:
-                    owners.add(tid)
-        self[key] = owners
-        return owners
-
-
-def refine_local(surface: Surface, marked) -> Surface:
-    """Bisect the marked triangles across their longest edges.
-
-    Conformity is restored by the longest-edge propagation rule: an edge is
-    split only when it is the longest edge of every triangle containing it
-    (or lies on the boundary), otherwise the blocking neighbor is bisected
-    first.  Termination follows from edge lengths increasing strictly along
-    each propagation chain.
-
-    Cost: one call does whole-mesh work only in numpy (list conversion of
-    the input arrays, a vertex→triangle incidence table, the boundary of the
-    result) and Python work only for the triangles it bisects and their
-    neighbors.  Input triangles stay in a list; bisected ones are recorded
-    in ``removed`` and their children in ``new`` (ids from ``nt`` upward), so
-    the result is the input with ``removed`` rows deleted followed by the
-    surviving children in id order.  Edge owner sets are built lazily by
-    `_EdgeOwners`.
-
-    Ordering invariant: ``split_pair`` numbers children in the iteration
-    order of an edge's owner set, and a Python set's iteration order depends
-    on its contents *and* its history of adds and discards.  Each owner set
-    therefore sees exactly the adds and discards of a map built over the
-    whole mesh with owners in ascending triangle id, so triangle order and
-    ``content_hash`` do not depend on which edges were ever looked at.
-    Sorting owners before iterating, or keeping one map alive across calls
-    with persistent ids, would change the order of the result.
+    Each call is a few whole-mesh numpy passes.  Unsplit triangles keep
+    their input rows and order at the front of the result; the children
+    follow, grouped by their place in the split pattern and in parent order
+    within each group.  Midpoints of arc chords are reprojected onto the arc.
     """
     marked = np.asarray(marked)
-    if marked.dtype == bool:
-        marked_ids = np.flatnonzero(marked)
-    else:
-        marked_ids = marked.astype(np.int64)
-    if marked_ids.size == 0:
-        return surface
-
     nv, nt = surface.num_vertices, surface.num_triangles
-    verts: list = surface.vertices.tolist()
-    f_vals: list = surface.f_nodal.tolist()
-    tris_in: list = surface.triangles.tolist()
-    removed: set = set()
-    new: dict[int, tuple] = {}
-    next_tid = nt
+    if marked.dtype != bool or marked.shape != (nt,):
+        raise UsageError("refine_local takes a bool mask with one entry per triangle")
+    if not marked.any():
+        return surface
+    verts, tris = surface.vertices, surface.triangles
+
+    # Rotate each triangle, keeping it CCW, so that edge 0-1 is its
+    # reference edge.  Edge k runs from local vertex k to k + 1.
+    nxt = np.roll(tris, -1, axis=1)
+    d = verts[tris] - verts[nxt]
+    sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    pair = np.minimum(tris, nxt) * nv + np.maximum(tris, nxt)
+    first = np.lexsort((pair, sq))[:, -1]  # largest (sq, pair) in each row
+    rot = np.take_along_axis(tris, (first[:, None] + np.arange(3)) % 3, axis=1)
+
+    # Closure.  Row k of ``eid`` holds the edge id of edge k of each triangle.
+    _, keys, inverse, counts = _edge_topology(rot, nv)
+    eid = inverse.reshape(3, nt)
+    split = np.zeros(keys.size, dtype=bool)
+    split[eid[0, marked]] = True
+    while True:
+        grow = (split[eid[1]] | split[eid[2]]) & ~split[eid[0]]
+        if not grow.any():
+            break
+        split[eid[0, grow]] = True
+
+    # One midpoint per split edge, numbered in the order of the first
+    # triangle bisected across that edge.
+    cut = split[eid[0]]
+    ref, at = np.unique(eid[0, cut], return_index=True)
+    sid = ref[np.argsort(at)]
+    ends = np.column_stack(np.divmod(keys[sid], nv))
+    mids = 0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]])
     radius = _arc_radius(surface.spec)
-    f_fn = surface.spec.f_callable() if surface.spec.f_expr is not None else None
+    if radius is not None:
+        arc = (counts[sid] == 1) & _arc_chord(verts[ends[:, 0]], verts[ends[:, 1]],
+                                               radius)
+        if arc.any():
+            x, y = mids[arc, 0], mids[arc, 1]
+            # math.hypot, not np.hypot: the two differ in the last bit for
+            # some inputs, and math.hypot keeps arc vertices bit-identical
+            # to those of meshes adapted by earlier releases.
+            r = np.frompyfunc(math.hypot, 2, 1)(x, y).astype(float)
+            mids[arc] = np.column_stack([x * radius / r, y * radius / r])
+    mids[np.abs(mids) < _SNAP] = 0.0
+    mid = np.full(keys.size, -1, dtype=np.int64)
+    mid[sid] = nv + np.arange(sid.size)
+    new_verts = np.concatenate([verts, mids])
+    f_new = _new_f(surface.spec, surface.f_nodal, new_verts, slice(nv, None), ends)
 
-    flat = surface.triangles.ravel()
-    tri_of = (np.argsort(flat, kind="stable") // 3).tolist()
-    start = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=nv))))
-    edge_map = _EdgeOwners(tris_in, tri_of, start.tolist())
+    # Children: bisect (v0, v1, v2) at m0 into (v0, m0, v2) and (m0, v1, v2),
+    # then split these across v2-v0 at m2 and v1-v2 at m1 where marked.
+    v0, v1, v2 = rot[cut].T
+    m0, m1, m2 = mid[eid[:, cut]]
+    s1, s2 = split[eid[1, cut]], split[eid[2, cut]]
 
-    def ekey(u, v):
-        return (u, v) if u < v else (v, u)
+    def tri(a, b, c):
+        return np.column_stack([a, b, c])
 
-    def alive(tid: int) -> bool:
-        return tid in new if tid >= nt else tid >= 0 and tid not in removed
-
-    def tri(tid: int):
-        return new[tid] if tid >= nt else tris_in[tid]
-
-    def longest_edge(t) -> tuple:
-        best, best_l = None, -1.0
-        for kk in range(3):
-            u, v = t[kk], t[(kk + 1) % 3]
-            dx = verts[u][0] - verts[v][0]
-            dy = verts[u][1] - verts[v][1]
-            ll = dx * dx + dy * dy
-            # Deterministic tie-break on the sorted vertex pair.
-            cand = (ll, ekey(u, v))
-            if best is None or cand > (best_l, best):
-                best_l, best = ll, ekey(u, v)
-        return best
-
-    def make_midpoint(u, v) -> int:
-        x = 0.5 * (verts[u][0] + verts[v][0])
-        y = 0.5 * (verts[u][1] + verts[v][1])
-        boundary = len(edge_map[ekey(u, v)]) == 1
-        if boundary and radius is not None and _arc_chord(verts[u], verts[v], radius):
-            r = math.hypot(x, y)
-            x, y = x * radius / r, y * radius / r
-        if abs(x) < _SNAP:
-            x = 0.0
-        if abs(y) < _SNAP:
-            y = 0.0
-        verts.append((x, y))
-        if f_fn is not None:
-            f_vals.append(float(f_fn(np.array([x]), np.array([y]))[0]))
-        else:
-            f_vals.append(0.5 * (f_vals[u] + f_vals[v]))
-        return len(verts) - 1
-
-    def replace(tid: int, children: list) -> None:
-        nonlocal next_tid
-        if tid >= nt:
-            t = new.pop(tid)
-        else:
-            t = tris_in[tid]
-            removed.add(tid)
-        for kk in range(3):
-            edge_map[ekey(t[kk], t[(kk + 1) % 3])].discard(tid)
-        for child in children:
-            cid = next_tid
-            next_tid += 1
-            new[cid] = child
-            for kk in range(3):
-                edge_map[ekey(child[kk], child[(kk + 1) % 3])].add(cid)
-
-    def split_pair(tid: int, edge: tuple):
-        """Split ``tid`` (and its neighbor across ``edge``, if any) at the
-        edge midpoint.  Caller guarantees the edge is longest in both."""
-        owners = list(edge_map[ekey(*edge)])
-        m = make_midpoint(*edge)
-        for oid in owners:
-            t = tri(oid)
-            u, v = edge
-            # Local orientation of the shared edge within this triangle.
-            for kk in range(3):
-                a, b = t[kk], t[(kk + 1) % 3]
-                if ekey(a, b) == ekey(u, v):
-                    w = t[(kk + 2) % 3]
-                    replace(oid, [(a, m, w), (m, b, w)])
-                    break
-
-    queue = deque(int(i) for i in marked_ids)
-    while queue:
-        tid = queue.popleft()
-        if not alive(tid):
-            continue  # consumed by a conformity split
-        chain = [tid]
-        guard = 0
-        while chain:
-            guard += 1
-            if guard > 10_000_000:
-                raise PreconditionError("bisection propagation did not terminate")
-            cur = chain[-1]
-            if not alive(cur):
-                chain.pop()
-                continue
-            edge = longest_edge(tri(cur))
-            owners = edge_map[ekey(*edge)]
-            blocker = None
-            for oid in owners:
-                if oid != cur and longest_edge(tri(oid)) != edge:
-                    blocker = oid
-                    break
-            if blocker is None:
-                split_pair(cur, edge)
-                chain.pop()
-            else:
-                chain.append(blocker)
-
-    children = np.asarray(list(new.values()), dtype=np.int64).reshape(-1, 3)
-    new_tris = np.concatenate(
-        [np.delete(surface.triangles, sorted(removed), axis=0), children]
+    kids = np.stack(
+        [
+            np.where(s2[:, None], tri(v2, m2, m0), tri(v0, m0, v2)),
+            tri(m2, v0, m0),
+            np.where(s1[:, None], tri(v1, m1, m0), tri(m0, v1, v2)),
+            tri(m1, v2, m0),
+        ]
     )
-    new_verts = np.concatenate(
-        [surface.vertices, np.asarray(verts[nv:], dtype=float).reshape(-1, 2)]
-    )
+    used = np.stack([np.ones_like(s2), s2, np.ones_like(s1), s1])
+    new_tris = np.concatenate([tris[~cut], kids[used]])
     return Surface(
         new_verts,
         new_tris,
         _extract_boundary(new_tris),
-        np.asarray(f_vals, dtype=float),
+        np.concatenate([surface.f_nodal, f_new]),
         surface.spec,
     )
 

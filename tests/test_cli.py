@@ -295,13 +295,13 @@ GOLDEN_OUTPUTS = {
     "g0.G.json": "e2de9a86d149cde17c08bfbe059650f8f45f0edfd1cd3808cd49c98a4909e69d",
     "g05.json": "f99b934417f9fdfde1b9c7a4bee9912d50eee92268a4e144906c995f47d5d1a9",
     "g05.G.json": "e00341b90b004388512626e358ebb5daffed70c12d553367d56ca2ead2da146c",
-    "sweep.csv": "ca08334476c8b02cbabd972b71f1f0b9a4d83f5dec00e90592c5efb8ecd4b604",
+    "sweep.csv": "86ef7d63347fb925efbda22733218af7b240817b5765424a51662d95b63750d2",
     "wb.json": "9869dadaa8fa922ca18b4f60d548066dffca85450ec1887cb98fd64a22ce2612",
     "wb.dat": "23be5030ebfba36c79fd14a7354fc396aad5f72ff2a0bb24abf931047c2e6e9d",
     "wm.json": "67ca15f1d92319075cca428e7d73d889c5ed4f76e50bd9fede918a9567d93865",
     "wm.dat": "e60168543bba694ac724a1adbd1d665ef083b0d2b9e5211778d42e67fab3ccec",
-    "wg.json": "1478f784ec8bce3e202399acb981de5b80f7435e449dd44c2882d12f4b2f9f05",
-    "wg.dat": "313a27f66c3055a516f12c632753127af81b9872836678d6b6df57ca70bc0ad7",
+    "wg.json": "f58d1d64482c4277001eddd543891b299fee41575697e3705ff1fb39f645fdff",
+    "wg.dat": "7bc3b13241f3b0838ac173aba7cbaf24106c89e3951c9c6302670a0f09a1df8c",
 }
 
 

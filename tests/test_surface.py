@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -240,23 +241,23 @@ def test_extract_boundary_sorted_and_oriented(half_disk):
 # refine_local / adapt_for_point
 # ---------------------------------------------------------------------------
 
-# content_hash values of adapted meshes, recorded before refine_local and
-# the edge-topology helper were vectorized; any drift means the mesh changed.
+# content_hash values of adapted meshes, recorded with the whole-array
+# refine_local; any drift means the mesh or its numbering changed.
 GOLDEN_ADAPT = {
     "rectangle": (
         DomainSpec("rectangle", (1.0, 1.0)),
         (1.0, 0.5),
-        "66c5094e35e2147a62296cb0c6bd62110abfe5eb52b29512097f35932c007fbf",
+        "763b685b79da15f60ff7c003a94e164f998ff5aee23739d18b8ab6d4a3c4a8fc",
     ),
     "half_disk_arc": (
         DomainSpec("half_disk", (1.0,)),
         (math.cos(0.3), math.sin(0.3)),
-        "70bf16b421860421a3302de02739282bdeaf7a9df8056d31a83a0bebe4fda306",
+        "f50b80dee2a3cc3f8ac70e05eec92b9eb042fce1dfeed0dd6ea8ca83c6ddc2fe",
     ),
     "f_expr": (
         DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"),
         (0.6, 0.8),
-        "6063b5dc7d974202d3c56bd8f6748b65a2b1d3ae6977bed09e4d92af4a051b21",
+        "840d2b5280482bd2ccfcaf09d805a18f43ff5f8d948b334da156d9f7ed532d42",
     ),
 }
 
@@ -266,6 +267,41 @@ def test_adapt_for_point_golden_hash(case):
     spec, center, digest = GOLDEN_ADAPT[case]
     s = adapt_for_point(build_domain(spec, 0.1), center, 1e-3, 0.3)
     assert s.content_hash() == digest
+
+
+def _geometry_digest(s):
+    """sha256 of the mesh geometry, independent of vertex and triangle
+    numbering: the lexsorted (x, y, f) vertex rows, then each triangle's
+    corners sorted by (x, y) and the resulting 6-coordinate rows lexsorted."""
+    rows = np.column_stack([s.vertices, s.f_nodal])
+    rows = rows[np.lexsort(rows.T[::-1])]
+    pts = s.vertices[s.triangles]
+    order = np.lexsort((pts[:, :, 1], pts[:, :, 0]), axis=1)
+    pts = np.take_along_axis(pts, order[:, :, None], axis=1).reshape(-1, 6)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return hashlib.sha256(rows.tobytes() + pts.tobytes()).hexdigest()
+
+
+# Geometry digests of adapted right-isosceles grids, recorded with the
+# dict-based longest-edge propagation; on these grids any longest-edge
+# bisection with conformity closure splits the same edges.
+GOLDEN_GEOMETRY = {
+    "rectangle": (
+        DomainSpec("rectangle", (1.0, 1.0)), 0.1, (1.0, 0.5), 1e-3,
+        "ba1a5fc9af7ea7c44b56f2671f999ce127ec98f58c599a5fc51e0ca14ce32a77",
+    ),
+    "ladder_rectangle": (
+        DomainSpec("rectangle", (2.0, 1.0)), 0.05, (0.0, 0.45), 1e-7,
+        "f7e28db36e751eca6ed084701eb45e91d66d36760fed4d022990060e96528e22",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_GEOMETRY))
+def test_adapt_for_point_golden_geometry(case):
+    spec, h, center, inner, digest = GOLDEN_GEOMETRY[case]
+    s = adapt_for_point(build_domain(spec, h), center, inner, 0.3)
+    assert _geometry_digest(s) == digest
 
 
 def test_refine_golden_hash():
@@ -336,17 +372,61 @@ def test_adapt_resamples_f_expr(rng):
     assert np.allclose(s.f_nodal, 0.2 * x1 * x2 + 0.1 * x1**2, rtol=0.0, atol=1e-15)
 
 
+def _assert_marked_replaced(before, marks, after):
+    """No marked triangle survives; unmarked survivors keep their input
+    order at the front."""
+    kept = {tuple(t) for t in after.triangles.tolist()}
+    assert not any(tuple(t) in kept for t in before.triangles[marks].tolist())
+    survivors = [t for t in before.triangles.tolist() if tuple(t) in kept]
+    assert after.triangles[: len(survivors)].tolist() == survivors
+
+
 def test_refine_local_random_marks(rng, half_disk):
     marks = rng.random(half_disk.num_triangles) < 0.1
     s = refine_local(half_disk, marks)
     s.validate()
     _assert_boundary_on_half_disk(s)
     assert s.num_triangles >= half_disk.num_triangles + marks.sum()
-    kept = {tuple(t) for t in s.triangles.tolist()}
-    assert not any(tuple(t) in kept for t in half_disk.triangles[marks].tolist())
-    # Unmarked survivors keep their input order at the front.
-    survivors = [t for t in half_disk.triangles.tolist() if tuple(t) in kept]
-    assert s.triangles[: len(survivors)].tolist() == survivors
+    _assert_marked_replaced(half_disk, marks, s)
+
+
+def _min_angle(s):
+    c = s.tri_coords()
+    u = c[:, [1, 2, 0]] - c
+    w = c[:, [2, 0, 1]] - c
+    cos = np.sum(u * w, axis=2) / (np.linalg.norm(u, axis=2) * np.linalg.norm(w, axis=2))
+    return float(np.arccos(np.clip(cos, -1.0, 1.0)).min())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DomainSpec("rectangle", (2.0, 1.0)),
+        DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"),
+        DomainSpec("disk_sector", (1.0, 1.0)),
+    ],
+    ids=["rect21", "half_disk_f_expr", "sector_1rad"],
+)
+def test_refine_local_multi_round_properties(rng, spec):
+    s = build_domain(spec, 0.25)
+    angle0 = _min_angle(s)
+    f = spec.f_callable()
+    for _ in range(12):
+        marks = rng.random(s.num_triangles) < 0.15
+        out = refine_local(s, marks)
+        out.validate()
+        _assert_marked_replaced(s, marks, out)
+        assert np.array_equal(out.f_nodal, f(out.vertices[:, 0], out.vertices[:, 1]))
+        # Rivara's bound for longest-edge bisection.
+        assert _min_angle(out) >= 0.5 * angle0
+        s = out
+
+
+def test_refine_local_takes_a_triangle_mask(half_disk):
+    with pytest.raises(UsageError, match="bool mask"):
+        refine_local(half_disk, np.array([0, 3]))
+    with pytest.raises(UsageError, match="bool mask"):
+        refine_local(half_disk, np.ones(half_disk.num_triangles - 1, bool))
 
 
 def test_refine_local_no_marks_is_identity(half_disk):
