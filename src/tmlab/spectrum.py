@@ -2,13 +2,16 @@
 
 Solves the generalized problem K u = λ M u on the mean-zero subspace
 (K the flat stiffness matrix, M the metric mass matrix; natural boundary
-conditions are built into the weak form).  λ = 0 with constant
-eigenfunction is removed by M-orthogonal deflation.  The first nonzero
-eigenpair is computed by *block* inverse iteration with Rayleigh–Ritz
-extraction: symmetric domains carry numerically split multiple
-eigenvalues (splits ~1e-7), which stall single-vector iteration, while a
-converged block subspace lets Ritz rotation separate the cluster exactly.
-Start vectors are deterministic, so results are reproducible across runs.
+conditions are built into the weak form).  One shift-invert Lanczos
+solve (ARPACK through ``scipy.sparse.linalg.eigsh``; Ericsson & Ruhe
+1980) factors K − σM once, at a negative shift σ = −R(v₀)/10 set by the
+Rayleigh quotient of the start vector, so the shift scales with λ like
+1/area.  Each inverse application is followed by the metric mean-zero
+projection, which deflates λ = 0 with its constant eigenfunction.  Two
+Ritz pairs are kept: symmetric domains carry numerically split multiple
+eigenvalues (splits ~1e-6 relative), and the smaller pair of a resolved cluster is
+the one returned.  The start vector is deterministic, so results are
+reproducible across runs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from . import assembly
@@ -29,23 +31,15 @@ class Eigenpair:
     """First nonconstant Neumann eigenpair.
 
     ``vector`` has metric mean zero and unit metric L² norm; the sign is
-    fixed so the boundary entry of largest magnitude is positive.
+    fixed so that u is positive at the lowest-index boundary vertex whose
+    |u| is within 1e-9 (relative) of the boundary maximum.
+    ``iterations`` counts the shift-invert solves (K − σM)⁻¹ b.
     """
 
     value: float
     vector: np.ndarray
     residual: float
     iterations: int
-
-
-def _deflate(surface: Surface):
-    m1 = assembly.mass_row_of_ones(surface)
-    a = assembly.area(surface)
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return v - (m1 @ v) / a
-
-    return project
 
 
 def eigen_residual(surface: Surface, u: np.ndarray, lam: float) -> float:
@@ -59,107 +53,58 @@ def eigen_residual(surface: Surface, u: np.ndarray, lam: float) -> float:
     return assembly.dual_norm(surface, r) / denom
 
 
-def _start_block(surface: Surface, width: int) -> np.ndarray:
-    """Deterministic, generically independent start vectors."""
-    x1, x2 = surface.vertices[:, 0], surface.vertices[:, 1]
-    cols = [
-        x1 + 0.3 * x2 + 0.05 * np.sin(3.0 * (x1 + x2)),
-        x2 - 0.25 * x1 + 0.05 * np.cos(2.0 * x1),
-        x1 * x2 + 0.1 * np.sin(2.0 * x1 - x2),
-        x1 * x1 - x2 * x2 + 0.07 * np.cos(x1 + 2.0 * x2),
-        np.sin(2.0 * x1) + np.cos(3.0 * x2),
-    ]
-    if width > len(cols):
-        raise NumericalError("block width larger than available start vectors")
-    return np.column_stack(cols[:width])
-
-
-def _m_orthonormalize(v: np.ndarray, m) -> np.ndarray:
-    """M-orthonormalize columns via the Gram matrix (eigenvalue-safe)."""
-    g = v.T @ (m @ v)
-    s, q = sla.eigh(g)
-    keep = s > max(s.max(), 0.0) * 1e-24
-    if not keep.all():
-        raise NumericalError("rank-deficient block in inverse iteration")
-    return v @ (q / np.sqrt(s))
-
-
-def first_eigenpair(
-    surface: Surface,
-    tol: float = 1e-10,
-    max_iter: int = 400,
-    block: int = 3,
-) -> Eigenpair:
+def first_eigenpair(surface: Surface, tol: float = 1e-10) -> Eigenpair:
     """Compute the smallest nonzero Neumann eigenvalue and its eigenfunction.
 
-    Block inverse iteration on the constant-deflated subspace with a tiny
-    positive shift (so the factorized operator is nonsingular).  Each sweep
-    applies the inverse with one step of iterative refinement, re-projects
-    the constants, M-orthonormalizes, and extracts Ritz pairs; the sweep
-    stops when the first Ritz pair's dual-norm residual is below
-    ``tol``.
+    Raises :class:`NumericalError` when the factorization or ARPACK fails,
+    or when the dual-norm residual of the returned pair exceeds ``tol``.
     """
     k = assembly.stiffness(surface)
     m = assembly.mass(surface)
-    project = _deflate(surface)
-
-    v = _start_block(surface, block)
-    for j in range(block):
-        v[:, j] = project(v[:, j])
-    v = _m_orthonormalize(v, m)
-
-    # Shift at a fraction of the smallest start-block Rayleigh quotient:
-    # an O(λ₁) physical scale that keeps the factorized matrix definite
-    # without wrecking the contraction ratio.  (Mesh-dependent bounds such
-    # as Gershgorin estimates explode on locally graded meshes.)
-    rayleigh = min(float(v[:, j] @ (k @ v[:, j])) for j in range(block))
-    rho = max(0.1 * rayleigh, 1e-12)
-    shifted = (k + rho * m).tocsc()
+    x1, x2 = surface.vertices[:, 0], surface.vertices[:, 1]
+    v0 = assembly.mean_zero_project(
+        surface, x1 + 0.3 * x2 + 0.05 * np.sin(3.0 * (x1 + x2))
+    )
+    v0 /= assembly.l2_norm(surface, v0)
+    # σ < 0 keeps K − σM definite while λ₁ stays the eigenvalue nearest σ.
+    sigma = -0.1 * float(v0 @ (k @ v0))
     try:
-        lu = spla.splu(shifted)
+        lu = spla.splu((k - sigma * m).tocsc())
     except RuntimeError as exc:
         raise NumericalError(f"eigen factorization failed: {exc}") from exc
 
+    solves = 0
+
     def solve(b: np.ndarray) -> np.ndarray:
-        # Iterative refinement until the linear residual is negligible,
-        # so the eigen-iteration's attainable accuracy is set by the
-        # pencil, not by the factorization's forward error.
-        return assembly.refined_solve(lu, shifted, b, 1e-14)[0]
+        nonlocal solves
+        solves += 1
+        return assembly.mean_zero_project(surface, lu.solve(b))
 
-    lam = np.inf
-    res = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        w = np.column_stack([project(solve(np.asarray(m @ v[:, j]))) for j in range(block)])
-        w = _m_orthonormalize(w, m)
-        # Rayleigh–Ritz in the block subspace (columns are M-orthonormal).
-        s = w.T @ (k @ w)
-        s = 0.5 * (s + s.T)
-        vals, q = sla.eigh(s)
-        v = w @ q
-        lam = float(vals[0])
-        res = eigen_residual(surface, v[:, 0], lam)
-        if res <= tol:
-            break
-    else:
-        raise NumericalError(
-            f"block inverse iteration did not converge: residual {res:.3e} "
-            f"after {max_iter} sweeps"
-        )
+    n = surface.num_vertices
+    op_inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    try:
+        vals, vecs = spla.eigsh(k, k=2, M=m, sigma=sigma, OPinv=op_inv, v0=v0)
+    except spla.ArpackError as exc:
+        raise NumericalError(f"shift-invert Lanczos failed: {exc}") from exc
 
-    u = project(v[:, 0])
+    u = assembly.mean_zero_project(surface, vecs[:, int(np.argmin(vals))])
     u /= assembly.l2_norm(surface, u)
+    # Sign anchor: the lowest-index boundary vertex within 1e-9 (relative)
+    # of max |u|, so mirror peaks that differ by solver noise cannot flip u.
     bidx = surface.boundary_vertex_indices()
-    anchor = bidx[int(np.argmax(np.abs(u[bidx])))]
+    mag = np.abs(u[bidx])
+    top = float(mag.max())
+    anchor = bidx[int(np.argmax(mag >= top - 1e-9 * max(top, 1.0)))]
     if u[anchor] < 0:
         u = -u
     lam = float(u @ (k @ u)) / float(u @ (m @ u))
-    return Eigenpair(
-        value=lam,
-        vector=u,
-        residual=eigen_residual(surface, u, lam),
-        iterations=it,
-    )
+    residual = eigen_residual(surface, u, lam)
+    if residual > tol:
+        raise NumericalError(
+            f"eigen residual {residual:.3e} exceeds tol {tol:.3e} "
+            f"after {solves} shift-invert solves"
+        )
+    return Eigenpair(value=lam, vector=u, residual=residual, iterations=solves)
 
 
 def lambda1(surface: Surface) -> Eigenpair:

@@ -97,6 +97,13 @@ def test_eigen_deterministic_bytes(square_mesh, tmp_path):
     assert out.read_bytes() == first
 
 
+def test_eigen_unreachable_tol_exits_4(square_mesh, tmp_path):
+    out = tmp_path / "eig.json"
+    assert run("eigen", "--mesh", str(square_mesh), "--tol", "1e-18",
+               "--out", str(out)) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == [square_mesh.name]
+
+
 def test_eigen_missing_mesh_is_usage_error(tmp_path):
     assert run("eigen", "--mesh", str(tmp_path / "none.json"),
                "--out", str(tmp_path / "o.json")) == 2
@@ -285,21 +292,21 @@ GOLDEN_COMMANDS = [
 # sha256 of each output file; for sweep.csv, of the lines after the run
 # record (the header and the data rows).
 GOLDEN_OUTPUTS = {
-    "eig.json": "9955bff9fe2c84c8a91da483e7fe4814247d654f6f772a4013e54644f82a03a8",
-    "eig.u0.json": "bea9628b8610ac9b9fa3c38a86550451b0ac1a6f6580840af5d081ff64b719a8",
-    "max0.json": "080208e04c33c56458e908494e7f0dcde2d11ec6b2dcc59f1ca2f918a7d4b7e1",
+    "eig.json": "fcbbb15dd04fb4dcf93e95b54218df2e0bc1f5d770c3eb0bb05105a2a7956dd7",
+    "eig.u0.json": "2b19d224ed609cd0908f0fdb1e2f57f1d4cf76d6c6eacea99820e3948ced7668",
+    "max0.json": "535822ad374e056fc8731d471173e9b3d60d4e8c37f1dd04decc786dbad00bc2",
     "max0.u.json": "55cbf569018d72722ebde1999c823d8ea3463250b3f22492fc0e5fdfbeaf0d36",
-    "max1.json": "c2cfb5a3362b0fc1cb77cfb9d47bbe6ad57278ff33d5279b75a6592b2374dda5",
+    "max1.json": "52219590748b3045e6094a76fe424768f8e8247884c9a8889d64561c59e28f49",
     "max1.u.json": "51e7924844ae77e45f0af874cf3a151833faac01723470d36c5f1afdef45c581",
     "g0.json": "e18d8666d5b639efa941c2c1bbe21e5b1d94596d18a569280ba90e132f67baf3",
     "g0.G.json": "e2de9a86d149cde17c08bfbe059650f8f45f0edfd1cd3808cd49c98a4909e69d",
     "g05.json": "f99b934417f9fdfde1b9c7a4bee9912d50eee92268a4e144906c995f47d5d1a9",
     "g05.G.json": "e00341b90b004388512626e358ebb5daffed70c12d553367d56ca2ead2da146c",
-    "sweep.csv": "86ef7d63347fb925efbda22733218af7b240817b5765424a51662d95b63750d2",
+    "sweep.csv": "7a36c84f2568ea7b0ba0ccc9d0d74321a1aa2107ae9ecb521cb9a7186e3f0b95",
     "wb.json": "9869dadaa8fa922ca18b4f60d548066dffca85450ec1887cb98fd64a22ce2612",
     "wb.dat": "23be5030ebfba36c79fd14a7354fc396aad5f72ff2a0bb24abf931047c2e6e9d",
-    "wm.json": "67ca15f1d92319075cca428e7d73d889c5ed4f76e50bd9fede918a9567d93865",
-    "wm.dat": "e60168543bba694ac724a1adbd1d665ef083b0d2b9e5211778d42e67fab3ccec",
+    "wm.json": "6ea52fca85c77442bf06b1461b1306e0950f29dedf459d28982ee7ea6274d054",
+    "wm.dat": "1ef02eaa760d7b1cd66af9ae0736723a1aa12dc09a46059f8bf9cc43a95fb516",
     "wg.json": "f58d1d64482c4277001eddd543891b299fee41575697e3705ff1fb39f645fdff",
     "wg.dat": "7bc3b13241f3b0838ac173aba7cbaf24106c89e3951c9c6302670a0f09a1df8c",
 }

@@ -193,8 +193,8 @@ GOLDEN_BLOWUP = {
         "2f082baf14d02670bb814746f3387a3f729546c5968f193d0d9df7fed44192bc",
     ),
     ("h0.1 refined", 1.0, 1.0): (
-        "45385016d5d6e0e5058c1a0b67d8a3ffd6eb0bb1d7c567a335909d917f9d8a6e",
-        "54c9ee3a0a106e646d66da2928dda6d500ad7400297284e4bdb900d2170a890c",
+        "fb19696baf596a19f3211081d75913eada49253267fcd6d292a8c6e6b8058cd1",
+        "3f281959280bdb994e4759b45eb82ea2b00d8751328f910d181b376da61c61b6",
     ),
 }
 

@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from tmlab import assembly, spectrum
-from tmlab.errors import TmlabError
+from tmlab.errors import NumericalError, TmlabError
 from tmlab.surface import DomainSpec, build_domain
 
 PI = math.pi
@@ -91,3 +92,47 @@ def test_domain_scaling_law():
 def test_tolerance_bounds_residual(unit_square):
     pair = spectrum.first_eigenpair(unit_square, tol=1e-12)
     assert pair.residual <= 1e-12
+
+
+def test_unreachable_tol_raises(unit_square):
+    with pytest.raises(NumericalError):
+        spectrum.first_eigenpair(unit_square, tol=1e-18)
+
+
+@pytest.mark.parametrize("size, h", [((1.0, 1.0), 0.1), ((2.0, 1.0), 0.05)])
+def test_sign_anchor_ignores_mirror_noise(size, h):
+    # Vertex 0 is the corner (0, 0).  On both meshes |u| peaks there and at
+    # a mirror corner to within solver noise; the lowest index must win.
+    s = build_domain(DomainSpec("rectangle", size), h)
+    u = spectrum.first_eigenpair(s).vector
+    assert u[0] > 0
+
+
+# (spec, h, whether λ₁ is simple); the unit square's λ₁ is a cluster of two
+# eigenvalues split by about 1e-6 relative, so only the value is compared.
+DENSE_CASES = {
+    "unit square": (DomainSpec("rectangle", (1.0, 1.0)), 0.1, False),
+    "2x1 rectangle": (DomainSpec("rectangle", (2.0, 1.0)), 0.1, True),
+    "sector": (DomainSpec("disk_sector", (1.0, 2.0)), 0.1, True),
+    "half-disk": (DomainSpec("half_disk", (1.0,)), 0.1, True),
+    "half-disk with f": (
+        DomainSpec("half_disk", (1.0,), "0.5*x1*x2 - 0.3*x2"), 0.1, True
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_matches_dense_reference(case):
+    spec, h, simple = DENSE_CASES[case]
+    s = build_domain(spec, h)
+    pair = spectrum.first_eigenpair(s)
+    k = assembly.stiffness(s).toarray()
+    m = assembly.mass(s).toarray()
+    vals, vecs = sla.eigh(k, m)
+    lam = vals[1]  # vals[0] is the constant mode
+    assert abs(pair.value - lam) <= 1e-12 * lam
+    assert ((vals[2] - lam) > 1e-3 * lam) == simple
+    if simple:
+        ref = vecs[:, 1]  # M-normalized, like pair.vector
+        err = min(np.abs(pair.vector - ref).max(), np.abs(pair.vector + ref).max())
+        assert err <= 1e-10
