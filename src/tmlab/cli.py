@@ -247,17 +247,13 @@ def cmd_maximize(args) -> int:
 
     seed_names = ["eigen", "bubble"] if args.seed == "both" else [args.seed]
     seeds = {}
-    best_name, best = None, None
     for name in seed_names:
         u0 = _eigen_seed(surf) if name == "eigen" else _bubble_seed(surf)
-        res = moser.maximize_subcritical(
+        seeds[name] = moser.maximize_subcritical(
             surf, args.alpha, args.eps, u0=u0, tol=args.tol
         )
-        seeds[name] = res
-        if best is None or (res.converged and not best.converged) or (
-            res.converged == best.converged and res.value > best.value
-        ):
-            best_name, best = name, res
+    best_name = moser.best_seed(seeds)
+    best = seeds[best_name]
 
     field_path = args.field or _field_out_path(args.out, "u")
     params = {

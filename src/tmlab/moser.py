@@ -11,11 +11,18 @@ same 6-point quadrature, so the discrete Karush–Kuhn–Tucker conditions of
 the discrete maximization problem coincide exactly with the discrete
 Euler–Lagrange equation whose residual is reported.
 
-The maximizer runs two phases: energy-norm-preconditioned projected
-ascent with an adaptive step until the stationarity residual is small,
-then damped Newton on the bordered KKT system (exact Hessian; the α-terms
-contribute a symmetric rank-two correction, handled by bordering) with
-quadratic terminal convergence.
+The maximizer runs two phases.  Phase 1 is Riemannian gradient ascent
+on the sphere {uᵀKu = 1, mean 0} in the sphere's own metric uᵀKv (Absil,
+Mahony and Sepulchre, *Optimization Algorithms on Matrix Manifolds*,
+2008, §3.6 and §4.2): the gradient's Riesz representative comes from one
+cached LU of K bordered with M·1, so every projected direction ascends.
+It runs until the stationarity residual is small.  Phase 2 is damped
+Newton with the exact Hessian, whose α-terms add a symmetric rank-two
+correction.  Its KKT system is solved by block elimination of the border
+(Benzi, Golub and Liesen, *Acta Numerica* 14, 2005, §5): one LU of the
+sparse Hessian block with K's pattern, then a 2×2 (α = 0) or 4×4 (α > 0)
+Schur complement.  The whole bordered matrix is factored only when that
+block's LU fails or the Schur complement is ill-conditioned.
 
 Each state the maximizer visits is one ``_State``: value, gradient, KKT
 multipliers and residual, the Newton system and the Euler–Lagrange data
@@ -218,7 +225,11 @@ class _State:
 
     @cached_property
     def kkt_residual(self) -> float:
-        """Stationarity residual: dual norm of the Lagrangian gradient over 2|A|."""
+        """Stationarity residual: dual norm of the Lagrangian gradient over 2|A|.
+
+        With A = βλ_ε(1 + 2αs), the Lagrangian gradient over 2A is, up to
+        sign, the Euler–Lagrange residual of :func:`el_residual`.
+        """
         denom = max(2.0 * abs(self.multipliers[0]), 1e-300)
         return assembly.dual_norm(self.surface, self.lagrangian_gradient) / denom
 
@@ -243,17 +254,6 @@ class _State:
             norm_sq=s,
             tainted=self.tainted,
         )
-
-    def el_residual(self) -> float:
-        co = self.coefficients
-        lam = co.lambda_eps
-        r = (
-            self.ku
-            - (co.beta_eps / lam) * self.s1
-            - co.gamma_eps * self.mu_vec
-            + (co.mu_eps / lam) * assembly.mass_row_of_ones(self.surface)
-        )
-        return assembly.dual_norm(self.surface, r)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +306,10 @@ def el_residual(surface: Surface, u, alpha: float, eps: float) -> float:
     The equation (for a unit-energy maximizer) reads
         K u = (β_ε/λ_ε) ∫ u e^E φ + γ_ε M u − (μ_ε/λ_ε) M·1,
     and the residual is measured in the (K+M)⁻¹ dual norm, which is
-    mesh-size robust.
+    mesh-size robust.  It is the maximizer's stationarity residual, so a
+    result's ``residual`` is this value at its ``u``.
     """
-    return _State(surface, u, alpha, _check_params(alpha, eps)).el_residual()
+    return _State(surface, u, alpha, _check_params(alpha, eps)).kkt_residual
 
 
 # ---------------------------------------------------------------------------
@@ -325,27 +326,24 @@ def _retract(surface: Surface, v: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
-def _ascent_step(st: _State, km, step: float):
-    """One Armijo step of projected ascent from ``st``.
+def _ascent_step(st: _State, step: float):
+    """One Armijo step of Riemannian gradient ascent from ``st``.
 
-    The direction is the (K+M)-preconditioned gradient, or the raw
-    gradient when that is not an ascent direction, projected onto the
-    tangent space of the constraints.  The step is halved from ``step``
-    until the sufficient-increase test holds.  Returns the accepted
-    (state, step), or None when no ascent direction or step exists.
+    The direction is the gradient of F on the sphere {uᵀKu = 1, mean 0} in
+    the metric uᵀKv: d solves [[K, M·1], [(M·1)ᵀ, 0]]·[d; μ] = [g; 0]
+    (:func:`assembly.neumann_solver`), less (uᵀKd)·u.  Its slope
+    gᵀd = dᵀKd − (uᵀKd)² is nonnegative by Cauchy–Schwarz, since uᵀKu = 1.
+    The step is halved from ``step`` until the sufficient-increase test
+    holds.  Returns the accepted (state, step), or None when the slope is
+    zero (stationary to machine precision) or no step increases F enough.
     """
     surface, u, g = st.surface, st.u, st.gradient
-    k = assembly.stiffness(surface)
-    d = km.solve(g)
-    d = assembly.mean_zero_project(surface, d)
-    d = d - float(u @ (k @ d)) * u
+    _, lu = assembly.neumann_solver(surface)
+    d = lu.solve(np.append(g, 0.0))[:-1]
+    d -= float(st.ku @ d) * u
     slope = float(g @ d)
-    if slope <= 0:
-        d = assembly.mean_zero_project(surface, g)
-        d = d - float(u @ (k @ d)) * u
-        slope = float(g @ d)
-        if slope <= 0:
-            return None  # stationary to machine precision
+    if not slope > 0:
+        return None
     for _ in range(40):
         trial = _State(surface, _retract(surface, u + step * d), st.alpha, st.beta)
         if trial.value >= st.value + 1e-4 * step * slope:
@@ -356,19 +354,29 @@ def _ascent_step(st: _State, km, step: float):
     return None
 
 
-def _newton_step(st: _State) -> np.ndarray:
-    """Assemble and solve the bordered KKT Newton system; return δu.
+# The Schur complement is solved after symmetric scaling to a unit diagonal
+# (unscaled, κ alone makes the α > 0 block's condition number 1e13–1e17).
+# Above this scaled condition number (error ~ cond·2⁻⁵³ ≥ 1e-8 relative in
+# the border multipliers) the whole bordered matrix is factored instead.
+SCHUR_COND_MAX = 1e8
+
+
+def _newton_system(st: _State) -> tuple:
+    """The KKT Newton system of ``st`` as ``(h_c, w, corner, r)``.
 
     Hessian of F:  H = H_sp + U C₂ Uᵀ with
       H_sp = 2β(1+αs)·Mass(e^E) + 4β²(1+αs)²·Mass(u²e^E) + 2αβλ·M
       U = [Mu, w̃],  w̃ = 4αβ·S1 + 4αβ·β(1+αs)·S3,  C₂ = [[κ,1],[1,0]],
       κ = 4α²β²·∫u⁴e^E.
-    The Newton matrix on the unit-energy, mean-zero manifold is bordered by
-    the constraint gradients B = [2Ku, M·1] and the rank-two correction is
-    bordered via C₂⁻¹ = [[0,1],[1,−κ]].
+    On the unit-energy, mean-zero manifold the Newton matrix is
+    [[h_c, w], [wᵀ, corner]] with h_c = H_sp − 2A·K (sparse, K's pattern).
+    The border w holds the constraint gradients B = [2Ku, M·1], after U
+    when α > 0; the rank-two correction is bordered through
+    C₂⁻¹ = [[0,1],[1,−κ]], so corner = diag(−C₂⁻¹, 0) (4×4), or the 2×2
+    zero when α = 0.  The right-hand side is [r; 0], r the negated
+    Lagrangian gradient.
     """
     surface = st.surface
-    n = surface.num_vertices
     alpha, beta = st.alpha, st.beta
     ae = st.alpha_eps
     k = assembly.stiffness(surface)
@@ -389,32 +397,57 @@ def _newton_step(st: _State) -> np.ndarray:
         lam4 = st.moment_live(4)
         w_t = 4.0 * alpha * beta * (st.s1 + ae * s3)
         kappa = 4.0 * alpha * alpha * beta * beta * lam4
-        uu = np.column_stack([st.mu_vec, w_t])
-        c2inv = np.array([[0.0, 1.0], [1.0, -kappa]])
-        mat = sp.bmat(
-            [
-                [h_c, sp.csc_matrix(uu), sp.csc_matrix(b)],
-                [sp.csc_matrix(uu.T), sp.csc_matrix(-c2inv), None],
-                [sp.csc_matrix(b.T), None, sp.csc_matrix((2, 2))],
-            ],
-            format="csc",
-        )
-        rhs = np.concatenate([-st.lagrangian_gradient, np.zeros(2), np.zeros(2)])
+        w = np.column_stack([st.mu_vec, w_t, b])
+        corner = np.zeros((4, 4))
+        corner[:2, :2] = [[0.0, -1.0], [-1.0, kappa]]
     else:
-        mat = sp.bmat(
-            [[h_c, sp.csc_matrix(b)], [sp.csc_matrix(b.T), sp.csc_matrix((2, 2))]],
-            format="csc",
-        )
-        rhs = np.concatenate([-st.lagrangian_gradient, np.zeros(2)])
+        w = b
+        corner = np.zeros((2, 2))
+    return h_c, w, corner, -st.lagrangian_gradient
 
+
+def _newton_step(st: _State) -> np.ndarray:
+    """Solve the KKT Newton system of ``st`` by block elimination; return δu.
+
+    One LU of h_c (symmetric mode, minimum-degree ordering of h_cᵀ + h_c)
+    solves for [r, w] at once; the border multipliers y then solve the
+    Schur complement S·y = wᵀh_c⁻¹r with S = wᵀh_c⁻¹w − corner, and
+    δu = h_c⁻¹r − h_c⁻¹w·y.  h_c is indefinite, so when its LU fails or S
+    is ill-conditioned after symmetric scaling (see ``SCHUR_COND_MAX``)
+    the bordered matrix (see :func:`_newton_system`) is factored instead.
+    """
+    h_c, w, corner, r = _newton_system(st)
     try:
-        lu = spla.splu(mat)
-        sol = lu.solve(rhs)
+        lu = spla.splu(h_c, permc_spec="MMD_AT_PLUS_A",
+                       options=dict(SymmetricMode=True))
+    except RuntimeError:
+        return _bordered_newton_step(h_c, w, corner, r)
+    sol = lu.solve(np.column_stack([r, w]))
+    x_r, z = sol[:, 0], sol[:, 1:]
+    schur = w.T @ z - corner
+    diag = np.abs(np.diag(schur))
+    if np.all(np.isfinite(sol)) and np.all(diag > 0.0):
+        scale = 1.0 / np.sqrt(diag)
+        scaled = schur * np.outer(scale, scale)
+        if np.linalg.cond(scaled) <= SCHUR_COND_MAX:
+            y = scale * np.linalg.solve(scaled, scale * (w.T @ x_r))
+            return x_r - z @ y
+    return _bordered_newton_step(h_c, w, corner, r)
+
+
+def _bordered_newton_step(h_c, w, corner, r) -> np.ndarray:
+    """δu from one LU of the whole bordered KKT matrix."""
+    mat = sp.bmat(
+        [[h_c, sp.csc_matrix(w)], [sp.csc_matrix(w.T), sp.csc_matrix(corner)]],
+        format="csc",
+    )
+    try:
+        sol = spla.splu(mat).solve(np.concatenate([r, np.zeros(w.shape[1])]))
     except RuntimeError as exc:
         raise NumericalError(f"KKT Newton factorization failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise NumericalError("KKT Newton solve produced non-finite values")
-    return sol[:n]
+    return sol[:r.size]
 
 
 def maximize_subcritical(
@@ -430,12 +463,16 @@ def maximize_subcritical(
     """Maximize F over {mean(u)=0, ‖∇u‖₂=1} for ε>0, α < λ₁.
 
     Deterministic given the seed: the default start is the first Neumann
-    eigenfunction scaled to unit energy.  Phase 1 is (K+M)-preconditioned
-    projected gradient ascent with adaptive step and a sufficient-increase
-    test; phase 2 is damped Newton on the bordered KKT system, accepting
-    steps only when the stationarity residual decreases, with one ascent
-    step where no damped Newton step does.  At most the current state and
-    one trial state are alive at a time.
+    eigenfunction scaled to unit energy.  Phase 1 is Riemannian gradient
+    ascent in the metric uᵀKv (:func:`_ascent_step`) with adaptive step and
+    a sufficient-increase test, until the stationarity residual is at most
+    ``newton_switch``.  Phase 2 is damped Newton, its KKT system solved by
+    block elimination (:func:`_newton_step`), accepting steps only when the
+    stationarity residual decreases, with one ascent step where no damped
+    Newton step does.  ``residual`` is the final state's stationarity
+    residual (see :func:`el_residual`) and ``converged`` compares that
+    same number with ``tol``.  At most the current state and one trial
+    state are alive at a time.
     """
     beta = _check_params(alpha, eps)
     if alpha > 0.0 or u0 is None:
@@ -456,13 +493,12 @@ def maximize_subcritical(
     st = _State(surface, _retract(surface, u), alpha, beta)
     tainted = st.tainted
 
-    km = assembly.km_solver(surface)
     step = 1.0
     n_ascent = 0
     for n_ascent in range(1, max_ascent + 1):
         if st.kkt_residual <= max(newton_switch, tol):
             break
-        accepted = _ascent_step(st, km, step)
+        accepted = _ascent_step(st, step)
         if accepted is None:
             break
         st, step = accepted
@@ -482,22 +518,43 @@ def maximize_subcritical(
             tau *= 0.5
         else:
             # One safeguarded ascent step, then retry Newton.
-            accepted = _ascent_step(st, km, 1.0)
+            accepted = _ascent_step(st, 1.0)
             if accepted is None:
                 break
             st = accepted[0]
             tainted = tainted or st.tainted
 
-    el_res = st.el_residual()
     return MaximizeResult(
         u=st.u,
         value=st.value,
-        residual=el_res,
+        residual=st.kkt_residual,
         ascent_iterations=n_ascent,
         newton_iterations=n_newton,
-        converged=bool(el_res <= tol),
+        converged=bool(st.kkt_residual <= tol),
         tainted=bool(tainted or st.tainted),
     )
+
+
+def best_seed(results: dict) -> str:
+    """Name of the result to report among runs from several seeds.
+
+    ``results`` maps seed names to :class:`MaximizeResult` in seed order.
+    A converged result beats an unconverged one; among equals the larger
+    F wins, but values within 1e-12 relative count as a tie, which keeps
+    the earlier seed, so last-bit noise cannot decide the choice.
+    """
+    names = iter(results)
+    best = next(names)
+    for name in names:
+        res, cur = results[name], results[best]
+        if res.converged != cur.converged:
+            better = res.converged
+        else:
+            better = res.value - cur.value > 1e-12 * max(abs(res.value),
+                                                         abs(cur.value))
+        if better:
+            best = name
+    return best
 
 
 # ---------------------------------------------------------------------------

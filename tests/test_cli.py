@@ -294,10 +294,10 @@ GOLDEN_COMMANDS = [
 GOLDEN_OUTPUTS = {
     "eig.json": "fcbbb15dd04fb4dcf93e95b54218df2e0bc1f5d770c3eb0bb05105a2a7956dd7",
     "eig.u0.json": "2b19d224ed609cd0908f0fdb1e2f57f1d4cf76d6c6eacea99820e3948ced7668",
-    "max0.json": "535822ad374e056fc8731d471173e9b3d60d4e8c37f1dd04decc786dbad00bc2",
-    "max0.u.json": "55cbf569018d72722ebde1999c823d8ea3463250b3f22492fc0e5fdfbeaf0d36",
-    "max1.json": "52219590748b3045e6094a76fe424768f8e8247884c9a8889d64561c59e28f49",
-    "max1.u.json": "51e7924844ae77e45f0af874cf3a151833faac01723470d36c5f1afdef45c581",
+    "max0.json": "b8e80edca92d4d41ec564a3afd3aa3602324b9346ec45a5ec63c21ce57785a86",
+    "max0.u.json": "f427fc7e2fb5a3a30e25d6d15dacabbeab7c1b94a588ba75721c2ff6d808a9dd",
+    "max1.json": "d1e469cea74cd70765c45bd749dc01c03ecd15b3f56cfe03cb60d78dd55833bb",
+    "max1.u.json": "e1674943c304e963158a7f4670a84d83a1c89b1182572f6d3850de70dfb17c24",
     "g0.json": "e18d8666d5b639efa941c2c1bbe21e5b1d94596d18a569280ba90e132f67baf3",
     "g0.G.json": "e2de9a86d149cde17c08bfbe059650f8f45f0edfd1cd3808cd49c98a4909e69d",
     "g05.json": "f99b934417f9fdfde1b9c7a4bee9912d50eee92268a4e144906c995f47d5d1a9",

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from tmlab import assembly, cli, moser, spectrum
 from tmlab.errors import PreconditionError, UsageError
@@ -171,30 +173,29 @@ def test_blowup_phi_nonpositive(half_disk, maximized):
     assert finite.max() <= 1e-10
 
 
-# sha256 of the psi and phi arrays of blowup_diagnostics at the better of
-# the eigen- and bubble-seeded maximizers (eps = 0.5), recorded with the
-# per-point evaluation loop.  The peak is the corner (0, 1), so part of each
+# sha256 of the psi and phi arrays of blowup_diagnostics at the maximizer
+# that moser.best_seed picks from the eigen and bubble seeds (eps = 0.5).  The peak is the corner (0, 1), so part of each
 # fan lies outside the domain and reads NaN.
 GOLDEN_BLOWUP = {
     ("h0.05", 0.0, 1.0): (
-        "217679b4c323ceccd6b017d5de7f8a6a00d28a9eccfb989f13a19b55bbdbd52e",
-        "9e6504e2e55a37c6e2743366ec2cbf0dc988700fe22624c5938234719e5f67a9",
+        "205a15ac6a1a12c19a8e837e94900b761283b0eb7c0f5fd70df2f1ec0265ec3c",
+        "fd0597f8b2143341eca5c643752212c9c8a839e39c8ffdcdb6bfebe795931d82",
     ),
     ("h0.05", 1.0, 1.0): (
-        "1ad496039d5606b098efe5b50871834f95d883e33fcf6cf0f64209b34f608b2a",
-        "665b58d85cb893ad5ef1c561496225ff2d4070410be2f9e475ee342b0cf8b192",
+        "c4050b3821ae8aceed32dc6fc312c5e4694d367d862e8a25d585f7c23c9b6605",
+        "afdd3e5514c05291b74152878bd3b737a58332fef0b4680ee8618954614bc33e",
     ),
     ("h0.05", 0.0, 40.0): (
-        "c55ed02e97e8fd15a781bfc86cb0c16824de026e55be47a9d1202e0ae143b9a1",
-        "0eb9e815e384d0fff1de1b4c2540bba2ff1de1e350b71d9d4964e64565c73fd6",
+        "f569f5f9735f86e8b0d1ddb61c9eacea033edc5739ca058e5cf3da200a257d85",
+        "aab3e590b109424bf2bc022db1e759ef5927ed2c0c4f7889e71eedd33d2cb967",
     ),
     ("h0.1 refined", 0.0, 1.0): (
-        "9dffe0db27192c82ba5271da898bb57b7d203e061a69a23368982df529cdff2f",
-        "2f082baf14d02670bb814746f3387a3f729546c5968f193d0d9df7fed44192bc",
+        "4a25de82a98be6baebd5b89c37afb9d8dfcb17f5d24df4870e7d72c54b9f2feb",
+        "b23885723947c80c40415619605d73a4592e26b0eaa9a97018144dc731650ddb",
     ),
     ("h0.1 refined", 1.0, 1.0): (
-        "fb19696baf596a19f3211081d75913eada49253267fcd6d292a8c6e6b8058cd1",
-        "3f281959280bdb994e4759b45eb82ea2b00d8751328f910d181b376da61c61b6",
+        "48243fd3c046b2a2206733a356a1f6963fc27e7079c39af5cfe3433c35feb789",
+        "649e473ca6c49c7f1ec3fc08132b090349eb8b513d64429baced18fce8fc7d36",
     ),
 }
 
@@ -206,9 +207,10 @@ def blowup_maximizers(half_disk, half_disk_fine):
     for mesh, alpha, _ in GOLDEN_BLOWUP:
         if (mesh, alpha) not in out:
             s = meshes[mesh]
-            runs = [moser.maximize_subcritical(s, alpha, 0.5, u0=u0)
-                    for u0 in (cli._eigen_seed(s), cli._bubble_seed(s))]
-            out[mesh, alpha] = s, max(runs, key=lambda r: r.value).u
+            runs = {name: moser.maximize_subcritical(s, alpha, 0.5, u0=u0)
+                    for name, u0 in (("eigen", cli._eigen_seed(s)),
+                                     ("bubble", cli._bubble_seed(s)))}
+            out[mesh, alpha] = s, runs[moser.best_seed(runs)].u
     return out
 
 
@@ -252,8 +254,8 @@ def test_newton_fallback_ascent_step(half_disk, monkeypatch):
     accepted = []
     ascent = moser._ascent_step
 
-    def recorded(st, km, step):
-        out = ascent(st, km, step)
+    def recorded(st, step):
+        out = ascent(st, step)
         accepted.append(out is not None)
         return out
 
@@ -268,3 +270,95 @@ def test_newton_fallback_ascent_step(half_disk, monkeypatch):
     assert res.newton_iterations >= len(fallback)
     assert math.isfinite(res.value)
     assert res.value >= phase1.value
+
+
+# ---------------------------------------------------------------------------
+# phase 1 in the K metric, Newton by block elimination
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3])
+@pytest.mark.parametrize("seed", ["eigen", "bubble"])
+def test_phase1_reaches_newton_switch(half_disk_fine, ratio, seed):
+    # A (K+M)⁻¹ direction projected K-orthogonally need not ascend, so
+    # phase 1 used to stop at residual ~0.08 before Newton took over.
+    s = half_disk_fine
+    u0 = cli._eigen_seed(s) if seed == "eigen" else cli._bubble_seed(s)
+    alpha = ratio * spectrum.lambda1(s).value
+    res = moser.maximize_subcritical(s, alpha, 0.5, u0=u0, max_newton=0)
+    assert res.ascent_iterations < 500
+    assert res.residual <= 1e-3
+
+
+@pytest.fixture(scope="module")
+def newton_states(half_disk_fine):
+    s = half_disk_fine
+    lam1 = spectrum.lambda1(s).value
+    out = {}
+    for ratio in (0.0, 0.3):
+        alpha = ratio * lam1
+        res = moser.maximize_subcritical(s, alpha, 0.5, max_newton=0)
+        out[ratio] = moser._State(s, res.u, alpha, TWO_PI - 0.5)
+    return out
+
+
+def _bordered_reference(st):
+    h_c, w, corner, r = moser._newton_system(st)
+    mat = sp.bmat([[h_c, sp.csc_matrix(w)],
+                   [sp.csc_matrix(w.T), sp.csc_matrix(corner)]], format="csc")
+    rhs = np.concatenate([r, np.zeros(w.shape[1])])
+    return spla.splu(mat).solve(rhs)[:r.size]
+
+
+def _splu_sizes(monkeypatch, fail_on_h=False):
+    sizes = []
+    splu = spla.splu
+
+    def recorded(mat, *args, **kwargs):
+        sizes.append(mat.shape[0])
+        if fail_on_h and kwargs.get("permc_spec") == "MMD_AT_PLUS_A":
+            raise RuntimeError("Factor is exactly singular")
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(moser.spla, "splu", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3])
+def test_block_newton_step_matches_bordered_solve(newton_states, ratio,
+                                                  monkeypatch):
+    st = newton_states[ratio]
+    ref = _bordered_reference(st)
+    sizes = _splu_sizes(monkeypatch)
+    du = moser._newton_step(st)
+    assert sizes == [st.u.size]  # h_c only: no fallback
+    assert np.linalg.norm(du - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3])
+def test_newton_step_falls_back_to_bordered_lu(newton_states, ratio,
+                                               monkeypatch):
+    st = newton_states[ratio]
+    block = moser._newton_step(st)
+    sizes = _splu_sizes(monkeypatch, fail_on_h=True)
+    du = moser._newton_step(st)
+    n_border = 2 if ratio == 0.0 else 4
+    assert sizes == [st.u.size, st.u.size + n_border]
+    assert np.linalg.norm(du - block) <= 1e-12 * np.linalg.norm(block)
+
+
+def test_best_seed_prefers_converged_then_first_of_a_tie():
+    def res(value, converged=True):
+        return moser.MaximizeResult(u=None, value=value, residual=0.0,
+                                    ascent_iterations=0, newton_iterations=0,
+                                    converged=converged, tainted=False)
+
+    # Values 1.8e-15 apart (the max1 golden's two seeds) are a tie.
+    tie = {"eigen": res(6257.866447602814), "bubble": res(6257.866447602825)}
+    assert moser.best_seed(tie) == "eigen"
+    assert moser.best_seed({"eigen": res(1.0), "bubble": res(1.0 + 1e-9)}) \
+        == "bubble"
+    assert moser.best_seed({"eigen": res(2.0, False), "bubble": res(1.0)}) \
+        == "bubble"
+    assert moser.best_seed({"eigen": res(1.0), "bubble": res(2.0, False)}) \
+        == "eigen"

@@ -241,7 +241,7 @@ def test_unit_radius_gap_of_synthetic_profile():
 
 def test_concentration_study_rejects_unconverged_rung(half_disk):
     # Near θ = −0.2 the maximizers on this mesh stall far from stationarity
-    # (residual ≈ 0.16 on the first rung); a profile from such a state is
+    # (residual ≈ 0.07 on the first rung); a profile from such a state is
     # not a maximizer's and must not be reported.
     vtx = witness.smooth_boundary_vertex(
         half_disk, (math.cos(-0.2), math.sin(-0.2))
