@@ -234,25 +234,23 @@ def km_solver(surface: Surface):
     return surface.cache[key]
 
 
-def neumann_solver(surface: Surface) -> tuple:
-    """K bordered with M·1, ``[[K, M·1], [(M·1)ᵀ, 0]]``, and its LU factors.
+def neumann_solver(surface: Surface):
+    """LU solver for K bordered with M·1, ``[[K, M·1], [(M·1)ᵀ, 0]]``.
 
     Solving it for ``[b; 0]`` gives the mean-zero x with Kx = b − μ·M·1:
-    the Riesz representative of b in the mean-zero H¹ seminorm uᵀKu, and
-    the α = 0 Neumann Green solve.  Exact zeros of K (edges whose two
-    opposite angles sum to π, as on a rectangle's diagonals) are dropped
-    from the pattern.  Cached per surface as ``(matrix, lu)``.
+    the Riesz representative of b in the mean-zero H¹ seminorm uᵀKu.
+    Exact zeros of K (edges whose two opposite angles sum to π, as on a
+    rectangle's diagonals) are dropped from the pattern.
     """
     key = "lu_K_bordered"
     if key not in surface.cache:
         k = stiffness(surface).tocsc()
         k.eliminate_zeros()
         m1 = mass_row_of_ones(surface)
-        mat = sp.bmat(
+        surface.cache[key] = _splu(sp.bmat(
             [[k, sp.csc_matrix(m1[:, None])], [sp.csc_matrix(m1[None, :]), None]],
             format="csc",
-        )
-        surface.cache[key] = (mat, _splu(mat))
+        ))
     return surface.cache[key]
 
 

@@ -70,24 +70,20 @@ def green_function(surface: Surface, vertex: int, alpha: float = 0.0) -> GreenRe
             )
 
     n = surface.num_vertices
+    k = assembly.stiffness(surface)
     m = assembly.mass(surface)
     m1 = assembly.mass_row_of_ones(surface)
     a = assembly.area(surface)
 
     rhs = -m1 / a
     rhs[vertex] += 1.0
+    mat = sp.bmat(
+        [[(k - alpha * m).tocsc(), sp.csc_matrix(m1[:, None])],
+         [sp.csc_matrix(m1[None, :]), None]],
+        format="csc",
+    )
     try:
-        if alpha == 0.0:
-            # The mean-zero Neumann matrix, factored once per surface.
-            mat, lu = assembly.neumann_solver(surface)
-        else:
-            k = assembly.stiffness(surface)
-            mat = sp.bmat(
-                [[(k - alpha * m).tocsc(), sp.csc_matrix(m1[:, None])],
-                 [sp.csc_matrix(m1[None, :]), None]],
-                format="csc",
-            )
-            lu = spla.splu(mat)
+        lu = spla.splu(mat)
         sol, residual = assembly.refined_solve(
             lu, mat, np.concatenate([rhs, [0.0]]), 1e-13
         )

@@ -228,7 +228,7 @@ class _State:
         """Stationarity residual: dual norm of the Lagrangian gradient over 2|A|.
 
         With A = βλ_ε(1 + 2αs), the Lagrangian gradient over 2A is, up to
-        sign, the Euler–Lagrange residual of :func:`el_residual`.
+        sign and rounding, the Euler–Lagrange residual of :func:`el_residual`.
         """
         denom = max(2.0 * abs(self.multipliers[0]), 1e-300)
         return assembly.dual_norm(self.surface, self.lagrangian_gradient) / denom
@@ -306,10 +306,22 @@ def el_residual(surface: Surface, u, alpha: float, eps: float) -> float:
     The equation (for a unit-energy maximizer) reads
         K u = (β_ε/λ_ε) ∫ u e^E φ + γ_ε M u − (μ_ε/λ_ε) M·1,
     and the residual is measured in the (K+M)⁻¹ dual norm, which is
-    mesh-size robust.  It is the maximizer's stationarity residual, so a
-    result's ``residual`` is this value at its ``u``.
+    mesh-size robust.  At a feasible u it equals, up to rounding, the
+    maximizer's stationarity residual (``MaximizeResult.residual``), but it
+    is computed from :func:`el_coefficients`, independently of the KKT
+    multipliers, so it can check a result.  A zero state raises
+    :class:`PreconditionError`.
     """
-    return _State(surface, u, alpha, _check_params(alpha, eps)).kkt_residual
+    st = _State(surface, u, alpha, _check_params(alpha, eps))
+    co = st.coefficients
+    lam = co.lambda_eps
+    r = (
+        st.ku
+        - (co.beta_eps / lam) * st.s1
+        - co.gamma_eps * st.mu_vec
+        + (co.mu_eps / lam) * assembly.mass_row_of_ones(surface)
+    )
+    return assembly.dual_norm(surface, r)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +350,7 @@ def _ascent_step(st: _State, step: float):
     zero (stationary to machine precision) or no step increases F enough.
     """
     surface, u, g = st.surface, st.u, st.gradient
-    _, lu = assembly.neumann_solver(surface)
-    d = lu.solve(np.append(g, 0.0))[:-1]
+    d = assembly.neumann_solver(surface).solve(np.append(g, 0.0))[:-1]
     d -= float(st.ku @ d) * u
     slope = float(g @ d)
     if not slope > 0:
@@ -470,8 +481,9 @@ def maximize_subcritical(
     block elimination (:func:`_newton_step`), accepting steps only when the
     stationarity residual decreases, with one ascent step where no damped
     Newton step does.  ``residual`` is the final state's stationarity
-    residual (see :func:`el_residual`) and ``converged`` compares that
-    same number with ``tol``.  At most the current state and one trial
+    residual, the number the loop stops on, and ``converged`` compares
+    that same number with ``tol``; :func:`el_residual` recomputes it from
+    the Euler–Lagrange form.  At most the current state and one trial
     state are alive at a time.
     """
     beta = _check_params(alpha, eps)

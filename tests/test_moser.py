@@ -108,6 +108,24 @@ def test_maximize_stationarity(half_disk, maximized):
     assert res <= 1e-6
 
 
+def test_el_residual_matches_stationarity_residual(half_disk, maximized, rng):
+    # The EL form and the KKT form of one residual, computed independently.
+    res = moser.el_residual(half_disk, maximized.u, alpha=0.0, eps=0.5)
+    assert abs(res - maximized.residual) <= 1e-12
+    for alpha in (0.0, 0.4):
+        u = _feasible(half_disk, rng)
+        st = moser._State(half_disk, u, alpha, 2.0 * math.pi - 0.5)
+        assert moser.el_residual(half_disk, u, alpha, 0.5) == \
+            pytest.approx(st.kkt_residual, rel=1e-10)
+
+
+def test_el_residual_rejects_zero_state(half_disk):
+    zero = np.zeros(half_disk.num_vertices)
+    for alpha in (0.0, 0.4):
+        with pytest.raises(PreconditionError):
+            moser.el_residual(half_disk, zero, alpha, 0.5)
+
+
 def test_maximize_beats_feasible_competitors(half_disk, maximized, rng):
     for _ in range(3):
         u = _feasible(half_disk, rng)
