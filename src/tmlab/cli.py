@@ -110,7 +110,7 @@ def _write_field(path: str, values, mesh_hash: str,
         "format_version": 1,
         "kind": "field",
         "mesh_hash": mesh_hash,
-        "values": [float(v) for v in values],
+        "values": np.asarray(values, dtype=float).tolist(),
     }
     records.write_json(path, payload, record)
 
@@ -119,10 +119,11 @@ def _write_profile(path: str, xs, ys, record: records.RunRecord) -> None:
     """Two-column whitespace-separated plot data with a comment header."""
     import json as _json
 
+    xs, ys = records.require_finite(xs), records.require_finite(ys)
     compact = _json.dumps(record.to_dict(), separators=(",", ":"))
     lines = [f"# run_record: {compact}"]
-    for x, y in zip(xs, ys):
-        lines.append(f"{float(x):.17g} {float(y):.17g}")
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        lines.append(f"{x:.17g} {y:.17g}")
     records.write_text_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -7,6 +7,13 @@ constructing code), floats rendered with ``%.17g`` (round-trip exact),
 and atomic replace-on-write so readers never observe partial files.
 Wall-clock timing is omitted unless explicitly requested, keeping default
 outputs byte-identical across runs.
+
+The serializer formats numeric arrays in one pass: a flat list whose
+elements are all exactly ``float`` or all exactly ``int``, and a matrix of
+equal-length ``list`` rows of one such type (vertices, triangles, field
+values), are checked for finiteness once and joined without recursing per
+value.  Every other shape takes the recursive path, and both paths apply
+the same scalar rule, so the bytes do not depend on which one ran.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -52,17 +60,82 @@ def hash_file(path: str) -> str:
     return digest.hexdigest()
 
 
+_NON_FINITE = "non-finite value cannot be serialized"
+
+
+def require_finite(values) -> np.ndarray:
+    """``values`` as a float array; UsageError if any of them is NaN or inf."""
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise UsageError(_NON_FINITE)
+    return a
+
+
 def _fmt_float(x: float) -> str:
     if not np.isfinite(x):
-        raise UsageError("non-finite value cannot be serialized")
+        raise UsageError(_NON_FINITE)
     if x == int(x) and abs(x) < 1e16:
         # Keep integral floats readable but unambiguous.
         return f"{x:.1f}"
     return format(x, ".17g")
 
 
+def _fmt_floats(values: list) -> list:
+    """``_fmt_float`` of every element of a list of floats, vectorized.
+
+    For a finite float, ``x == int(x)`` holds exactly when
+    ``x == trunc(x)``, so the integral mask selects the same elements as
+    the scalar rule, and both format each element with the same spec.
+    """
+    a = require_finite(values)
+    cells = list(map("{:.17g}".format, values))
+    integral = (a == np.trunc(a)) & (np.abs(a) < 1e16)
+    for i in np.flatnonzero(integral).tolist():
+        cells[i] = "{:.1f}".format(values[i])
+    return cells
+
+
+def _fmt_scalars(values: list, types: set) -> list | None:
+    """Cells of a list whose element types are ``types``, or None unless
+    they are all exactly ``int`` or all exactly ``float``."""
+    if types == {int}:
+        return list(map(str, values))
+    if types == {float}:
+        return _fmt_floats(values)
+    return None
+
+
+def _numeric_array(seq: list, pad: str, pad_in: str) -> str | None:
+    """The bytes the recursive path gives for a flat numeric list or a
+    matrix of equal-length numeric ``list`` rows; None for any other shape."""
+    types = set(map(type, seq))
+    if types != {list}:
+        cells = _fmt_scalars(seq, types)
+        return None if cells is None else "[" + ", ".join(cells) + "]"
+    widths = set(map(len, seq))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    flat = list(chain.from_iterable(seq))
+    cells = _fmt_scalars(flat, set(map(type, flat)))
+    if cells is None:
+        return None
+    (k,) = widths
+    rows = [
+        f"{pad_in}[" + ", ".join(cells[i:i + k]) + "]"
+        for i in range(0, len(cells), k)
+    ]
+    return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+
+
 def canonical_json(obj, indent: int = 0) -> str:
-    """Serialize with deterministic layout and round-trip-exact floats."""
+    """Serialize with deterministic layout and round-trip-exact floats.
+
+    Lists, tuples and arrays of exactly-``float`` or exactly-``int``
+    elements, and lists of equal-length, non-empty ``list`` rows of one
+    such type, are formatted in one pass by ``_numeric_array``.  Bools,
+    numpy scalars, mixed ``int``/``float``, tuple rows, ragged or empty
+    rows and dicts recurse per value.  Both paths give the same bytes.
+    """
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -77,6 +150,9 @@ def canonical_json(obj, indent: int = 0) -> str:
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         if not seq:
             return "[]"
+        fast = _numeric_array(seq, pad, pad_in)
+        if fast is not None:
+            return fast
         scalar = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
         if scalar:
             return "[" + ", ".join(canonical_json(v) for v in seq) + "]"

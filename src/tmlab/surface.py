@@ -187,12 +187,7 @@ class Surface:
 
     def edge_lengths(self) -> np.ndarray:
         """(nt, 3) lengths of edges opposite each local vertex."""
-        c = self.tri_coords()
-        out = np.empty((self.num_triangles, 3))
-        for k in range(3):
-            d = c[:, (k + 1) % 3] - c[:, (k + 2) % 3]
-            out[:, k] = np.hypot(d[:, 0], d[:, 1])
-        return out
+        return _edge_lengths(self.tri_coords())
 
     def boundary_vertex_indices(self) -> np.ndarray:
         return np.unique(self.boundary_edges)
@@ -256,10 +251,10 @@ class Surface:
         return {
             "format_version": 1,
             "domain": self.spec.to_dict(),
-            "vertices": [[float(x), float(y)] for x, y in self.vertices],
-            "triangles": [[int(a), int(b), int(c)] for a, b, c in self.triangles],
-            "boundary_edges": [[int(u), int(v)] for u, v in self.boundary_edges],
-            "f_nodal": [float(v) for v in self.f_nodal],
+            "vertices": self.vertices.tolist(),
+            "triangles": self.triangles.tolist(),
+            "boundary_edges": self.boundary_edges.tolist(),
+            "f_nodal": self.f_nodal.tolist(),
         }
 
     @classmethod
@@ -282,6 +277,15 @@ class Surface:
         """Stable sha256 over the canonical serialized form."""
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _edge_lengths(c: np.ndarray) -> np.ndarray:
+    """(nt, 3) edge lengths from (nt, 3, 2) triangle coordinates."""
+    out = np.empty(c.shape[:2])
+    for k in range(3):
+        d = c[:, (k + 1) % 3] - c[:, (k + 2) % 3]
+        out[:, k] = np.hypot(d[:, 0], d[:, 1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +627,11 @@ def adapt_for_point(
     cx, cy = float(center[0]), float(center[1])
     surf = surface
     for _ in range(max_rounds):
-        cc = surf.tri_coords().mean(axis=1)
+        c = surf.tri_coords()
+        cc = c.mean(axis=1)
         d = np.hypot(cc[:, 0] - cx, cc[:, 1] - cy)
         target = np.maximum(inner_scale, np.minimum(d, outer_radius)) / ratio
-        longest = surf.edge_lengths().max(axis=1)
+        longest = _edge_lengths(c).max(axis=1)
         marks = (longest > target) & (d <= outer_radius + longest)
         if not marks.any():
             return surf

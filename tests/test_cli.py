@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tmlab import cli, records
+from tmlab.errors import UsageError
 from tmlab.surface import Surface
 
 
@@ -217,6 +218,16 @@ def test_witness_vertex_must_be_smooth_boundary(half_disk_mesh, tmp_path,
     assert not out.exists()
 
 
+def test_profile_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "p.dat"
+    record = records.RunRecord("witness", {})
+    with pytest.raises(UsageError, match="non-finite"):
+        cli._write_profile(str(path), [0.0, 0.5], [1.0, float("nan")], record)
+    with pytest.raises(UsageError, match="non-finite"):
+        cli._write_profile(str(path), [float("inf")], [1.0], record)
+    assert not path.exists()
+
+
 def test_witness_overflow_exits_4(half_disk_mesh, tmp_path):
     assert run("witness", "--kind", "moser", "--mesh", str(half_disk_mesh),
                "--eps", "1e-3", "--beta", "5000",
@@ -292,6 +303,10 @@ GOLDEN_COMMANDS = [
 # sha256 of each output file; for sweep.csv, of the lines after the run
 # record (the header and the data rows).
 GOLDEN_OUTPUTS = {
+    "half.json": "b72f691123898590b9b2b3e908c78fdf74fb02bc91054f7a7ab8057cffffba77",
+    "hd.json": "e62df9444ea9f77f2e96e5fc4f9b54ec8098139cc9f000504d99382a19010da1",
+    "hd2.json": "0871d3fdd531ea51f51ec5636f3896c1f278a3b83298773e1316cdfb09b22759",
+    "r.json": "4eca5819c5b707410df111f21532b5d716556743f88556e1d03f03aae2a9bb22",
     "eig.json": "fcbbb15dd04fb4dcf93e95b54218df2e0bc1f5d770c3eb0bb05105a2a7956dd7",
     "eig.u0.json": "2b19d224ed609cd0908f0fdb1e2f57f1d4cf76d6c6eacea99820e3948ced7668",
     "max0.json": "b8e80edca92d4d41ec564a3afd3aa3602324b9346ec45a5ec63c21ce57785a86",

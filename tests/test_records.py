@@ -108,3 +108,157 @@ def test_written_files_respect_umask(tmp_path, umask):
         os.umask(old)
     assert path.stat().st_mode & 0o777 == 0o666 & ~umask
     assert json.loads(path.read_text())["x"] == 1.5
+
+
+# ---------------------------------------------------------------------------
+# One-pass numeric arrays against the per-value recursion
+# ---------------------------------------------------------------------------
+
+
+def _recursive_fmt_float(x: float) -> str:
+    if not np.isfinite(x):
+        raise UsageError("non-finite value cannot be serialized")
+    if x == int(x) and abs(x) < 1e16:
+        return f"{x:.1f}"
+    return format(x, ".17g")
+
+
+def _recursive_json(obj, indent: int = 0) -> str:
+    """The serializer before numeric arrays took a one-pass path."""
+    pad = "  " * indent
+    pad_in = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{pad_in}{json.dumps(str(k))}: {_recursive_json(v, indent + 1)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
+        if not seq:
+            return "[]"
+        scalar = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
+        if scalar:
+            return "[" + ", ".join(_recursive_json(v) for v in seq) + "]"
+        items = [f"{pad_in}{_recursive_json(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _recursive_fmt_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise UsageError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _random_float(rng: np.random.Generator) -> float:
+    kind = rng.integers(6)
+    if kind == 0:
+        return float(rng.integers(-5, 6))  # integral, incl. 0.0
+    if kind == 1:
+        return float(rng.choice([-0.0, 1e16, -1e16, 1e16 - 2, 2.0**53, 1e300]))
+    if kind == 2:
+        return float(rng.choice([5e-324, -2.5e-310, 2.2250738585072014e-308]))
+    if kind == 3:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-20, 21))
+    return float(rng.uniform(-1, 1))
+
+
+def _random_scalar(rng: np.random.Generator):
+    kind = rng.integers(7)
+    if kind == 0:
+        return int(rng.integers(-10**6, 10**6))
+    if kind == 1:
+        return bool(rng.integers(2))
+    if kind == 2:
+        return None
+    if kind == 3:
+        return "s" + str(rng.integers(100))
+    if kind == 4:
+        return np.float64(_random_float(rng))
+    return _random_float(rng)
+
+
+def _random_array(rng: np.random.Generator):
+    """A flat list or matrix that is numeric most of the time."""
+    rows, cols = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+    make = (lambda: _random_float(rng)) if rng.integers(2) else (
+        lambda: int(rng.integers(-10**12, 10**12)))
+    if rng.integers(2):
+        out = [make() for _ in range(cols)]
+    else:
+        out = [[make() for _ in range(cols)] for _ in range(rows)]
+        if out and rng.integers(4) == 0:
+            out[int(rng.integers(len(out)))].append(make())  # ragged
+    if out and rng.integers(5) == 0:
+        out[int(rng.integers(len(out)))] = _random_scalar(rng)  # mixed
+    return out
+
+
+def _random_doc(rng: np.random.Generator, depth: int = 0):
+    kind = rng.integers(5) if depth < 3 else 4
+    if kind == 0:
+        return {f"k{i}": _random_doc(rng, depth + 1)
+                for i in range(int(rng.integers(0, 4)))}
+    if kind == 1:
+        return [_random_doc(rng, depth + 1) for _ in range(int(rng.integers(0, 4)))]
+    if kind == 2:
+        return _random_array(rng)
+    if kind == 3:
+        return np.asarray(rng.standard_normal((int(rng.integers(1, 4)), 2)))
+    return _random_scalar(rng)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_numeric_arrays_match_recursive_serializer(seed):
+    rng = np.random.default_rng(seed)
+    doc = {"doc": [_random_doc(rng) for _ in range(6)]}
+    assert records.canonical_json(doc) == _recursive_json(doc)
+
+
+EDGE_CASES = {
+    "negative_zero": [-0.0, 0.0, -0.0],
+    "around_1e16": [1e16 - 2, 1e16, -1e16, 1e16 + 2, 9999999999999998.0],
+    "huge": [1e300, -1e300, 1.7976931348623157e308],
+    "subnormal": [5e-324, -5e-324, 2.2250738585072009e-308],
+    "big_ints": [2**63, -(2**63) - 1, 10**40, 0],
+    "int_then_float": [1, 2.0],
+    "bool_then_int": [True, 1],
+    "bools": [True, False],
+    "np_float64": [np.float64(0.5), np.float64(2.0)],
+    "np_mixed": [0.5, np.float64(2.0)],
+    "tuple_rows": [(1.0, 2.5), (3.0, 4.5)],
+    "tuple_of_floats": (1.0, 0.25),
+    "ragged_rows": [[1.0, 2.0], [3.0]],
+    "empty_rows": [[], []],
+    "empty_and_full_rows": [[], [1.0]],
+    "one_row_matrix": [[0.5, 1.0, -0.0]],
+    "int_matrix": [[0, 1, 2], [3, 4, 2**70]],
+    "mixed_type_rows": [[1, 2], [1.5, 2.5]],
+    "three_levels": [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.5]]],
+    "matrix_in_dict": {"a": {"b": [[0.1, 0.2], [0.3, 0.4]]}},
+    "array_2d": np.array([[1.0, 0.5], [-0.0, 3e-310]]),
+    "array_int": np.arange(5, dtype=np.int64),
+    "array_bool": np.array([True, False]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_numeric_array_edge_cases_match_recursive(name):
+    obj = EDGE_CASES[name]
+    assert records.canonical_json(obj) == _recursive_json(obj)
+    assert records.canonical_json({"x": obj}) == _recursive_json({"x": obj})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_in_numeric_arrays_rejected(bad):
+    with pytest.raises(UsageError, match="non-finite"):
+        records.canonical_json([0.5, bad, 1.0])
+    with pytest.raises(UsageError, match="non-finite"):
+        records.canonical_json({"m": [[0.5, 1.0], [2.0, bad]]})
