@@ -378,6 +378,8 @@ def _witness_bubble(args, started) -> int:
         "kind": "bubble", "rho_max": args.rho_max, "samples": n,
     }
     record = _record("witness", params, {}, started, args.timing)
+    if args.plot:
+        rho, phi = records.require_finite(rho), records.require_finite(phi)
     records.write_json(args.out, payload, record)
     if args.plot:
         _write_profile(args.plot, rho, phi, record)
@@ -417,10 +419,12 @@ def _witness_moser(args, started, surf, mesh_hash, vertex) -> int:
     }
     record = _record("witness", params, {"mesh": mesh_hash}, started,
                      args.timing)
-    records.write_json(args.out, payload, record)
     if args.plot:
         xs, ys = _radial_profile(surf, state.v, surf.vertices[state.vertex],
                                  r_max=3.0 * state.delta)
+        xs, ys = records.require_finite(xs), records.require_finite(ys)
+    records.write_json(args.out, payload, record)
+    if args.plot:
         _write_profile(args.plot, xs, ys, record)
     print(f"witness moser: F = {fv.value:.12g} -> {args.out}")
     return 0
@@ -440,12 +444,14 @@ def _witness_glued(args, started, surf, mesh_hash, vertex) -> int:
     }
     record = _record("witness", params, {"mesh": mesh_hash}, started,
                      args.timing)
-    records.write_json(args.out, payload, record)
     if args.plot:
         xs, ys = _radial_profile(
             state.surface, state.v,
             state.surface.vertices[state.vertex], r_max=1.0,
         )
+        xs, ys = records.require_finite(xs), records.require_finite(ys)
+    records.write_json(args.out, payload, record)
+    if args.plot:
         _write_profile(args.plot, xs, ys, record)
     print(
         f"witness glued: F = {check['value']:.12g} vs bound "

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -148,7 +148,11 @@ class Surface:
     f_nodal : (nv,) float array, conformal factor at vertices
     spec : DomainSpec
     cache : dict
-        Scratch space for assembled operators; dropped on serialization.
+        Scratch space for assembled operators and for the bisection record
+        (``"bisection"``: each triangle's reference-edge rotation, its
+        neighbours, centroid and longest edge) that `refine_local` carries
+        from round to round; dropped on serialization.  `adapt_for_point`
+        drops the record from the surface it returns.
     """
 
     vertices: np.ndarray
@@ -508,6 +512,65 @@ def refine(surface: Surface) -> Surface:
     )
 
 
+class _Bisection(NamedTuple):
+    """Per-surface state carried from one ``refine_local`` round to the next.
+
+    ``rot`` (nt, 3) is each triangle rotated, still CCW, so that edge 0–1 is
+    its reference edge; ``nbr[k, t]`` (3, nt) is the triangle across edge
+    k → k + 1 of ``rot[t]``, −1 on the boundary; ``centroid`` (nt, 2) and
+    ``longest`` (nt,) are each triangle's vertex mean and longest edge, as
+    ``adapt_for_point`` reads them.
+    """
+
+    rot: np.ndarray
+    nbr: np.ndarray
+    centroid: np.ndarray
+    longest: np.ndarray
+
+
+_BISECTION = "bisection"
+
+
+def _bisection(surface: Surface) -> _Bisection:
+    """The surface's bisection record, built with one whole-mesh pass if absent."""
+    rec = surface.cache.get(_BISECTION)
+    if rec is None:
+        rot, centroid, longest = _measure(surface.tri_coords(), surface.triangles)
+        rec = _Bisection(rot, _neighbours(rot, surface.num_vertices), centroid,
+                         longest)
+        surface.cache[_BISECTION] = rec
+    return rec
+
+
+def _measure(c: np.ndarray, tris: np.ndarray):
+    """``(rot, centroid, longest)`` of the rows ``tris`` with coordinates ``c``.
+
+    The reference edge is the longest edge, ties going to the larger sorted
+    vertex pair.
+    """
+    nxt = np.roll(tris, -1, axis=1)
+    d = c - c[:, [1, 2, 0]]
+    sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    # Largest (sq, lo, hi) in each row: no vertex count enters, so a row
+    # carried into a larger mesh keeps the rotation a rebuild would give it.
+    first = np.lexsort((np.maximum(tris, nxt), np.minimum(tris, nxt), sq))[:, -1]
+    rot = np.take_along_axis(tris, (first[:, None] + np.arange(3)) % 3, axis=1)
+    return rot, c.mean(axis=1), _edge_lengths(c).max(axis=1)
+
+
+def _neighbours(rot: np.ndarray, n: int) -> np.ndarray:
+    """(3, len(rot)) row of the triangle across each edge of ``rot``, or −1
+    where no other row of ``rot`` shares it; ``n`` exceeds every vertex."""
+    _, _, inverse, _ = _edge_topology(rot, n)
+    order = np.argsort(inverse, kind="stable")
+    twin = inverse[order[1:]] == inverse[order[:-1]]
+    a, b = order[:-1][twin], order[1:][twin]
+    out = np.full(inverse.size, -1, dtype=np.int64)
+    out[a] = b % rot.shape[0]
+    out[b] = a % rot.shape[0]
+    return out.reshape(3, -1)
+
+
 def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
     """Bisect the marked triangles and close the refinement conformingly.
 
@@ -521,10 +584,28 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
     is conforming because every marked edge is split at its midpoint in both
     triangles containing it, and triangles with no marked edge are unchanged.
 
-    Each call is a few whole-mesh numpy passes.  Unsplit triangles keep
-    their input rows and order at the front of the result; the children
-    follow, grouped by their place in the split pattern and in parent order
-    within each group.  Midpoints of arc chords are reprojected onto the arc.
+    Cost.  The work follows the surface's bisection record, kept in
+    ``surface.cache`` (see `_Bisection`).  A surface without one pays one
+    whole-mesh pass, an edge sort, to build it; the result carries its own,
+    derived from the input's, so a sequence of rounds sorts the whole mesh
+    once.  The closure is a walk from the marked triangles to the neighbours
+    across their reference edges, and only the children are measured and
+    linked, to one another and to the unchanged triangles around them, by an
+    edge sort of that patch.  What each round still does to the whole mesh
+    is a few copies and gathers, no sort.  The boundary edges are the slots
+    with no neighbour, sorted by (u, v) as `_extract_boundary` sorts them.
+
+    Numbering.  Unsplit triangles keep their input rows and order at the
+    front of the result; the children follow, grouped by their place in the
+    split pattern and in parent order within each group.  Midpoints are
+    numbered in the order of the first triangle bisected across their edge:
+    a cut triangle owns the midpoint of its reference edge unless the
+    neighbour across it shares that reference edge and has a lower index.
+    This is the order a whole-mesh pass over the sorted edges gives, and the
+    children's rotations, centroids and longest edges are computed from
+    their output rows with the whole-mesh arithmetic, so every mesh, and
+    every record, is bit for bit what a rebuild from scratch gives.
+    Midpoints of arc chords are reprojected onto the arc.
     """
     marked = np.asarray(marked)
     nv, nt = surface.num_vertices, surface.num_triangles
@@ -533,38 +614,29 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
     if not marked.any():
         return surface
     verts, tris = surface.vertices, surface.triangles
+    rot, nbr, centroid, longest = _bisection(surface)
 
-    # Rotate each triangle, keeping it CCW, so that edge 0-1 is its
-    # reference edge.  Edge k runs from local vertex k to k + 1.
-    nxt = np.roll(tris, -1, axis=1)
-    d = verts[tris] - verts[nxt]
-    sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
-    pair = np.minimum(tris, nxt) * nv + np.maximum(tris, nxt)
-    first = np.lexsort((pair, sq))[:, -1]  # largest (sq, pair) in each row
-    rot = np.take_along_axis(tris, (first[:, None] + np.arange(3)) % 3, axis=1)
+    # Closure: a cut triangle's reference edge is split, so the neighbour
+    # across it has a split edge and is cut too.
+    cut = marked.copy()
+    front = np.flatnonzero(marked)
+    while front.size:
+        nxt = nbr[0, front]
+        nxt = nxt[nxt >= 0]
+        front = np.unique(nxt[~cut[nxt]])
+        cut[front] = True
 
-    # Closure.  Row k of ``eid`` holds the edge id of edge k of each triangle.
-    _, keys, inverse, counts = _edge_topology(rot, nv)
-    eid = inverse.reshape(3, nt)
-    split = np.zeros(keys.size, dtype=bool)
-    split[eid[0, marked]] = True
-    while True:
-        grow = (split[eid[1]] | split[eid[2]]) & ~split[eid[0]]
-        if not grow.any():
-            break
-        split[eid[0, grow]] = True
-
-    # One midpoint per split edge, numbered in the order of the first
-    # triangle bisected across that edge.
-    cut = split[eid[0]]
-    ref, at = np.unique(eid[0, cut], return_index=True)
-    sid = ref[np.argsort(at)]
-    ends = np.column_stack(np.divmod(keys[sid], nv))
+    idx = np.flatnonzero(cut)
+    across = nbr[:, idx]
+    shared = across[0] >= 0
+    shared[shared] = nbr[0, across[0, shared]] == idx[shared]
+    owner = ~(shared & (across[0] < idx))
+    ends = np.sort(rot[idx[owner], :2], axis=1)
     mids = 0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]])
     radius = _arc_radius(surface.spec)
     if radius is not None:
-        arc = (counts[sid] == 1) & _arc_chord(verts[ends[:, 0]], verts[ends[:, 1]],
-                                               radius)
+        arc = (across[0, owner] < 0) & _arc_chord(verts[ends[:, 0]],
+                                                  verts[ends[:, 1]], radius)
         if arc.any():
             x, y = mids[arc, 0], mids[arc, 1]
             # math.hypot, not np.hypot: the two differ in the last bit for
@@ -573,16 +645,21 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
             r = np.frompyfunc(math.hypot, 2, 1)(x, y).astype(float)
             mids[arc] = np.column_stack([x * radius / r, y * radius / r])
     mids[np.abs(mids) < _SNAP] = 0.0
-    mid = np.full(keys.size, -1, dtype=np.int64)
-    mid[sid] = nv + np.arange(sid.size)
+    # mid[t]: the midpoint of cut triangle t's reference edge.
+    mid = np.full(nt, -1, dtype=np.int64)
+    mid[idx[owner]] = nv + np.arange(ends.shape[0])
+    mid[idx[~owner]] = mid[across[0, ~owner]]
     new_verts = np.concatenate([verts, mids])
     f_new = _new_f(surface.spec, surface.f_nodal, new_verts, slice(nv, None), ends)
 
     # Children: bisect (v0, v1, v2) at m0 into (v0, m0, v2) and (m0, v1, v2),
     # then split these across v2-v0 at m2 and v1-v2 at m1 where marked.
-    v0, v1, v2 = rot[cut].T
-    m0, m1, m2 = mid[eid[:, cut]]
-    s1, s2 = split[eid[1, cut]], split[eid[2, cut]]
+    # Edge k ≥ 1 is marked when it is the reference edge of the neighbour
+    # across it and that neighbour is cut.
+    v0, v1, v2 = rot[idx].T
+    m0 = mid[idx]
+    s1, s2 = [(n >= 0) & cut[n] & (nbr[0, n] == idx) for n in across[1:]]
+    m1, m2 = mid[across[1]], mid[across[2]]
 
     def tri(a, b, c):
         return np.column_stack([a, b, c])
@@ -596,14 +673,47 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
         ]
     )
     used = np.stack([np.ones_like(s2), s2, np.ones_like(s1), s1])
-    new_tris = np.concatenate([tris[~cut], kids[used]])
-    return Surface(
+    kids = kids[used]
+    kept = np.flatnonzero(~cut)
+    new_tris = np.concatenate([tris.take(kept, axis=0), kids])
+
+    # The output's record.  Kept rows carry over, renumbered; a slot that
+    # faced a cut triangle reads −1 until the children are linked, with the
+    # kept triangles around them, by an edge sort of that patch.
+    nk, nkids = kept.size, kids.shape[0]
+    newid = np.full(nt + 1, -1, dtype=np.int64)  # newid[-1]: no neighbour
+    newid[kept] = np.arange(nk)
+    kid_rot, kid_centroid, kid_longest = _measure(new_verts[kids], kids)
+    rot_new = np.concatenate([rot.take(kept, axis=0), kid_rot])
+    nbr_new = np.concatenate(
+        [newid.take(nbr.take(kept, axis=1)), np.empty((3, nkids), np.int64)], axis=1
+    )
+    rim = np.unique(newid.take(across))
+    rim = rim[rim >= 0]
+    patch = np.concatenate([rim, nk + np.arange(nkids)])
+    link = _neighbours(rot_new[patch], new_verts.shape[0])
+    link = np.where(link >= 0, patch[link], -1)
+    face = nbr_new[:, rim]
+    nbr_new[:, rim] = np.where(face >= 0, face, link[:, : rim.size])
+    nbr_new[:, nk:] = link[:, rim.size:]
+    rec = _Bisection(
+        rot_new,
+        nbr_new,
+        np.concatenate([centroid.take(kept, axis=0), kid_centroid]),
+        np.concatenate([longest.take(kept), kid_longest]),
+    )
+
+    k, t = np.nonzero(nbr_new < 0)
+    bedges = np.column_stack([rot_new[t, k], rot_new[t, (k + 1) % 3]])
+    out = Surface(
         new_verts,
         new_tris,
-        _extract_boundary(new_tris),
+        bedges[np.lexsort((bedges[:, 1], bedges[:, 0]))],
         np.concatenate([surface.f_nodal, f_new]),
         surface.spec,
     )
+    out.cache[_BISECTION] = rec
+    return out
 
 
 def adapt_for_point(
@@ -627,13 +737,15 @@ def adapt_for_point(
     cx, cy = float(center[0]), float(center[1])
     surf = surface
     for _ in range(max_rounds):
-        c = surf.tri_coords()
-        cc = c.mean(axis=1)
+        rec = _bisection(surf)
+        cc, longest = rec.centroid, rec.longest
         d = np.hypot(cc[:, 0] - cx, cc[:, 1] - cy)
         target = np.maximum(inner_scale, np.minimum(d, outer_radius)) / ratio
-        longest = _edge_lengths(c).max(axis=1)
         marks = (longest > target) & (d <= outer_radius + longest)
         if not marks.any():
+            # The record only speeds up further rounds; an adapted mesh
+            # would otherwise hold it for its lifetime.
+            surf.cache.pop(_BISECTION, None)
             return surf
         surf = refine_local(surf, marks)
     raise PreconditionError("adaptation did not settle within the round limit")

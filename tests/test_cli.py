@@ -228,6 +228,20 @@ def test_profile_rejects_non_finite_values(tmp_path):
     assert not path.exists()
 
 
+def test_witness_non_finite_profile_leaves_no_files(tmp_path, monkeypatch):
+    from tmlab import witness
+
+    phi = witness.bubble_phi
+    monkeypatch.setattr(
+        witness, "bubble_phi",
+        lambda rho: np.where(np.asarray(rho) > 1.5, np.nan, phi(rho)),
+    )
+    out, plot = tmp_path / "b.json", tmp_path / "b.dat"
+    assert run("witness", "--kind", "bubble", "--rho-max", "2",
+               "--out", str(out), "--plot", str(plot)) == 2
+    assert not out.exists() and not plot.exists()
+
+
 def test_witness_overflow_exits_4(half_disk_mesh, tmp_path):
     assert run("witness", "--kind", "moser", "--mesh", str(half_disk_mesh),
                "--eps", "1e-3", "--beta", "5000",

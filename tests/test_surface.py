@@ -11,9 +11,16 @@ import pytest
 from tmlab.assembly import area
 from tmlab.errors import PreconditionError, UsageError
 from tmlab.surface import (
+    _BISECTION,
+    _SNAP,
     DomainSpec,
     Surface,
+    _arc_chord,
+    _arc_radius,
+    _bisection,
+    _edge_topology,
     _extract_boundary,
+    _new_f,
     adapt_for_point,
     build_domain,
     refine,
@@ -269,6 +276,15 @@ def test_adapt_for_point_golden_hash(case):
     assert s.content_hash() == digest
 
 
+def test_adapted_surface_holds_no_bisection_record(half_disk):
+    s = adapt_for_point(half_disk, (1.0, 0.0), 1e-3, 0.3)
+    assert s is not half_disk and _BISECTION not in s.cache
+    # Already graded: no round runs and the input comes back, without the
+    # record its marks were read from.
+    assert adapt_for_point(s, (1.0, 0.0), 1e-3, 0.3) is s
+    assert _BISECTION not in s.cache
+
+
 def _geometry_digest(s):
     """sha256 of the mesh geometry, independent of vertex and triangle
     numbering: the lexsorted (x, y, f) vertex rows, then each triangle's
@@ -414,12 +430,136 @@ def test_refine_local_multi_round_properties(rng, spec):
     for _ in range(12):
         marks = rng.random(s.num_triangles) < 0.15
         out = refine_local(s, marks)
-        out.validate()
+        _assert_record_fresh(out)
         _assert_marked_replaced(s, marks, out)
         assert np.array_equal(out.f_nodal, f(out.vertices[:, 0], out.vertices[:, 1]))
         # Rivara's bound for longest-edge bisection.
         assert _min_angle(out) >= 0.5 * angle0
         s = out
+
+
+def _assert_record_fresh(s):
+    """The bisection record ``refine_local`` left on ``s`` is the one a
+    whole-mesh pass builds, its boundary is ``_extract_boundary``'s, and the
+    mesh is valid."""
+    fresh = Surface(s.vertices, s.triangles, s.boundary_edges, s.f_nodal, s.spec)
+    carried = s.cache[_BISECTION]
+    for name, x, y in zip(carried._fields, carried, _bisection(fresh)):
+        assert np.array_equal(x, y), name
+    assert np.array_equal(s.boundary_edges, _extract_boundary(s.triangles))
+    s.validate()
+
+
+def _reference_refine_local(surface, marked):
+    """Whole-mesh longest-edge bisection, as ``refine_local`` did it before
+    the bisection record: an edge sort and a closure loop over every triangle
+    each round.  The reference the incremental version must match bit for bit."""
+    nv, nt = surface.num_vertices, surface.num_triangles
+    verts, tris = surface.vertices, surface.triangles
+    nxt = np.roll(tris, -1, axis=1)
+    d = verts[tris] - verts[nxt]
+    sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    pair = np.minimum(tris, nxt) * nv + np.maximum(tris, nxt)
+    first = np.lexsort((pair, sq))[:, -1]
+    rot = np.take_along_axis(tris, (first[:, None] + np.arange(3)) % 3, axis=1)
+
+    _, keys, inverse, counts = _edge_topology(rot, nv)
+    eid = inverse.reshape(3, nt)
+    split = np.zeros(keys.size, dtype=bool)
+    split[eid[0, marked]] = True
+    while True:
+        grow = (split[eid[1]] | split[eid[2]]) & ~split[eid[0]]
+        if not grow.any():
+            break
+        split[eid[0, grow]] = True
+
+    cut = split[eid[0]]
+    ref, at = np.unique(eid[0, cut], return_index=True)
+    sid = ref[np.argsort(at)]
+    ends = np.column_stack(np.divmod(keys[sid], nv))
+    mids = 0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]])
+    radius = _arc_radius(surface.spec)
+    if radius is not None:
+        arc = (counts[sid] == 1) & _arc_chord(verts[ends[:, 0]], verts[ends[:, 1]],
+                                               radius)
+        if arc.any():
+            x, y = mids[arc, 0], mids[arc, 1]
+            r = np.frompyfunc(math.hypot, 2, 1)(x, y).astype(float)
+            mids[arc] = np.column_stack([x * radius / r, y * radius / r])
+    mids[np.abs(mids) < _SNAP] = 0.0
+    mid = np.full(keys.size, -1, dtype=np.int64)
+    mid[sid] = nv + np.arange(sid.size)
+    new_verts = np.concatenate([verts, mids])
+    f_new = _new_f(surface.spec, surface.f_nodal, new_verts, slice(nv, None), ends)
+
+    v0, v1, v2 = rot[cut].T
+    m0, m1, m2 = mid[eid[:, cut]]
+    s1, s2 = split[eid[1, cut]], split[eid[2, cut]]
+
+    def tri(a, b, c):
+        return np.column_stack([a, b, c])
+
+    kids = np.stack(
+        [
+            np.where(s2[:, None], tri(v2, m2, m0), tri(v0, m0, v2)),
+            tri(m2, v0, m0),
+            np.where(s1[:, None], tri(v1, m1, m0), tri(m0, v1, v2)),
+            tri(m1, v2, m0),
+        ]
+    )
+    used = np.stack([np.ones_like(s2), s2, np.ones_like(s1), s1])
+    new_tris = np.concatenate([tris[~cut], kids[used]])
+    return Surface(new_verts, new_tris, _extract_boundary(new_tris),
+                   np.concatenate([surface.f_nodal, f_new]), surface.spec)
+
+
+def _assert_same_mesh(a, b):
+    for name in ("vertices", "triangles", "boundary_edges", "f_nodal"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+REFERENCE_SPECS = [
+    DomainSpec("rectangle", (2.0, 1.0)),
+    DomainSpec("rectangle", (1.0, 1.0), "0.3*x1 - x2**2"),
+    DomainSpec("half_disk", (1.0,)),
+    DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"),
+    DomainSpec("disk_sector", (1.0, 1.0)),
+    DomainSpec("disk_sector", (1.0, 2.5), "0.5*x2"),
+]
+REFERENCE_IDS = ["rect21", "square_f_expr", "half_disk", "half_disk_f_expr",
+                 "sector_1rad", "sector_f_expr"]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_IDS)
+def test_refine_local_matches_whole_mesh_reference(rng, spec):
+    s = build_domain(spec, 0.2)
+    for density in (0.02, 0.3, 0.1, 0.05, 0.2, 0.01, 0.1, 0.15):
+        marks = rng.random(s.num_triangles) < density
+        marks[rng.integers(s.num_triangles)] = True
+        out = refine_local(s, marks)
+        _assert_same_mesh(out, _reference_refine_local(s, marks))
+        _assert_record_fresh(out)
+        s = out
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_IDS)
+def test_refine_local_long_closure_chains_match_reference(spec):
+    # Marking only the triangle nearest one point grades the mesh steeply,
+    # so each new mark's closure walks a long chain of reference edges.
+    s = build_domain(spec, 0.25)
+    point = np.array([0.7, 0.3]) if spec.kind == "rectangle" else np.array([0.3, 0.1])
+    growth = []
+    for _ in range(30):
+        d = np.hypot(*(s.tri_coords().mean(axis=1) - point).T)
+        marks = np.zeros(s.num_triangles, dtype=bool)
+        marks[np.argmin(d)] = True
+        out = refine_local(s, marks)
+        _assert_same_mesh(out, _reference_refine_local(s, marks))
+        _assert_record_fresh(out)
+        growth.append(out.num_triangles - s.num_triangles)
+        s = out
+    # Each bisected triangle adds at least one: some closures cut 10+.
+    assert max(growth) >= 10
 
 
 def test_refine_local_takes_a_triangle_mask(half_disk):
