@@ -628,8 +628,7 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
 
     idx = np.flatnonzero(cut)
     across = nbr[:, idx]
-    shared = across[0] >= 0
-    shared[shared] = nbr[0, across[0, shared]] == idx[shared]
+    shared = (across[0] >= 0) & (nbr[0, across[0]] == idx)
     owner = ~(shared & (across[0] < idx))
     ends = np.sort(rot[idx[owner], :2], axis=1)
     mids = 0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]])
