@@ -626,6 +626,9 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
         front = np.unique(nxt[~cut[nxt]])
         cut[front] = True
 
+    # One midpoint per split edge, owned by the cut triangle whose reference
+    # edge it is, or by the lower-index one of two that share it; owners in
+    # index order number the midpoints.
     idx = np.flatnonzero(cut)
     across = nbr[:, idx]
     shared = (across[0] >= 0) & (nbr[0, across[0]] == idx)
