@@ -9,10 +9,16 @@ conditions close exactly.
 
 The Dirichlet energy is conformally invariant in two dimensions, so the
 stiffness matrix is the flat one and does not involve f.
+
+:func:`interpolate` and :func:`load` fix the order in which they sum, so
+their results do not depend on how a numpy version contracts arrays.  The
+order is the one ``np.einsum`` used when the result files were recorded,
+and ``tests/test_assembly.py`` pins it against an ``einsum`` copy.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -63,8 +69,16 @@ def quad_weights(surface: Surface) -> np.ndarray:
 
 
 def interpolate(surface: Surface, u: np.ndarray) -> np.ndarray:
-    """Values of the nodal field ``u`` at all quadrature points, (nt, 6)."""
-    return np.einsum("ti,qi->tq", u[surface.triangles], quad.BARY)
+    """Values of the nodal field ``u`` at all quadrature points, (nt, 6).
+
+    Point q of triangle t gets (u₀·B_q0 + u₂·B_q2) + u₁·B_q1 with B the
+    rule's barycentric table, summed in exactly that order.
+    """
+    u0, u1, u2 = u.take(surface.triangles.T)
+    out = np.empty((u0.size, quad.NQ))
+    for q, (b0, b1, b2) in enumerate(quad.BARY):
+        out[:, q] = u0 * b0 + u2 * b2 + u1 * b1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +177,19 @@ def weighted_mass(surface: Surface, gq: np.ndarray) -> sp.csr_matrix:
 
 
 def load(surface: Surface, gq: np.ndarray) -> np.ndarray:
-    """Load vector l_i = ∫ g φ_i dv from a quadrature-point field g."""
-    contrib = np.einsum("tq,qi->ti", quad_weights(surface) * gq, quad.BARY)
+    """Load vector l_i = ∫ g φ_i dv from a quadrature-point field g.
+
+    Each triangle's share for its vertex i is summed over the quadrature
+    points in order q = 0, …, 5; the shares are then added per vertex in
+    triangle order.
+    """
+    x = quad_weights(surface) * gq
+    contrib = np.empty((x.shape[0], 3))
+    for i in range(3):
+        col = x[:, 0] * quad.BARY[0, i]
+        for q in range(1, quad.NQ):
+            col += x[:, q] * quad.BARY[q, i]
+        contrib[:, i] = col
     return np.bincount(surface.triangles.ravel(), weights=contrib.ravel(),
                        minlength=surface.num_vertices)
 
@@ -291,9 +316,18 @@ def dual_norm(surface: Surface, r: np.ndarray) -> float:
 # coarser mesh.  Beyond the collar a point is outside the domain.
 HIT_TOL = 1e-10
 CLAMP_COLLAR = 0.05
-_CANDIDATES = 32  # nearest-centroid triangles tried before the full scan
-_BLOCK = 1024  # points per candidate pass
-_SCAN_CHUNK = 8  # points per whole-mesh scan; bounds its (points, nt) arrays
+_CANDIDATES = 32  # nearest-centroid triangles tried first
+_BLOCK = 1024  # points per pass; bounds the (points, triangles) arrays
+
+# Reach of a triangle: how far from its centroid c a point can be hit or
+# clamped.  With barycentric coordinates λ of p (Σλᵢ = 1) and misfit
+# m = Σ max(−λᵢ, 0), p − c = Σ λᵢ(vᵢ − c), so
+#     |p − c| ≤ Σ |λᵢ|·R = (1 + 2m)·R,
+# with R the largest vertex-to-centroid distance.  A hit has m ≤ 3·HIT_TOL
+# and a clamp m ≤ CLAMP_COLLAR.  The extra 0.01 of misfit absorbs the
+# rounding of the computed coordinates, which stays far below it unless a
+# triangle's aspect ratio nears 1e12.
+_REACH = 1.0 + 2.0 * (CLAMP_COLLAR + 0.01)
 
 
 class Location(NamedTuple):
@@ -331,29 +365,67 @@ def _hits(b1, b2) -> np.ndarray:
     return (b1 >= -HIT_TOL) & (b2 >= -HIT_TOL) & (b1 + b2 <= 1 + HIT_TOL)
 
 
+def _misfit(b1, b2) -> np.ndarray:
+    return np.maximum(-b1, 0) + np.maximum(-b2, 0) + np.maximum(b1 + b2 - 1, 0)
+
+
+def _reach(coords: np.ndarray) -> tuple:
+    """Centroids and reaches (see :data:`_REACH`) of (nt, 3, 2) triangles."""
+    centroid = coords.mean(axis=1)
+    radius = np.sqrt(((coords - centroid[:, None]) ** 2).sum(axis=2)).max(axis=1)
+    return centroid, _REACH * radius
+
+
+class _Locator(NamedTuple):
+    tree: object  # cKDTree of the triangle centroids
+    lo: np.ndarray  # the centroids' bounding box, widened by the largest
+    hi: np.ndarray  # reach of a triangle
+    # (cKDTree of centroids, triangle ids, largest reach) per binary order
+    # of magnitude of the reach, so a graded mesh's small triangles are
+    # searched at their own scale.
+    levels: tuple
+
+
+def _locator(surface: Surface) -> _Locator:
+    key = "locator"
+    if key not in surface.cache:
+        from scipy.spatial import cKDTree
+
+        centroid, reach = _reach(surface.tri_coords())
+        scale = np.frexp(reach)[1]
+        levels = []
+        for e in np.unique(scale):
+            ids = np.flatnonzero(scale == e)
+            levels.append((cKDTree(centroid[ids]), ids, float(reach[ids].max())))
+        r = float(reach.max())
+        surface.cache[key] = _Locator(cKDTree(centroid),
+                                      centroid.min(axis=0) - r,
+                                      centroid.max(axis=0) + r, tuple(levels))
+    return surface.cache[key]
+
+
 def locate(surface: Surface, points: np.ndarray) -> Location:
     """Find the triangle and barycentric weights of each of (n, 2) points.
 
     Each point is first tested against the 32 triangles with the nearest
     centroids (a KD-tree cached on the surface), nearest first; the first
     that contains it wins, with its weights as computed.  A point none of
-    them contains is tested against every triangle: the lowest-index
-    triangle that contains it wins, with its weights clipped to [0, 1].  If
-    no triangle contains it, the triangle of least summed barycentric
-    misfit is used with clipped weights (the point is clamped), and the
-    point is ``outside`` when that misfit exceeds :data:`CLAMP_COLLAR`.
-    The whole-mesh scan runs a few points at a time, so graded meshes are
-    handled correctly in bounded memory.
+    them contains is settled among the triangles within reach of it (see
+    :data:`_REACH`), which are all the triangles that can contain or clamp
+    it: the lowest-index one that contains it wins, with its weights
+    clipped to [0, 1].  If none contains it, the one of least summed
+    barycentric misfit is used (lowest index on ties) with clipped weights,
+    and the point is ``outside`` when that misfit exceeds
+    :data:`CLAMP_COLLAR` or no triangle is within reach.  Raises
+    :class:`UsageError` naming the first point that is not finite.
     """
-    from scipy.spatial import cKDTree
-
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise UsageError("points must be an (n, 2) array")
-    key = "centroid_tree"
-    if key not in surface.cache:
-        surface.cache[key] = cKDTree(surface.tri_coords().mean(axis=1))
-    tree = surface.cache[key]
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise UsageError(f"point {pts[np.argmin(finite)]} is not finite")
+    loc = _locator(surface)
 
     c = surface.tri_coords()
     p0 = c[:, 0]
@@ -361,42 +433,58 @@ def locate(surface: Surface, points: np.ndarray) -> Location:
     d2 = c[:, 2] - p0
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
-    n = pts.shape[0]
+    n, nt = pts.shape[0], surface.num_triangles
     tri = np.zeros(n, dtype=np.int64)
     w1 = np.zeros(n)
     w2 = np.zeros(n)
-    found = np.zeros(n, dtype=bool)
-    k = min(_CANDIDATES, surface.num_triangles)
-    for lo in range(0, n, _BLOCK):
-        blk = pts[lo:lo + _BLOCK]
-        m = blk.shape[0]
-        cand = np.asarray(tree.query(blk, k=k)[1]).reshape(m, k)
+    outside = np.ones(n, dtype=bool)
+
+    # A point beyond the centroids' box widened by the largest reach is out
+    # of every triangle's reach.  The box also keeps huge points away from
+    # the tree, whose distances would overflow.
+    near = np.flatnonzero(((pts >= loc.lo) & (pts <= loc.hi)).all(axis=1))
+    k = min(_CANDIDATES, nt)
+    for lo in range(0, near.size, _BLOCK):
+        idx = near[lo:lo + _BLOCK]
+        m = idx.size
+        cand = loc.tree.query(pts[idx], k=k)[1].reshape(m, k)
         b1, b2 = _barycentric(p0[cand], d1[cand], d2[cand], det[cand],
-                              blk[:, None, :])
+                              pts[idx, None, :])
         ok = _hits(b1, b2)
         first = ok.argmax(axis=1)
         rows = np.arange(m)
-        tri[lo:lo + m] = cand[rows, first]
-        w1[lo:lo + m] = b1[rows, first]
-        w2[lo:lo + m] = b2[rows, first]
-        found[lo:lo + m] = ok.any(axis=1)
+        tri[idx] = cand[rows, first]
+        w1[idx] = b1[rows, first]
+        w2[idx] = b2[rows, first]
+        outside[idx] = ~ok.any(axis=1)
 
-    outside = np.zeros(n, dtype=bool)
-    missed = np.flatnonzero(~found)
-    for lo in range(0, missed.size, _SCAN_CHUNK):
-        idx = missed[lo:lo + _SCAN_CHUNK]
-        b1, b2 = _barycentric(p0, d1, d2, det, pts[idx, None, :])
-        ok = _hits(b1, b2)
-        hit = ok.any(axis=1)
-        misfit = np.maximum(-b1, 0) + np.maximum(-b2, 0) + np.maximum(
-            b1 + b2 - 1, 0
-        )
-        j = np.where(hit, ok.argmax(axis=1), misfit.argmin(axis=1))
-        rows = np.arange(idx.size)
+    # A missed point meets, level by level, the triangles whose centroids
+    # are within the level's largest reach: a superset of the triangles
+    # within their own reach.  It takes the lowest-index one that contains
+    # it, or else the lowest-index one of least misfit.
+    missed = near[outside[near]]
+    for lo in range(0, missed.size, _BLOCK):
+        idx = missed[lo:lo + _BLOCK]
+        owner, t = [], []
+        for tree, ids, r in loc.levels:
+            balls = tree.query_ball_point(pts[idx], r)
+            owner.append(np.repeat(np.arange(idx.size), [len(b) for b in balls]))
+            t.append(ids[np.fromiter(chain.from_iterable(balls), dtype=np.intp,
+                                     count=owner[-1].size)])
+        owner = np.concatenate(owner)
+        order = np.argsort(owner, kind="stable")
+        owner, t = owner[order], np.concatenate(t)[order]
+        _, starts, group = np.unique(owner, return_index=True, return_inverse=True)
+        b1, b2 = _barycentric(p0[t], d1[t], d2[t], det[t], pts[idx[owner]])
+        score = np.where(_hits(b1, b2), -1.0, _misfit(b1, b2))
+        least = np.minimum.reduceat(score, starts)
+        j = np.minimum.reduceat(np.where(score == least[group], t, nt), starts)
+        idx = idx[owner[starts]]
         tri[idx] = j
-        w1[idx] = np.clip(b1[rows, j], 0, 1)
-        w2[idx] = np.clip(b2[rows, j], 0, 1)
-        outside[idx] = ~hit & (misfit[rows, j] > CLAMP_COLLAR)
+        b1, b2 = _barycentric(p0[j], d1[j], d2[j], det[j], pts[idx])
+        w1[idx] = np.clip(b1, 0, 1)
+        w2[idx] = np.clip(b2, 0, 1)
+        outside[idx] = least > CLAMP_COLLAR
     return Location(tri, w1, w2, outside)
 
 
@@ -408,7 +496,8 @@ def evaluate(surface: Surface, u: np.ndarray, points: np.ndarray) -> np.ndarray:
     within the clamp collar of one (summed barycentric misfit at most
     :data:`CLAMP_COLLAR`, e.g. a point on the boundary arc between two
     boundary vertices) is clamped onto that triangle.  Raises
-    :class:`UsageError` naming the first point beyond the collar.
+    :class:`UsageError` naming the first point that is not finite, or else
+    the first beyond the collar.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     loc = locate(surface, pts)

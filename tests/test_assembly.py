@@ -266,18 +266,21 @@ def located_meshes(half_disk, half_disk_refined, rect21):
         "refined": half_disk_refined,
         "adapted": adapt_for_point(half_disk, arc, 1e-3, 0.3),
         "rect21": rect21,
+        # Fewer triangles than locate's 32 candidates.
+        "coarse": build_domain(DomainSpec("half_disk", (1.0,)), 0.4),
     }
 
 
-MESHES = ["half_disk", "refined", "adapted", "rect21"]
+MESHES = ["half_disk", "refined", "adapted", "rect21", "coarse"]
 
 
 def _probe_points(s, rng) -> np.ndarray:
     """Interior points, vertices, points on edges, and boundary probes.
 
     Boundary probes sit on boundary-edge midpoints pushed outward by 0,
-    1%, 20% and 100% of the edge length; on the half-disk, points on the
-    arc between vertices; and far outside the domain.
+    0.5%, 1%, 2%, 4%, 8%, 20% and 100% of the edge length, so some fall on
+    either side of the clamp collar; on the half-disk, points on the arc
+    between vertices; and far outside the domain.
     """
     c = s.tri_coords()
     t = rng.integers(s.num_triangles, size=40)
@@ -292,7 +295,8 @@ def _probe_points(s, rng) -> np.ndarray:
     e = pv - pu
     outward = np.column_stack([e[:, 1], -e[:, 0]])
     mid = 0.5 * (pu + pv)
-    pushed = [mid + f * outward for f in (0.0, 0.01, 0.2, 1.0)]
+    pushed = [mid + f * outward
+              for f in (0.0, 0.005, 0.01, 0.02, 0.04, 0.08, 0.2, 1.0)]
     far = s.vertices.mean(axis=0) + np.array([[10.0, 0.0], [0.0, -7.5]])
     probes = [interior, vertices, on_edges, *pushed, far]
     if s.spec.kind == "half_disk":
@@ -346,6 +350,12 @@ def test_scatter_matches_coo_reference(located_meshes, name, rng):
     np.add.at(want, s.triangles.ravel(), contrib.ravel())
     assert assembly.load(s, gq).tobytes() == want.tobytes()
 
+    # interpolate sums in the order einsum did when the goldens were made.
+    u = rng.standard_normal(s.num_vertices)
+    for field in (u, s.f_nodal, 1e5 * u):
+        want = np.einsum("ti,qi->tq", field[s.triangles], quad.BARY)
+        assert assembly.interpolate(s, field).tobytes() == want.tobytes()
+
 
 def test_point_on_arc_between_boundary_vertices_is_clamped(half_disk):
     pu, pv = (half_disk.vertices[half_disk.boundary_edges[:, i]]
@@ -369,3 +379,57 @@ def test_point_beyond_collar_is_named(half_disk):
     pts = np.array([[0.5, 0.0], [1.2, 0.0], [1.5, 0.0]])
     with pytest.raises(UsageError, match=re.escape(str(pts[1]))):
         assembly.evaluate(half_disk, u, pts)
+
+
+def test_reach_holds_every_hit_and_clamp():
+    """A point whose computed misfit is within the collar is within reach."""
+    rng = np.random.default_rng(20261018)
+    plain = rng.standard_normal((300, 3, 2))
+    # Slivers: the third vertex 1e-9 to 1e-2 off the line of the other two.
+    a, b = rng.standard_normal((2, 300, 2))
+    e = b - a
+    off = rng.uniform(-0.5, 1.5, (300, 1)) * e + 10.0 ** rng.uniform(
+        -9, -2, (300, 1)) * np.column_stack([-e[:, 1], e[:, 0]])
+    coords = np.concatenate([plain, np.stack([a, b, a + off], axis=1)])
+    centroid, reach = assembly._reach(coords)
+
+    # Barycentric coordinates down to -0.06, with the extreme (1 + m, -m, 0)
+    # cases of misfit m = CLAMP_COLLAR, and points anywhere near the triangle.
+    nt = coords.shape[0]
+    s = rng.uniform(0, 0.06, (nt, 60, 1))
+    lam = (1 + 3 * s) * rng.dirichlet(np.ones(3), (nt, 60)) - s
+    m = assembly.CLAMP_COLLAR
+    edge = np.array([[1 + m, -m, 0], [1 + m, 0, -m], [-m, 1 + m, 0],
+                     [0, 1 + m, -m], [-m, 0, 1 + m], [0, -m, 1 + m]])
+    lam = np.concatenate([lam, np.broadcast_to(edge, (nt, 6, 3))], axis=1)
+    pts = np.einsum("tki,tij->tkj", lam, coords)
+    radius = reach / assembly._REACH
+    box = centroid[:, None] + 3 * radius[:, None, None] * rng.uniform(
+        -1, 1, (nt, 60, 2))
+    pts = np.concatenate([pts, box], axis=1)
+
+    p0 = coords[:, None, 0]
+    d1 = coords[:, None, 1] - p0
+    d2 = coords[:, None, 2] - p0
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    b1, b2 = assembly._barycentric(p0, d1, d2, det, pts)
+    close = assembly._misfit(b1, b2) <= assembly.CLAMP_COLLAR
+    dist = np.hypot(*(pts - centroid[:, None]).transpose(2, 0, 1))
+    ratio = dist / reach[:, None]
+    assert close.sum() > nt * 60
+    assert ratio[close].max() <= 1.0
+    assert ratio[close].max() > 0.9  # the bound is nearly reached
+    assert (~close & (ratio <= 1.0)).any()  # and it is not the collar itself
+
+
+def test_huge_and_non_finite_points(half_disk):
+    u = np.zeros(half_disk.num_vertices)
+    huge = np.array([[0.5, 0.0], [1e300, 0.0], [-1e308, 1e308]])
+    loc = assembly.locate(half_disk, huge)
+    assert loc.outside.tolist() == [False, True, True]
+    with pytest.raises(UsageError, match=re.escape(str(huge[1]))):
+        assembly.evaluate(half_disk, u, huge)
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = np.array([[0.5, 0.0], [bad, 0.0], [0.0, np.nan]])
+        with pytest.raises(UsageError, match=re.escape(f"{pts[1]} is not finite")):
+            assembly.locate(half_disk, pts)
