@@ -55,6 +55,8 @@ def _parse_float_list(text: str, name: str) -> list:
         raise UsageError(f"cannot parse {name} {text!r}: {exc}") from exc
     if not vals:
         raise UsageError(f"{name} must name at least one value")
+    if not all(map(math.isfinite, vals)):
+        raise UsageError(f"{name} values must be finite: {text!r}")
     return vals
 
 
@@ -113,18 +115,6 @@ def _write_field(path: str, values, mesh_hash: str,
         "values": np.asarray(values, dtype=float).tolist(),
     }
     records.write_json(path, payload, record)
-
-
-def _write_profile(path: str, xs, ys, record: records.RunRecord) -> None:
-    """Two-column whitespace-separated plot data with a comment header."""
-    import json as _json
-
-    xs, ys = records.require_finite(xs), records.require_finite(ys)
-    compact = _json.dumps(record.to_dict(), separators=(",", ":"))
-    lines = [f"# run_record: {compact}"]
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        lines.append(f"{x:.17g} {y:.17g}")
-    records.write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _radial_profile(surf: surface_mod.Surface, values, center,
@@ -382,7 +372,7 @@ def _witness_bubble(args, started) -> int:
         rho, phi = records.require_finite(rho), records.require_finite(phi)
     records.write_json(args.out, payload, record)
     if args.plot:
-        _write_profile(args.plot, rho, phi, record)
+        records.write_profile(args.plot, rho, phi, record)
     print(f"witness bubble: phi(1) = {payload['phi_at_one']:.9g} -> {args.out}")
     return 0
 
@@ -425,7 +415,7 @@ def _witness_moser(args, started, surf, mesh_hash, vertex) -> int:
         xs, ys = records.require_finite(xs), records.require_finite(ys)
     records.write_json(args.out, payload, record)
     if args.plot:
-        _write_profile(args.plot, xs, ys, record)
+        records.write_profile(args.plot, xs, ys, record)
     print(f"witness moser: F = {fv.value:.12g} -> {args.out}")
     return 0
 
@@ -452,7 +442,7 @@ def _witness_glued(args, started, surf, mesh_hash, vertex) -> int:
         xs, ys = records.require_finite(xs), records.require_finite(ys)
     records.write_json(args.out, payload, record)
     if args.plot:
-        _write_profile(args.plot, xs, ys, record)
+        records.write_profile(args.plot, xs, ys, record)
     print(
         f"witness glued: F = {check['value']:.12g} vs bound "
         f"{check['bound']:.12g} (passed={check['passed']}) -> {args.out}"

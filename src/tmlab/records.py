@@ -199,10 +199,14 @@ def write_json(path: str, payload: dict, record: RunRecord) -> None:
     write_text_atomic(path, canonical_json(doc) + "\n")
 
 
+def _comment_header(record: RunRecord) -> str:
+    """The run record as one compact JSON comment line, for text outputs."""
+    return "# run_record: " + json.dumps(record.to_dict(), separators=(",", ":"))
+
+
 def write_csv(path: str, header: list, rows: list, record: RunRecord) -> None:
     """Emit CSV whose first line carries the run record as a comment."""
-    compact = json.dumps(record.to_dict(), separators=(",", ":"), sort_keys=False)
-    lines = [f"# run_record: {compact}", ",".join(header)]
+    lines = [_comment_header(record), ",".join(header)]
     for row in rows:
         cells = []
         for v in row:
@@ -211,6 +215,13 @@ def write_csv(path: str, header: list, rows: list, record: RunRecord) -> None:
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_profile(path: str, xs, ys, record: RunRecord) -> None:
+    """Two-column whitespace-separated plot data with a comment header."""
+    rows = zip(require_finite(xs).tolist(), require_finite(ys).tolist())
+    lines = [_comment_header(record)] + [f"{x:.17g} {y:.17g}" for x, y in rows]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

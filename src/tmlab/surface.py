@@ -2,10 +2,11 @@
 
 A `Surface` is a conforming triangulation of one of three template domains
 (rectangle, right half-disk, disk sector) together with a nodal conformal
-factor f, representing the metric e^{2f}(dx₁² + dx₂²).  The module builds
-template meshes at a requested resolution, refines them uniformly or locally
-(longest-edge bisection with conformity closure), validates mesh invariants,
-and (de)serializes meshes to a canonical dictionary form.
+factor f, representing the metric e^{2f}(dx₁² + dx₂²); f is given by an
+expression in x1, x2 that `_compile_f` reads without ``eval``.  The module
+builds template meshes at a requested resolution, refines them uniformly or
+locally (longest-edge bisection with conformity closure), validates mesh
+invariants, and (de)serializes meshes to a canonical dictionary form.
 
 Conventions
 -----------
@@ -19,9 +20,12 @@ Conventions
 
 from __future__ import annotations
 
+import ast
+import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -50,15 +54,20 @@ class DomainSpec:
         ``disk_sector``: (R, angle).
     f_expr : str or None
         Expression for the conformal factor f(x1, x2) in the variables
-        ``x1``, ``x2``; ``None`` means f ≡ 0 (flat metric).
+        ``x1``, ``x2`` (see `_compile_f`); ``None`` means f ≡ 0 (flat
+        metric).  It is compiled once, here, so a bad one is rejected when
+        the spec is built or read.
     """
 
     kind: str
     params: tuple
     f_expr: str | None = None
+    _steps: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if not all(map(math.isfinite, self.params)):
+            raise UsageError(f"domain parameters must be finite: {self.params}")
         if self.kind == "rectangle":
             if len(self.params) != 2 or min(self.params) <= 0:
                 raise UsageError("rectangle requires two positive side lengths")
@@ -76,14 +85,14 @@ class DomainSpec:
                 )
         else:
             raise UsageError(f"unknown domain kind: {self.kind!r}")
+        steps = _compile_f("0" if self.f_expr is None else self.f_expr)
+        object.__setattr__(self, "_steps", steps)
 
     # -- conformal factor ---------------------------------------------------
 
     def f_callable(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """Return a vectorized callable for f(x1, x2)."""
-        if self.f_expr is None:
-            return lambda x1, x2: np.zeros_like(np.asarray(x1, dtype=float))
-        return _parse_f_expr(self.f_expr)
+        return functools.partial(_run_f, self._steps)
 
     def corners(self) -> np.ndarray:
         """Exact coordinates of the domain's boundary corners."""
@@ -109,26 +118,72 @@ class DomainSpec:
             raise UsageError(f"malformed domain spec: {exc}") from exc
 
 
-def _parse_f_expr(expr: str) -> Callable:
-    """Parse a conformal-factor expression in x1, x2 into a numpy callable."""
-    import sympy
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: operator.truediv, ast.Pow: operator.pow, ast.UAdd: operator.pos,
+        ast.USub: operator.neg}
+_FUNCS = dict(exp=np.exp, log=np.log, sqrt=np.sqrt, sin=np.sin, cos=np.cos,
+              tan=np.tan, sinh=np.sinh, cosh=np.cosh, tanh=np.tanh,
+              arctan=np.arctan, atan=np.arctan, arctan2=np.arctan2,
+              atan2=np.arctan2, hypot=np.hypot, abs=np.abs, Abs=np.abs)
+_CONSTANTS = {"pi": np.float64(math.pi), "E": np.float64(math.e)}
+_NAMES = {"x1", "x2", *_FUNCS, *_CONSTANTS}
 
-    x1, x2 = sympy.symbols("x1 x2")
+
+def _compile_f(expr: str) -> list:
+    """Compile a conformal-factor expression into a program for `_run_f`.
+
+    Accepted: int and float literals (as float64), ``x1``, ``x2``, ``pi``,
+    ``E``, ``_OPS`` and calls into ``_FUNCS``.  Nothing is ``eval``-ed: the
+    tree is flattened, without recursion, into a postfix program of numpy
+    operations, which runs in the order the expression is written.
+    """
     try:
-        tree = sympy.sympify(expr, locals={"x1": x1, "x2": x2})
-    except (sympy.SympifyError, SyntaxError, TypeError) as exc:
-        raise UsageError(f"cannot parse conformal factor {expr!r}: {exc}") from exc
-    extra = tree.free_symbols - {x1, x2}
-    if extra:
-        names = ", ".join(sorted(str(s) for s in extra))
-        raise UsageError(f"conformal factor uses unknown symbols: {names}")
-    fn = sympy.lambdify((x1, x2), tree, modules="numpy")
+        tree = ast.parse(expr, mode="eval")
+        unknown = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} - _NAMES
+        if unknown:
+            names = ", ".join(sorted(unknown))
+            raise UsageError(f"conformal factor uses unknown symbols: {names}")
+        # Reversed, a pre-order that visits the right operand first is a
+        # post-order.  A step is (leaf, 0) or (operation, operand count).
+        steps, todo = [], [tree.body]
+        while todo:
+            node = todo.pop()
+            op = type(getattr(node, "op", None))
+            if isinstance(node, ast.BinOp) and op in _OPS:
+                steps.append((_OPS[op], 2))
+                todo += [node.left, node.right]
+            elif isinstance(node, ast.UnaryOp) and op in _OPS:
+                steps.append((_OPS[op], 1))
+                todo.append(node.operand)
+            elif (isinstance(node, ast.Call) and not node.keywords
+                  and getattr(node.func, "id", None) in _FUNCS
+                  and len(node.args) == _FUNCS[node.func.id].nin):
+                steps.append((_FUNCS[node.func.id], len(node.args)))
+                todo += node.args
+            elif isinstance(node, ast.Name) and node.id not in _FUNCS:
+                steps.append((_CONSTANTS.get(node.id, node.id), 0))
+            elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+                steps.append((np.float64(node.value), 0))  # OverflowError if huge
+            else:
+                why = "write '**' for a power" if op is ast.BitXor else "unsupported"
+                raise ValueError(f"{why}: {ast.get_source_segment(expr, node)!r}")
+    except (SyntaxError, ValueError, OverflowError, RecursionError, MemoryError) as exc:
+        # The parser raises RecursionError or MemoryError on deep nesting.
+        why = str(exc) or "nested too deeply"
+        raise UsageError(f"cannot parse conformal factor {expr!r}: {why}") from exc
+    return steps[::-1]
 
-    def call(a, b):
-        out = fn(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(a)).copy()
 
-    return call
+def _run_f(steps: list, a, b) -> np.ndarray:
+    """f at the points (a, b), by the postfix program ``steps``."""
+    xs = {"x1": np.asarray(a, dtype=float), "x2": np.asarray(b, dtype=float)}
+    stack = []
+    for op, n in steps:
+        if n:
+            stack[-n:] = [op(*stack[-n:])]
+        else:
+            stack.append(xs[op] if isinstance(op, str) else op)
+    return np.broadcast_to(stack[0], np.shape(a)).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,26 @@ def test_mesh_usage_errors(tmp_path):
     assert run("mesh", "--shape", "rectangle", "--h", "0.2", "--out", out) == 2
     assert run("mesh", "--shape", "rectangle", "--width", "1", "--height",
                "1", "--h", "0.2", "--refine", "y.json", "--out", out) == 2
+    assert run("mesh", "--shape", "half-disk", "--radius", "nan", "--h", "0.2",
+               "--out", out) == 2
+    assert run("mesh", "--shape", "rectangle", "--width", "inf", "--height",
+               "1", "--h", "0.2", "--out", out) == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("expr", [
+    "foo(x1)",
+    "x1^2",
+    "__import__('sys').stdout.write('EVALUATED\\n') and x1",
+])
+def test_mesh_rejects_bad_conformal_factor(tmp_path, capfd, expr):
+    out = tmp_path / "c.json"
+    assert run("mesh", "--shape", "rectangle", "--width", "1", "--height",
+               "1", "--h", "0.5", "--f", expr, "--out", str(out)) == 2
+    captured = capfd.readouterr()
+    assert "conformal factor" in captured.err
+    assert "EVALUATED" not in captured.out
+    assert not out.exists()
 
 
 def test_mesh_conformal_factor_flag(tmp_path):
@@ -222,9 +242,9 @@ def test_profile_rejects_non_finite_values(tmp_path):
     path = tmp_path / "p.dat"
     record = records.RunRecord("witness", {})
     with pytest.raises(UsageError, match="non-finite"):
-        cli._write_profile(str(path), [0.0, 0.5], [1.0, float("nan")], record)
+        records.write_profile(str(path), [0.0, 0.5], [1.0, float("nan")], record)
     with pytest.raises(UsageError, match="non-finite"):
-        cli._write_profile(str(path), [float("inf")], [1.0], record)
+        records.write_profile(str(path), [float("inf")], [1.0], record)
     assert not path.exists()
 
 
@@ -279,6 +299,14 @@ def test_green_requires_exactly_one_pole_flag(half_disk_mesh, tmp_path):
     assert run("green", "--mesh", str(half_disk_mesh), "--out", out) == 2
     assert run("green", "--mesh", str(half_disk_mesh), "--point", "1,0",
                "--vertex", "3", "--out", out) == 2
+
+
+@pytest.mark.parametrize("point", ["nan,0", "inf,0", "0,-inf"])
+def test_green_rejects_non_finite_point(half_disk_mesh, tmp_path, point):
+    out = tmp_path / "g.json"
+    assert run("green", "--mesh", str(half_disk_mesh), "--point", point,
+               "--out", str(out)) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [half_disk_mesh.name]
 
 
 # ---------------------------------------------------------------------------

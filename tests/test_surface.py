@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import tmlab
 
 from tmlab.assembly import area
 from tmlab.errors import PreconditionError, UsageError
@@ -70,6 +75,18 @@ def test_degenerate_specs_rejected():
         DomainSpec("disk_sector", (1.0, 7.0))
 
 
+@pytest.mark.parametrize("kind, params", [("half_disk", [math.nan]),
+                                          ("rectangle", [math.inf, 1.0]),
+                                          ("disk_sector", [-math.inf, 1.0])])
+def test_non_finite_domain_params_rejected(half_disk, kind, params):
+    with pytest.raises(UsageError, match="must be finite"):
+        DomainSpec(kind, tuple(params))
+    d = half_disk.to_dict()
+    d["domain"].update(kind=kind, params=params)
+    with pytest.raises(UsageError, match="must be finite"):
+        Surface.from_dict(d)
+
+
 def test_max_edge_length_bounded_by_target():
     h = 0.1
     s = build_domain(DomainSpec("half_disk", (1.0,)), h)
@@ -111,6 +128,140 @@ def test_refine_resamples_conformal_factor():
     r = refine(s)
     expect = r.vertices[:, 0] + 2.0 * r.vertices[:, 1]
     assert np.allclose(r.f_nodal, expect, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# conformal-factor expressions
+# ---------------------------------------------------------------------------
+
+# Each accepted name and operator next to the numpy expression it stands
+# for, written out in the same order.
+F_VALUES = [
+    ("x1 + x2", lambda x1, x2: x1 + x2),
+    ("x1 - x2", lambda x1, x2: x1 - x2),
+    ("x1 * x2", lambda x1, x2: x1 * x2),
+    ("x1 / x2", lambda x1, x2: x1 / x2),
+    ("x1 ** x2", lambda x1, x2: x1**x2),
+    ("-x1 + +x2", lambda x1, x2: -x1 + +x2),
+    ("-x1**2", lambda x1, x2: -(x1**2)),
+    ("2**-x1 - 3", lambda x1, x2: 2.0 ** -x1 - 3.0),
+    ("1.5e-3*x1/7", lambda x1, x2: 1.5e-3 * x1 / 7.0),
+    ("exp(x1)", lambda x1, x2: np.exp(x1)),
+    ("log(x2)", lambda x1, x2: np.log(x2)),
+    ("sqrt(x1)", lambda x1, x2: np.sqrt(x1)),
+    ("sin(x1) + cos(x2)", lambda x1, x2: np.sin(x1) + np.cos(x2)),
+    ("tan(x1)", lambda x1, x2: np.tan(x1)),
+    ("sinh(x1) - cosh(x2)", lambda x1, x2: np.sinh(x1) - np.cosh(x2)),
+    ("tanh(x2)", lambda x1, x2: np.tanh(x2)),
+    ("arctan(x1) + atan(x2)", lambda x1, x2: np.arctan(x1) + np.arctan(x2)),
+    ("arctan2(x2, x1) * atan2(x1, x2)",
+     lambda x1, x2: np.arctan2(x2, x1) * np.arctan2(x1, x2)),
+    ("hypot(x1, x2)", lambda x1, x2: np.hypot(x1, x2)),
+    ("abs(x1 - 0.5) + Abs(0.5 - x2)",
+     lambda x1, x2: np.abs(x1 - 0.5) + np.abs(0.5 - x2)),
+    ("pi*x1 + E**x2", lambda x1, x2: math.pi * x1 + math.e**x2),
+    ("0.1*(x1**2+x2**2)", lambda x1, x2: 0.1 * (x1**2 + x2**2)),
+    ("x2/3", lambda x1, x2: x2 / 3.0),
+]
+
+
+@pytest.mark.parametrize("expr, fn", F_VALUES, ids=[e for e, _ in F_VALUES])
+def test_conformal_factor_values(rng, expr, fn):
+    x1, x2 = rng.uniform(0.05, 0.95, size=(2, 1000))
+    got = DomainSpec("rectangle", (1.0, 1.0), expr).f_callable()(x1, x2)
+    assert got.dtype == float and got.shape == x1.shape
+    assert np.array_equal(got, np.broadcast_to(fn(x1, x2), x1.shape))
+
+
+# The expressions of the golden meshes and of the benchmark; sympy's
+# evaluation of each was bit-equal to the written order.
+F_GOLDEN = [
+    ("0.2*x1*x2 + 0.1*x1**2", lambda x1, x2: 0.2 * x1 * x2 + 0.1 * x1**2),
+    ("0.3*x1 - x2**2", lambda x1, x2: 0.3 * x1 - x2**2),
+    ("0.5*x1*x2 - 0.3*x2", lambda x1, x2: 0.5 * x1 * x2 - 0.3 * x2),
+    ("x1 + 2*x2", lambda x1, x2: x1 + 2.0 * x2),
+    ("0.5*x2", lambda x1, x2: 0.5 * x2),
+    ("x1*x2", lambda x1, x2: x1 * x2),
+    ("1", lambda x1, x2: np.ones_like(x1)),
+    ("3", lambda x1, x2: np.full_like(x1, 3.0)),
+    ("0.0731*x1*x2", lambda x1, x2: 0.0731 * x1 * x2),
+]
+
+
+@pytest.mark.parametrize("expr, fn", F_GOLDEN, ids=[e for e, _ in F_GOLDEN])
+def test_golden_conformal_factors_bit_equal(expr, fn):
+    s = build_domain(DomainSpec("half_disk", (1.0,), expr), 0.2)
+    s = adapt_for_point(refine(s), (0.6, 0.8), 1e-2, 0.3)
+    assert np.array_equal(s.f_nodal, fn(*s.vertices.T))
+
+
+_PAYLOAD = "__import__('sys').stdout.write('EVALUATED\\n') and x1"
+_PARSE = "cannot parse conformal factor"
+_UNKNOWN = "conformal factor uses unknown symbols"
+F_REJECTED = [
+    ("x1.real", _PARSE),
+    ("x1[0]", _PARSE),
+    ("lambda: x1", _PARSE),
+    ("[x1 for x1 in x2]", _PARSE),
+    ("exp(x=x1)", _PARSE),
+    ("'x1'", _PARSE),
+    ("2j*x1", _PARSE),
+    ("x1^2", _PARSE + ".*write '\\*\\*' for a power"),
+    ("x1 and x2", _PARSE),
+    ("x1 < x2", _PARSE),
+    ("log(x1, x2)", _PARSE),
+    ("x1(2)", _PARSE),
+    ("exp", _PARSE),
+    ("", _PARSE),
+    ("1" + "0" * 400, _PARSE),
+    ("x1+" * 100000, _PARSE),
+    ("x1+" * 100000 + "x1", _PARSE),
+    ("-" * 100000 + "x1", _PARSE),
+    (_PAYLOAD, _UNKNOWN + ": __import__"),
+    ("foo(x1)", _UNKNOWN + ": foo$"),
+    ("y + z*x1", _UNKNOWN + ": y, z$"),
+]
+
+
+@pytest.mark.parametrize("expr, match", F_REJECTED,
+                         ids=[e[:20] for e, _ in F_REJECTED])
+def test_conformal_factor_rejected(capfd, expr, match):
+    with pytest.raises(UsageError, match=match):
+        DomainSpec("rectangle", (1.0, 1.0), expr)
+    assert "EVALUATED" not in capfd.readouterr().out
+
+
+_NO_SYMPY = f"""
+import sys
+sys.modules["sympy"] = None
+from tmlab.errors import UsageError
+from tmlab.surface import DomainSpec, Surface, adapt_for_point, build_domain, refine
+
+s = build_domain(DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"), 0.2)
+s = adapt_for_point(refine(s), (0.6, 0.8), 1e-3, 0.3)
+d = s.to_dict()
+assert Surface.from_dict(d).content_hash() == s.content_hash()
+d["domain"]["f_expr"] = {_PAYLOAD!r}
+try:
+    Surface.from_dict(d)
+except UsageError:
+    pass
+else:
+    raise SystemExit("payload accepted")
+assert sys.modules["sympy"] is None
+assert not [m for m in sys.modules if m.startswith("sympy.")]
+print("OK")
+"""
+
+
+def test_conformal_factors_need_no_sympy():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tmlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _NO_SYMPY], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "OK\n"
 
 
 # ---------------------------------------------------------------------------
