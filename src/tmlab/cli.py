@@ -82,8 +82,10 @@ def _parse_annuli(text: str) -> list:
             r0, r1 = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise UsageError(f"cannot parse annulus {tok!r}: {exc}") from exc
-        if not (0 < r0 < r1):
-            raise UsageError(f"annulus {tok!r} needs 0 < r_inner < r_outer")
+        if not (0 < r0 < r1 < math.inf):
+            raise UsageError(
+                f"annulus {tok!r} needs finite 0 < r_inner < r_outer"
+            )
         annuli.append((r0, r1))
     if not annuli:
         raise UsageError("at least one annulus is required")
@@ -120,8 +122,7 @@ def _write_field(path: str, values, mesh_hash: str,
 def _radial_profile(surf: surface_mod.Surface, values, center,
                     r_max: float) -> tuple:
     """Per-vertex (distance-to-center, value) pairs sorted by distance."""
-    r = np.hypot(surf.vertices[:, 0] - center[0],
-                 surf.vertices[:, 1] - center[1])
+    r = surf.distances(center)
     keep = np.flatnonzero(r <= r_max)
     order = keep[np.lexsort((keep, r[keep]))]
     return r[order], np.asarray(values)[order]
@@ -462,7 +463,7 @@ def cmd_witness(args) -> int:
     if args.vertex is None:
         vertex = witness.peak_boundary_vertex(surf)
     else:
-        green_mod._require_smooth_boundary_vertex(surf, args.vertex)
+        surf.require_smooth_boundary_vertex(args.vertex)
         vertex = args.vertex
     build = _witness_moser if args.kind == "moser" else _witness_glued
     return build(args, started, surf, mesh_hash, vertex)
@@ -624,6 +625,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"--{name.replace('_', '-')} must be finite, "
+                                 f"got {value}")
         return args.func(args)
     except TmlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ from .errors import NumericalError, PreconditionError, UsageError
 from .surface import Surface
 
 LOG_COEFF = -1.0 / math.pi  # smooth-boundary pole coefficient
+MIN_ANNULUS_POINTS = 30  # fewest vertices an annulus fit may use
 
 
 @dataclass(frozen=True)
@@ -41,25 +42,11 @@ class GreenResult:
     residual: float
 
 
-def _require_smooth_boundary_vertex(surface: Surface, vertex: int) -> None:
-    """Usage error out of range; precondition error off the smooth boundary."""
-    if not (0 <= vertex < surface.num_vertices):
-        raise UsageError(f"vertex index {vertex} out of range")
-    if vertex not in set(surface.boundary_vertex_indices().tolist()):
-        raise PreconditionError(f"vertex {vertex} is not on the boundary")
-    corners = set(surface.corner_vertex_indices().tolist())
-    if vertex in corners:
-        raise PreconditionError(
-            f"vertex {vertex} is a domain corner, where the smooth-boundary "
-            "constants do not apply"
-        )
-
-
 def green_function(surface: Surface, vertex: int, alpha: float = 0.0) -> GreenResult:
     """Solve the mean-zero Green problem with pole at ``vertex``."""
     if alpha < 0 or not math.isfinite(alpha):
         raise UsageError("alpha must be nonnegative and finite")
-    _require_smooth_boundary_vertex(surface, vertex)
+    surface.require_smooth_boundary_vertex(vertex)
     if alpha > 0.0:
         # The shifted operator is definite on mean-zero fields only below
         # the first nonzero Neumann eigenvalue; alpha = 0 needs no check.
@@ -108,16 +95,14 @@ def green_function(surface: Surface, vertex: int, alpha: float = 0.0) -> GreenRe
 
 
 def _annulus(surface: Surface, x0: np.ndarray, r_inner: float,
-             r_outer: float, min_points: int):
-    """Indices and radii of the ≥ ``min_points`` vertices in the annulus."""
-    r = np.hypot(
-        surface.vertices[:, 0] - x0[0], surface.vertices[:, 1] - x0[1]
-    )
+             r_outer: float):
+    """Indices and radii of the ≥ MIN_ANNULUS_POINTS vertices in the annulus."""
+    r = surface.distances(x0)
     idx = np.flatnonzero((r >= r_inner) & (r <= r_outer))
-    if idx.size < min_points:
+    if idx.size < MIN_ANNULUS_POINTS:
         raise PreconditionError(
             f"annulus [{r_inner}, {r_outer}] holds only {idx.size} vertices "
-            f"(need {min_points}); refine the mesh"
+            f"(need {MIN_ANNULUS_POINTS}); refine the mesh"
         )
     return idx, r[idx]
 
@@ -127,7 +112,6 @@ def extract_A(
     green: GreenResult,
     r_inner: float = 0.1,
     r_outer: float = 0.2,
-    min_points: int = 30,
 ) -> tuple[float, dict]:
     """Additive constant A: annulus average of G + (1/π) log r.
 
@@ -136,7 +120,7 @@ def extract_A(
     constant together with a fit report carrying the annulus bounds, the
     point count, and the RMS of the per-point deviations from the fit.
     """
-    idx, r = _annulus(surface, green.x0, r_inner, r_outer, min_points)
+    idx, r = _annulus(surface, green.x0, r_inner, r_outer)
     samples = green.values[idx] - LOG_COEFF * np.log(r)
     a = float(np.mean(samples))
     report = {
@@ -153,14 +137,13 @@ def log_coefficient_fit(
     green: GreenResult,
     r_inner: float,
     r_outer: float,
-    min_points: int = 30,
 ):
     """Two-parameter fit G ≈ c_log·log r + c₀ over an annulus.
 
     Returns (c_log, c0, n_points); c_log should approach −1/π at a smooth
     boundary pole.
     """
-    idx, r = _annulus(surface, green.x0, r_inner, r_outer, min_points)
+    idx, r = _annulus(surface, green.x0, r_inner, r_outer)
     basis = np.column_stack([np.log(r), np.ones(idx.size)])
     coef, *_ = np.linalg.lstsq(basis, green.values[idx], rcond=None)
     return float(coef[0]), float(coef[1]), int(idx.size)
@@ -168,10 +151,7 @@ def log_coefficient_fit(
 
 def sigma_field(surface: Surface, green: GreenResult, a_const: float) -> np.ndarray:
     """Regular part σ = G + (1/π) log r − A, with σ(x₀) = 0 by definition."""
-    r = np.hypot(
-        surface.vertices[:, 0] - green.x0[0],
-        surface.vertices[:, 1] - green.x0[1],
-    )
+    r = surface.distances(green.x0)
     sigma = np.empty(surface.num_vertices)
     at_pole = r < 1e-300
     with np.errstate(divide="ignore"):
@@ -188,7 +168,6 @@ def green_decomposition(
     surface: Surface,
     green: GreenResult,
     annuli: list | None = None,
-    min_points: int = 30,
 ) -> dict:
     """Pole-strength and constant diagnostics used by the Green checks.
 
@@ -200,13 +179,13 @@ def green_decomposition(
     a_values = []
     a_reports = []
     for r0, r1 in annuli:
-        a, report = extract_A(surface, green, r0, r1, min_points)
+        a, report = extract_A(surface, green, r0, r1)
         a_values.append(a)
         a_reports.append(report)
     span_inner = min(r0 for r0, _ in annuli)
     span_outer = max(r1 for _, r1 in annuli)
     c_log, c0, n_pts = log_coefficient_fit(
-        surface, green, span_inner, span_outer, min_points
+        surface, green, span_inner, span_outer
     )
     sigma = sigma_field(surface, green, a_values[0])
     return {

@@ -46,6 +46,10 @@ from .surface import Surface
 
 TWO_PI = 2.0 * math.pi
 EXP_CLAMP = 700.0  # beyond this the double exponential overflows
+NEWTON_SWITCH = 1e-3  # stationarity residual where ascent hands over to Newton
+FAN_DIRS = 9  # directions of the blow-up profile fan
+FAN_RADII = 33  # radii sampled along each fan direction
+FAN_HALF_ANGLE = 80.0  # degrees the fan spreads either side of inward
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +473,6 @@ def maximize_subcritical(
     tol: float = 1e-8,
     max_ascent: int = 500,
     max_newton: int = 60,
-    newton_switch: float = 1e-3,
 ) -> MaximizeResult:
     """Maximize F over {mean(u)=0, ‖∇u‖₂=1} for ε>0, α < λ₁.
 
@@ -477,7 +480,7 @@ def maximize_subcritical(
     eigenfunction scaled to unit energy.  Phase 1 is Riemannian gradient
     ascent in the metric uᵀKv (:func:`_ascent_step`) with adaptive step and
     a sufficient-increase test, until the stationarity residual is at most
-    ``newton_switch``.  Phase 2 is damped Newton, its KKT system solved by
+    NEWTON_SWITCH.  Phase 2 is damped Newton, its KKT system solved by
     block elimination (:func:`_newton_step`), accepting steps only when the
     stationarity residual decreases, with one ascent step where no damped
     Newton step does.  ``residual`` is the final state's stationarity
@@ -508,7 +511,7 @@ def maximize_subcritical(
     step = 1.0
     n_ascent = 0
     for n_ascent in range(1, max_ascent + 1):
-        if st.kkt_residual <= max(newton_switch, tol):
+        if st.kkt_residual <= max(NEWTON_SWITCH, tol):
             break
         accepted = _ascent_step(st, step)
         if accepted is None:
@@ -580,16 +583,13 @@ def blowup_diagnostics(
     alpha: float,
     eps: float,
     rho_max: float = 1.0,
-    n_dirs: int = 9,
-    n_radii: int = 33,
-    fan_half_angle: float = 80.0,
 ) -> BlowupDiagnostics:
     """Concentration data of a (near-)maximizer.
 
     The state is sign-normalized so its extremum is a positive peak; the
     concentration scale is r = √(λ_ε / (β_ε c² e^{α_ε c²})).  Rescaled
     profiles ψ = u(x* + rρω)/c and φ = c(u(x* + rρω) − c) are sampled on a
-    fan of directions ω spread ±``fan_half_angle`` degrees around the
+    fan of FAN_DIRS directions ω spread ±FAN_HALF_ANGLE degrees around the
     inward direction at the peak (NaN outside the domain).
     """
     u = np.asarray(u, dtype=float)
@@ -620,15 +620,15 @@ def blowup_diagnostics(
     else:
         inward = inward / nrm
 
-    half = math.radians(fan_half_angle)
+    half = math.radians(FAN_HALF_ANGLE)
     base = math.atan2(inward[1], inward[0])
-    angles = base + np.linspace(-half, half, n_dirs)
+    angles = base + np.linspace(-half, half, FAN_DIRS)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    rho = np.linspace(0.0, rho_max, n_radii)
+    rho = np.linspace(0.0, rho_max, FAN_RADII)
 
     pts = x_star + (r * rho)[None, :, None] * dirs[:, None, :]
     vals = assembly.locate(surface, pts.reshape(-1, 2)).values(surface, u)
-    vals = vals.reshape(n_dirs, n_radii)
+    vals = vals.reshape(FAN_DIRS, FAN_RADII)
     psi = vals / c
     phi = c * (vals - c)
     # The center sample is exact by construction.

@@ -248,6 +248,12 @@ class Surface:
         """(nt, 3) lengths of edges opposite each local vertex."""
         return _edge_lengths(self.tri_coords())
 
+    def distances(self, point) -> np.ndarray:
+        """(nv,) Euclidean distances from ``point`` to every vertex."""
+        return np.hypot(
+            self.vertices[:, 0] - point[0], self.vertices[:, 1] - point[1]
+        )
+
     def boundary_vertex_indices(self) -> np.ndarray:
         return np.unique(self.boundary_edges)
 
@@ -256,11 +262,41 @@ class Surface:
         corners = self.spec.corners()
         idx = []
         for c in corners:
-            d = np.hypot(self.vertices[:, 0] - c[0], self.vertices[:, 1] - c[1])
+            d = self.distances(c)
             j = int(np.argmin(d))
             if d[j] < 1e-9 * (1.0 + np.abs(c).max()):
                 idx.append(j)
         return np.array(sorted(set(idx)), dtype=np.int64)
+
+    # -- concentration centres ----------------------------------------------
+    # Blow-up concentrates at a point of the smooth boundary, so every
+    # witness centre, Green pole and bubble seed is a boundary vertex that
+    # is not a domain corner.
+
+    def corner_free_radius(self, vertex: int) -> float:
+        """Distance from a vertex to the nearest domain corner."""
+        x0 = self.vertices[vertex]
+        corners = self.spec.corners()
+        return float(
+            np.min(np.hypot(corners[:, 0] - x0[0], corners[:, 1] - x0[1]))
+        )
+
+    def smooth_boundary_vertices(self) -> np.ndarray:
+        """Sorted boundary vertex indices that are not domain corners."""
+        bidx = self.boundary_vertex_indices()
+        return bidx[~np.isin(bidx, self.corner_vertex_indices())]
+
+    def require_smooth_boundary_vertex(self, vertex: int) -> None:
+        """Usage error out of range; precondition error off the smooth boundary."""
+        if not (0 <= vertex < self.num_vertices):
+            raise UsageError(f"vertex index {vertex} out of range")
+        if vertex not in self.boundary_edges:
+            raise PreconditionError(f"vertex {vertex} is not on the boundary")
+        if vertex in self.corner_vertex_indices():
+            raise PreconditionError(
+                f"vertex {vertex} is a domain corner, where the smooth-boundary "
+                "constants do not apply"
+            )
 
     # -- validation ----------------------------------------------------------
 
@@ -773,13 +809,15 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
     return out
 
 
+ADAPT_MAX_ROUNDS = 400  # bisection rounds before adapt_for_point gives up
+
+
 def adapt_for_point(
     surface: Surface,
     center,
     inner_scale: float,
     outer_radius: float,
     ratio: float = 8.0,
-    max_rounds: int = 400,
 ) -> Surface:
     """Grade the mesh toward ``center``.
 
@@ -793,7 +831,7 @@ def adapt_for_point(
         raise UsageError("adaptation scales must be positive")
     cx, cy = float(center[0]), float(center[1])
     surf = surface
-    for _ in range(max_rounds):
+    for _ in range(ADAPT_MAX_ROUNDS):
         rec = _bisection(surf)
         cc, longest = rec.centroid, rec.longest
         d = np.hypot(cc[:, 0] - cx, cc[:, 1] - cy)

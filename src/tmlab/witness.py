@@ -107,27 +107,18 @@ def unit_radius_gap(diag: "moser.BlowupDiagnostics") -> float:
 
 def smooth_boundary_vertex(surface: Surface, point) -> int:
     """Boundary vertex nearest ``point``, rejecting corner hits."""
-    p = np.asarray(point, dtype=float)
     bidx = surface.boundary_vertex_indices()
-    d = np.hypot(
-        surface.vertices[bidx, 0] - p[0], surface.vertices[bidx, 1] - p[1]
-    )
-    vertex = int(bidx[int(np.argmin(d))])
-    if vertex in set(surface.corner_vertex_indices().tolist()):
-        raise PreconditionError(
-            "requested witness center resolves to a domain corner; "
-            "concentration constants there differ from the smooth-boundary ones"
-        )
+    vertex = int(bidx[int(np.argmin(surface.distances(point)[bidx]))])
+    surface.require_smooth_boundary_vertex(vertex)
     return vertex
 
 
-def corner_free_radius(surface: Surface, vertex: int) -> float:
-    """Distance from a vertex to the nearest domain corner."""
-    x0 = surface.vertices[vertex]
-    corners = surface.spec.corners()
-    return float(
-        np.min(np.hypot(corners[:, 0] - x0[0], corners[:, 1] - x0[1]))
-    )
+def _recentre(surface: Surface, x0: np.ndarray) -> int:
+    """The smooth boundary vertex at ``x0`` on a mesh adapted around it."""
+    vertex = smooth_boundary_vertex(surface, x0)
+    if not np.allclose(surface.vertices[vertex], x0, atol=1e-12):
+        raise NumericalError("witness center drifted during adaptation")
+    return vertex
 
 
 def _metric_centroid(surface: Surface) -> np.ndarray:
@@ -139,24 +130,9 @@ def _metric_centroid(surface: Surface) -> np.ndarray:
     )
 
 
-def _boundary_distance(surface: Surface, point: np.ndarray) -> float:
-    bidx = surface.boundary_vertex_indices()
-    return float(
-        np.min(
-            np.hypot(
-                surface.vertices[bidx, 0] - point[0],
-                surface.vertices[bidx, 1] - point[1],
-            )
-        )
-    )
-
-
 def _mollifier(surface: Surface, center: np.ndarray, radius: float) -> np.ndarray:
     """C∞ radial bump: 1 at the center, 0 outside ``radius``."""
-    r = np.hypot(
-        surface.vertices[:, 0] - center[0], surface.vertices[:, 1] - center[1]
-    )
-    s2 = (r / radius) ** 2
+    s2 = (surface.distances(center) / radius) ** 2
     out = np.zeros(surface.num_vertices)
     inside = s2 < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
@@ -176,16 +152,10 @@ class CapState:
     vertex: int
     v: np.ndarray = field(repr=False)
     eps: float
-    big_l: float
     t: float
     delta: float
-    plateau: float
-    slope: float
     bump_amplitude: float
-    raw_energy: float
     peak: float
-    bump_center: tuple = (0.0, 0.0)
-    bump_radius: float = 0.0
 
 
 def cap_state(
@@ -207,7 +177,7 @@ def cap_state(
         raise UsageError("cap parameter eps must lie in (0, 1)")
     if delta <= 0:
         raise UsageError("cap radius delta must be positive")
-    if delta >= corner_free_radius(surface, vertex):
+    if delta >= surface.corner_free_radius(vertex):
         raise PreconditionError(
             "cap radius reaches a domain corner; shrink delta"
         )
@@ -217,7 +187,7 @@ def cap_state(
     r0 = delta * math.sqrt(eps)
 
     x0 = surface.vertices[vertex]
-    r = np.hypot(surface.vertices[:, 0] - x0[0], surface.vertices[:, 1] - x0[1])
+    r = surface.distances(x0)
     cap = np.zeros(surface.num_vertices)
     ring = (r > r0) & (r < delta)
     cap[r <= r0] = plateau
@@ -225,33 +195,20 @@ def cap_state(
 
     # Mollifier in the domain bulk, clear of the cap support.
     anchor = _metric_centroid(surface)
+    bidx = surface.boundary_vertex_indices()
     room = min(
-        _boundary_distance(surface, anchor),
+        float(np.min(surface.distances(anchor)[bidx])),
         float(np.hypot(*(anchor - x0))) - delta,
     )
     if room <= 0.0:
         # A wide cap can swallow the centroid; fall back to the mesh vertex
         # with the best joint clearance from the boundary and the cap.
-        pts = surface.vertices
-        bpts = pts[surface.boundary_vertex_indices()]
-        d_bnd = np.full(pts.shape[0], np.inf)
-        for k in range(0, bpts.shape[0], 64):
-            blk = bpts[k : k + 64]
-            np.minimum(
-                d_bnd,
-                np.min(
-                    np.hypot(
-                        pts[:, None, 0] - blk[None, :, 0],
-                        pts[:, None, 1] - blk[None, :, 1],
-                    ),
-                    axis=1,
-                ),
-                out=d_bnd,
-            )
-        d_cap = np.hypot(pts[:, 0] - x0[0], pts[:, 1] - x0[1]) - delta
-        score = np.minimum(d_bnd, d_cap)
+        d_bnd = np.full(surface.num_vertices, np.inf)
+        for b in surface.vertices[bidx]:
+            np.minimum(d_bnd, surface.distances(b), out=d_bnd)
+        score = np.minimum(d_bnd, r - delta)
         best = int(np.argmax(score))
-        anchor = pts[best].copy()
+        anchor = surface.vertices[best].copy()
         room = float(score[best])
     radius = 0.9 * room
     if radius <= 0:
@@ -284,16 +241,10 @@ def cap_state(
         vertex=vertex,
         v=v,
         eps=eps,
-        big_l=big_l,
         t=t,
         delta=delta,
-        plateau=plateau,
-        slope=slope,
         bump_amplitude=s_amp,
-        raw_energy=raw * raw,
         peak=float(v[vertex]),
-        bump_center=(float(anchor[0]), float(anchor[1])),
-        bump_radius=radius,
     )
 
 
@@ -311,12 +262,8 @@ def moser_sequence(
     energy.  The cap radius is the coupled radius 1/(t√L) clipped to the
     domain.
     """
-    if not (0 < q < 0.5):
-        raise UsageError("t-exponent q must lie in (0, 0.5)")
-    if not (0 < eps < 1):
-        raise UsageError("cap parameter eps must lie in (0, 1)")
-    _, t, delta_formula = rung_parameters(eps, q)
-    delta = min(delta_formula, default_delta(surface, vertex))
+    surface.require_smooth_boundary_vertex(vertex)
+    t, delta = _rung(surface, vertex, eps, q)
     return cap_state(surface, vertex, eps, delta, t=t, u0=eigenpair.vector)
 
 
@@ -350,7 +297,7 @@ class WitnessLadder:
 
 def default_delta(surface: Surface, vertex: int) -> float:
     """Largest safe cap radius: 90% of the distance to the nearest corner."""
-    return 0.9 * corner_free_radius(surface, vertex)
+    return 0.9 * surface.corner_free_radius(vertex)
 
 
 def rung_parameters(eps: float, q: float) -> tuple:
@@ -362,6 +309,16 @@ def rung_parameters(eps: float, q: float) -> tuple:
     big_l = -math.log(eps)
     t = big_l ** (-q)
     return big_l, t, 1.0 / (t * math.sqrt(big_l))
+
+
+def _rung(surface: Surface, vertex: int, eps: float, q: float) -> tuple:
+    """(t, δ) of one rung: the coupled radius clipped by :func:`default_delta`."""
+    if not (0 < q < 0.5):
+        raise UsageError("t-exponent q must lie in (0, 0.5)")
+    if not (0 < eps < 1):
+        raise UsageError("cap parameter eps must lie in (0, 1)")
+    _, t, delta_formula = rung_parameters(eps, q)
+    return t, min(delta_formula, default_delta(surface, vertex))
 
 
 def side_conditions(eps_ladder, q: float) -> dict:
@@ -398,28 +355,21 @@ def ladder_states(
     the coupled radius δ = 1/(t√L) clipped to 90% of the corner-free
     radius so the cap always fits the domain.
     """
-    if not (0 < q < 0.5):
-        raise UsageError("t-exponent q must lie in (0, 0.5)")
     eps_list = [float(e) for e in eps_ladder]
-    if not eps_list or any(not (0 < e < 1) for e in eps_list):
-        raise UsageError("eps ladder entries must lie in (0, 1)")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise UsageError("eps ladder must be strictly decreasing")
-    delta_cap = default_delta(surface, vertex)
+    if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise UsageError("eps ladder must be nonempty and strictly decreasing")
+    surface.require_smooth_boundary_vertex(vertex)
+    params = [_rung(surface, vertex, eps, q) for eps in eps_list]
     x0 = surface.vertices[vertex].copy()
 
     rungs = []
-    for eps in eps_list:
-        _, t, delta_formula = rung_parameters(eps, q)
-        delta = min(delta_formula, delta_cap)
-        surf = surface
+    for eps, (t, delta) in zip(eps_list, params):
+        surf, vtx = surface, vertex
         if adapt:
             surf = adapt_for_point(surface, x0,
                                    inner_scale=delta * math.sqrt(eps),
                                    outer_radius=delta)
-        vtx = smooth_boundary_vertex(surf, x0)
-        if not np.allclose(surf.vertices[vtx], x0, atol=1e-12):
-            raise NumericalError("cap center drifted during adaptation")
+            vtx = _recentre(surf, x0)
         plain = cap_state(surf, vtx, eps, delta, t=0.0)
         eig = cap_state(surf, vtx, eps, delta, t=t) if need_eigen_branch else None
         rungs.append(LadderRung(surface=surf, state_plain=plain, state_eigen=eig))
@@ -471,15 +421,13 @@ def peak_boundary_vertex(surface: Surface) -> int:
     the corners; the final tie-break is the lowest index.
     """
     u0 = spectrum.lambda1(surface).vector
-    corner_set = set(int(c) for c in surface.corner_vertex_indices())
-    candidates = [
-        int(i) for i in surface.boundary_vertex_indices() if int(i) not in corner_set
-    ]
-    if not candidates:
+    candidates = surface.smooth_boundary_vertices()
+    if candidates.size == 0:
         raise PreconditionError("no smooth boundary vertex available")
-    top = max(u0[i] for i in candidates)
-    band = [i for i in candidates if u0[i] >= top - 1e-9 * max(abs(top), 1.0)]
-    return min(band, key=lambda i: (-corner_free_radius(surface, i), i))
+    values = u0[candidates]
+    top = values.max()
+    band = candidates[values >= top - 1e-9 * max(abs(top), 1.0)].tolist()
+    return min(band, key=lambda i: (-surface.corner_free_radius(i), i))
 
 
 def divergence_matrix(
@@ -535,7 +483,6 @@ class GluedState:
     big_r: float
     c_sq: float
     b: float
-    denom: float
     a_const: float
     green_norm_sq: float
     bound: float
@@ -594,7 +541,7 @@ def glued_sequence(surface: Surface, green, eps: float) -> GluedState:
     )
     denom = math.sqrt(c_sq + alpha * green.norm_l2_sq)
 
-    r = np.hypot(surface.vertices[:, 0] - x0[0], surface.vertices[:, 1] - x0[1])
+    r = surface.distances(x0)
     inner = r < big_r * eps
     middle = (~inner) & (r < 2.0 * big_r * eps)
     u = np.array(green.values) / denom  # outer region default
@@ -618,7 +565,6 @@ def glued_sequence(surface: Surface, green, eps: float) -> GluedState:
         big_r=big_r,
         c_sq=c_sq,
         b=b,
-        denom=denom,
         a_const=a_const,
         green_norm_sq=green.norm_l2_sq,
         bound=sharp_bound(assembly.area(surface), a_const),
@@ -643,6 +589,7 @@ def glued_state(
     """
     if not (0 < eps < 0.1):
         raise UsageError("glued-state scale eps must lie in (0, 0.1)")
+    surface.require_smooth_boundary_vertex(vertex)
     x0 = surface.vertices[vertex].copy()
     key = ("glued_adapt", float(x0[0]), float(x0[1]), eps)
     if key not in surface.cache:
@@ -650,10 +597,7 @@ def glued_state(
             surface, x0, inner_scale=eps, outer_radius=0.5
         )
     surf = surface.cache[key]
-    vtx = smooth_boundary_vertex(surf, x0)
-    if not np.allclose(surf.vertices[vtx], x0, atol=1e-12):
-        raise NumericalError("glue center drifted during adaptation")
-    gres = green_mod.green_function(surf, vtx, alpha=alpha)
+    gres = green_mod.green_function(surf, _recentre(surf, x0), alpha=alpha)
     return glued_sequence(surf, gres, eps)
 
 
@@ -748,20 +692,19 @@ def concentration_study(
     :class:`NumericalError` when a rung's final maximizer is unconverged.
     """
     eps_list = [float(e) for e in eps_ladder]
-    x0 = surface.vertices[vertex].copy()
-
     seed_state = glued_state(surface, vertex, STUDY_SEED_SCALE, alpha=alpha)
     surf = seed_state.surface
     u_seed = seed_state.v
     results = []
     for eps in eps_list:
-        res = moser.maximize_subcritical(
-            surf, alpha, eps, u0=u_seed, tol=STUDY_TOL
-        )
-        diag = moser.blowup_diagnostics(surf, res.u, alpha, eps)
-        for _ in range(STUDY_MAX_ADAPT_ROUNDS):
-            local = _peak_resolution(surf, diag.vertex)
-            if local <= diag.r / STUDY_RESOLVE_FACTOR:
+        for rounds in range(STUDY_MAX_ADAPT_ROUNDS + 1):
+            res = moser.maximize_subcritical(
+                surf, alpha, eps, u0=u_seed, tol=STUDY_TOL
+            )
+            diag = moser.blowup_diagnostics(surf, res.u, alpha, eps)
+            if (rounds == STUDY_MAX_ADAPT_ROUNDS
+                    or _peak_resolution(surf, diag.vertex)
+                    <= diag.r / STUDY_RESOLVE_FACTOR):
                 break
             new_surf = adapt_for_point(
                 surf,
@@ -776,11 +719,7 @@ def concentration_study(
             nrm = assembly.dirichlet_norm(new_surf, u_new)
             if nrm == 0.0:
                 raise NumericalError("state transfer degenerated")
-            surf = new_surf
-            res = moser.maximize_subcritical(
-                surf, alpha, eps, u0=u_new / nrm, tol=STUDY_TOL
-            )
-            diag = moser.blowup_diagnostics(surf, res.u, alpha, eps)
+            surf, u_seed = new_surf, u_new / nrm
         if not res.converged:
             raise NumericalError(
                 f"maximizer at eps = {eps} ended unconverged: residual "

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,34 @@ def test_green_rejects_non_finite_point(half_disk_mesh, tmp_path, point):
     assert run("green", "--mesh", str(half_disk_mesh), "--point", point,
                "--out", str(out)) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == [half_disk_mesh.name]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["green", "--point", "1,0", "--annuli", "0.1:inf"], "annulus '0.1:inf'"),
+    (["maximize", "--eps", "0.5", "--tol", "nan"], "--tol"),
+    (["eigen", "--tol", "nan"], "--tol"),
+    (["witness", "--kind", "bubble", "--rho-max", "inf"], "--rho-max"),
+], ids=["green-annuli", "maximize-tol", "eigen-tol", "bubble-rho-max"])
+def test_non_finite_float_options_rejected_up_front(
+        half_disk_mesh, tmp_path, capfd, monkeypatch, argv, named):
+    from tmlab import green, moser, spectrum, witness
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached with a non-finite option")
+
+    for module, name in ((spectrum, "first_eigenpair"),
+                         (moser, "maximize_subcritical"),
+                         (green, "green_function"), (witness, "bubble_phi")):
+        monkeypatch.setattr(module, name, no_solve)
+    mesh = [] if argv[0] == "witness" else ["--mesh", str(half_disk_mesh)]
+    capfd.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, *mesh, "--out", str(tmp_path / "o.json")) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [half_disk_mesh.name]
+    captured = capfd.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Warning" not in captured.out + captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -742,3 +742,52 @@ def test_adapt_at_straight_side_corner_terminates(spec, corner):
     for c in spec.corners():
         d = np.hypot(s.vertices[:, 0] - c[0], s.vertices[:, 1] - c[1])
         assert np.count_nonzero(d <= 1e-12) == 1
+
+
+# ---------------------------------------------------------------------------
+# Concentration-centre rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=REFERENCE_SPECS, ids=REFERENCE_IDS)
+def template(request):
+    return build_domain(request.param, 0.1)
+
+
+def test_smooth_boundary_vertices_exclude_corners(template):
+    corners = template.corner_vertex_indices()
+    assert corners.size == len(template.spec.corners())
+    want = np.setdiff1d(template.boundary_vertex_indices(), corners)
+    assert np.array_equal(template.smooth_boundary_vertices(), want)
+
+
+def test_require_smooth_boundary_vertex(template):
+    n = template.num_vertices
+    for vertex in (-1, n):
+        with pytest.raises(UsageError, match="out of range"):
+            template.require_smooth_boundary_vertex(vertex)
+    interior = np.setdiff1d(np.arange(n), template.boundary_vertex_indices())
+    with pytest.raises(PreconditionError, match="not on the boundary"):
+        template.require_smooth_boundary_vertex(int(interior[0]))
+    for corner in template.corner_vertex_indices():
+        with pytest.raises(PreconditionError, match="domain corner"):
+            template.require_smooth_boundary_vertex(int(corner))
+    for vertex in template.smooth_boundary_vertices():
+        template.require_smooth_boundary_vertex(int(vertex))
+
+
+def test_distances_bit_equal_to_inline_form(template, rng):
+    v = template.vertices
+    for p in [*rng.uniform(-1.0, 2.0, size=(5, 2)), v[7], (0.3, -0.2)]:
+        want = np.hypot(v[:, 0] - p[0], v[:, 1] - p[1])
+        assert np.array_equal(template.distances(p), want)
+
+
+def test_corner_free_radius_is_nearest_corner_distance(template):
+    corners = template.spec.corners()
+    for vertex in template.boundary_vertex_indices().tolist():
+        x0 = template.vertices[vertex]
+        want = np.min(np.hypot(corners[:, 0] - x0[0], corners[:, 1] - x0[1]))
+        assert template.corner_free_radius(vertex) == float(want)
+    for corner in template.corner_vertex_indices().tolist():
+        assert template.corner_free_radius(corner) <= 1e-9

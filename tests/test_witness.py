@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from tmlab import assembly, spectrum, witness
+from tmlab import assembly, green, spectrum, witness
 from tmlab.errors import NumericalError, PreconditionError, UsageError
 from tmlab.surface import DomainSpec, build_domain
 
@@ -107,6 +107,35 @@ def test_cap_rejects_corner_center(half_disk):
     corner = int(half_disk.corner_vertex_indices()[0])
     with pytest.raises(PreconditionError):
         witness.cap_state(half_disk, corner, 1e-3, 0.1)
+
+
+CENTRE_CALLS = {
+    "ladder_adapt": lambda s, v: witness.ladder_states(s, v, [1e-2, 1e-3]),
+    "ladder_fixed": lambda s, v: witness.ladder_states(s, v, [1e-2, 1e-3],
+                                                       adapt=False),
+    "glued_state": lambda s, v: witness.glued_state(s, v, 1e-4),
+    "lower_bound_check": lambda s, v: witness.lower_bound_check(s, v, 1e-4),
+    "moser_sequence": lambda s, v: witness.moser_sequence(
+        s, spectrum.lambda1(s), v, 1e-3),
+    "green_function": lambda s, v: green.green_function(s, v),
+}
+
+
+@pytest.mark.parametrize("call", sorted(CENTRE_CALLS))
+@pytest.mark.parametrize("where", ["interior", "corner"])
+def test_centre_off_smooth_boundary_rejected_before_adapting(
+        half_disk, monkeypatch, call, where):
+    def no_adapt(*args, **kwargs):
+        raise AssertionError("adapted around a rejected centre")
+
+    monkeypatch.setattr(witness, "adapt_for_point", no_adapt)
+    if where == "corner":
+        vertex = int(half_disk.corner_vertex_indices()[0])
+    else:
+        vertex = int(np.setdiff1d(np.arange(half_disk.num_vertices),
+                                  half_disk.boundary_vertex_indices())[0])
+    with pytest.raises(PreconditionError):
+        CENTRE_CALLS[call](half_disk, vertex)
 
 
 def test_ladder_requires_decreasing_eps(half_disk):
