@@ -232,6 +232,22 @@ def dirichlet_norm(surface: Surface, u: np.ndarray) -> float:
     return float(np.sqrt(max(u @ (stiffness(surface) @ u), 0.0)))
 
 
+def admissible(surface: Surface, v: np.ndarray) -> tuple:
+    """Map ``v`` onto the admissible sphere: mean zero, unit Dirichlet energy.
+
+    Returns ``(state, norm)``, ``norm`` the Dirichlet norm of the
+    mean-zero projection that was divided out.  A zero or non-finite norm
+    raises :class:`NumericalError`.
+    """
+    v = mean_zero_project(surface, v)
+    nrm = dirichlet_norm(surface, v)
+    if not np.isfinite(nrm) or nrm == 0.0:
+        raise NumericalError(
+            f"cannot scale a state of Dirichlet norm {nrm} to unit energy"
+        )
+    return v / nrm, nrm
+
+
 def l2_norm(surface: Surface, u: np.ndarray) -> float:
     """Metric L² norm √(uᵀMu)."""
     return float(np.sqrt(max(u @ (mass(surface) @ u), 0.0)))

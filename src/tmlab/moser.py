@@ -21,13 +21,16 @@ Newton with the exact Hessian, whose α-terms add a symmetric rank-two
 correction.  Its KKT system is solved by block elimination of the border
 (Benzi, Golub and Liesen, *Acta Numerica* 14, 2005, §5): one LU of the
 sparse Hessian block with K's pattern, then a 2×2 (α = 0) or 4×4 (α > 0)
-Schur complement.  The whole bordered matrix is factored only when that
-block's LU fails or the Schur complement is ill-conditioned.
+Schur complement.  When that block's LU fails, its solve is not finite or
+the Schur complement is ill-conditioned, Newton takes one safeguarded
+ascent step instead.
 
 Each state the maximizer visits is one ``_State``: value, gradient, KKT
 multipliers and residual, the Newton system and the Euler–Lagrange data
 are all read from it, so no (u, α, β) is interpolated or exponentiated
-twice.
+twice.  A quadrature exponent above ``EXP_MAX`` raises
+:class:`NumericalError` before anything is exponentiated, so every value
+reported is the exact quadrature value.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly, spectrum
@@ -45,7 +47,7 @@ from .errors import NumericalError, PreconditionError, UsageError
 from .surface import Surface
 
 TWO_PI = 2.0 * math.pi
-EXP_CLAMP = 700.0  # beyond this the double exponential overflows
+EXP_MAX = 700.0  # largest exponent whose exponential stays in double range
 NEWTON_SWITCH = 1e-3  # stationarity residual where ascent hands over to Newton
 FAN_DIRS = 9  # directions of the blow-up profile fan
 FAN_RADII = 33  # radii sampled along each fan direction
@@ -59,15 +61,9 @@ FAN_HALF_ANGLE = 80.0  # degrees the fan spreads either side of inward
 
 @dataclass(frozen=True)
 class FunctionalValue:
-    """Value of F(u) plus overflow bookkeeping.
-
-    ``tainted`` is True when any quadrature exponent was clamped at
-    ``EXP_CLAMP``; the reported value is then a certified lower bound
-    rather than the exact quadrature value.
-    """
+    """Value of F(u) and its largest quadrature exponent."""
 
     value: float
-    tainted: bool
     max_exponent: float
 
 
@@ -81,7 +77,6 @@ class ELCoefficients:
       gamma_eps  = α/(1 + 2αs)
       lambda_eps = ∫ u² e^{alpha_eps u²} dv
       mu_eps     = beta_eps/Area · ∫ u e^{alpha_eps u²} dv
-    and the constraint multiplier A = β·lambda_eps·(1 + 2αs).
     """
 
     alpha_eps: float
@@ -89,14 +84,15 @@ class ELCoefficients:
     gamma_eps: float
     lambda_eps: float
     mu_eps: float
-    multiplier: float
     norm_sq: float
-    tainted: bool
 
 
 @dataclass
 class MaximizeResult:
-    """Outcome of subcritical maximization."""
+    """Outcome of subcritical maximization.
+
+    ``tainted`` is always False: an exponent overflow raises instead.
+    """
 
     u: np.ndarray
     value: float
@@ -125,10 +121,8 @@ class BlowupDiagnostics:
     alpha_eps: float
     beta_eps: float
     rho: np.ndarray
-    directions: np.ndarray
     psi: np.ndarray
     phi: np.ndarray
-    sign_flipped: bool
 
 
 # ---------------------------------------------------------------------------
@@ -167,22 +161,18 @@ class _State:
         self.uq = assembly.interpolate(surface, self.u)
         expo = self.alpha_eps * self.uq**2
         self.max_exponent = float(expo.max(initial=0.0))
-        self.tainted = bool(self.max_exponent > EXP_CLAMP)
-        self.live = expo <= EXP_CLAMP  # clamped points carry no derivative
-        self.eE = np.exp(np.minimum(expo, EXP_CLAMP))
+        if self.max_exponent > EXP_MAX:
+            raise NumericalError(
+                f"quadrature exponent {self.max_exponent:.6g} exceeds "
+                f"{EXP_MAX:g}: F overflows the double range"
+            )
+        self.eE = np.exp(expo)
         self.w = assembly.quad_weights(surface)
 
     # -- scalar moments ∫ u^k e^E dv --------------------------------------
 
     def moment(self, k: int) -> float:
         return float(np.sum(self.w * self.uq**k * self.eE))
-
-    def moment_live(self, k: int) -> float:
-        return float(np.sum(self.w * self.uq**k * self.eE * self.live))
-
-    def live_field(self, k: int) -> np.ndarray:
-        """u^k e^E at the quadrature points, zero where E was clamped."""
-        return self.uq**k * self.eE * self.live
 
     # -- value and first-order data ----------------------------------------
 
@@ -192,12 +182,12 @@ class _State:
 
     @cached_property
     def s1(self) -> np.ndarray:
-        """Load vector ∫ u e^E φ_i dv (derivative side: clamp-masked)."""
-        return assembly.load(self.surface, self.live_field(1))
+        """Load vector ∫ u e^E φ_i dv."""
+        return assembly.load(self.surface, self.uq * self.eE)
 
     @cached_property
     def gradient(self) -> np.ndarray:
-        lam = self.moment_live(2)
+        lam = self.moment(2)
         return (
             2.0 * self.alpha_eps * self.s1
             + 2.0 * self.alpha * self.beta * lam * self.mu_vec
@@ -254,9 +244,7 @@ class _State:
             gamma_eps=gamma_eps,
             lambda_eps=lam,
             mu_eps=mu_eps,
-            multiplier=self.beta * lam * (1.0 + 2.0 * alpha * s),
             norm_sq=s,
-            tainted=self.tainted,
         )
 
 
@@ -278,23 +266,21 @@ def functional_at_beta(
     Unlike :func:`functional`, this does not restrict β to the subcritical
     range — witness families are evaluated at and beyond the critical
     exponent, where the supremum may be infinite but any fixed state still
-    has a finite quadrature value (clamped and flagged on overflow).
+    has a finite quadrature value.  An exponent above ``EXP_MAX`` raises
+    :class:`NumericalError`.
     """
     if not (beta > 0) or not math.isfinite(beta):
         raise UsageError("beta must be positive and finite")
     if alpha < 0 or not math.isfinite(alpha):
         raise UsageError("alpha must be nonnegative and finite")
     st = _State(surface, u, alpha, beta)
-    return FunctionalValue(
-        value=st.value, tainted=st.tainted, max_exponent=st.max_exponent
-    )
+    return FunctionalValue(value=st.value, max_exponent=st.max_exponent)
 
 
 def gradient(surface: Surface, u, alpha: float, eps: float) -> np.ndarray:
     """Exact gradient of the discrete functional.
 
     ∇F = 2β(1+αs)·∫ u e^E φ_i + 2αβ·(∫ u² e^E)·Mu,  s = ‖u‖₂².
-    Clamped quadrature points contribute zero derivative.
     """
     return _State(surface, u, alpha, _check_params(alpha, eps)).gradient
 
@@ -333,15 +319,6 @@ def el_residual(surface: Surface, u, alpha: float, eps: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _retract(surface: Surface, v: np.ndarray) -> np.ndarray:
-    """Project to mean zero and rescale to unit Dirichlet energy."""
-    v = assembly.mean_zero_project(surface, v)
-    nrm = assembly.dirichlet_norm(surface, v)
-    if not np.isfinite(nrm) or nrm == 0.0:
-        raise NumericalError("retraction hit a degenerate state")
-    return v / nrm
-
-
 def _ascent_step(st: _State, step: float):
     """One Armijo step of Riemannian gradient ascent from ``st``.
 
@@ -360,7 +337,8 @@ def _ascent_step(st: _State, step: float):
     if not slope > 0:
         return None
     for _ in range(40):
-        trial = _State(surface, _retract(surface, u + step * d), st.alpha, st.beta)
+        v = assembly.admissible(surface, u + step * d)[0]
+        trial = _State(surface, v, st.alpha, st.beta)
         if trial.value >= st.value + 1e-4 * step * slope:
             return trial, step
         step *= 0.5
@@ -372,7 +350,7 @@ def _ascent_step(st: _State, step: float):
 # The Schur complement is solved after symmetric scaling to a unit diagonal
 # (unscaled, κ alone makes the α > 0 block's condition number 1e13–1e17).
 # Above this scaled condition number (error ~ cond·2⁻⁵³ ≥ 1e-8 relative in
-# the border multipliers) the whole bordered matrix is factored instead.
+# the border multipliers) no Newton step is taken.
 SCHUR_COND_MAX = 1e8
 
 
@@ -398,18 +376,18 @@ def _newton_system(st: _State) -> tuple:
     m = assembly.mass(surface)
     a_mult = st.multipliers[0]
 
-    lam = st.moment_live(2)
+    lam = st.moment(2)
     h_sp = (
-        2.0 * ae * assembly.weighted_mass(surface, st.live_field(0))
-        + 4.0 * ae * ae * assembly.weighted_mass(surface, st.live_field(2))
+        2.0 * ae * assembly.weighted_mass(surface, st.eE)
+        + 4.0 * ae * ae * assembly.weighted_mass(surface, st.uq**2 * st.eE)
         + (2.0 * alpha * beta * lam) * m
     )
     h_c = (h_sp - (2.0 * a_mult) * k).tocsc()
 
     b = np.column_stack([2.0 * st.ku, assembly.mass_row_of_ones(surface)])
     if alpha > 0.0:
-        s3 = assembly.load(surface, st.live_field(3))
-        lam4 = st.moment_live(4)
+        s3 = assembly.load(surface, st.uq**3 * st.eE)
+        lam4 = st.moment(4)
         w_t = 4.0 * alpha * beta * (st.s1 + ae * s3)
         kappa = 4.0 * alpha * alpha * beta * beta * lam4
         w = np.column_stack([st.mu_vec, w_t, b])
@@ -421,48 +399,35 @@ def _newton_system(st: _State) -> tuple:
     return h_c, w, corner, -st.lagrangian_gradient
 
 
-def _newton_step(st: _State) -> np.ndarray:
+def _newton_step(st: _State) -> np.ndarray | None:
     """Solve the KKT Newton system of ``st`` by block elimination; return δu.
 
     One LU of h_c (symmetric mode, minimum-degree ordering of h_cᵀ + h_c)
     solves for [r, w] at once; the border multipliers y then solve the
     Schur complement S·y = wᵀh_c⁻¹r with S = wᵀh_c⁻¹w − corner, and
-    δu = h_c⁻¹r − h_c⁻¹w·y.  h_c is indefinite, so when its LU fails or S
-    is ill-conditioned after symmetric scaling (see ``SCHUR_COND_MAX``)
-    the bordered matrix (see :func:`_newton_system`) is factored instead.
+    δu = h_c⁻¹r − h_c⁻¹w·y.  h_c is indefinite: when its LU fails, its
+    solve is not finite, or S is ill-conditioned after symmetric scaling
+    (see ``SCHUR_COND_MAX``), there is no Newton step and None is returned.
     """
     h_c, w, corner, r = _newton_system(st)
     try:
         lu = spla.splu(h_c, permc_spec="MMD_AT_PLUS_A",
                        options=dict(SymmetricMode=True))
     except RuntimeError:
-        return _bordered_newton_step(h_c, w, corner, r)
+        return None
     sol = lu.solve(np.column_stack([r, w]))
+    if not np.all(np.isfinite(sol)):
+        return None
     x_r, z = sol[:, 0], sol[:, 1:]
     schur = w.T @ z - corner
     diag = np.abs(np.diag(schur))
-    if np.all(np.isfinite(sol)) and np.all(diag > 0.0):
+    if np.all(diag > 0.0):
         scale = 1.0 / np.sqrt(diag)
         scaled = schur * np.outer(scale, scale)
         if np.linalg.cond(scaled) <= SCHUR_COND_MAX:
             y = scale * np.linalg.solve(scaled, scale * (w.T @ x_r))
             return x_r - z @ y
-    return _bordered_newton_step(h_c, w, corner, r)
-
-
-def _bordered_newton_step(h_c, w, corner, r) -> np.ndarray:
-    """δu from one LU of the whole bordered KKT matrix."""
-    mat = sp.bmat(
-        [[h_c, sp.csc_matrix(w)], [sp.csc_matrix(w.T), sp.csc_matrix(corner)]],
-        format="csc",
-    )
-    try:
-        sol = spla.splu(mat).solve(np.concatenate([r, np.zeros(w.shape[1])]))
-    except RuntimeError as exc:
-        raise NumericalError(f"KKT Newton factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise NumericalError("KKT Newton solve produced non-finite values")
-    return sol[:r.size]
+    return None
 
 
 def maximize_subcritical(
@@ -482,8 +447,8 @@ def maximize_subcritical(
     a sufficient-increase test, until the stationarity residual is at most
     NEWTON_SWITCH.  Phase 2 is damped Newton, its KKT system solved by
     block elimination (:func:`_newton_step`), accepting steps only when the
-    stationarity residual decreases, with one ascent step where no damped
-    Newton step does.  ``residual`` is the final state's stationarity
+    stationarity residual decreases, with one ascent step where there is no
+    Newton step or no damped one does.  ``residual`` is the final state's stationarity
     residual, the number the loop stops on, and ``converged`` compares
     that same number with ``tol``; :func:`el_residual` recomputes it from
     the Euler–Lagrange form.  At most the current state and one trial
@@ -505,8 +470,7 @@ def maximize_subcritical(
         u = np.asarray(u0, dtype=float)
         if u.shape != (surface.num_vertices,):
             raise UsageError("seed vector length does not match the mesh")
-    st = _State(surface, _retract(surface, u), alpha, beta)
-    tainted = st.tainted
+    st = _State(surface, assembly.admissible(surface, u)[0], alpha, beta)
 
     step = 1.0
     n_ascent = 0
@@ -517,7 +481,6 @@ def maximize_subcritical(
         if accepted is None:
             break
         st, step = accepted
-        tainted = tainted or st.tainted
         step = min(step * 1.3, 1e6)
 
     n_newton = 0
@@ -525,8 +488,10 @@ def maximize_subcritical(
         n_newton += 1
         du = _newton_step(st)
         tau = 1.0
-        for _ in range(12):
-            trial = _State(surface, _retract(surface, st.u + tau * du), alpha, beta)
+        # Without a Newton step the damping loop is empty and falls through.
+        for _ in range(0 if du is None else 12):
+            v = assembly.admissible(surface, st.u + tau * du)[0]
+            trial = _State(surface, v, alpha, beta)
             if trial.kkt_residual < st.kkt_residual:
                 st = trial
                 break
@@ -537,7 +502,6 @@ def maximize_subcritical(
             if accepted is None:
                 break
             st = accepted[0]
-            tainted = tainted or st.tainted
 
     return MaximizeResult(
         u=st.u,
@@ -546,7 +510,7 @@ def maximize_subcritical(
         ascent_iterations=n_ascent,
         newton_iterations=n_newton,
         converged=bool(st.kkt_residual <= tol),
-        tainted=bool(tainted or st.tainted),
+        tainted=False,
     )
 
 
@@ -593,10 +557,8 @@ def blowup_diagnostics(
     inward direction at the peak (NaN outside the domain).
     """
     u = np.asarray(u, dtype=float)
-    flipped = False
     if abs(float(u.min())) > abs(float(u.max())):
         u = -u
-        flipped = True
     vertex = int(np.argmax(u))
     c = float(u[vertex])
     if c <= 0:
@@ -605,7 +567,7 @@ def blowup_diagnostics(
 
     co = el_coefficients(surface, u, alpha, eps)
     arg = co.alpha_eps * c * c
-    if arg > EXP_CLAMP:
+    if arg > EXP_MAX:
         raise NumericalError("peak exponent overflows the concentration scale")
     r = math.sqrt(co.lambda_eps / (co.beta_eps * c * c * math.exp(arg)))
 
@@ -643,9 +605,7 @@ def blowup_diagnostics(
         alpha_eps=co.alpha_eps,
         beta_eps=co.beta_eps,
         rho=rho,
-        directions=dirs,
         psi=psi,
         phi=phi,
-        sign_flipped=flipped,
     )
 

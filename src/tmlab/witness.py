@@ -75,18 +75,6 @@ def bubble_pde_residual(h: float = 1e-3, n: int = 201, extent: float = 5.0) -> f
     return float(np.max(np.abs(-lap - rhs)))
 
 
-def bubble_profile_deviation(diag: "moser.BlowupDiagnostics") -> float:
-    """Sup deviation of a sampled rescaled profile from the bubble.
-
-    max over valid fan samples of |φ_sampled(ρ, ω) − φ(ρ)|.
-    """
-    ref = bubble_phi(diag.rho)[None, :]
-    dev = np.abs(diag.phi - ref)
-    if np.all(np.isnan(dev)):
-        raise NumericalError("no valid profile samples")
-    return float(np.nanmax(dev))
-
-
 def unit_radius_gap(diag: "moser.BlowupDiagnostics") -> float:
     """|fan-mean of φ_sampled at ρ = 1 − φ(1)|, the profile-limit gap.
 
@@ -231,11 +219,7 @@ def cap_state(
     s_amp = -float(m1 @ vec) / moll_mass
     vec = vec + s_amp * moll
 
-    vec = assembly.mean_zero_project(surface, vec)  # exact to roundoff
-    raw = assembly.dirichlet_norm(surface, vec)
-    if raw == 0.0:
-        raise NumericalError("degenerate cap state")
-    v = vec / raw
+    v = assembly.admissible(surface, vec)[0]
     return CapState(
         surface=surface,
         vertex=vertex,
@@ -394,10 +378,6 @@ def evaluate_ladder(
                 "rebuild with need_eigen_branch=True"
             )
         fv = moser.functional_at_beta(rung.surface, state.v, alpha, beta)
-        if fv.tainted:
-            raise NumericalError(
-                "witness evaluation overflowed the exponential range"
-            )
         states.append(state)
         values.append(fv.value)
     ratios = [values[i + 1] / values[i] for i in range(len(values) - 1)]
@@ -551,11 +531,7 @@ def glued_sequence(surface: Surface, green, eps: float) -> GluedState:
     xi = np.clip((2.0 * big_r * eps - r[middle]) / (big_r * eps), 0.0, 1.0)
     u[middle] = (green.values[middle] - xi * sigma[middle]) / denom
 
-    u = assembly.mean_zero_project(surface, u)
-    prenorm = assembly.dirichlet_norm(surface, u)
-    if prenorm == 0.0:
-        raise NumericalError("degenerate glued state")
-    u = u / prenorm
+    u, prenorm = assembly.admissible(surface, u)
 
     return GluedState(
         surface=surface,
@@ -624,8 +600,6 @@ def lower_bound_check(
             )
     state = glued_state(surface, vertex, eps, alpha=alpha)
     fv = moser.functional_at_beta(state.surface, state.v, alpha, TWO_PI)
-    if fv.tainted:
-        raise NumericalError("glued-state evaluation overflowed")
     return {
         "eps": eps,
         "alpha": alpha,
@@ -661,7 +635,6 @@ class ConcentrationResult:
     x: np.ndarray
     value: float
     residual: float
-    deviation: float
     unit_gap: float
     surface: Surface = field(repr=False)
     u: np.ndarray = field(repr=False)
@@ -715,11 +688,7 @@ def concentration_study(
             )
             u_new = assembly.evaluate(surf, res.u, new_surf.vertices)
             # Interpolation is exact on old-mesh functions; re-admissibilize.
-            u_new = assembly.mean_zero_project(new_surf, u_new)
-            nrm = assembly.dirichlet_norm(new_surf, u_new)
-            if nrm == 0.0:
-                raise NumericalError("state transfer degenerated")
-            surf, u_seed = new_surf, u_new / nrm
+            surf, u_seed = new_surf, assembly.admissible(new_surf, u_new)[0]
         if not res.converged:
             raise NumericalError(
                 f"maximizer at eps = {eps} ended unconverged: residual "
@@ -733,7 +702,6 @@ def concentration_study(
                 x=diag.x,
                 value=res.value,
                 residual=res.residual,
-                deviation=bubble_profile_deviation(diag),
                 unit_gap=unit_radius_gap(diag),
                 surface=surf,
                 u=res.u,

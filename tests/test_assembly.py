@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 from tmlab import assembly
 from tmlab import quadrature as quad
-from tmlab.errors import UsageError
+from tmlab.errors import NumericalError, UsageError
 from tmlab.surface import DomainSpec, Surface, adapt_for_point, build_domain
 
 PI = math.pi
@@ -156,6 +156,21 @@ def test_dirichlet_norm_shift_invariant(half_disk, rng):
         assembly.dirichlet_norm(half_disk, u)
         - assembly.dirichlet_norm(half_disk, shifted)
     ) <= 1e-10
+
+
+def test_admissible_is_mean_zero_unit_energy(half_disk, rng):
+    u = rng.standard_normal(half_disk.num_vertices) + 3.0
+    v, nrm = assembly.admissible(half_disk, u)
+    assert nrm == assembly.dirichlet_norm(half_disk, u - assembly.mean(half_disk, u))
+    assert abs(assembly.mean(half_disk, v)) <= 1e-14
+    assert abs(assembly.dirichlet_norm(half_disk, v) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("fill", [2.5, math.nan], ids=["constant", "nan"])
+def test_admissible_rejects_degenerate_vector(half_disk, fill):
+    u = np.full(half_disk.num_vertices, fill)
+    with pytest.raises(NumericalError, match="Dirichlet norm"):
+        assembly.admissible(half_disk, u)
 
 
 def test_l2_norm_matches_independent_oracle(unit_square, rng):

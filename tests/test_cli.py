@@ -338,6 +338,52 @@ def test_non_finite_float_options_rejected_up_front(
     assert "Warning" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["eigen", "--out", "e.json", "--field", "e.json"], ("--out", "--field")),
+    (["witness", "--kind", "moser", "--eps", "1e-3", "--out", "w.json",
+      "--plot", "w.json"], ("--out", "--plot")),
+    (["eigen", "--out", "x.u.json"], ("--mesh", "--out")),
+    (["maximize", "--eps", "0.5", "--out", "x.json"], ("--mesh", "--field")),
+], ids=["eigen-out-field", "witness-out-plot", "eigen-out-mesh",
+        "maximize-default-field-mesh"])
+def test_output_sharing_a_file_rejected_up_front(
+        half_disk_mesh, tmp_path, capfd, monkeypatch, argv, named):
+    from tmlab import moser, spectrum
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached with clashing paths")
+
+    for module, name in ((spectrum, "first_eigenpair"), (spectrum, "lambda1"),
+                         (moser, "maximize_subcritical")):
+        monkeypatch.setattr(module, name, no_solve)
+    mesh = tmp_path / "x.u.json"
+    half_disk_mesh.rename(mesh)
+    before = mesh.read_bytes()
+    capfd.readouterr()
+    back = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        assert run(*argv, "--mesh", mesh.name) == 2
+    finally:
+        os.chdir(back)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [mesh.name]
+    assert mesh.read_bytes() == before
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and all(opt in err for opt in named)
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_timing_flag_records_elapsed_seconds(tmp_path, timing):
+    out = tmp_path / "b.json"
+    flag = ["--timing"] if timing else []
+    assert run("witness", "--kind", "bubble", "--out", str(out), *flag) == 0
+    elapsed = records.read_json(str(out))["run_record"]["elapsed_seconds"]
+    if timing:
+        assert isinstance(elapsed, float) and elapsed >= 0.0
+    else:
+        assert elapsed is None
+
+
 # ---------------------------------------------------------------------------
 # golden bytes
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from tmlab import assembly, cli, moser, spectrum
-from tmlab.errors import PreconditionError, UsageError
+from tmlab.errors import NumericalError, PreconditionError, UsageError
 from tmlab.surface import refine
 
 PI = math.pi
@@ -33,7 +34,17 @@ def test_zero_field_gives_area(half_disk):
     fv = moser.functional(half_disk, np.zeros(half_disk.num_vertices),
                           alpha=0.0, eps=0.5)
     assert abs(fv.value - assembly.area(half_disk)) <= 1e-12
-    assert not fv.tainted
+    assert fv.max_exponent == 0.0
+
+
+def test_exponent_overflow_raises_before_exp(half_disk, rng):
+    # At the parent the exponent was clamped at 700 and a lower bound
+    # returned; now nothing is exponentiated, so no overflow warning.
+    u = _feasible(half_disk, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="exceeds 700"):
+            moser.functional_at_beta(half_disk, u, alpha=0.0, beta=1e6)
 
 
 def test_functional_monotone_in_alpha_and_beta(half_disk, rng):
@@ -354,15 +365,18 @@ def test_block_newton_step_matches_bordered_solve(newton_states, ratio,
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.3])
-def test_newton_step_falls_back_to_bordered_lu(newton_states, ratio,
-                                               monkeypatch):
+def test_failed_hessian_lu_falls_back_to_ascent(newton_states, ratio,
+                                                monkeypatch):
     st = newton_states[ratio]
-    block = moser._newton_step(st)
+    s, alpha = st.surface, st.alpha
+    phase1 = moser.maximize_subcritical(s, alpha, 0.5, max_newton=0)
     sizes = _splu_sizes(monkeypatch, fail_on_h=True)
-    du = moser._newton_step(st)
-    n_border = 2 if ratio == 0.0 else 4
-    assert sizes == [st.u.size, st.u.size + n_border]
-    assert np.linalg.norm(du - block) <= 1e-12 * np.linalg.norm(block)
+    assert moser._newton_step(st) is None
+    assert sizes == [st.u.size]  # the Hessian block only: no bordered LU
+    res = moser.maximize_subcritical(s, alpha, 0.5, max_newton=3)
+    assert res.newton_iterations > 0
+    assert math.isfinite(res.value)
+    assert res.value >= phase1.value
 
 
 def test_best_seed_prefers_converged_then_first_of_a_tie():
