@@ -223,8 +223,8 @@ GOLDEN_BLOWUP = {
         "b23885723947c80c40415619605d73a4592e26b0eaa9a97018144dc731650ddb",
     ),
     ("h0.1 refined", 1.0, 1.0): (
-        "48243fd3c046b2a2206733a356a1f6963fc27e7079c39af5cfe3433c35feb789",
-        "649e473ca6c49c7f1ec3fc08132b090349eb8b513d64429baced18fce8fc7d36",
+        "537e2c00a465305e565410a16c59cc069aa5949cc7a6c7f84b0c95bff28ff773",
+        "fec14d9a0cd57c6cde4e05667b264559810a446cf571ebd56986d2fe14dd0653",
     ),
 }
 
@@ -362,6 +362,55 @@ def test_block_newton_step_matches_bordered_solve(newton_states, ratio,
     du = moser._newton_step(st)
     assert sizes == [st.u.size]  # h_c only: no fallback
     assert np.linalg.norm(du - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3])
+def test_newton_system_matches_three_term_assembly(newton_states, ratio):
+    # The Hessian block as two weighted masses plus scaled M and K, added
+    # as scipy sparse matrices; the border from the state's powers.
+    st = newton_states[ratio]
+    s, ae, a_mult = st.surface, st.alpha_eps, st.multipliers[0]
+    h_ref = (
+        2.0 * ae * assembly.weighted_mass(s, st.eE)
+        + 4.0 * ae * ae * assembly.weighted_mass(s, st.uq**2 * st.eE)
+        + (2.0 * st.alpha * st.beta * st.moment(2)) * assembly.mass(s)
+        - (2.0 * a_mult) * assembly.stiffness(s)
+    ).tocsc()
+    b = np.column_stack([2.0 * st.ku, assembly.mass_row_of_ones(s)])
+    if st.alpha > 0.0:
+        s3 = assembly.load(s, st.power(3) * st.eE)
+        w_t = 4.0 * st.alpha * st.beta * (st.s1 + ae * s3)
+        w_ref = np.column_stack([st.mu_vec, w_t, b])
+        kappa = 4.0 * st.alpha * st.alpha * st.beta * st.beta * st.moment(4)
+        corner_ref = np.zeros((4, 4))
+        corner_ref[:2, :2] = [[0.0, -1.0], [-1.0, kappa]]
+    else:
+        w_ref, corner_ref = b, np.zeros((2, 2))
+
+    h_c, w, corner, r = moser._newton_system(st)
+    assert h_c.format == "csc"
+    ref = h_ref.toarray()
+    got = h_c.toarray()
+    np.testing.assert_array_equal(got != 0.0, ref != 0.0)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+    np.testing.assert_array_equal(w, w_ref)
+    np.testing.assert_array_equal(corner, corner_ref)
+    np.testing.assert_array_equal(r, -st.lagrangian_gradient)
+
+
+def test_state_moments_match_powers(newton_states):
+    st = newton_states[0.3]
+    s, w, uq, eE = st.surface, st.w, st.uq, st.eE
+    assert (uq < 0).mean() > 0.25 and (uq > 0).mean() > 0.25
+    for k in (1, 2, 4):
+        ref = float(np.sum(w * np.power(uq, k) * eE))
+        assert abs(st.moment(k) - ref) <= 1e-14 * abs(ref)
+    assert st.moment(2) == float(np.sum(w * uq**2 * eE))
+    assert st.lambda_eps == st.moment(2)
+    s3 = assembly.load(s, st.power(3) * eE)
+    ref3 = assembly.load(s, np.power(uq, 3) * eE)
+    # Relative to the largest entry: entries near zero carry cancellation.
+    assert np.abs(s3 - ref3).max() <= 1e-14 * np.abs(ref3).max()
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.3])
