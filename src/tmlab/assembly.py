@@ -266,7 +266,11 @@ def _splu(matrix: sp.spmatrix):
 
 
 def km_solver(surface: Surface):
-    """LU solver for K + M, the Riesz map of :func:`dual_norm`."""
+    """LU solver for K + M, the Riesz map of :func:`dual_norm`.
+
+    Only :func:`spectrum.eigen_residual` still measures in this norm; the
+    maximizer measures its residuals with :func:`riesz_map`.
+    """
     key = "lu_K_plus_M"
     if key not in surface.cache:
         surface.cache[key] = _splu(
@@ -293,6 +297,15 @@ def neumann_solver(surface: Surface):
             format="csc",
         ))
     return surface.cache[key]
+
+
+def riesz_map(surface: Surface, b: np.ndarray) -> np.ndarray:
+    """The mean-zero x with Kx = b − μ·M·1, from :func:`neumann_solver`.
+
+    For 1ᵀb = 0 the multiplier μ vanishes, Kx = b, and √(bᵀx) = √(xᵀKx)
+    is the norm of b dual to the mean-zero H¹ seminorm √(uᵀKu).
+    """
+    return neumann_solver(surface).solve(np.append(b, 0.0))[:-1]
 
 
 def refined_solve(lu, matrix, b: np.ndarray, rtol: float) -> tuple:

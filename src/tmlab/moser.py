@@ -14,11 +14,14 @@ Euler–Lagrange equation whose residual is reported.
 The maximizer runs two phases.  Phase 1 is Riemannian gradient ascent
 on the sphere {uᵀKu = 1, mean 0} in the sphere's own metric uᵀKv (Absil,
 Mahony and Sepulchre, *Optimization Algorithms on Matrix Manifolds*,
-2008, §3.6 and §4.2): the gradient's Riesz representative comes from one
-cached LU of K bordered with M·1, so every projected direction ascends.
-It runs until the stationarity residual is small.  Phase 2 is damped
-Newton with the exact Hessian, whose α-terms add a symmetric rank-two
-correction.  Its KKT system is solved by block elimination of the border
+2008, §3.6 and §4.2), with Barzilai–Borwein steps in the same metric
+under an Armijo safeguard.  One solve with the cached LU of K bordered
+with M·1 per state maps the Lagrangian gradient to its Riesz
+representative, which is at once the ascent direction and, through its
+slope, the stationarity residual, measured in the norm dual to the
+mean-zero H¹ seminorm.  It runs until that residual is small.  Phase 2
+is damped Newton with the exact Hessian, whose α-terms add a symmetric
+rank-two correction.  Its KKT system is solved by block elimination of the border
 (Benzi, Golub and Liesen, *Acta Numerica* 14, 2005, §5): one LU of the
 sparse Hessian block with K's pattern, then a 2×2 (α = 0) or 4×4 (α > 0)
 Schur complement.  When that block's LU fails, its solve is not finite or
@@ -249,14 +252,40 @@ class _State:
         return self.gradient - 2.0 * a_mult * self.ku - nu * m1
 
     @cached_property
+    def direction(self) -> np.ndarray:
+        """Riesz representative x of the Lagrangian gradient r in uᵀKv.
+
+        One solve of K bordered with M·1 (:func:`assembly.riesz_map`, R
+        below).  At a feasible u it is the projected ascent direction
+        d − (uᵀKd)·u, d = R(g): R is linear, R(Ku) = u (u is mean zero)
+        and R(M·1) = 0, so x = R(g − 2A·Ku − ν·M·1) = d − 2A·u; and
+        2A = uᵀg = uᵀKd, since Kd = g − μ·M·1 and 1ᵀMu = 0.
+        """
+        return assembly.riesz_map(self.surface, self.lagrangian_gradient)
+
+    @cached_property
+    def slope(self) -> float:
+        """rᵀx = xᵀKx, the squared dual norm of r; at a feasible u also gᵀx.
+
+        1ᵀr = 0 by the choice of ν, so the border multiplier vanishes and
+        Kx = r.  gᵀx = rᵀx because uᵀKx = uᵀr = 2A − 2A·uᵀKu = 0 and
+        1ᵀMx = 0, so it is the slope of F along x, and it is nonnegative.
+        """
+        return float(self.lagrangian_gradient @ self.direction)
+
+    @cached_property
     def kkt_residual(self) -> float:
-        """Stationarity residual: dual norm of the Lagrangian gradient over 2|A|.
+        """Stationarity residual √slope / 2|A|: r's dual norm over 2|A|.
 
         With A = βλ_ε(1 + 2αs), the Lagrangian gradient over 2A is, up to
         sign and rounding, the Euler–Lagrange residual of :func:`el_residual`.
+        It costs no solve beyond :attr:`direction`, which the ascent step
+        reads anyway.  For 1ᵀr = 0 this norm lies between
+        :func:`assembly.dual_norm` (the K + M dual norm) and √(1 + 1/λ₁)
+        times it, λ₁ the first Neumann eigenvalue.
         """
         denom = max(2.0 * abs(self.multipliers[0]), 1e-300)
-        return assembly.dual_norm(self.surface, self.lagrangian_gradient) / denom
+        return math.sqrt(max(self.slope, 0.0)) / denom
 
     # -- Euler–Lagrange data -----------------------------------------------
 
@@ -326,12 +355,14 @@ def el_residual(surface: Surface, u, alpha: float, eps: float) -> float:
 
     The equation (for a unit-energy maximizer) reads
         K u = (β_ε/λ_ε) ∫ u e^E φ + γ_ε M u − (μ_ε/λ_ε) M·1,
-    and the residual is measured in the (K+M)⁻¹ dual norm, which is
-    mesh-size robust.  At a feasible u it equals, up to rounding, the
-    maximizer's stationarity residual (``MaximizeResult.residual``), but it
-    is computed from :func:`el_coefficients`, independently of the KKT
-    multipliers, so it can check a result.  A zero state raises
-    :class:`PreconditionError`.
+    and the residual r is measured in the norm dual to the mean-zero H¹
+    seminorm, √(rᵀx) with x from :func:`assembly.riesz_map`.  At a
+    mean-zero u, 1ᵀr = 0 (μ_ε is chosen so), and this norm lies between
+    :func:`assembly.dual_norm` and √(1 + 1/λ₁) times it.  At a feasible u it
+    equals, up to rounding, the maximizer's stationarity residual
+    (``MaximizeResult.residual``), but it is computed from
+    :func:`el_coefficients`, independently of the KKT multipliers, so it
+    can check a result.  A zero state raises :class:`PreconditionError`.
     """
     st = _State(surface, u, alpha, _check_params(alpha, eps))
     co = st.coefficients
@@ -342,7 +373,7 @@ def el_residual(surface: Surface, u, alpha: float, eps: float) -> float:
         - co.gamma_eps * st.mu_vec
         + (co.mu_eps / lam) * assembly.mass_row_of_ones(surface)
     )
-    return assembly.dual_norm(surface, r)
+    return math.sqrt(max(float(r @ assembly.riesz_map(surface, r)), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +385,13 @@ def _ascent_step(st: _State, step: float):
     """One Armijo step of Riemannian gradient ascent from ``st``.
 
     The direction is the gradient of F on the sphere {uᵀKu = 1, mean 0} in
-    the metric uᵀKv: d solves [[K, M·1], [(M·1)ᵀ, 0]]·[d; μ] = [g; 0]
-    (:func:`assembly.neumann_solver`), less (uᵀKd)·u.  Its slope
-    gᵀd = dᵀKd − (uᵀKd)² is nonnegative by Cauchy–Schwarz, since uᵀKu = 1.
-    The step is halved from ``step`` until the sufficient-increase test
-    holds.  Returns the accepted (state, step), or None when the slope is
-    zero (stationary to machine precision) or no step increases F enough.
+    the metric uᵀKv, ``st.direction``, with slope ``st.slope``; the state
+    has computed both already for its residual.  The step is halved from
+    ``step`` until the sufficient-increase test holds.  Returns the
+    accepted (state, step), or None when the slope is zero (stationary to
+    machine precision) or no step increases F enough.
     """
-    surface, u, g = st.surface, st.u, st.gradient
-    d = assembly.neumann_solver(surface).solve(np.append(g, 0.0))[:-1]
-    d -= float(st.ku @ d) * u
-    slope = float(g @ d)
+    surface, u, d, slope = st.surface, st.u, st.direction, st.slope
     if not slope > 0:
         return None
     for _ in range(40):
@@ -478,16 +505,22 @@ def maximize_subcritical(
 
     Deterministic given the seed: the default start is the first Neumann
     eigenfunction scaled to unit energy.  Phase 1 is Riemannian gradient
-    ascent in the metric uᵀKv (:func:`_ascent_step`) with adaptive step and
-    a sufficient-increase test, until the stationarity residual is at most
-    NEWTON_SWITCH.  Phase 2 is damped Newton, its KKT system solved by
+    ascent in the metric uᵀKv (:func:`_ascent_step`) with a
+    sufficient-increase test, until the stationarity residual is at most
+    NEWTON_SWITCH.  Its first step moves unit K-length, min(1, 1/√slope);
+    each later one starts from the Barzilai–Borwein step sᵀKs / (−sᵀKy),
+    s = u₊ − u and y = d₊ − d over the last accepted step, or from 1.3
+    times the last step when sᵀKy ≥ 0 (Barzilai and Borwein, *IMA J.
+    Numer. Anal.* 8, 1988; on constraint manifolds Wen and Yin, *Math.
+    Program.* 142, 2013).  Phase 2 is damped Newton, its KKT system solved by
     block elimination (:func:`_newton_step`), accepting steps only when the
     stationarity residual decreases, with one ascent step where there is no
-    Newton step or no damped one does.  ``residual`` is the final state's stationarity
-    residual, the number the loop stops on, and ``converged`` compares
-    that same number with ``tol``; :func:`el_residual` recomputes it from
-    the Euler–Lagrange form.  At most the current state and one trial
-    state are alive at a time.
+    Newton step or no damped one does.  ``residual`` is the final state's
+    stationarity residual (see :attr:`_State.kkt_residual` for its norm),
+    the number the loop stops on, and ``converged`` compares that same
+    number with ``tol``; :func:`el_residual` recomputes it from the
+    Euler–Lagrange form.  At most the current state and one trial state
+    are alive at a time.
     """
     beta = _check_params(alpha, eps)
     if alpha > 0.0 or u0 is None:
@@ -507,7 +540,8 @@ def maximize_subcritical(
             raise UsageError("seed vector length does not match the mesh")
     st = _State(surface, assembly.admissible(surface, u)[0], alpha, beta)
 
-    step = 1.0
+    k = assembly.stiffness(surface)
+    step = 1.0 / max(1.0, math.sqrt(max(st.slope, 0.0)))  # unit K-length
     n_ascent = 0
     for n_ascent in range(1, max_ascent + 1):
         if st.kkt_residual <= max(NEWTON_SWITCH, tol):
@@ -515,8 +549,13 @@ def maximize_subcritical(
         accepted = _ascent_step(st, step)
         if accepted is None:
             break
-        st, step = accepted
-        step = min(step * 1.3, 1e6)
+        trial, step = accepted
+        # Barzilai–Borwein step in the K-metric: s = u₊ − u, y = d₊ − d.
+        s = trial.u - st.u
+        ks = k @ s
+        sky = float(ks @ (trial.direction - st.direction))
+        step = min(float(s @ ks) / -sky if sky < 0.0 else 1.3 * step, 1e6)
+        st = trial
 
     n_newton = 0
     while st.kkt_residual > tol and n_newton < max_newton:

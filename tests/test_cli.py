@@ -426,10 +426,10 @@ GOLDEN_OUTPUTS = {
     "r.json": "4eca5819c5b707410df111f21532b5d716556743f88556e1d03f03aae2a9bb22",
     "eig.json": "fcbbb15dd04fb4dcf93e95b54218df2e0bc1f5d770c3eb0bb05105a2a7956dd7",
     "eig.u0.json": "2b19d224ed609cd0908f0fdb1e2f57f1d4cf76d6c6eacea99820e3948ced7668",
-    "max0.json": "b8e80edca92d4d41ec564a3afd3aa3602324b9346ec45a5ec63c21ce57785a86",
-    "max0.u.json": "f427fc7e2fb5a3a30e25d6d15dacabbeab7c1b94a588ba75721c2ff6d808a9dd",
-    "max1.json": "d1e469cea74cd70765c45bd749dc01c03ecd15b3f56cfe03cb60d78dd55833bb",
-    "max1.u.json": "e1674943c304e963158a7f4670a84d83a1c89b1182572f6d3850de70dfb17c24",
+    "max0.json": "e7f415f5d4e62730df463401bde4c04b2cdcc6e879f52bf547d50b4429c104a6",
+    "max0.u.json": "d6e099dbfc97daeb66c2d5ed38f738267f20ce9c5f30cba04a8c00a6f54859be",
+    "max1.json": "2b6b57ce45b00663ae17d301c7abafee4972c34c132cd962588cfcdc6ecdefe6",
+    "max1.u.json": "8d13f8fc9fa2b01eae0c3ff4575727b0d96e243377da4705c982ff8728b1a916",
     "g0.json": "e18d8666d5b639efa941c2c1bbe21e5b1d94596d18a569280ba90e132f67baf3",
     "g0.G.json": "e2de9a86d149cde17c08bfbe059650f8f45f0edfd1cd3808cd49c98a4909e69d",
     "g05.json": "f99b934417f9fdfde1b9c7a4bee9912d50eee92268a4e144906c995f47d5d1a9",
