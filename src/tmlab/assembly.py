@@ -18,9 +18,6 @@ and ``tests/test_assembly.py`` pins it against an ``einsum`` copy.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import NamedTuple
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -337,115 +334,20 @@ def dual_norm(surface: Surface, r: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-# A point counts as inside a triangle when its barycentric coordinates are
-# all at least -HIT_TOL.  A point inside no triangle is clamped onto the
-# triangle of least summed barycentric misfit when that misfit is at most
-# CLAMP_COLLAR: points on the analytic boundary arc sit up to a chord
-# sagitta (~local_edge/8 in barycentric units) outside the polygon of a
-# coarser mesh.  Beyond the collar a point is outside the domain.
+# A point lies in a triangle when its barycentric coordinates are all at
+# least -HIT_TOL.
 HIT_TOL = 1e-10
-CLAMP_COLLAR = 0.05
-_CANDIDATES = 32  # nearest-centroid triangles tried first
-_BLOCK = 1024  # points per pass; bounds the (points, triangles) arrays
-
-# Reach of a triangle: how far from its centroid c a point can be hit or
-# clamped.  With barycentric coordinates λ of p (Σλᵢ = 1) and misfit
-# m = Σ max(−λᵢ, 0), p − c = Σ λᵢ(vᵢ − c), so
-#     |p − c| ≤ Σ |λᵢ|·R = (1 + 2m)·R,
-# with R the largest vertex-to-centroid distance.  A hit has m ≤ 3·HIT_TOL
-# and a clamp m ≤ CLAMP_COLLAR.  The extra 0.01 of misfit absorbs the
-# rounding of the computed coordinates, which stays far below it unless a
-# triangle's aspect ratio nears 1e12.
-_REACH = 1.0 + 2.0 * (CLAMP_COLLAR + 0.01)
+_BLOCK = 1 << 16  # (point, candidate) pairs per pass
 
 
-class Location(NamedTuple):
-    """Points located in a mesh by :func:`locate`.
+def evaluate(surface: Surface, u: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The piecewise-linear field ``u`` at (n, 2) points, NaN outside the mesh.
 
-    ``tri`` holds each point's triangle and ``w1``, ``w2`` the barycentric
-    weights of that triangle's second and third vertex (the first has
-    ``1 - w1 - w2``).  ``outside`` marks points beyond the clamp collar;
-    their triangle and weights are meaningless.
-    """
-
-    tri: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    outside: np.ndarray
-
-    def values(self, surface: Surface, u: np.ndarray) -> np.ndarray:
-        """The piecewise-linear field ``u`` at the points, NaN outside."""
-        uu = u[surface.triangles[self.tri]]
-        out = (1 - self.w1 - self.w2) * uu[:, 0] + self.w1 * uu[:, 1] \
-            + self.w2 * uu[:, 2]
-        out[self.outside] = np.nan
-        return out
-
-
-def _barycentric(p0, d1, d2, det, p):
-    """Weights of the second and third vertex of triangles (p0, p0+d1, p0+d2)."""
-    rhs = p - p0
-    b1 = (rhs[..., 0] * d2[..., 1] - rhs[..., 1] * d2[..., 0]) / det
-    b2 = (d1[..., 0] * rhs[..., 1] - d1[..., 1] * rhs[..., 0]) / det
-    return b1, b2
-
-
-def _hits(b1, b2) -> np.ndarray:
-    return (b1 >= -HIT_TOL) & (b2 >= -HIT_TOL) & (b1 + b2 <= 1 + HIT_TOL)
-
-
-def _misfit(b1, b2) -> np.ndarray:
-    return np.maximum(-b1, 0) + np.maximum(-b2, 0) + np.maximum(b1 + b2 - 1, 0)
-
-
-def _reach(coords: np.ndarray) -> tuple:
-    """Centroids and reaches (see :data:`_REACH`) of (nt, 3, 2) triangles."""
-    centroid = coords.mean(axis=1)
-    radius = np.sqrt(((coords - centroid[:, None]) ** 2).sum(axis=2)).max(axis=1)
-    return centroid, _REACH * radius
-
-
-class _Locator(NamedTuple):
-    tree: object  # cKDTree of the triangle centroids
-    lo: np.ndarray  # the centroids' bounding box, widened by the largest
-    hi: np.ndarray  # reach of a triangle
-    # (cKDTree of centroids, triangle ids, largest reach) per binary order
-    # of magnitude of the reach, so a graded mesh's small triangles are
-    # searched at their own scale.
-    levels: tuple
-
-
-def _locator(surface: Surface) -> _Locator:
-    key = "locator"
-    if key not in surface.cache:
-        from scipy.spatial import cKDTree
-
-        centroid, reach = _reach(surface.tri_coords())
-        scale = np.frexp(reach)[1]
-        levels = []
-        for e in np.unique(scale):
-            ids = np.flatnonzero(scale == e)
-            levels.append((cKDTree(centroid[ids]), ids, float(reach[ids].max())))
-        r = float(reach.max())
-        surface.cache[key] = _Locator(cKDTree(centroid),
-                                      centroid.min(axis=0) - r,
-                                      centroid.max(axis=0) + r, tuple(levels))
-    return surface.cache[key]
-
-
-def locate(surface: Surface, points: np.ndarray) -> Location:
-    """Find the triangle and barycentric weights of each of (n, 2) points.
-
-    Each point is first tested against the 32 triangles with the nearest
-    centroids (a KD-tree cached on the surface), nearest first; the first
-    that contains it wins, with its weights as computed.  A point none of
-    them contains is settled among the triangles within reach of it (see
-    :data:`_REACH`), which are all the triangles that can contain or clamp
-    it: the lowest-index one that contains it wins, with its weights
-    clipped to [0, 1].  If none contains it, the one of least summed
-    barycentric misfit is used (lowest index on ties) with clipped weights,
-    and the point is ``outside`` when that misfit exceeds
-    :data:`CLAMP_COLLAR` or no triangle is within reach.  Raises
+    Made for a few hundred points close together, such as the blow-up fan:
+    the candidates are the triangles whose bounding box meets the points'
+    bounding box, and each point is tested against all of them.  Of the
+    triangles that contain a point (see :data:`HIT_TOL`), the one with the
+    nearest centroid gives its value, the lowest index on ties.  Raises
     :class:`UsageError` naming the first point that is not finite.
     """
     pts = np.asarray(points, dtype=float)
@@ -454,84 +356,39 @@ def locate(surface: Surface, points: np.ndarray) -> Location:
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         raise UsageError(f"point {pts[np.argmin(finite)]} is not finite")
-    loc = _locator(surface)
+    out = np.full(pts.shape[0], np.nan)
 
+    # A point a triangle contains lies outside its bounding box by at most
+    # 2·HIT_TOL of its extent; the boxes are widened by twice that.  Points
+    # off the mesh's box are outside, and kept from overflowing the test.
     c = surface.tri_coords()
+    pad = 4 * HIT_TOL * np.ptp(c, axis=1).max(axis=1, keepdims=True)
+    lo, hi = c.min(axis=1) - pad, c.max(axis=1) + pad
+    idx = np.flatnonzero(((pts >= lo.min(axis=0)) & (pts <= hi.max(axis=0))).all(axis=1))
+    p = pts[idx]
+    cand = np.flatnonzero(((lo <= p.max(axis=0, initial=-np.inf))
+                           & (hi >= p.min(axis=0, initial=np.inf))).all(axis=1))
+    if not cand.size:
+        return out
+
+    c = c[cand]
     p0 = c[:, 0]
     d1 = c[:, 1] - p0
     d2 = c[:, 2] - p0
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-
-    n, nt = pts.shape[0], surface.num_triangles
-    tri = np.zeros(n, dtype=np.int64)
-    w1 = np.zeros(n)
-    w2 = np.zeros(n)
-    outside = np.ones(n, dtype=bool)
-
-    # A point beyond the centroids' box widened by the largest reach is out
-    # of every triangle's reach.  The box also keeps huge points away from
-    # the tree, whose distances would overflow.
-    near = np.flatnonzero(((pts >= loc.lo) & (pts <= loc.hi)).all(axis=1))
-    k = min(_CANDIDATES, nt)
-    for lo in range(0, near.size, _BLOCK):
-        idx = near[lo:lo + _BLOCK]
-        m = idx.size
-        cand = loc.tree.query(pts[idx], k=k)[1].reshape(m, k)
-        b1, b2 = _barycentric(p0[cand], d1[cand], d2[cand], det[cand],
-                              pts[idx, None, :])
-        ok = _hits(b1, b2)
-        first = ok.argmax(axis=1)
-        rows = np.arange(m)
-        tri[idx] = cand[rows, first]
-        w1[idx] = b1[rows, first]
-        w2[idx] = b2[rows, first]
-        outside[idx] = ~ok.any(axis=1)
-
-    # A missed point meets, level by level, the triangles whose centroids
-    # are within the level's largest reach: a superset of the triangles
-    # within their own reach.  It takes the lowest-index one that contains
-    # it, or else the lowest-index one of least misfit.
-    missed = near[outside[near]]
-    for lo in range(0, missed.size, _BLOCK):
-        idx = missed[lo:lo + _BLOCK]
-        owner, t = [], []
-        for tree, ids, r in loc.levels:
-            balls = tree.query_ball_point(pts[idx], r)
-            owner.append(np.repeat(np.arange(idx.size), [len(b) for b in balls]))
-            t.append(ids[np.fromiter(chain.from_iterable(balls), dtype=np.intp,
-                                     count=owner[-1].size)])
-        owner = np.concatenate(owner)
-        order = np.argsort(owner, kind="stable")
-        owner, t = owner[order], np.concatenate(t)[order]
-        _, starts, group = np.unique(owner, return_index=True, return_inverse=True)
-        b1, b2 = _barycentric(p0[t], d1[t], d2[t], det[t], pts[idx[owner]])
-        score = np.where(_hits(b1, b2), -1.0, _misfit(b1, b2))
-        least = np.minimum.reduceat(score, starts)
-        j = np.minimum.reduceat(np.where(score == least[group], t, nt), starts)
-        idx = idx[owner[starts]]
-        tri[idx] = j
-        b1, b2 = _barycentric(p0[j], d1[j], d2[j], det[j], pts[idx])
-        w1[idx] = np.clip(b1, 0, 1)
-        w2[idx] = np.clip(b2, 0, 1)
-        outside[idx] = least > CLAMP_COLLAR
-    return Location(tri, w1, w2, outside)
-
-
-def evaluate(surface: Surface, u: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate the piecewise-linear field ``u`` at arbitrary points.
-
-    A point or an (n, 2) array of points gives a scalar or an (n,) array.
-    Points are placed by :func:`locate`.  A point inside no triangle but
-    within the clamp collar of one (summed barycentric misfit at most
-    :data:`CLAMP_COLLAR`, e.g. a point on the boundary arc between two
-    boundary vertices) is clamped onto that triangle.  Raises
-    :class:`UsageError` naming the first point that is not finite, or else
-    the first beyond the collar.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    loc = locate(surface, pts)
-    if loc.outside.any():
-        i = int(np.argmax(loc.outside))
-        raise UsageError(f"evaluation point {pts[i]} lies outside the domain")
-    out = loc.values(surface, u)
-    return out if np.asarray(points).ndim == 2 else out[0]
+    centroid = c.mean(axis=1)
+    uu = u[surface.triangles[cand]]
+    step = max(1, _BLOCK // cand.size)
+    for k in range(0, idx.size, step):
+        q = p[k:k + step, None, :]
+        rhs = q - p0
+        b1 = (rhs[..., 0] * d2[:, 1] - rhs[..., 1] * d2[:, 0]) / det
+        b2 = (d1[:, 0] * rhs[..., 1] - d1[:, 1] * rhs[..., 0]) / det
+        hit = (b1 >= -HIT_TOL) & (b2 >= -HIT_TOL) & (b1 + b2 <= 1 + HIT_TOL)
+        gap = np.where(hit, ((q - centroid) ** 2).sum(axis=2), np.inf)
+        j = gap.argmin(axis=1)
+        rows = np.arange(j.size)
+        w1, w2, t = b1[rows, j], b2[rows, j], uu[j]
+        vals = (1 - w1 - w2) * t[:, 0] + w1 * t[:, 1] + w2 * t[:, 2]
+        out[idx[k:k + step]] = np.where(hit[rows, j], vals, np.nan)
+    return out

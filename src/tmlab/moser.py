@@ -115,8 +115,8 @@ class BlowupDiagnostics:
 
     ``psi``/``phi`` are sampled on a fan of inward directions at the
     scaled radii ``rho``: psi(ρ) = u(x* + r ρ ω)/c and
-    phi(ρ) = c (u(x* + r ρ ω) − c); entries are NaN where the sample
-    point falls outside the domain.
+    phi(ρ) = c (u(x* + r ρ ω) − c); entries are NaN where no triangle of
+    the mesh contains the sample point.
     """
 
     c: float
@@ -628,7 +628,8 @@ def blowup_diagnostics(
     concentration scale is r = √(λ_ε / (β_ε c² e^{α_ε c²})).  Rescaled
     profiles ψ = u(x* + rρω)/c and φ = c(u(x* + rρω) − c) are sampled on a
     fan of FAN_DIRS directions ω spread ±FAN_HALF_ANGLE degrees around the
-    inward direction at the peak (NaN outside the domain).
+    inward direction at the peak by :func:`assembly.evaluate`, NaN outside
+    the mesh.
     """
     u = np.asarray(u, dtype=float)
     if abs(float(u.min())) > abs(float(u.max())):
@@ -663,7 +664,7 @@ def blowup_diagnostics(
     rho = np.linspace(0.0, rho_max, FAN_RADII)
 
     pts = x_star + (r * rho)[None, :, None] * dirs[:, None, :]
-    vals = assembly.locate(surface, pts.reshape(-1, 2)).values(surface, u)
+    vals = assembly.evaluate(surface, u, pts.reshape(-1, 2))
     vals = vals.reshape(FAN_DIRS, FAN_RADII)
     psi = vals / c
     phi = c * (vals - c)

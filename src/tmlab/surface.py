@@ -206,8 +206,9 @@ class Surface:
         Scratch space for assembled operators and for the bisection record
         (``"bisection"``: each triangle's reference-edge rotation, its
         neighbours, centroid and longest edge) that `refine_local` carries
-        from round to round; dropped on serialization.  `adapt_for_point`
-        drops the record from the surface it returns.
+        from round to round, and for the parent map `prolong` applies;
+        dropped on serialization.  `adapt_for_point` drops the bisection
+        record from the surface it returns.
     """
 
     vertices: np.ndarray
@@ -548,6 +549,11 @@ def _arc_chord(pu, pv, radius: float):
     return on_arc & (np.abs(cross) > 0.5 * np.abs(dnorm))
 
 
+def _midpoint_values(u: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """½(u[a] + u[b]) for each parent edge (a, b) of a new vertex."""
+    return 0.5 * (u[parents[:, 0]] + u[parents[:, 1]])
+
+
 def _new_f(spec: DomainSpec, old_f, verts, new_slice, parents):
     """Conformal factor at newly created vertices.
 
@@ -557,8 +563,7 @@ def _new_f(spec: DomainSpec, old_f, verts, new_slice, parents):
     if spec.f_expr is not None:
         fn = spec.f_callable()
         return fn(verts[new_slice, 0], verts[new_slice, 1])
-    pa, pb = parents[:, 0], parents[:, 1]
-    return 0.5 * (old_f[pa] + old_f[pb])
+    return _midpoint_values(old_f, parents)
 
 
 def refine(surface: Surface) -> Surface:
@@ -620,6 +625,7 @@ class _Bisection(NamedTuple):
 
 
 _BISECTION = "bisection"
+_PROLONGATION = "prolongation"  # (coarse vertex count, each round's parents)
 
 
 def _bisection(surface: Surface) -> _Bisection:
@@ -696,7 +702,8 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
     children's rotations, centroids and longest edges are computed from
     their output rows with the whole-mesh arithmetic, so every mesh, and
     every record, is bit for bit what a rebuild from scratch gives.
-    Midpoints of arc chords are reprojected onto the arc.
+    Midpoints of arc chords are reprojected onto the arc.  The result
+    records each midpoint's parent edge for `prolong`.
     """
     marked = np.asarray(marked)
     nv, nt = surface.num_vertices, surface.num_triangles
@@ -806,6 +813,7 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
         surface.spec,
     )
     out.cache[_BISECTION] = rec
+    out.cache[_PROLONGATION] = (nv, (ends,))
     return out
 
 
@@ -825,12 +833,14 @@ def adapt_for_point(
     ``outer_radius`` of ``center`` has longest edge at most
     ``max(inner_scale, min(d, outer_radius)) / ratio`` where d is the
     centroid distance — i.e. resolution ~ d/ratio, saturating at
-    ``inner_scale/ratio`` near the center.
+    ``inner_scale/ratio`` near the center.  The result records the parent
+    edges of the rounds' new vertices, the identity when no round runs, so
+    :func:`prolong` carries a state on ``surface`` over to it.
     """
     if inner_scale <= 0 or outer_radius <= 0:
         raise UsageError("adaptation scales must be positive")
     cx, cy = float(center[0]), float(center[1])
-    surf = surface
+    surf, rounds = surface, ()
     for _ in range(ADAPT_MAX_ROUNDS):
         rec = _bisection(surf)
         cc, longest = rec.centroid, rec.longest
@@ -841,6 +851,30 @@ def adapt_for_point(
             # The record only speeds up further rounds; an adapted mesh
             # would otherwise hold it for its lifetime.
             surf.cache.pop(_BISECTION, None)
+            surf.cache[_PROLONGATION] = (surface.num_vertices, rounds)
             return surf
         surf = refine_local(surf, marks)
+        rounds += surf.cache[_PROLONGATION][1]
     raise PreconditionError("adaptation did not settle within the round limit")
+
+
+def prolong(fine: Surface, u) -> np.ndarray:
+    """Carry the P1 state ``u`` on the coarse mesh over to ``fine``.
+
+    ``fine`` comes from :func:`refine_local` or :func:`adapt_for_point`,
+    which number each midpoint after the vertices it was made from.  So u at
+    a new vertex is ½(u[a] + u[b]) over its parent edge (a, b), round by
+    round in creation order: the same P1 function, except that a midpoint
+    reprojected onto the arc takes its chord midpoint's value.  Raises
+    :class:`UsageError` when ``fine`` holds no such record or ``u`` does not
+    have the coarse vertex count.
+    """
+    if _PROLONGATION not in fine.cache:
+        raise UsageError("surface was not made by refine_local or adapt_for_point")
+    nv, rounds = fine.cache[_PROLONGATION]
+    u = np.asarray(u, dtype=float)
+    if u.shape != (nv,):
+        raise UsageError(f"state has shape {u.shape}; the coarse mesh has {nv} vertices")
+    for parents in rounds:
+        u = np.concatenate([u, _midpoint_values(u, parents)])
+    return u

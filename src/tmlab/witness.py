@@ -29,7 +29,7 @@ import numpy as np
 
 from . import assembly, green as green_mod, moser, spectrum
 from .errors import NumericalError, PreconditionError, UsageError
-from .surface import Surface, adapt_for_point
+from .surface import Surface, adapt_for_point, prolong
 
 TWO_PI = 2.0 * math.pi
 
@@ -558,7 +558,7 @@ def glued_state(
     """Adapt near the vertex, solve the Green problem, glue the state.
 
     Convenience driver around :func:`glued_sequence`: grades the mesh so
-    the bubble core scale ε is resolved, re-locates the center vertex,
+    the bubble core scale ε is resolved, finds the center vertex again,
     and computes the α-modified Green solution there.  The adapted mesh
     is cached on ``surface`` per (centre, ε), so calls that differ only
     in α adapt once.
@@ -660,7 +660,8 @@ def concentration_study(
     Each rung seeds the optimizer with a glued bubble+Green state at the
     witness center, then alternates maximize → measure the concentration
     radius r → re-adapt the mesh near the peak until the local mesh size
-    resolves r, warm-restarting from the interpolated previous state.
+    resolves r, warm-restarting from the previous state prolonged onto
+    the new mesh.
     Returns one :class:`ConcentrationResult` per subcriticality ε; raises
     :class:`NumericalError` when a rung's final maximizer is unconverged.
     """
@@ -686,8 +687,9 @@ def concentration_study(
                 outer_radius=min(0.5, 200.0 * diag.r),
                 ratio=STUDY_RESOLVE_FACTOR * 1.5,
             )
-            u_new = assembly.evaluate(surf, res.u, new_surf.vertices)
-            # Interpolation is exact on old-mesh functions; re-admissibilize.
+            # A midpoint reprojected onto the arc moves the function a
+            # little, and its mean and energy with it; re-admissibilize.
+            u_new = prolong(new_surf, res.u)
             surf, u_seed = new_surf, assembly.admissible(new_surf, u_new)[0]
         if not res.converged:
             raise NumericalError(

@@ -266,11 +266,22 @@ def _evaluate_reference(surface: Surface, u: np.ndarray, points: np.ndarray) -> 
     return out if np.asarray(points).ndim == 2 else out[0]
 
 
-def _reference_or_nan(surface, u, p) -> float:
-    try:
-        return float(_evaluate_reference(surface, u, p[None, :])[0])
-    except UsageError:
-        return float("nan")
+def _contained(surface: Surface, points: np.ndarray) -> np.ndarray:
+    """Whether any triangle contains each point, all barycentric
+    coordinates at least -1e-10, by a test against every triangle."""
+    c = surface.tri_coords()
+    p0 = c[:, 0]
+    d1 = c[:, 1] - p0
+    d2 = c[:, 2] - p0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    out = np.empty(len(points), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge points
+        for i, p in enumerate(points):
+            rhs = p - p0
+            b1 = (rhs[:, 0] * d2[:, 1] - rhs[:, 1] * d2[:, 0]) / det
+            b2 = (d1[:, 0] * rhs[:, 1] - d1[:, 1] * rhs[:, 0]) / det
+            out[i] = ((b1 >= -1e-10) & (b2 >= -1e-10) & (b1 + b2 <= 1 + 1e-10)).any()
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +292,7 @@ def located_meshes(half_disk, half_disk_refined, rect21):
         "refined": half_disk_refined,
         "adapted": adapt_for_point(half_disk, arc, 1e-3, 0.3),
         "rect21": rect21,
-        # Fewer triangles than locate's 32 candidates.
+        # Fewer triangles than the reference's 32 candidates.
         "coarse": build_domain(DomainSpec("half_disk", (1.0,)), 0.4),
     }
 
@@ -293,9 +304,9 @@ def _probe_points(s, rng) -> np.ndarray:
     """Interior points, vertices, points on edges, and boundary probes.
 
     Boundary probes sit on boundary-edge midpoints pushed outward by 0,
-    0.5%, 1%, 2%, 4%, 8%, 20% and 100% of the edge length, so some fall on
-    either side of the clamp collar; on the half-disk, points on the arc
-    between vertices; and far outside the domain.
+    0.5%, 1%, 2%, 4%, 8%, 20% and 100% of the edge length; on the
+    half-disk, points on the arc between vertices, beyond the chords; and
+    points far outside the domain, some of them huge.
     """
     c = s.tri_coords()
     t = rng.integers(s.num_triangles, size=40)
@@ -312,7 +323,10 @@ def _probe_points(s, rng) -> np.ndarray:
     mid = 0.5 * (pu + pv)
     pushed = [mid + f * outward
               for f in (0.0, 0.005, 0.01, 0.02, 0.04, 0.08, 0.2, 1.0)]
-    far = s.vertices.mean(axis=0) + np.array([[10.0, 0.0], [0.0, -7.5]])
+    far = np.concatenate([
+        s.vertices.mean(axis=0) + np.array([[10.0, 0.0], [0.0, -7.5]]),
+        [[1e300, 0.0], [0.5, -1e300], [-1e308, 1e308]],
+    ])
     probes = [interior, vertices, on_edges, *pushed, far]
     if s.spec.kind == "half_disk":
         theta = rng.uniform(-0.5 * PI, 0.5 * PI, size=30)
@@ -322,22 +336,19 @@ def _probe_points(s, rng) -> np.ndarray:
 
 @pytest.mark.parametrize("name", MESHES)
 def test_locate_matches_per_point_reference(located_meshes, name, rng):
+    """evaluate places every contained point as the per-point reference
+    does, to the byte, and reads NaN at every other point."""
     s = located_meshes[name]
     u = rng.standard_normal(s.num_vertices)
     pts = _probe_points(s, rng)
-    want = np.array([_reference_or_nan(s, u, p) for p in pts])
-    loc = assembly.locate(s, pts)
-    got = loc.values(s, u)
-    assert np.array_equal(got, want, equal_nan=True)
-    assert got.tobytes() == want.tobytes()
-    assert np.array_equal(loc.outside, np.isnan(want))
-    assert loc.outside.any() and not loc.outside.all()
-
-    inside = pts[~loc.outside]
-    assert (assembly.evaluate(s, u, inside).tobytes()
-            == _evaluate_reference(s, u, inside).tobytes())
-    assert assembly.evaluate(s, u, inside[3]) == _evaluate_reference(
-        s, u, inside[3])
+    inside = _contained(s, pts)
+    assert inside.any() and not inside.all()
+    got = assembly.evaluate(s, u, pts)
+    assert got[inside].tobytes() == _evaluate_reference(s, u, pts[inside]).tobytes()
+    assert np.isnan(got[~inside]).all()
+    # A point's value does not depend on the others evaluated with it.
+    for i in rng.choice(len(pts), size=8, replace=False):
+        assert assembly.evaluate(s, u, pts[i:i + 1]).tobytes() == got[i:i + 1].tobytes()
 
 
 @pytest.mark.parametrize("name", MESHES)
@@ -372,79 +383,15 @@ def test_scatter_matches_coo_reference(located_meshes, name, rng):
         assert assembly.interpolate(s, field).tobytes() == want.tobytes()
 
 
-def test_point_on_arc_between_boundary_vertices_is_clamped(half_disk):
-    pu, pv = (half_disk.vertices[half_disk.boundary_edges[:, i]]
-              for i in (0, 1))
-    on_arc = (np.abs(np.hypot(*pu.T) - 1.0) < 1e-12) & (
-        np.abs(np.hypot(*pv.T) - 1.0) < 1e-12)
-    i = int(np.flatnonzero(on_arc)[0])
-    theta = 0.5 * (math.atan2(pu[i, 1], pu[i, 0]) + math.atan2(pv[i, 1], pv[i, 0]))
-    point = np.array([math.cos(theta), math.sin(theta)])
-    # The point is beyond the chord, so no triangle contains it.
-    assert np.hypot(*(0.5 * (pu[i] + pv[i]))) < 1.0 - 1e-6
-    loc = assembly.locate(half_disk, point[None, :])
-    assert not loc.outside[0]
-    value = assembly.evaluate(half_disk, half_disk.vertices[:, 0].copy(), point)
-    assert math.isfinite(value)
-    assert abs(value - point[0]) <= 0.05
-
-
-def test_point_beyond_collar_is_named(half_disk):
-    u = np.zeros(half_disk.num_vertices)
-    pts = np.array([[0.5, 0.0], [1.2, 0.0], [1.5, 0.0]])
-    with pytest.raises(UsageError, match=re.escape(str(pts[1]))):
-        assembly.evaluate(half_disk, u, pts)
-
-
-def test_reach_holds_every_hit_and_clamp():
-    """A point whose computed misfit is within the collar is within reach."""
-    rng = np.random.default_rng(20261018)
-    plain = rng.standard_normal((300, 3, 2))
-    # Slivers: the third vertex 1e-9 to 1e-2 off the line of the other two.
-    a, b = rng.standard_normal((2, 300, 2))
-    e = b - a
-    off = rng.uniform(-0.5, 1.5, (300, 1)) * e + 10.0 ** rng.uniform(
-        -9, -2, (300, 1)) * np.column_stack([-e[:, 1], e[:, 0]])
-    coords = np.concatenate([plain, np.stack([a, b, a + off], axis=1)])
-    centroid, reach = assembly._reach(coords)
-
-    # Barycentric coordinates down to -0.06, with the extreme (1 + m, -m, 0)
-    # cases of misfit m = CLAMP_COLLAR, and points anywhere near the triangle.
-    nt = coords.shape[0]
-    s = rng.uniform(0, 0.06, (nt, 60, 1))
-    lam = (1 + 3 * s) * rng.dirichlet(np.ones(3), (nt, 60)) - s
-    m = assembly.CLAMP_COLLAR
-    edge = np.array([[1 + m, -m, 0], [1 + m, 0, -m], [-m, 1 + m, 0],
-                     [0, 1 + m, -m], [-m, 0, 1 + m], [0, -m, 1 + m]])
-    lam = np.concatenate([lam, np.broadcast_to(edge, (nt, 6, 3))], axis=1)
-    pts = np.einsum("tki,tij->tkj", lam, coords)
-    radius = reach / assembly._REACH
-    box = centroid[:, None] + 3 * radius[:, None, None] * rng.uniform(
-        -1, 1, (nt, 60, 2))
-    pts = np.concatenate([pts, box], axis=1)
-
-    p0 = coords[:, None, 0]
-    d1 = coords[:, None, 1] - p0
-    d2 = coords[:, None, 2] - p0
-    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    b1, b2 = assembly._barycentric(p0, d1, d2, det, pts)
-    close = assembly._misfit(b1, b2) <= assembly.CLAMP_COLLAR
-    dist = np.hypot(*(pts - centroid[:, None]).transpose(2, 0, 1))
-    ratio = dist / reach[:, None]
-    assert close.sum() > nt * 60
-    assert ratio[close].max() <= 1.0
-    assert ratio[close].max() > 0.9  # the bound is nearly reached
-    assert (~close & (ratio <= 1.0)).any()  # and it is not the collar itself
-
-
 def test_huge_and_non_finite_points(half_disk):
-    u = np.zeros(half_disk.num_vertices)
+    u = half_disk.vertices[:, 0].copy()
     huge = np.array([[0.5, 0.0], [1e300, 0.0], [-1e308, 1e308]])
-    loc = assembly.locate(half_disk, huge)
-    assert loc.outside.tolist() == [False, True, True]
-    with pytest.raises(UsageError, match=re.escape(str(huge[1]))):
-        assembly.evaluate(half_disk, u, huge)
+    got = assembly.evaluate(half_disk, u, huge)
+    assert got[0] == 0.5 and np.isnan(got[1:]).all()
     for bad in (np.nan, np.inf, -np.inf):
         pts = np.array([[0.5, 0.0], [bad, 0.0], [0.0, np.nan]])
         with pytest.raises(UsageError, match=re.escape(f"{pts[1]} is not finite")):
-            assembly.locate(half_disk, pts)
+            assembly.evaluate(half_disk, u, pts)
+    with pytest.raises(UsageError, match="an \\(n, 2\\) array"):
+        assembly.evaluate(half_disk, u, np.array([0.5, 0.0]))
+    assert assembly.evaluate(half_disk, u, np.empty((0, 2))).shape == (0,)

@@ -293,28 +293,29 @@ def test_blowup_phi_nonpositive(half_disk, maximized):
 
 
 # sha256 of the psi and phi arrays of blowup_diagnostics at the maximizer
-# that moser.best_seed picks from the eigen and bubble seeds (eps = 0.5).  The peak is the corner (0, 1), so part of each
-# fan lies outside the domain and reads NaN.
+# that moser.best_seed picks from the eigen and bubble seeds (eps = 0.5).
+# The peak is the corner (0, 1), so four of the nine fan rays leave the
+# domain and their samples beyond the peak read NaN.
 GOLDEN_BLOWUP = {
     ("h0.05", 0.0, 1.0): (
-        "993cbfcced1a6ac3095586df905b6c6204e9b313c82455937719ffef153ca598",
-        "f323de212c128cdee6e31119490bfa8ec63d6bef57dfa7ff5870918ad18b2a62",
+        "e9a4be2c8827176118d7542476aafdc1295bd03a936919788ad1e1789c3e93ea",
+        "aee274ddfd7f0a3e85ab9550352a9aa361c5f896e1ee9939338185aa810b219e",
     ),
     ("h0.05", 1.0, 1.0): (
-        "d11f8f9db3b85e48ef8900f7d9951eb73b0db19705abf3a1767ea655a3fa66b0",
-        "24c5fe7d3d87fb88ad21a0a716433301b4a2eb7b16062a2ac3b92a3efa0e929a",
+        "376f644a6b73ada49176b38a9e65a6eb47f9aadbe7dd8cbf8c26e2a3a0d115d7",
+        "69026b87cda2870b2c6213b4c20c820929e0d19b7bbb5991831bce5483ca12dd",
     ),
     ("h0.05", 0.0, 40.0): (
-        "7f5d449f11923d6e75b845dc09ecbe468ebccca4152f5d8e460cf7480c05741b",
-        "0fd582f47c6f09b166f0cb9a47e4d5127c3804770cdf60ce67bc77cf1968960e",
+        "9a236e093ca715826f1ef004c65f2b3b56aadb87393983df3629f9677a539bab",
+        "b8540bc79d6d80713541c00dc203a43251895c231226f2f32b32016aad7e57f9",
     ),
     ("h0.1 refined", 0.0, 1.0): (
-        "3cfba3f369519f89d20e5177dbb5619132a587e469ff3294df09b90e0d977be9",
-        "28a8669002a7742c27c2e3a6ef320cbe9d5d5784522c9a3db6207b2f61f2cf79",
+        "9e8a2214432fcb7e84f69fe8edf20146cdd2f272a9e594259062c3adc5484a4d",
+        "18da614aa48d81c93c89d7819828f7171813bcc30c9782b2c0784acbd0db22f0",
     ),
     ("h0.1 refined", 1.0, 1.0): (
-        "5d0eed5d8a356e64d30189e314f01c304418db64de6c43adf3b5b9022a3b7b07",
-        "09a9082c30b99eae0d21efebb5966d787d95f295d8e7d4d55443c43d1568882f",
+        "65c3809a3fc40f3eb28429210f087d40f16a06d14f7ee3d73bf2c34dfb159359",
+        "855f9f35cd3888f3f10178b32f3791255bc3b75cad72c1df1a0217e372bb5dc1",
     ),
 }
 
@@ -342,6 +343,36 @@ def test_blowup_golden_bytes(blowup_maximizers, case):
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
                     for a in (diag.psi, diag.phi))
     assert digests == GOLDEN_BLOWUP[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_BLOWUP))
+def test_blowup_fan_is_nan_exactly_outside_the_mesh(blowup_maximizers, case):
+    mesh, alpha, rho_max = case
+    s, u = blowup_maximizers[mesh, alpha]
+    diag = moser.blowup_diagnostics(s, u, alpha, 0.5, rho_max=rho_max)
+    # The fan as the docstring defines it: FAN_DIRS rays spread
+    # ±FAN_HALF_ANGLE degrees around the direction from the peak to the
+    # vertex mean, sampled at x* + r·ρ·ω.
+    inward = s.vertices.mean(axis=0) - diag.x
+    half = math.radians(moser.FAN_HALF_ANGLE)
+    angles = math.atan2(inward[1], inward[0]) + np.linspace(-half, half,
+                                                            moser.FAN_DIRS)
+    omega = np.column_stack([np.cos(angles), np.sin(angles)])
+    pts = diag.x + diag.r * diag.rho[None, :, None] * omega[:, None, :]
+
+    c = s.tri_coords()
+    p0, d1, d2 = c[:, 0], c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    inside = np.empty(diag.psi.shape, dtype=bool)
+    for k, p in np.ndindex(*diag.psi.shape):
+        rhs = pts[k, p] - p0
+        b1 = (rhs[:, 0] * d2[:, 1] - rhs[:, 1] * d2[:, 0]) / det
+        b2 = (d1[:, 0] * rhs[:, 1] - d1[:, 1] * rhs[:, 0]) / det
+        inside[k, p] = ((b1 >= -1e-10) & (b2 >= -1e-10)
+                        & (b1 + b2 <= 1 + 1e-10)).any()
+    assert np.array_equal(np.isfinite(diag.psi), inside)
+    assert np.array_equal(np.isfinite(diag.phi), inside)
+    assert inside.any() and not inside.all()
 
 
 # ---------------------------------------------------------------------------

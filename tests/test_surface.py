@@ -28,6 +28,7 @@ from tmlab.surface import (
     _new_f,
     adapt_for_point,
     build_domain,
+    prolong,
     refine,
     refine_local,
 )
@@ -742,6 +743,87 @@ def test_adapt_at_straight_side_corner_terminates(spec, corner):
     for c in spec.corners():
         d = np.hypot(s.vertices[:, 0] - c[0], s.vertices[:, 1] - c[1])
         assert np.count_nonzero(d <= 1e-12) == 1
+
+
+# ---------------------------------------------------------------------------
+# prolong
+# ---------------------------------------------------------------------------
+
+ARC_POINT = (math.cos(0.3), math.sin(0.3))
+
+
+def _linear(p):
+    return 0.3 + 0.7 * p[..., 0] - 0.4 * p[..., 1]
+
+
+def _on_arc(s):
+    return np.abs(np.hypot(*s.vertices.T) - 1.0) <= 1e-12
+
+
+def test_prolong_applies_the_rule_that_resamples_f(half_disk, rng):
+    # With no expression, refine_local gives a midpoint the mean of its
+    # parents' f; prolong must give any field the same, bit for bit.
+    coarse = Surface(half_disk.vertices, half_disk.triangles,
+                     half_disk.boundary_edges,
+                     rng.standard_normal(half_disk.num_vertices), half_disk.spec)
+    fine = adapt_for_point(coarse, ARC_POINT, 1e-3, 0.3)
+    assert fine.spec.f_expr is None and fine.num_vertices > coarse.num_vertices
+    assert prolong(fine, coarse.f_nodal).tobytes() == fine.f_nodal.tobytes()
+
+
+@pytest.mark.parametrize("spec, center", [
+    (DomainSpec("rectangle", (1.0, 1.0)), (1.0, 0.5)),
+    (DomainSpec("half_disk", (1.0,)), (0.4, 0.2)),
+], ids=["rectangle", "half_disk_interior"])
+def test_prolong_reproduces_linear_field(spec, center):
+    # Off the arc a midpoint stays on its parent edge, so a linear field
+    # stays linear.  Here no arc chord is split; past a reprojected arc
+    # midpoint its descendants carry the chord value's offset instead.
+    coarse = build_domain(spec, 0.1)
+    fine = adapt_for_point(coarse, center, 1e-3, 0.3)
+    new = np.arange(fine.num_vertices) >= coarse.num_vertices
+    assert new.sum() > 1000 and not (new & _on_arc(fine)).any()
+    u = prolong(fine, _linear(coarse.vertices))
+    assert u[~new].tobytes() == _linear(coarse.vertices).tobytes()
+    assert np.abs(u[new] - _linear(fine.vertices[new])).max() <= 1e-15
+
+
+def test_prolong_gives_arc_midpoint_its_chord_value(half_disk):
+    coarse = half_disk
+    for _ in range(3):  # until a round splits arc chords
+        fine = refine_local(coarse, np.ones(coarse.num_triangles, bool))
+        arc = np.flatnonzero(_on_arc(fine))
+        arc = arc[arc >= coarse.num_vertices]
+        if arc.size:
+            break
+        coarse = fine
+    assert arc.size > 10
+    u = prolong(fine, _linear(coarse.vertices))
+    # One round splits each chord once: the midpoint's two boundary
+    # neighbours are the chord's ends.
+    for m in arc:
+        edges = fine.boundary_edges[(fine.boundary_edges == m).any(axis=1)]
+        a, b = np.setdiff1d(edges, [m])
+        assert max(a, b) < coarse.num_vertices
+        chord = 0.5 * (fine.vertices[a] + fine.vertices[b])
+        assert abs(u[m] - _linear(chord)) <= 1e-15
+        assert abs(u[m] - _linear(fine.vertices[m])) > 1e-6
+
+
+def test_prolong_is_identity_when_adaptation_keeps_the_mesh(half_disk, rng):
+    s = adapt_for_point(half_disk, (1.0, 0.0), 1e-3, 0.3)
+    assert adapt_for_point(s, (1.0, 0.0), 1e-3, 0.3) is s
+    u = rng.standard_normal(s.num_vertices)
+    assert prolong(s, u).tobytes() == u.tobytes()
+
+
+def test_prolong_rejects_wrong_length_and_unrecorded_surface(half_disk):
+    fine = adapt_for_point(half_disk, ARC_POINT, 1e-3, 0.3)
+    for n in (half_disk.num_vertices - 1, fine.num_vertices):
+        with pytest.raises(UsageError, match=f"{half_disk.num_vertices} vertices"):
+            prolong(fine, np.zeros(n))
+    with pytest.raises(UsageError, match="refine_local or adapt_for_point"):
+        prolong(refine(half_disk), np.zeros(half_disk.num_vertices))
 
 
 # ---------------------------------------------------------------------------

@@ -278,3 +278,20 @@ def test_concentration_study_rejects_unconverged_rung(half_disk):
     with pytest.raises(NumericalError, match="eps = 1.0 ended unconverged"):
         witness.concentration_study(half_disk, vtx, eps_ladder=(1.0, 0.5, 0.25))
 
+
+
+# F per rung, recorded when the state was carried to the re-adapted mesh
+# by point location; prolongation agrees within 2e-13 relative.
+STUDY_VALUES = (3.2529685667671373, 3.506869464600557, 3.6129339062351193)
+
+
+def test_concentration_study_prolongs_onto_readapted_meshes(half_disk):
+    vtx = witness.smooth_boundary_vertex(half_disk, (1.0, 0.0))
+    seed = witness.glued_state(half_disk, vtx, witness.STUDY_SEED_SCALE).surface
+    results = witness.concentration_study(half_disk, vtx,
+                                          eps_ladder=(0.25, 0.1, 0.05))
+    sizes = [seed.num_vertices] + [r.surface.num_vertices for r in results]
+    assert sizes == sorted(sizes) and sizes[-1] > sizes[0]
+    for res, want in zip(results, STUDY_VALUES, strict=True):
+        assert res.residual <= witness.STUDY_TOL
+        assert abs(res.value - want) <= 1e-12 * want
