@@ -266,7 +266,9 @@ def km_solver(surface: Surface):
     """LU solver for K + M, the Riesz map of :func:`dual_norm`.
 
     Only :func:`spectrum.eigen_residual` still measures in this norm; the
-    maximizer measures its residuals with :func:`riesz_map`.
+    maximizer measures its residuals with :func:`riesz_map`.  It is the
+    one factorization besides :func:`neumann_solver`'s that a surface
+    keeps.
     """
     key = "lu_K_plus_M"
     if key not in surface.cache:
@@ -277,50 +279,55 @@ def km_solver(surface: Surface):
 
 
 def neumann_solver(surface: Surface):
-    """LU solver for K bordered with M·1, ``[[K, M·1], [(M·1)ᵀ, 0]]``.
+    """The one LU of the mean-zero Neumann operator: K bordered with M·1.
 
-    Solving it for ``[b; 0]`` gives the mean-zero x with Kx = b − μ·M·1:
-    the Riesz representative of b in the mean-zero H¹ seminorm uᵀKu.
+    Solving ``[[K, M·1], [(M·1)ᵀ, 0]]`` for ``[b; 0]`` gives the mean-zero
+    x with Kx = b − μ·M·1 (:func:`riesz_map`).  Its readers:
+
+    - the maximizer (:mod:`tmlab.moser`): one solve per state gives the
+      ascent direction and the stationarity residual;
+    - :func:`tmlab.green.green_function`: the preconditioner of its
+      conjugate gradients, at every α;
+    - :func:`tmlab.spectrum.first_eigenpair`: the shift-invert operator
+      at σ = 0, through :func:`neumann_lu`.
+
+    Cache rule: the maximizer and Green make many solves, so they factor
+    once per surface and keep the LU here (``cache["lu_K_bordered"]``).
+    The eigen solve borrows that LU when it is there, and otherwise
+    factors for its one call without storing, so no coarse mesh keeps an
+    LU that nothing reuses.
+    """
+    return surface.cache.setdefault("lu_K_bordered", neumann_lu(surface))
+
+
+def neumann_lu(surface: Surface):
+    """:func:`neumann_solver`'s cached LU, or, if none, one left uncached.
+
     Exact zeros of K (edges whose two opposite angles sum to π, as on a
     rectangle's diagonals) are dropped from the pattern.
     """
-    key = "lu_K_bordered"
-    if key not in surface.cache:
-        k = stiffness(surface).tocsc()
-        k.eliminate_zeros()
+    lu = surface.cache.get("lu_K_bordered")
+    if lu is None:
         m1 = mass_row_of_ones(surface)
-        surface.cache[key] = _splu(sp.bmat(
-            [[k, sp.csc_matrix(m1[:, None])], [sp.csc_matrix(m1[None, :]), None]],
-            format="csc",
-        ))
-    return surface.cache[key]
+        mat = sp.bmat([[stiffness(surface), sp.csc_matrix(m1[:, None])],
+                       [sp.csc_matrix(m1[None, :]), None]], format="csc")
+        mat.eliminate_zeros()
+        lu = _splu(mat)
+    return lu
 
 
 def riesz_map(surface: Surface, b: np.ndarray) -> np.ndarray:
     """The mean-zero x with Kx = b − μ·M·1, from :func:`neumann_solver`.
 
     For 1ᵀb = 0 the multiplier μ vanishes, Kx = b, and √(bᵀx) = √(xᵀKx)
-    is the norm of b dual to the mean-zero H¹ seminorm √(uᵀKu).
+    is the norm of b dual to the mean-zero H¹ seminorm √(uᵀKu).  Readers:
+    the maximizer's ascent direction and stationarity residual
+    (:mod:`tmlab.moser`, also :func:`tmlab.moser.el_residual`), and the
+    preconditioner of :func:`tmlab.green.green_function` (a constraint
+    preconditioner: every iterate it makes is mean-zero).  Both keep the
+    LU on the surface; see :func:`neumann_solver` for the cache rule.
     """
     return neumann_solver(surface).solve(np.append(b, 0.0))[:-1]
-
-
-def refined_solve(lu, matrix, b: np.ndarray, rtol: float) -> tuple:
-    """Solve ``matrix @ x = b`` from its LU factors with iterative refinement.
-
-    Up to three correction steps x += lu.solve(b − matrix·x) are taken
-    until the relative residual ‖b − matrix·x‖/‖b‖ is at most ``rtol``.
-    Returns x and its relative residual.
-    """
-    x = lu.solve(b)
-    scale = float(np.linalg.norm(b))
-    for _ in range(3):
-        r = b - matrix @ x
-        residual = float(np.linalg.norm(r)) / scale
-        if residual <= rtol:
-            return x, residual
-        x += lu.solve(r)
-    return x, float(np.linalg.norm(b - matrix @ x)) / scale
 
 
 def dual_norm(surface: Surface, r: np.ndarray) -> float:

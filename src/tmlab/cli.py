@@ -299,6 +299,8 @@ def cmd_maximize(args) -> int:
         "F_value": best.value,
         "converged": best.converged,
         "el_residual": best.residual,
+        "peak_vertex": best.peak_vertex,
+        "peak_is_corner": best.peak_is_corner,
         "u_file": args.field,
     }
     records.write_json(args.out, payload, record)
@@ -306,6 +308,11 @@ def cmd_maximize(args) -> int:
         f"maximize: F = {best.value:.12g} via {best_name} seed "
         f"(converged={best.converged}) -> {args.out}"
     )
+    if best.peak_is_corner:
+        x, y = surf.vertices[best.peak_vertex]
+        print(f"warning: the maximizer peaks at the domain corner ({x:.6g}, "
+              f"{y:.6g}) (vertex {best.peak_vertex}); F depends on the mesh there",
+              file=sys.stderr)
     return 0
 
 

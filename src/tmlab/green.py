@@ -2,10 +2,19 @@
 
 For a boundary vertex x₀ and 0 ≤ α < λ₁, solves
 
-    (K − αM) G = δ_{x₀} − (1/Area)·M·1,    ∫ G dv = 0,
+    (K − αM) G = δ_{x₀} − (1/Area)·M·1,    ∫ G dv = 0
 
-via a bordered (Lagrange-multiplier) system so the mean constraint holds
-exactly.  Near a *smooth* boundary point the continuum Green function
+by conjugate gradients on mean-zero fields, preconditioned with the one
+LU of the mean-zero Neumann operator (:func:`tmlab.assembly.riesz_map`,
+K bordered with M·1).  That map is a constraint preconditioner (Gould,
+Hribar & Nocedal, *SIAM J. Sci. Comput.* 23, 2001): it returns mean-zero
+fields, so every iterate keeps ∫ G dv = 0.  The iteration starts from
+the preconditioned right-hand side, which at α = 0 is already the
+solution.  For α > 0 the preconditioned operator has the eigenvalues
+1 − α/λⱼ, so its condition number is at most λ₁/(λ₁ − α); a few
+conjugate-gradient steps reach the tolerance.
+
+Near a *smooth* boundary point the continuum Green function
 behaves like −(1/π)·log r + A + O(r): the boundary pole carries twice the
 interior logarithm, and the additive constant A is the quantity the
 sharp-threshold analysis needs.  This module extracts A by annulus
@@ -19,8 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  (bench/tracer.py checks it)
 
 from . import assembly, spectrum
 from .errors import NumericalError, PreconditionError, UsageError
@@ -28,6 +36,8 @@ from .surface import Surface
 
 LOG_COEFF = -1.0 / math.pi  # smooth-boundary pole coefficient
 MIN_ANNULUS_POINTS = 30  # fewest vertices an annulus fit may use
+CG_RTOL = 1e-13  # relative residual ‖b − (K − αM)G‖/‖b‖ the solve reaches
+CG_MAX_ITER = 100  # conjugate-gradient steps before the solve gives up
 
 
 @dataclass(frozen=True)
@@ -56,40 +66,40 @@ def green_function(surface: Surface, vertex: int, alpha: float = 0.0) -> GreenRe
                 f"alpha = {alpha} is not below the spectral threshold {lam1:.6f}"
             )
 
-    n = surface.num_vertices
     k = assembly.stiffness(surface)
     m = assembly.mass(surface)
-    m1 = assembly.mass_row_of_ones(surface)
-    a = assembly.area(surface)
-
-    rhs = -m1 / a
+    op = k - alpha * m if alpha > 0.0 else k
+    rhs = -assembly.mass_row_of_ones(surface) / assembly.area(surface)
     rhs[vertex] += 1.0
-    mat = sp.bmat(
-        [[(k - alpha * m).tocsc(), sp.csc_matrix(m1[:, None])],
-         [sp.csc_matrix(m1[None, :]), None]],
-        format="csc",
-    )
-    try:
-        lu = spla.splu(mat)
-        sol, residual = assembly.refined_solve(
-            lu, mat, np.concatenate([rhs, [0.0]]), 1e-13
-        )
-    except RuntimeError as exc:
-        raise NumericalError(f"Green solve failed: {exc}") from exc
-    if residual > 1e-10:
-        raise NumericalError(
-            f"Green solve stalled at relative residual {residual:.3e}"
-        )
-    g = sol[:n]
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("Green solve produced non-finite values")
-    norm_sq = float(g @ (m @ g))
+    scale = float(np.linalg.norm(rhs))
+    g = assembly.riesz_map(surface, rhs)
+    r = rhs - op @ g
+    p, rz_old = np.zeros_like(g), 0.0
+    for step in range(CG_MAX_ITER + 1):
+        if float(np.linalg.norm(r)) <= CG_RTOL * scale:
+            break
+        if step == CG_MAX_ITER:
+            raise NumericalError(f"Green solve did not reach residual {CG_RTOL:.0e} "
+                                 f"in {CG_MAX_ITER} conjugate-gradient steps")
+        z = assembly.riesz_map(surface, r)
+        rz = float(r @ z)
+        p = z + (rz / rz_old if step else 0.0) * p
+        rz_old, q = rz, op @ p
+        curvature = float(p @ q)
+        if not curvature > 0.0:
+            raise NumericalError("Green operator is not positive on mean-zero "
+                                 f"fields: pᵀ(K − αM)p = {curvature:.3e}")
+        g += (rz / curvature) * p
+        r -= (rz / curvature) * q
+    residual = float(np.linalg.norm(rhs - op @ g)) / scale
+    if not residual <= 1e-10:  # NaN too: a non-finite G has a NaN residual
+        raise NumericalError(f"Green solve stalled at relative residual {residual:.3e}")
     return GreenResult(
         values=g,
         vertex=vertex,
         x0=surface.vertices[vertex].copy(),
         alpha=float(alpha),
-        norm_l2_sq=norm_sq,
+        norm_l2_sq=float(g @ (m @ g)),
         residual=residual,
     )
 

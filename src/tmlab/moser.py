@@ -98,6 +98,8 @@ class MaximizeResult:
     """Outcome of subcritical maximization.
 
     ``tainted`` is always False: an exponent overflow raises instead.
+    ``peak_vertex`` is the vertex of largest |u|; ``peak_is_corner`` says
+    whether it is a domain corner, where F grows as the mesh is refined.
     """
 
     u: np.ndarray
@@ -107,6 +109,8 @@ class MaximizeResult:
     newton_iterations: int
     converged: bool
     tainted: bool
+    peak_vertex: int
+    peak_is_corner: bool
 
 
 @dataclass
@@ -577,6 +581,7 @@ def maximize_subcritical(
                 break
             st = accepted[0]
 
+    peak = int(np.argmax(np.abs(st.u)))
     return MaximizeResult(
         u=st.u,
         value=st.value,
@@ -585,6 +590,8 @@ def maximize_subcritical(
         newton_iterations=n_newton,
         converged=bool(st.kkt_residual <= tol),
         tainted=False,
+        peak_vertex=peak,
+        peak_is_corner=bool(np.isin(peak, surface.corner_vertex_indices())),
     )
 
 

@@ -4,14 +4,15 @@ Solves the generalized problem K u = λ M u on the mean-zero subspace
 (K the flat stiffness matrix, M the metric mass matrix; natural boundary
 conditions are built into the weak form).  One shift-invert Lanczos
 solve (ARPACK through ``scipy.sparse.linalg.eigsh``; Ericsson & Ruhe
-1980) factors K − σM once, at a negative shift σ = −R(v₀)/10 set by the
-Rayleigh quotient of the start vector, so the shift scales with λ like
-1/area.  Each inverse application is followed by the metric mean-zero
-projection, which deflates λ = 0 with its constant eigenfunction.  Two
+1980) at σ = 0 reads the one LU of the mean-zero Neumann operator, K
+bordered with M·1 (:func:`tmlab.assembly.neumann_lu`).  Solving it for
+[M v; 0] gives the mean-zero x with Kx = Mv − μ·M·1: each eigenvector of
+λ > 0 goes to itself over λ, and the constant mode, whose M v the border
+absorbs, goes to 0.  So λ = 0 is deflated by the operator itself.  Two
 Ritz pairs are kept: symmetric domains carry numerically split multiple
-eigenvalues (splits ~1e-6 relative), and the smaller pair of a resolved cluster is
-the one returned.  The start vector is deterministic, so results are
-reproducible across runs.
+eigenvalues (splits ~1e-6 relative), and the smaller pair of a resolved
+cluster is the one returned.  The start vector is deterministic, so
+results are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ class Eigenpair:
     ``vector`` has metric mean zero and unit metric L² norm; the sign is
     fixed so that u is positive at the lowest-index boundary vertex whose
     |u| is within 1e-9 (relative) of the boundary maximum.
-    ``iterations`` counts the shift-invert solves (K − σM)⁻¹ b.
+    ``iterations`` counts the shift-invert solves, each one solve of K
+    bordered with M·1.
     """
 
     value: float
@@ -62,28 +64,18 @@ def first_eigenpair(surface: Surface, tol: float = 1e-10) -> Eigenpair:
     k = assembly.stiffness(surface)
     m = assembly.mass(surface)
     x1, x2 = surface.vertices[:, 0], surface.vertices[:, 1]
-    v0 = assembly.mean_zero_project(
-        surface, x1 + 0.3 * x2 + 0.05 * np.sin(3.0 * (x1 + x2))
-    )
-    v0 /= assembly.l2_norm(surface, v0)
-    # σ < 0 keeps K − σM definite while λ₁ stays the eigenvalue nearest σ.
-    sigma = -0.1 * float(v0 @ (k @ v0))
-    try:
-        lu = spla.splu((k - sigma * m).tocsc())
-    except RuntimeError as exc:
-        raise NumericalError(f"eigen factorization failed: {exc}") from exc
-
+    v0 = x1 + 0.3 * x2 + 0.05 * np.sin(3.0 * (x1 + x2))
+    lu = assembly.neumann_lu(surface)
     solves = 0
 
     def solve(b: np.ndarray) -> np.ndarray:
         nonlocal solves
         solves += 1
-        return assembly.mean_zero_project(surface, lu.solve(b))
+        return lu.solve(np.append(b, 0.0))[:-1]
 
-    n = surface.num_vertices
-    op_inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    op_inv = spla.LinearOperator(k.shape, matvec=solve, dtype=float)
     try:
-        vals, vecs = spla.eigsh(k, k=2, M=m, sigma=sigma, OPinv=op_inv, v0=v0)
+        vals, vecs = spla.eigsh(k, k=2, M=m, sigma=0.0, OPinv=op_inv, v0=v0)
     except spla.ArpackError as exc:
         raise NumericalError(f"shift-invert Lanczos failed: {exc}") from exc
 

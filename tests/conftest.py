@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from tmlab.surface import DomainSpec, build_domain, refine
 
@@ -48,3 +49,17 @@ def half_disk_refined(half_disk):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260819)
+
+
+@pytest.fixture()
+def splu_sizes(monkeypatch):
+    """Row counts of the sparse LU factorizations made during the test."""
+    sizes = []
+    splu = spla.splu
+
+    def counted(mat, *args, **kwargs):
+        sizes.append(mat.shape[0])
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return sizes

@@ -152,6 +152,24 @@ def test_maximize_reports_both_seeds(half_disk_mesh, tmp_path):
     )
 
 
+def test_maximize_warns_when_the_peak_is_a_corner(tmp_path, capfd):
+    # The max0 configuration: its maximizer peaks at the corner (0, 1).
+    mesh, out = tmp_path / "half.json", tmp_path / "max0.json"
+    assert run("mesh", "--shape", "half-disk", "--radius", "1", "--h", "0.05",
+               "--out", str(mesh)) == 0
+    capfd.readouterr()
+    assert run("maximize", "--mesh", str(mesh), "--alpha", "0",
+               "--eps", "0.5", "--out", str(out)) == 0
+    err = capfd.readouterr().err.splitlines()
+    doc = records.read_json(str(out))
+    vertex = doc["peak_vertex"]
+    assert doc["peak_is_corner"] is True
+    xy = records.read_json(str(mesh))["vertices"][vertex]
+    assert np.allclose(xy, [0.0, 1.0], atol=1e-12)
+    assert len(err) == 1
+    assert "corner (0, 1)" in err[0] and f"vertex {vertex}" in err[0]
+
+
 def test_maximize_alpha_above_threshold_exits_3(half_disk_mesh, tmp_path):
     assert run("maximize", "--mesh", str(half_disk_mesh), "--alpha", "50",
                "--eps", "0.5", "--out", str(tmp_path / "m.json")) == 3
@@ -424,21 +442,21 @@ GOLDEN_OUTPUTS = {
     "hd.json": "e62df9444ea9f77f2e96e5fc4f9b54ec8098139cc9f000504d99382a19010da1",
     "hd2.json": "0871d3fdd531ea51f51ec5636f3896c1f278a3b83298773e1316cdfb09b22759",
     "r.json": "4eca5819c5b707410df111f21532b5d716556743f88556e1d03f03aae2a9bb22",
-    "eig.json": "fcbbb15dd04fb4dcf93e95b54218df2e0bc1f5d770c3eb0bb05105a2a7956dd7",
-    "eig.u0.json": "2b19d224ed609cd0908f0fdb1e2f57f1d4cf76d6c6eacea99820e3948ced7668",
-    "max0.json": "e7f415f5d4e62730df463401bde4c04b2cdcc6e879f52bf547d50b4429c104a6",
-    "max0.u.json": "d6e099dbfc97daeb66c2d5ed38f738267f20ce9c5f30cba04a8c00a6f54859be",
-    "max1.json": "2b6b57ce45b00663ae17d301c7abafee4972c34c132cd962588cfcdc6ecdefe6",
-    "max1.u.json": "8d13f8fc9fa2b01eae0c3ff4575727b0d96e243377da4705c982ff8728b1a916",
-    "g0.json": "e18d8666d5b639efa941c2c1bbe21e5b1d94596d18a569280ba90e132f67baf3",
+    "eig.json": "58dc9f194a47b27339b4b9fcdf4c88c388a842b419d4a7c8a61ac78eadfb9b33",
+    "eig.u0.json": "d346be98e518824c537a83e2f27321d18dae208b06bd482ad2946b8d797dd65a",
+    "max0.json": "0142d1e092fb44d52d129dd22b9a94dea3b927601bfd3cc0012a3ccb78e014b8",
+    "max0.u.json": "f3f432c98255ca728b44eb2ad7adb698ca645223293701b9658fa9fdb05888a7",
+    "max1.json": "6af3422573550d005f54c339ad3ec5c4a2185926db7bb52ad124812371630eec",
+    "max1.u.json": "5e476c8c702297fa83b4cd1fac5c9e38b8ae4e821e06c5039ef2d4636dedcd52",
+    "g0.json": "390365b06cc91b7711e43348eca1f44d09f7c9d45191eb73aacf40f1e1b089ac",
     "g0.G.json": "e2de9a86d149cde17c08bfbe059650f8f45f0edfd1cd3808cd49c98a4909e69d",
-    "g05.json": "f99b934417f9fdfde1b9c7a4bee9912d50eee92268a4e144906c995f47d5d1a9",
-    "g05.G.json": "e00341b90b004388512626e358ebb5daffed70c12d553367d56ca2ead2da146c",
-    "sweep.csv": "7a36c84f2568ea7b0ba0ccc9d0d74321a1aa2107ae9ecb521cb9a7186e3f0b95",
+    "g05.json": "72ed46b8fec2760c4469e4f30694f0356b2e0b90722bafecfb93eedbd95c72e3",
+    "g05.G.json": "2f8586087e92c21cc79530f4d496d1a876e59cb51de75ae2a60266a433c963fe",
+    "sweep.csv": "7f34fd791b4b43e162dc9b0b796a2e8d3a1334fb959cc0584cf2ca6b054e0fb9",
     "wb.json": "9869dadaa8fa922ca18b4f60d548066dffca85450ec1887cb98fd64a22ce2612",
     "wb.dat": "23be5030ebfba36c79fd14a7354fc396aad5f72ff2a0bb24abf931047c2e6e9d",
-    "wm.json": "6ea52fca85c77442bf06b1461b1306e0950f29dedf459d28982ee7ea6274d054",
-    "wm.dat": "1ef02eaa760d7b1cd66af9ae0736723a1aa12dc09a46059f8bf9cc43a95fb516",
+    "wm.json": "43785c6a6ddeb9997e350584316c2cdbd2c3bb36f1ceaad8064c2920fdb5f145",
+    "wm.dat": "9789ea51b3ec9641d8622c7865934fa44d3d32091cdcdfabc50b5e694b45f186",
     "wg.json": "f58d1d64482c4277001eddd543891b299fee41575697e3705ff1fb39f645fdff",
     "wg.dat": "7bc3b13241f3b0838ac173aba7cbaf24106c89e3951c9c6302670a0f09a1df8c",
 }

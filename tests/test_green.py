@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from tmlab import assembly, green, spectrum, witness
-from tmlab.errors import PreconditionError
+from tmlab.errors import NumericalError, PreconditionError
+from tmlab.surface import DomainSpec, build_domain, refine
 
 PI = math.pi
 
@@ -171,3 +174,68 @@ def test_decomposition_summary(half_disk_refined, solved):
     assert d["residual"] <= 1e-10
     assert len(d["A_reports"]) == 2
     assert np.all(np.isfinite(d["sigma"]))
+
+
+# ---------------------------------------------------------------------------
+# one factorization per surface: conjugate gradients on the bordered-K LU
+# ---------------------------------------------------------------------------
+
+
+def test_green_and_eigen_share_one_bordered_lu(splu_sizes):
+    # Green at alpha = 0 factors K bordered with M·1; the eigen solve
+    # borrows that LU and the alpha > 0 Green solve preconditions with it.
+    # The only other LU is the K + M of the eigen residual.
+    s = refine(refine(build_domain(DomainSpec("half_disk", (1.0,)), 0.1)))
+    vertex = witness.smooth_boundary_vertex(s, (1.0, 0.0))
+    green.green_function(s, vertex, alpha=0.0)
+    lam1 = spectrum.lambda1(s).value
+    green.green_function(s, vertex, alpha=0.05 * lam1)
+    assert splu_sizes == [s.num_vertices + 1, s.num_vertices]
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.05, 0.5, 0.95])
+def test_cg_matches_bordered_direct_solve(half_disk_refined, pole_vertex,
+                                          frac, monkeypatch):
+    s = half_disk_refined
+    alpha = frac * spectrum.lambda1(s).value
+    calls = []
+    riesz = assembly.riesz_map
+
+    def counted(surface, b):
+        calls.append(b)
+        return riesz(surface, b)
+
+    monkeypatch.setattr(assembly, "riesz_map", counted)
+    got = green.green_function(s, pole_vertex, alpha=alpha)
+    iterations = len(calls) - 1  # the first map is the starting guess
+    assert iterations == 0 if frac == 0.0 else 0 < iterations <= 25
+    assert got.residual <= 1e-12
+
+    k = assembly.stiffness(s)
+    m = assembly.mass(s)
+    m1 = assembly.mass_row_of_ones(s)
+    rhs = np.append(-m1 / assembly.area(s), 0.0)
+    rhs[pole_vertex] += 1.0
+    mat = sp.bmat([[k - alpha * m, sp.csc_matrix(m1[:, None])],
+                   [sp.csc_matrix(m1[None, :]), None]], format="csc")
+    ref = spla.spsolve(mat, rhs)[:-1]
+    assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_cg_iteration_cap_raises(half_disk, monkeypatch):
+    vertex = witness.smooth_boundary_vertex(half_disk, (1.0, 0.0))
+    alpha = 0.5 * spectrum.lambda1(half_disk).value
+    monkeypatch.setattr(green, "CG_MAX_ITER", 2)
+    with pytest.raises(NumericalError, match="conjugate-gradient steps"):
+        green.green_function(half_disk, vertex, alpha=alpha)
+
+
+def test_cg_nonpositive_curvature_raises(monkeypatch):
+    # Claim a threshold far above the true lambda1 so that alpha passes the
+    # precondition; K − αM is then indefinite on mean-zero fields.
+    s = build_domain(DomainSpec("half_disk", (1.0,)), 0.1)
+    vertex = witness.smooth_boundary_vertex(s, (1.0, 0.0))
+    s.cache["lambda1"] = spectrum.Eigenpair(value=1e9, vector=None,
+                                            residual=0.0, iterations=0)
+    with pytest.raises(NumericalError, match="not positive"):
+        green.green_function(s, vertex, alpha=1e3)

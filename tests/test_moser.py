@@ -298,24 +298,24 @@ def test_blowup_phi_nonpositive(half_disk, maximized):
 # domain and their samples beyond the peak read NaN.
 GOLDEN_BLOWUP = {
     ("h0.05", 0.0, 1.0): (
-        "e9a4be2c8827176118d7542476aafdc1295bd03a936919788ad1e1789c3e93ea",
-        "aee274ddfd7f0a3e85ab9550352a9aa361c5f896e1ee9939338185aa810b219e",
+        "dc5abf74e0622880be0a7dd80d373025b78945a02e9cac7aa4b36654f534d7ec",
+        "b493f281bfae04568dd5ebef540b9b16d7457cb885c448c71d36f58844c749f0",
     ),
     ("h0.05", 1.0, 1.0): (
-        "376f644a6b73ada49176b38a9e65a6eb47f9aadbe7dd8cbf8c26e2a3a0d115d7",
-        "69026b87cda2870b2c6213b4c20c820929e0d19b7bbb5991831bce5483ca12dd",
+        "a0f0516d35f41a3efdb6b83057e92972d8f8b2fa1834e1e141f207371ee814c4",
+        "346ee49bed70bf55a546c622b6433d280f44193107145eedf4d9356560366150",
     ),
     ("h0.05", 0.0, 40.0): (
-        "9a236e093ca715826f1ef004c65f2b3b56aadb87393983df3629f9677a539bab",
-        "b8540bc79d6d80713541c00dc203a43251895c231226f2f32b32016aad7e57f9",
+        "8db91ae30a8d0c9035253dad8be00fee9d4a56a0b97b7002fa944c7dbd30746d",
+        "01d7abc2313a8a43beb44b70e55650149fd46e1b074bc4218ee945c6a1a274e5",
     ),
     ("h0.1 refined", 0.0, 1.0): (
-        "9e8a2214432fcb7e84f69fe8edf20146cdd2f272a9e594259062c3adc5484a4d",
-        "18da614aa48d81c93c89d7819828f7171813bcc30c9782b2c0784acbd0db22f0",
+        "c1b80abf1e4faeccc4d0dd9fefa361af08777797995c9e7469a45ad566d3ebfc",
+        "877eb010611572af40acbb94fc84fa57ed84e68397d09dcda7863dd3070d17a9",
     ),
     ("h0.1 refined", 1.0, 1.0): (
-        "65c3809a3fc40f3eb28429210f087d40f16a06d14f7ee3d73bf2c34dfb159359",
-        "855f9f35cd3888f3f10178b32f3791255bc3b75cad72c1df1a0217e372bb5dc1",
+        "4528372c3845dab91507ebfcc39770f430db34f73485c5900935c724f442499f",
+        "01e024428f5b39827aed8ea94949ffd7122e8f05286f1055205490a6a5c1d3a4",
     ),
 }
 
@@ -553,7 +553,8 @@ def test_best_seed_prefers_converged_then_first_of_a_tie():
     def res(value, converged=True):
         return moser.MaximizeResult(u=None, value=value, residual=0.0,
                                     ascent_iterations=0, newton_iterations=0,
-                                    converged=converged, tainted=False)
+                                    converged=converged, tainted=False,
+                                    peak_vertex=0, peak_is_corner=False)
 
     # Values 1.8e-15 apart (last-bit noise between two seeds) are a tie.
     tie = {"eigen": res(6257.866447602814), "bubble": res(6257.866447602825)}

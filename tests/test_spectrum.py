@@ -115,6 +115,7 @@ DENSE_CASES = {
     "2x1 rectangle": (DomainSpec("rectangle", (2.0, 1.0)), 0.1, True),
     "sector": (DomainSpec("disk_sector", (1.0, 2.0)), 0.1, True),
     "half-disk": (DomainSpec("half_disk", (1.0,)), 0.1, True),
+    "half-disk, 92 vertices": (DomainSpec("half_disk", (1.0,)), 0.15, True),
     "half-disk with f": (
         DomainSpec("half_disk", (1.0,), "0.5*x1*x2 - 0.3*x2"), 0.1, True
     ),
@@ -136,3 +137,32 @@ def test_matches_dense_reference(case):
         ref = vecs[:, 1]  # M-normalized, like pair.vector
         err = min(np.abs(pair.vector - ref).max(), np.abs(pair.vector + ref).max())
         assert err <= 1e-10
+
+
+def test_eigen_solve_stores_no_lu_of_its_own(splu_sizes):
+    s = build_domain(DomainSpec("half_disk", (1.0,)), 0.1)
+    spectrum.first_eigenpair(s)
+    # One bordered LU for the solve, used and dropped; one K + M for the
+    # residual, kept.
+    assert splu_sizes == [s.num_vertices + 1, s.num_vertices]
+    assert "lu_K_bordered" not in s.cache
+
+
+def test_eigen_solve_borrows_the_cached_lu(splu_sizes):
+    s = build_domain(DomainSpec("half_disk", (1.0,)), 0.1)
+    fresh = spectrum.first_eigenpair(s)
+    assembly.neumann_solver(s)
+    splu_sizes.clear()
+    pair = spectrum.first_eigenpair(s)
+    assert splu_sizes == []
+    assert pair.value == fresh.value
+    assert np.array_equal(pair.vector, fresh.vector)
+
+
+def test_bordered_solve_deflates_the_constant_mode():
+    # The shift-invert operator at σ = 0 sends M·1, the constant mode's
+    # image, to 0, so no projection follows the solves.
+    s = build_domain(DomainSpec("half_disk", (1.0,)), 0.15)
+    m1 = assembly.mass_row_of_ones(s)
+    x = assembly.neumann_lu(s).solve(np.append(m1, 0.0))[:-1]
+    assert np.max(np.abs(x)) <= 1e-12
