@@ -32,10 +32,7 @@ from .surface import Surface
 
 
 def p1_gradients(surface: Surface) -> np.ndarray:
-    """(nt, 3, 2) gradients of the three hat functions on each triangle.
-
-    Not cached: only the (cached) stiffness matrix reads them.
-    """
+    """(nt, 3, 2) gradients of the three hat functions on each triangle."""
     c = surface.tri_coords()
     areas = surface.euclidean_tri_areas()
     g = np.empty((surface.num_triangles, 3, 2))
@@ -45,14 +42,6 @@ def p1_gradients(surface: Surface) -> np.ndarray:
         g[:, i, 1] = e[:, 0]
     g /= (2.0 * areas)[:, None, None]
     return g
-
-
-def quad_points(surface: Surface) -> np.ndarray:
-    """(nt, 6, 2) physical quadrature points."""
-    key = "quad_points"
-    if key not in surface.cache:
-        surface.cache[key] = quad.physical_points(surface.tri_coords())
-    return surface.cache[key]
 
 
 def quad_weights(surface: Surface) -> np.ndarray:
@@ -251,7 +240,7 @@ def l2_norm(surface: Surface, u: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cached factorizations
+# Factorizations
 # ---------------------------------------------------------------------------
 
 
@@ -265,17 +254,10 @@ def _splu(matrix: sp.spmatrix):
 def km_solver(surface: Surface):
     """LU solver for K + M, the Riesz map of :func:`dual_norm`.
 
-    Only :func:`spectrum.eigen_residual` still measures in this norm; the
-    maximizer measures its residuals with :func:`riesz_map`.  It is the
-    one factorization besides :func:`neumann_solver`'s that a surface
-    keeps.
+    Only :func:`spectrum.eigen_residual` measures in this norm, once per
+    eigen solve, so the LU is not kept (see ``Surface.cache``).
     """
-    key = "lu_K_plus_M"
-    if key not in surface.cache:
-        surface.cache[key] = _splu(
-            (stiffness(surface) + mass(surface)).tocsc()
-        )
-    return surface.cache[key]
+    return _splu(stiffness(surface) + mass(surface))
 
 
 def neumann_solver(surface: Surface):
@@ -291,17 +273,14 @@ def neumann_solver(surface: Surface):
     - :func:`tmlab.spectrum.first_eigenpair`: the shift-invert operator
       at σ = 0, through :func:`neumann_lu`.
 
-    Cache rule: the maximizer and Green make many solves, so they factor
-    once per surface and keep the LU here (``cache["lu_K_bordered"]``).
-    The eigen solve borrows that LU when it is there, and otherwise
-    factors for its one call without storing, so no coarse mesh keeps an
-    LU that nothing reuses.
+    The maximizer and Green read the LU again, so it is kept as
+    ``cache["lu_K_bordered"]`` (see ``Surface.cache``).
     """
     return surface.cache.setdefault("lu_K_bordered", neumann_lu(surface))
 
 
 def neumann_lu(surface: Surface):
-    """:func:`neumann_solver`'s cached LU, or, if none, one left uncached.
+    """:func:`neumann_solver`'s kept LU, or, if none, one factored and not kept.
 
     Exact zeros of K (edges whose two opposite angles sum to π, as on a
     rectangle's diagonals) are dropped from the pattern.
@@ -324,8 +303,7 @@ def riesz_map(surface: Surface, b: np.ndarray) -> np.ndarray:
     the maximizer's ascent direction and stationarity residual
     (:mod:`tmlab.moser`, also :func:`tmlab.moser.el_residual`), and the
     preconditioner of :func:`tmlab.green.green_function` (a constraint
-    preconditioner: every iterate it makes is mean-zero).  Both keep the
-    LU on the surface; see :func:`neumann_solver` for the cache rule.
+    preconditioner: every iterate it makes is mean-zero).
     """
     return neumann_solver(surface).solve(np.append(b, 0.0))[:-1]
 

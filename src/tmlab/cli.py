@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import green as green_mod
+from . import assembly, green as green_mod
 from . import moser, records, spectrum, witness
 from . import surface as surface_mod
 from .errors import TmlabError, UsageError
@@ -239,11 +239,14 @@ def cmd_eigen(args) -> int:
 
 
 def _eigen_seed(surf: surface_mod.Surface) -> np.ndarray:
+    # Keep the LU the maximizer reads, so the eigen solve borrows it.
+    assembly.neumann_solver(surf)
     return spectrum.lambda1(surf).vector.copy()
 
 
 def _bubble_seed(surf: surface_mod.Surface) -> np.ndarray:
     """Concentrated log-cap seed at the eigenfunction's boundary peak."""
+    assembly.neumann_solver(surf)  # as in _eigen_seed
     vertex = witness.peak_boundary_vertex(surf)
     delta = witness.default_delta(surf, vertex)
     state = witness.cap_state(surf, vertex, eps=1e-3, delta=delta, t=0.0)

@@ -5,14 +5,15 @@ Solves the generalized problem K u = λ M u on the mean-zero subspace
 conditions are built into the weak form).  One shift-invert Lanczos
 solve (ARPACK through ``scipy.sparse.linalg.eigsh``; Ericsson & Ruhe
 1980) at σ = 0 reads the one LU of the mean-zero Neumann operator, K
-bordered with M·1 (:func:`tmlab.assembly.neumann_lu`).  Solving it for
-[M v; 0] gives the mean-zero x with Kx = Mv − μ·M·1: each eigenvector of
-λ > 0 goes to itself over λ, and the constant mode, whose M v the border
-absorbs, goes to 0.  So λ = 0 is deflated by the operator itself.  Two
-Ritz pairs are kept: symmetric domains carry numerically split multiple
-eigenvalues (splits ~1e-6 relative), and the smaller pair of a resolved
-cluster is the one returned.  The start vector is deterministic, so
-results are reproducible across runs.
+bordered with M·1 (:func:`tmlab.assembly.neumann_lu`; ``Surface.cache``
+says when it is kept).  Solving it for [M v; 0] gives the mean-zero x
+with Kx = Mv − μ·M·1: each eigenvector of λ > 0 goes to itself over λ,
+and the constant mode, whose M v the border absorbs, goes to 0.  So
+λ = 0 is deflated by the operator itself.  Two Ritz pairs are kept:
+symmetric domains carry numerically split multiple eigenvalues (splits
+~1e-6 relative), and the smaller pair of a resolved cluster is the one
+returned.  The start vector is deterministic, so results are
+reproducible across runs.
 """
 
 from __future__ import annotations
@@ -55,14 +56,11 @@ def eigen_residual(surface: Surface, u: np.ndarray, lam: float) -> float:
     return assembly.dual_norm(surface, r) / denom
 
 
-def first_eigenpair(surface: Surface, tol: float = 1e-10) -> Eigenpair:
-    """Compute the smallest nonzero Neumann eigenvalue and its eigenfunction.
+def _shift_invert(surface: Surface, k, m) -> tuple:
+    """Two Ritz pairs of K u = λ M u at σ = 0 and the solves they took.
 
-    Raises :class:`NumericalError` when the factorization or ARPACK fails,
-    or when the dual-norm residual of the returned pair exceeds ``tol``.
+    The LU it reads is dropped on return, before K + M is factored.
     """
-    k = assembly.stiffness(surface)
-    m = assembly.mass(surface)
     x1, x2 = surface.vertices[:, 0], surface.vertices[:, 1]
     v0 = x1 + 0.3 * x2 + 0.05 * np.sin(3.0 * (x1 + x2))
     lu = assembly.neumann_lu(surface)
@@ -78,7 +76,18 @@ def first_eigenpair(surface: Surface, tol: float = 1e-10) -> Eigenpair:
         vals, vecs = spla.eigsh(k, k=2, M=m, sigma=0.0, OPinv=op_inv, v0=v0)
     except spla.ArpackError as exc:
         raise NumericalError(f"shift-invert Lanczos failed: {exc}") from exc
+    return vals, vecs, solves
 
+
+def first_eigenpair(surface: Surface, tol: float = 1e-10) -> Eigenpair:
+    """Compute the smallest nonzero Neumann eigenvalue and its eigenfunction.
+
+    Raises :class:`NumericalError` when the factorization or ARPACK fails,
+    or when the dual-norm residual of the returned pair exceeds ``tol``.
+    """
+    k = assembly.stiffness(surface)
+    m = assembly.mass(surface)
+    vals, vecs, solves = _shift_invert(surface, k, m)
     u = assembly.mean_zero_project(surface, vecs[:, int(np.argmin(vals))])
     u /= assembly.l2_norm(surface, u)
     # Sign anchor: the lowest-index boundary vertex within 1e-9 (relative)

@@ -203,12 +203,15 @@ class Surface:
     f_nodal : (nv,) float array, conformal factor at vertices
     spec : DomainSpec
     cache : dict
-        Scratch space for assembled operators and for the bisection record
-        (``"bisection"``: each triangle's reference-edge rotation, its
+        Values derived from the surface, dropped on serialization.  Rule:
+        a value is kept only when a later call on the same surface reads
+        it again; a value with one reader is made in that reader and
+        dropped.  Kept: quadrature weights, CSR pattern, K, M, M·1, area,
+        the LU of K bordered with M·1, λ₁'s eigenpair, glued-state meshes,
+        the parent map `prolong` applies, and the bisection record
+        (``"bisection"``: each triangle's reference-edge rotation,
         neighbours, centroid and longest edge) that `refine_local` carries
-        from round to round, and for the parent map `prolong` applies;
-        dropped on serialization.  `adapt_for_point` drops the bisection
-        record from the surface it returns.
+        from round to round and `adapt_for_point` drops from its result.
     """
 
     vertices: np.ndarray

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import assembly, green as green_mod, moser, spectrum
+from . import assembly, green as green_mod, moser, quadrature, spectrum
 from .errors import NumericalError, PreconditionError, UsageError
 from .surface import Surface, adapt_for_point, prolong
 
@@ -111,7 +111,7 @@ def _recentre(surface: Surface, x0: np.ndarray) -> int:
 
 def _metric_centroid(surface: Surface) -> np.ndarray:
     w = assembly.quad_weights(surface)
-    pts = assembly.quad_points(surface)
+    pts = quadrature.physical_points(surface.tri_coords())
     a = assembly.area(surface)
     return np.array(
         [float(np.sum(w * pts[:, :, 0])) / a, float(np.sum(w * pts[:, :, 1])) / a]

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -173,6 +174,18 @@ def test_maximize_warns_when_the_peak_is_a_corner(tmp_path, capfd):
 def test_maximize_alpha_above_threshold_exits_3(half_disk_mesh, tmp_path):
     assert run("maximize", "--mesh", str(half_disk_mesh), "--alpha", "50",
                "--eps", "0.5", "--out", str(tmp_path / "m.json")) == 3
+
+
+def test_maximize_factors_the_bordered_k_once(tmp_path, splu_sizes):
+    # The eigen seed keeps the LU of K bordered with M·1, the eigen solve
+    # borrows it and the maximizer reuses it.  The n-row LUs are the eigen
+    # residual's K + M and the Newton steps' Hessian blocks.
+    mesh, out = tmp_path / "half.json", tmp_path / "max0.json"
+    assert run("mesh", "--shape", "half-disk", "--radius", "1", "--h", "0.05",
+               "--out", str(mesh)) == 0
+    assert run("maximize", "--mesh", str(mesh), "--alpha", "0",
+               "--eps", "0.5", "--out", str(out)) == 0
+    assert Counter(splu_sizes) == {862: 1, 861: 3}
 
 
 # ---------------------------------------------------------------------------

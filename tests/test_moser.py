@@ -460,28 +460,27 @@ def _bordered_reference(st):
     return spla.splu(mat).solve(rhs)[:r.size]
 
 
-def _splu_sizes(monkeypatch, fail_on_h=False):
-    sizes = []
-    splu = spla.splu
+def _fail_hessian_lu(monkeypatch):
+    """Make every Hessian-block LU fail as singular, still counted."""
+    counted = spla.splu  # the splu_sizes fixture's counter
 
-    def recorded(mat, *args, **kwargs):
-        sizes.append(mat.shape[0])
-        if fail_on_h and kwargs.get("permc_spec") == "MMD_AT_PLUS_A":
+    def singular_h(mat, *args, **kwargs):
+        lu = counted(mat, *args, **kwargs)
+        if kwargs.get("permc_spec") == "MMD_AT_PLUS_A":
             raise RuntimeError("Factor is exactly singular")
-        return splu(mat, *args, **kwargs)
+        return lu
 
-    monkeypatch.setattr(moser.spla, "splu", recorded)
-    return sizes
+    monkeypatch.setattr(spla, "splu", singular_h)
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.3])
 def test_block_newton_step_matches_bordered_solve(newton_states, ratio,
-                                                  monkeypatch):
+                                                  splu_sizes):
     st = newton_states[ratio]
     ref = _bordered_reference(st)
-    sizes = _splu_sizes(monkeypatch)
+    splu_sizes.clear()
     du = moser._newton_step(st)
-    assert sizes == [st.u.size]  # h_c only: no fallback
+    assert splu_sizes == [st.u.size]  # h_c only: no fallback
     assert np.linalg.norm(du - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -536,13 +535,14 @@ def test_state_moments_match_powers(newton_states):
 
 @pytest.mark.parametrize("ratio", [0.0, 0.3])
 def test_failed_hessian_lu_falls_back_to_ascent(newton_states, ratio,
-                                                monkeypatch):
+                                                splu_sizes, monkeypatch):
     st = newton_states[ratio]
     s, alpha = st.surface, st.alpha
     phase1 = moser.maximize_subcritical(s, alpha, 0.5, max_newton=0)
-    sizes = _splu_sizes(monkeypatch, fail_on_h=True)
+    splu_sizes.clear()
+    _fail_hessian_lu(monkeypatch)
     assert moser._newton_step(st) is None
-    assert sizes == [st.u.size]  # the Hessian block only: no bordered LU
+    assert splu_sizes == [st.u.size]  # the Hessian block only: no bordered LU
     res = moser.maximize_subcritical(s, alpha, 0.5, max_newton=3)
     assert res.newton_iterations > 0
     assert math.isfinite(res.value)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -142,10 +143,39 @@ def test_matches_dense_reference(case):
 def test_eigen_solve_stores_no_lu_of_its_own(splu_sizes):
     s = build_domain(DomainSpec("half_disk", (1.0,)), 0.1)
     spectrum.first_eigenpair(s)
-    # One bordered LU for the solve, used and dropped; one K + M for the
-    # residual, kept.
+    # One bordered LU for the solve and one K + M for the residual, each
+    # used and dropped.
     assert splu_sizes == [s.num_vertices + 1, s.num_vertices]
     assert "lu_K_bordered" not in s.cache
+    assert "lu_K_plus_M" not in s.cache
+
+
+class _HeldLU:
+    """A weakly referenceable stand-in for a SuperLU object."""
+
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+
+def test_eigen_solve_drops_its_lu_before_the_residual_factor(monkeypatch):
+    # A fresh surface never holds two factors of its own size at once.
+    s = build_domain(DomainSpec("half_disk", (1.0,)), 0.1)
+    held, alive = [], []
+    neumann_lu, km_solver = assembly.neumann_lu, assembly.km_solver
+
+    def held_lu(surface):
+        lu = _HeldLU(neumann_lu(surface))
+        held.append(weakref.ref(lu))
+        return lu
+
+    def watched_km_solver(surface):
+        alive.append(held[0]() is not None)
+        return km_solver(surface)
+
+    monkeypatch.setattr(assembly, "neumann_lu", held_lu)
+    monkeypatch.setattr(assembly, "km_solver", watched_km_solver)
+    spectrum.first_eigenpair(s)
+    assert alive == [False]
 
 
 def test_eigen_solve_borrows_the_cached_lu(splu_sizes):
@@ -154,7 +184,8 @@ def test_eigen_solve_borrows_the_cached_lu(splu_sizes):
     assembly.neumann_solver(s)
     splu_sizes.clear()
     pair = spectrum.first_eigenpair(s)
-    assert splu_sizes == []
+    # No bordered LU of its own; the K + M of the residual, not kept.
+    assert splu_sizes == [s.num_vertices]
     assert pair.value == fresh.value
     assert np.array_equal(pair.vector, fresh.vector)
 

@@ -103,6 +103,14 @@ def test_cap_peak_grows_as_scale_shrinks(half_disk):
     assert peaks[0] < peaks[1] < peaks[2]
 
 
+def test_cap_state_keeps_no_quadrature_points():
+    s = build_domain(DomainSpec("half_disk", (1.0,)), 0.1)
+    vtx = witness.smooth_boundary_vertex(s, (1.0, 0.0))
+    witness.cap_state(s, vtx, 1e-3, witness.default_delta(s, vtx))
+    assert "quad_points" not in s.cache
+    assert "quad_weights" in s.cache
+
+
 def test_cap_rejects_corner_center(half_disk):
     corner = int(half_disk.corner_vertex_indices()[0])
     with pytest.raises(PreconditionError):
