@@ -254,11 +254,8 @@ def _bubble_seed(surf: surface_mod.Surface) -> np.ndarray:
 
 
 def cmd_maximize(args) -> int:
+    moser.check_subcritical(args.alpha, args.eps)
     surf, mesh_hash = _load_surface(args.mesh)
-    if args.eps <= 0 or args.eps >= TWO_PI:
-        raise UsageError("eps must lie in (0, 2*pi)")
-    if args.alpha < 0:
-        raise UsageError("alpha must be nonnegative")
 
     seed_names = ["eigen", "bubble"] if args.seed == "both" else [args.seed]
     seeds = {}
@@ -325,12 +322,12 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    surf, mesh_hash = _load_surface(args.mesh)
     alphas = _parse_float_list(args.alphas, "alpha grid")
-    eps_ladder = _parse_float_list(args.eps_ladder, "eps ladder")
-    if any(a < 0 for a in alphas):
-        raise UsageError("alpha grid entries must be nonnegative")
-
+    eps_ladder = witness.check_ladder(
+        _parse_float_list(args.eps_ladder, "eps ladder"), args.q)
+    for a in alphas:  # as multiples of lambda1 too, since lambda1 > 0
+        moser.check_coefficients(a, args.beta)
+    surf, mesh_hash = _load_surface(args.mesh)
     if args.relative:
         alphas = [a * spectrum.lambda1(surf).value for a in alphas]
     matrix = witness.divergence_matrix(surf, alphas, eps_ladder,
@@ -373,14 +370,13 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _witness_bubble(args) -> int:
+def _witness_bubble(args) -> tuple:
     n = args.samples
     if n < 2:
         raise UsageError("--samples must be at least 2")
     if args.rho_max <= 0:
         raise UsageError("--rho-max must be positive")
     rho = np.linspace(0.0, args.rho_max, n)
-    phi = witness.bubble_phi(rho)
     payload = {
         "format_version": 1,
         "kind": "bubble",
@@ -391,20 +387,12 @@ def _witness_bubble(args) -> int:
         "mass_total": witness.bubble_mass(np.inf),
         "mass_within_rho_max": witness.bubble_mass(args.rho_max),
     }
-    params = {
-        "kind": "bubble", "rho_max": args.rho_max, "samples": n,
-    }
-    record = _record("witness", params, {}, args)
-    if args.plot:
-        rho, phi = records.require_finite(rho), records.require_finite(phi)
-    records.write_json(args.out, payload, record)
-    if args.plot:
-        records.write_profile(args.plot, rho, phi, record)
-    print(f"witness bubble: phi(1) = {payload['phi_at_one']:.9g} -> {args.out}")
-    return 0
+    params = {"kind": "bubble", "rho_max": args.rho_max, "samples": n}
+    return (payload, params, (rho, witness.bubble_phi(rho)),
+            f"witness bubble: phi(1) = {payload['phi_at_one']:.9g}")
 
 
-def _witness_moser(args, surf, mesh_hash, vertex) -> int:
+def _witness_moser(args, surf, vertex) -> tuple:
     eigenpair = spectrum.lambda1(surf)
     state = witness.moser_sequence(surf, eigenpair, vertex, args.eps,
                                    q=args.q)
@@ -429,62 +417,60 @@ def _witness_moser(args, surf, mesh_hash, vertex) -> int:
         "alpha": args.alpha, "beta": args.beta, "q": args.q,
         "vertex": args.vertex,
     }
-    record = _record("witness", params, {"mesh": mesh_hash}, args)
-    if args.plot:
-        xs, ys = _radial_profile(surf, state.v, surf.vertices[state.vertex],
-                                 r_max=3.0 * state.delta)
-        xs, ys = records.require_finite(xs), records.require_finite(ys)
-    records.write_json(args.out, payload, record)
-    if args.plot:
-        records.write_profile(args.plot, xs, ys, record)
-    print(f"witness moser: F = {fv.value:.12g} -> {args.out}")
-    return 0
+    profile = _radial_profile(surf, state.v, surf.vertices[state.vertex],
+                              r_max=3.0 * state.delta)
+    return payload, params, profile, f"witness moser: F = {fv.value:.12g}"
 
 
-def _witness_glued(args, surf, mesh_hash, vertex) -> int:
+def _witness_glued(args, surf, vertex) -> tuple:
     check = witness.lower_bound_check(surf, vertex, args.eps,
                                       alpha=args.alpha)
     state = check.pop("state")
-    payload = {"format_version": 1, "kind": "glued"}
-    payload.update(check)
-    payload["prenorm"] = state.prenorm
-    payload["vertex"] = state.vertex
+    payload = {"format_version": 1, "kind": "glued", **check,
+               "prenorm": state.prenorm, "vertex": state.vertex}
     params = {
         "kind": "glued", "mesh": args.mesh, "eps": args.eps,
         "alpha": args.alpha, "vertex": args.vertex,
     }
-    record = _record("witness", params, {"mesh": mesh_hash}, args)
-    if args.plot:
-        xs, ys = _radial_profile(
-            state.surface, state.v,
-            state.surface.vertices[state.vertex], r_max=1.0,
-        )
-        xs, ys = records.require_finite(xs), records.require_finite(ys)
-    records.write_json(args.out, payload, record)
-    if args.plot:
-        records.write_profile(args.plot, xs, ys, record)
-    print(
+    profile = _radial_profile(state.surface, state.v,
+                              state.surface.vertices[state.vertex], r_max=1.0)
+    return payload, params, profile, (
         f"witness glued: F = {check['value']:.12g} vs bound "
-        f"{check['bound']:.12g} (passed={check['passed']}) -> {args.out}"
+        f"{check['bound']:.12g} (passed={check['passed']})"
     )
-    return 0
 
 
 def cmd_witness(args) -> int:
     if args.kind == "bubble":
-        return _witness_bubble(args)
-    if args.mesh is None:
-        raise UsageError(f"witness kind {args.kind!r} requires --mesh")
-    if not (0 < args.eps < 0.1):
-        raise UsageError("eps must lie in (0, 0.1) for witness states")
-    surf, mesh_hash = _load_surface(args.mesh)
-    if args.vertex is None:
-        vertex = witness.peak_boundary_vertex(surf)
+        input_hashes = {}
+        payload, params, profile, message = _witness_bubble(args)
     else:
-        surf.require_smooth_boundary_vertex(args.vertex)
-        vertex = args.vertex
-    build = _witness_moser if args.kind == "moser" else _witness_glued
-    return build(args, surf, mesh_hash, vertex)
+        if args.mesh is None:
+            raise UsageError(f"witness kind {args.kind!r} requires --mesh")
+        if not (0 < args.eps < 0.1):
+            raise UsageError("eps must lie in (0, 0.1) for witness states")
+        if args.kind == "moser":
+            moser.check_coefficients(args.alpha, args.beta)
+            witness.check_ladder([args.eps], args.q)
+        else:
+            moser.check_coefficients(args.alpha)
+        surf, mesh_hash = _load_surface(args.mesh)
+        input_hashes = {"mesh": mesh_hash}
+        if args.vertex is None:
+            vertex = witness.peak_boundary_vertex(surf)
+        else:
+            surf.require_smooth_boundary_vertex(args.vertex)
+            vertex = args.vertex
+        build = _witness_moser if args.kind == "moser" else _witness_glued
+        payload, params, profile, message = build(args, surf, vertex)
+    record = _record("witness", params, input_hashes, args)
+    if args.plot:
+        xs, ys = (records.require_finite(a) for a in profile)
+    records.write_json(args.out, payload, record)
+    if args.plot:
+        records.write_profile(args.plot, xs, ys, record)
+    print(f"{message} -> {args.out}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated decreasing concentration scales")
     p.add_argument("--beta", type=float, default=TWO_PI)
     p.add_argument("--q", type=float, default=0.28,
-                   help="eigen-branch amplitude exponent t = L^-q")
+                   help="eigen-branch amplitude exponent t = L^-q, in (1/4, 1/2)")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -610,7 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concentration scale of the construction")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=TWO_PI)
-    p.add_argument("--q", type=float, default=0.28)
+    p.add_argument("--q", type=float, default=0.28,
+                   help="moser: amplitude exponent t = L^-q, in (1/4, 1/2)")
     p.add_argument("--vertex", type=int,
                    help="smooth boundary vertex index of the concentration "
                         "point (default: where u0 peaks on the boundary)")

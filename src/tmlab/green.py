@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla  # noqa: F401  (bench/tracer.py checks it)
 
-from . import assembly, spectrum
-from .errors import NumericalError, PreconditionError, UsageError
+from . import assembly, moser, spectrum
+from .errors import NumericalError, PreconditionError
 from .surface import Surface
 
 LOG_COEFF = -1.0 / math.pi  # smooth-boundary pole coefficient
@@ -54,8 +54,7 @@ class GreenResult:
 
 def green_function(surface: Surface, vertex: int, alpha: float = 0.0) -> GreenResult:
     """Solve the mean-zero Green problem with pole at ``vertex``."""
-    if alpha < 0 or not math.isfinite(alpha):
-        raise UsageError("alpha must be nonnegative and finite")
+    moser.check_coefficients(alpha)
     surface.require_smooth_boundary_vertex(vertex)
     if alpha > 0.0:
         # The shifted operator is definite on mean-zero fields only below

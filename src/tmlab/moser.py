@@ -140,12 +140,20 @@ class BlowupDiagnostics:
 # ---------------------------------------------------------------------------
 
 
-def _check_params(alpha: float, eps: float) -> float:
-    if not (eps > 0) or not math.isfinite(eps) or eps >= TWO_PI:
-        raise UsageError("eps must lie in (0, 2*pi): the subcritical range")
+def check_coefficients(alpha: float, beta: float = TWO_PI) -> float:
+    """β, after the rules β > 0 and α ≥ 0, both finite; solves nothing."""
+    if not (beta > 0) or not math.isfinite(beta):
+        raise UsageError("beta must be positive and finite")
     if alpha < 0 or not math.isfinite(alpha):
         raise UsageError("alpha must be nonnegative and finite")
-    return TWO_PI - eps
+    return beta
+
+
+def check_subcritical(alpha: float, eps: float) -> float:
+    """β = 2π − ε, after ε ∈ (0, 2π) and :func:`check_coefficients`."""
+    if not (eps > 0) or not math.isfinite(eps) or eps >= TWO_PI:
+        raise UsageError("eps must lie in (0, 2*pi): the subcritical range")
+    return check_coefficients(alpha, TWO_PI - eps)
 
 
 class _State:
@@ -319,7 +327,7 @@ class _State:
 
 def functional(surface: Surface, u, alpha: float, eps: float) -> FunctionalValue:
     """Evaluate F(u) = ∫ exp(β u²(1+α‖u‖₂²)) dv, β = 2π − ε, ε > 0."""
-    return functional_at_beta(surface, u, alpha, _check_params(alpha, eps))
+    return functional_at_beta(surface, u, alpha, check_subcritical(alpha, eps))
 
 
 def functional_at_beta(
@@ -333,11 +341,7 @@ def functional_at_beta(
     has a finite quadrature value.  An exponent above ``EXP_MAX`` raises
     :class:`NumericalError`.
     """
-    if not (beta > 0) or not math.isfinite(beta):
-        raise UsageError("beta must be positive and finite")
-    if alpha < 0 or not math.isfinite(alpha):
-        raise UsageError("alpha must be nonnegative and finite")
-    st = _State(surface, u, alpha, beta)
+    st = _State(surface, u, alpha, check_coefficients(alpha, beta))
     return FunctionalValue(value=st.value, max_exponent=st.max_exponent)
 
 
@@ -346,12 +350,12 @@ def gradient(surface: Surface, u, alpha: float, eps: float) -> np.ndarray:
 
     ∇F = 2β(1+αs)·∫ u e^E φ_i + 2αβ·(∫ u² e^E)·Mu,  s = ‖u‖₂².
     """
-    return _State(surface, u, alpha, _check_params(alpha, eps)).gradient
+    return _State(surface, u, alpha, check_subcritical(alpha, eps)).gradient
 
 
 def el_coefficients(surface: Surface, u, alpha: float, eps: float) -> ELCoefficients:
     """Euler–Lagrange coefficients of the state u (see class docstring)."""
-    return _State(surface, u, alpha, _check_params(alpha, eps)).coefficients
+    return _State(surface, u, alpha, check_subcritical(alpha, eps)).coefficients
 
 
 def el_residual(surface: Surface, u, alpha: float, eps: float) -> float:
@@ -368,7 +372,7 @@ def el_residual(surface: Surface, u, alpha: float, eps: float) -> float:
     :func:`el_coefficients`, independently of the KKT multipliers, so it
     can check a result.  A zero state raises :class:`PreconditionError`.
     """
-    st = _State(surface, u, alpha, _check_params(alpha, eps))
+    st = _State(surface, u, alpha, check_subcritical(alpha, eps))
     co = st.coefficients
     lam = co.lambda_eps
     r = (
@@ -526,7 +530,7 @@ def maximize_subcritical(
     Euler–Lagrange form.  At most the current state and one trial state
     are alive at a time.
     """
-    beta = _check_params(alpha, eps)
+    beta = check_subcritical(alpha, eps)
     if alpha > 0.0 or u0 is None:
         # alpha = 0 always lies below the spectral threshold; resolve the
         # eigenpair only when the threshold bites or it seeds the ascent.

@@ -39,17 +39,3 @@ WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 NQ = 6
 
-
-def physical_points(coords: np.ndarray) -> np.ndarray:
-    """Map the rule onto physical triangles.
-
-    Parameters
-    ----------
-    coords : (nt, 3, 2) array
-        Vertex coordinates of each triangle.
-
-    Returns
-    -------
-    (nt, 6, 2) array of quadrature-point coordinates.
-    """
-    return np.einsum("qi,tik->tqk", BARY, coords)

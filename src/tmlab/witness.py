@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import assembly, green as green_mod, moser, quadrature, spectrum
+from . import assembly, green as green_mod, moser, spectrum
 from .errors import NumericalError, PreconditionError, UsageError
 from .surface import Surface, adapt_for_point, prolong
 
@@ -110,12 +110,9 @@ def _recentre(surface: Surface, x0: np.ndarray) -> int:
 
 
 def _metric_centroid(surface: Surface) -> np.ndarray:
-    w = assembly.quad_weights(surface)
-    pts = quadrature.physical_points(surface.tri_coords())
-    a = assembly.area(surface)
-    return np.array(
-        [float(np.sum(w * pts[:, :, 0])) / a, float(np.sum(w * pts[:, :, 1])) / a]
-    )
+    # x is linear on each triangle, so ∫x dv = xᵀ(M·1) exactly.
+    m1 = assembly.mass_row_of_ones(surface)
+    return surface.vertices.T @ m1 / assembly.area(surface)
 
 
 def _mollifier(surface: Surface, center: np.ndarray, radius: float) -> np.ndarray:
@@ -284,43 +281,31 @@ def default_delta(surface: Surface, vertex: int) -> float:
     return 0.9 * surface.corner_free_radius(vertex)
 
 
-def rung_parameters(eps: float, q: float) -> tuple:
-    """Per-rung construction scalars (L, t, δ_formula).
-
-    t = L^{−q} with L = −log ε, and the coupled cap radius
-    δ = 1/(t·√L) = L^{q−1/2}; callers clip δ to the domain geometry.
-    """
-    big_l = -math.log(eps)
-    t = big_l ** (-q)
-    return big_l, t, 1.0 / (t * math.sqrt(big_l))
+def check_ladder(eps_ladder, q: float) -> list:
+    """The ε ladder as floats, after the rules that need no solve: q in
+    (1/4, 1/2) (see :func:`_rung`), ε nonempty, strictly decreasing in (0, 1)."""
+    if not (0.25 < q < 0.5):
+        raise UsageError("t-exponent q must lie in (1/4, 1/2), where "
+                         "t = L^-q meets t^2 L -> inf and t^2 sqrt(L) -> 0")
+    eps_list = [float(e) for e in eps_ladder]
+    if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise UsageError("eps ladder must be nonempty and strictly decreasing")
+    if not all(0 < eps < 1 for eps in eps_list):
+        raise UsageError("cap parameter eps must lie in (0, 1)")
+    return eps_list
 
 
 def _rung(surface: Surface, vertex: int, eps: float, q: float) -> tuple:
-    """(t, δ) of one rung: the coupled radius clipped by :func:`default_delta`."""
-    if not (0 < q < 0.5):
-        raise UsageError("t-exponent q must lie in (0, 0.5)")
-    if not (0 < eps < 1):
-        raise UsageError("cap parameter eps must lie in (0, 1)")
-    _, t, delta_formula = rung_parameters(eps, q)
-    return t, min(delta_formula, default_delta(surface, vertex))
+    """(t, δ) of one rung: t = L^{−q} with L = −log ε, and the coupled radius
+    δ = 1/(t·√L) clipped by :func:`default_delta`.
 
-
-def side_conditions(eps_ladder, q: float) -> dict:
-    """Arithmetic of the two t-rate side conditions along a ladder.
-
-    The construction needs t²L → ∞ and t²√L → 0 as ε → 0; on a finite
-    ladder this is certified as strict trends (increasing / decreasing),
-    which hold exactly when 1/4 < q < 1/2.
+    The construction needs t²L → ∞ and t²√L → 0 as ε → 0, which hold
+    exactly when 1/4 < q < 1/2; any other q raises :class:`UsageError`.
     """
-    ls = [-math.log(float(e)) for e in eps_ladder]
-    t2l = [lv ** (1.0 - 2.0 * q) for lv in ls]
-    t2sqrtl = [lv ** (0.5 - 2.0 * q) for lv in ls]
-    return {
-        "t2l": t2l,
-        "t2sqrtl": t2sqrtl,
-        "t2l_increasing": all(b > a for a, b in zip(t2l, t2l[1:])),
-        "t2sqrtl_decreasing": all(b < a for a, b in zip(t2sqrtl, t2sqrtl[1:])),
-    }
+    check_ladder((eps,), q)
+    big_l = -math.log(eps)
+    t = big_l ** (-q)
+    return t, min(1.0 / (t * math.sqrt(big_l)), default_delta(surface, vertex))
 
 
 def ladder_states(
@@ -339,9 +324,7 @@ def ladder_states(
     the coupled radius δ = 1/(t√L) clipped to 90% of the corner-free
     radius so the cap always fits the domain.
     """
-    eps_list = [float(e) for e in eps_ladder]
-    if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise UsageError("eps ladder must be nonempty and strictly decreasing")
+    eps_list = check_ladder(eps_ladder, q)
     surface.require_smooth_boundary_vertex(vertex)
     params = [_rung(surface, vertex, eps, q) for eps in eps_list]
     x0 = surface.vertices[vertex].copy()
@@ -423,15 +406,19 @@ def divergence_matrix(
 
     Adapted rung meshes and cap states are shared across all α; only the
     functional evaluation differs, so the matrix is cheap in α.  The cap
-    center defaults to :func:`peak_boundary_vertex`.
+    center defaults to :func:`peak_boundary_vertex`.  Every input rule
+    is checked before λ₁ is solved.
     """
+    eps_list = check_ladder(eps_ladder, q)
+    alphas = [float(a) for a in alphas]
+    for a in alphas:
+        moser.check_coefficients(a, beta)
     threshold = spectrum.lambda1(surface).value
     if vertex is None:
         vertex = peak_boundary_vertex(surface)
-    alphas = [float(a) for a in alphas]
     need_eigen = any(a >= threshold * (1.0 - 1e-12) for a in alphas)
     rungs = ladder_states(
-        surface, vertex, eps_ladder, q=q,
+        surface, vertex, eps_list, q=q,
         need_eigen_branch=need_eigen, adapt=adapt,
     )
     ladders = [evaluate_ladder(rungs, a, beta, threshold) for a in alphas]
@@ -565,6 +552,7 @@ def glued_state(
     """
     if not (0 < eps < 0.1):
         raise UsageError("glued-state scale eps must lie in (0, 0.1)")
+    moser.check_coefficients(alpha)
     surface.require_smooth_boundary_vertex(vertex)
     x0 = surface.vertices[vertex].copy()
     key = ("glued_adapt", float(x0[0]), float(x0[1]), eps)
@@ -590,6 +578,7 @@ def lower_bound_check(
     quadratic coefficient must stay small (α ≤ ALPHA_CAP_FRACTION·λ₁):
     the certified inequality is asymptotic in small α.
     """
+    moser.check_coefficients(alpha)
     if alpha > 0.0:
         lam1 = spectrum.lambda1(surface).value
         if alpha > ALPHA_CAP_FRACTION * lam1 * (1.0 + 1e-12):

@@ -369,6 +369,43 @@ def test_non_finite_float_options_rejected_up_front(
     assert "Warning" not in captured.out + captured.err
 
 
+# Vertex 55 of the h = 0.2 half-disk is its boundary vertex at (1, 0).
+@pytest.mark.parametrize("argv, named", [
+    (["sweep", "--alphas", "0", "--eps-ladder", "1e-2,1e-3", "--beta", "-1"],
+     "beta must be positive"),
+    (["sweep", "--alphas", "0", "--eps-ladder", "1e-2,1e-3", "--q", "0.7"],
+     "q must lie in (1/4, 1/2)"),
+    (["sweep", "--alphas", "0", "--eps-ladder", "1e-2,1e-3", "--q", "0.2"],
+     "q must lie in (1/4, 1/2)"),
+    (["sweep", "--alphas", "1", "--relative", "--eps-ladder", "1e-4,1e-2"],
+     "strictly decreasing"),
+    (["witness", "--kind", "moser", "--alpha", "-1"], "alpha must be"),
+    (["witness", "--kind", "moser", "--beta", "0"], "beta must be positive"),
+    (["witness", "--kind", "moser", "--q", "0.7"], "q must lie in (1/4, 1/2)"),
+    (["witness", "--kind", "glued", "--vertex", "55", "--alpha", "-1"],
+     "alpha must be"),
+    (["witness", "--kind", "glued", "--alpha", "-1"], "alpha must be"),
+], ids=["sweep-beta", "sweep-q-high", "sweep-q-low", "sweep-ladder",
+        "moser-alpha", "moser-beta", "moser-q", "glued-vertex-alpha",
+        "glued-alpha"])
+def test_invalid_parameters_rejected_before_solving(
+        half_disk_mesh, tmp_path, capfd, monkeypatch, argv, named):
+    from tmlab import spectrum, witness
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved or adapted with an invalid parameter")
+
+    for module, name in ((spectrum, "first_eigenpair"),
+                         (witness, "adapt_for_point")):
+        monkeypatch.setattr(module, name, no_solve)
+    capfd.readouterr()
+    assert run(*argv, "--mesh", str(half_disk_mesh),
+               "--out", str(tmp_path / "o.csv")) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [half_disk_mesh.name]
+    captured = capfd.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
 @pytest.mark.parametrize("argv, named", [
     (["eigen", "--out", "e.json", "--field", "e.json"], ("--out", "--field")),
     (["witness", "--kind", "moser", "--eps", "1e-3", "--out", "w.json",
@@ -457,18 +494,18 @@ GOLDEN_OUTPUTS = {
     "r.json": "4eca5819c5b707410df111f21532b5d716556743f88556e1d03f03aae2a9bb22",
     "eig.json": "58dc9f194a47b27339b4b9fcdf4c88c388a842b419d4a7c8a61ac78eadfb9b33",
     "eig.u0.json": "d346be98e518824c537a83e2f27321d18dae208b06bd482ad2946b8d797dd65a",
-    "max0.json": "0142d1e092fb44d52d129dd22b9a94dea3b927601bfd3cc0012a3ccb78e014b8",
+    "max0.json": "9159fa94ed4798e56571411082bb302edc958c82fcbc7b546cae5beda9f33b92",
     "max0.u.json": "f3f432c98255ca728b44eb2ad7adb698ca645223293701b9658fa9fdb05888a7",
-    "max1.json": "6af3422573550d005f54c339ad3ec5c4a2185926db7bb52ad124812371630eec",
+    "max1.json": "bd0b1f4e20e507a00a3c519d14707520b540fec3f131434993a71f263b212561",
     "max1.u.json": "5e476c8c702297fa83b4cd1fac5c9e38b8ae4e821e06c5039ef2d4636dedcd52",
     "g0.json": "390365b06cc91b7711e43348eca1f44d09f7c9d45191eb73aacf40f1e1b089ac",
     "g0.G.json": "e2de9a86d149cde17c08bfbe059650f8f45f0edfd1cd3808cd49c98a4909e69d",
     "g05.json": "72ed46b8fec2760c4469e4f30694f0356b2e0b90722bafecfb93eedbd95c72e3",
     "g05.G.json": "2f8586087e92c21cc79530f4d496d1a876e59cb51de75ae2a60266a433c963fe",
-    "sweep.csv": "7f34fd791b4b43e162dc9b0b796a2e8d3a1334fb959cc0584cf2ca6b054e0fb9",
+    "sweep.csv": "8208a7bcf3b15c029dd4f266e00bc2f678d655955efc1225afad7288f784b36a",
     "wb.json": "9869dadaa8fa922ca18b4f60d548066dffca85450ec1887cb98fd64a22ce2612",
     "wb.dat": "23be5030ebfba36c79fd14a7354fc396aad5f72ff2a0bb24abf931047c2e6e9d",
-    "wm.json": "43785c6a6ddeb9997e350584316c2cdbd2c3bb36f1ceaad8064c2920fdb5f145",
+    "wm.json": "35b6fe9e7427d6364ff0f66f7f7cd7e3d12c159daf17e6464754b221a610628b",
     "wm.dat": "9789ea51b3ec9641d8622c7865934fa44d3d32091cdcdfabc50b5e694b45f186",
     "wg.json": "f58d1d64482c4277001eddd543891b299fee41575697e3705ff1fb39f645fdff",
     "wg.dat": "7bc3b13241f3b0838ac173aba7cbaf24106c89e3951c9c6302670a0f09a1df8c",

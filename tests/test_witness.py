@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from tmlab import assembly, green, spectrum, witness
+from tmlab import assembly, green, quadrature, spectrum, witness
 from tmlab.errors import NumericalError, PreconditionError, UsageError
-from tmlab.surface import DomainSpec, build_domain
+from tmlab.surface import DomainSpec, adapt_for_point, build_domain
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -54,25 +54,64 @@ def test_bubble_solves_its_equation():
 # ---------------------------------------------------------------------------
 
 
-def test_rung_parameters_identity():
-    eps, q = 1e-4, 0.3
-    big_l, t, delta = witness.rung_parameters(eps, q)
-    assert abs(big_l + math.log(eps)) <= 1e-12
-    assert abs(t - big_l ** (-q)) <= 1e-15
-    assert abs(delta - 1.0 / (t * math.sqrt(big_l))) <= 1e-15
+RUNG_CALLS = {
+    "ladder_states": lambda s, v, q: witness.ladder_states(
+        s, v, [1e-2, 1e-4], q=q, need_eigen_branch=True, adapt=False),
+    "moser_sequence": lambda s, v, q: witness.moser_sequence(
+        s, spectrum.lambda1(s), v, 1e-4, q=q),
+}
 
 
-@pytest.mark.parametrize("q", [0.28, 0.375])
-def test_side_conditions_hold_in_valid_range(q):
-    cond = witness.side_conditions([1e-2, 1e-4, 1e-6], q)
-    assert cond["t2l_increasing"]
-    assert cond["t2sqrtl_decreasing"]
+# t²L = L^{1−2q} → ∞ needs q < 1/2 and t²√L = L^{1/2−2q} → 0 needs q > 1/4.
+@pytest.mark.parametrize("call", sorted(RUNG_CALLS))
+@pytest.mark.parametrize("q", [0.2, 0.25, 0.5])
+def test_rung_rejects_q_outside_side_conditions(half_disk, call, q):
+    vtx = witness.smooth_boundary_vertex(half_disk, (1.0, 0.0))
+    with pytest.raises(UsageError, match=r"q must lie in \(1/4, 1/2\)"):
+        RUNG_CALLS[call](half_disk, vtx, q)
 
 
-def test_side_conditions_fail_outside_range():
-    cond = witness.side_conditions([1e-2, 1e-4, 1e-6], 0.2)
-    # Too-slow amplitude decay keeps t²√L growing.
-    assert not cond["t2sqrtl_decreasing"]
+@pytest.mark.parametrize("call", sorted(RUNG_CALLS))
+@pytest.mark.parametrize("q", [0.26, 0.28, 0.375, 0.49])
+def test_rung_accepts_q_inside_side_conditions(half_disk, call, q):
+    vtx = witness.smooth_boundary_vertex(half_disk, (1.0, 0.0))
+    RUNG_CALLS[call](half_disk, vtx, q)
+
+
+@pytest.mark.parametrize("eps, q", [(1e-4, 0.3), (1e-2, 0.28), (1e-9, 0.45)])
+def test_moser_sequence_coupled_radius(half_disk, eps, q):
+    vtx = witness.smooth_boundary_vertex(half_disk, (1.0, 0.0))
+    state = witness.moser_sequence(half_disk, spectrum.lambda1(half_disk),
+                                   vtx, eps, q=q)
+    big_l = -math.log(eps)
+    assert abs(state.t - big_l ** (-q)) <= 1e-15
+    # (1, 0) is √2 from the corners (0, ±1): the coupled radius fits.
+    assert state.delta < witness.default_delta(half_disk, vtx)
+    assert abs(state.delta * state.t * math.sqrt(big_l) - 1.0) <= 1e-15
+
+
+def test_moser_sequence_clips_the_coupled_radius(half_disk):
+    vtx = witness.smooth_boundary_vertex(half_disk, (0.0, 0.9))
+    state = witness.moser_sequence(half_disk, spectrum.lambda1(half_disk),
+                                   vtx, 1e-4, q=0.28)
+    assert state.delta == witness.default_delta(half_disk, vtx)
+    assert state.delta * state.t * math.sqrt(-math.log(1e-4)) < 1.0
+
+
+def _quadrature_point_centroid(s):
+    pts = np.einsum("qi,tik->tqk", quadrature.BARY, s.tri_coords())
+    w = assembly.quad_weights(s)
+    return np.array([np.sum(w * pts[:, :, k]) for k in (0, 1)]) / np.sum(w)
+
+
+@pytest.mark.parametrize("adapted", [False, True], ids=["built", "adapted"])
+def test_metric_centroid_matches_quadrature_points(adapted):
+    s = build_domain(DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"),
+                     0.1)
+    if adapted:
+        s = adapt_for_point(s, (1.0, 0.0), inner_scale=1e-3, outer_radius=0.5)
+    got, want = witness._metric_centroid(s), _quadrature_point_centroid(s)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 # ---------------------------------------------------------------------------
