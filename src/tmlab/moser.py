@@ -21,12 +21,11 @@ representative, which is at once the ascent direction and, through its
 slope, the stationarity residual, measured in the norm dual to the
 mean-zero H¹ seminorm.  It runs until that residual is small.  Phase 2
 is damped Newton with the exact Hessian, whose α-terms add a symmetric
-rank-two correction.  Its KKT system is solved by block elimination of the border
-(Benzi, Golub and Liesen, *Acta Numerica* 14, 2005, §5): one LU of the
-sparse Hessian block with K's pattern, then a 2×2 (α = 0) or 4×4 (α > 0)
-Schur complement.  When that block's LU fails, its solve is not finite or
-the Schur complement is ill-conditioned, Newton takes one safeguarded
-ascent step instead.
+rank-two correction.  Its system on the tangent space of the constraints
+is solved by MINRES, preconditioned with the same bordered-K LU projected
+onto that space, so the maximizer factors nothing of its own.  When
+MINRES breaks down or reaches its iteration cap, Newton takes one
+safeguarded ascent step instead.
 
 Each state the maximizer visits is one ``_State``: value, gradient, KKT
 multipliers and residual, the Newton system and the Euler–Lagrange data
@@ -413,33 +412,32 @@ def _ascent_step(st: _State, step: float):
     return None
 
 
-# The Schur complement is solved after symmetric scaling to a unit diagonal
-# (unscaled, κ alone makes the α > 0 block's condition number 1e13–1e17).
-# Above this scaled condition number (error ~ cond·2⁻⁵³ ≥ 1e-8 relative in
-# the border multipliers) no Newton step is taken.
-SCHUR_COND_MAX = 1e8
+# MINRES stops when its residual, in the kkt_residual norm, is at most
+# MINRES_RTOL·‖A‖·‖δ‖ (scipy's test).  The step then matches the exact Newton
+# step to about 1e-5 relative, which keeps every fixed point; tighter only
+# costs iterations.
+MINRES_RTOL = 1e-6
+MINRES_MAX_ITER = 100  # MINRES steps before the Newton step is given up
 
 
 def _newton_system(st: _State) -> tuple:
-    """The KKT Newton system of ``st`` as ``(h_c, w, corner, r)``.
+    """The Hessian of the Newton system of ``st`` as ``(h, U, c2)``.
 
     Hessian of F:  H = H_sp + U C₂ Uᵀ with
       H_sp = 2β(1+αs)·Mass(e^E) + 4β²(1+αs)²·Mass(u²e^E) + 2αβλ·M
       U = [Mu, w̃],  w̃ = 4αβ·S1 + 4αβ·β(1+αs)·S3,  C₂ = [[κ,1],[1,0]],
-      κ = 4α²β²·∫u⁴e^E.
-    On the unit-energy, mean-zero manifold the Newton matrix is
-    [[h_c, w], [wᵀ, corner]] with h_c = H_sp − 2A·K (sparse, K's pattern).
-    The border w holds the constraint gradients B = [2Ku, M·1], after U
-    when α > 0; the rank-two correction is bordered through
-    C₂⁻¹ = [[0,1],[1,−κ]], so corner = diag(−C₂⁻¹, 0) (4×4), or the 2×2
-    zero when α = 0.  The right-hand side is [r; 0], r the negated
-    Lagrangian gradient.
+      κ = 4α²β²·∫u⁴e^E,
+    where U and C₂ have no columns when α = 0.  The Lagrangian Hessian is
+    h + U C₂ Uᵀ with h = H_sp − 2A·K (sparse, K's pattern).  The Newton
+    step δ lies in the tangent space T = {uᵀKδ = 0, 1ᵀMδ = 0} of the
+    unit-energy, mean-zero manifold, and (h + U C₂ Uᵀ)δ plus the
+    Lagrangian gradient is a combination of the constraint gradients Ku
+    and M·1.
 
     The two weighted masses are one pass: Mass((2β(1+αs) + 4β²(1+αs)²u²)e^E)
     is a single einsum and scatter.  It, M and K are all assembled by
-    ``assembly._scatter`` into the surface's one CSR pattern, so h_c is one
-    linear combination of their ``data`` arrays, converted to CSC once.
-    (K and M are symmetric only to rounding, so CSR is not read as CSC.)
+    ``assembly._scatter`` into the surface's one CSR pattern, so h is one
+    linear combination of their ``data`` arrays, kept in CSR.
     """
     surface = st.surface
     alpha, beta = st.alpha, st.beta
@@ -452,52 +450,64 @@ def _newton_system(st: _State) -> tuple:
         surface, (2.0 * ae + 4.0 * ae * ae * st.power(2)) * st.eE)
     h.data += (2.0 * alpha * beta * st.lambda_eps) * m.data
     h.data -= (2.0 * a_mult) * k.data
-    h_c = h.tocsc()
 
-    b = np.column_stack([2.0 * st.ku, assembly.mass_row_of_ones(surface)])
     if alpha > 0.0:
         s3 = assembly.load(surface, st.power(3) * st.eE)
         lam4 = st.moment(4)
         w_t = 4.0 * alpha * beta * (st.s1 + ae * s3)
         kappa = 4.0 * alpha * alpha * beta * beta * lam4
-        w = np.column_stack([st.mu_vec, w_t, b])
-        corner = np.zeros((4, 4))
-        corner[:2, :2] = [[0.0, -1.0], [-1.0, kappa]]
-    else:
-        w = b
-        corner = np.zeros((2, 2))
-    return h_c, w, corner, -st.lagrangian_gradient
+        return h, np.column_stack([st.mu_vec, w_t]), np.array([[kappa, 1.0],
+                                                               [1.0, 0.0]])
+    return h, np.zeros((st.u.size, 0)), np.zeros((0, 0))
 
 
 def _newton_step(st: _State) -> np.ndarray | None:
-    """Solve the KKT Newton system of ``st`` by block elimination; return δu.
+    """Solve the Newton system of ``st`` on T by preconditioned MINRES; return δu.
 
-    One LU of h_c (symmetric mode, minimum-degree ordering of h_cᵀ + h_c)
-    solves for [r, w] at once; the border multipliers y then solve the
-    Schur complement S·y = wᵀh_c⁻¹r with S = wᵀh_c⁻¹w − corner, and
-    δu = h_c⁻¹r − h_c⁻¹w·y.  h_c is indefinite: when its LU fails, its
-    solve is not finite, or S is ill-conditioned after symmetric scaling
-    (see ``SCHUR_COND_MAX``), there is no Newton step and None is returned.
+    MINRES (Paige and Saunders, *SIAM J. Numer. Anal.* 12, 1975) runs from
+    δ = 0 on v ↦ −(h·v + U·C₂·(Uᵀv)), stripped of its components along the
+    constraint gradients Ku and M·1, with right-hand side the Lagrangian
+    gradient, which has none.  The operator is indefinite away from a
+    strict local maximum, which MINRES allows and a curvature-stopped CG
+    does not.  The preconditioner is R, :func:`assembly.riesz_map` on the
+    kept LU of K bordered with M·1.  On residuals r with uᵀr = 1ᵀr = 0,
+    uᵀK·Rr = uᵀr = 0, so R equals Π R with Π x = x − (uᵀKx)·u: the
+    constraint preconditioner of the Green solve (Gould, Hribar and
+    Nocedal, *SIAM J. Sci. Comput.* 23, 2001).  Every iterate lies in
+    T = {uᵀKδ = 0, 1ᵀMδ = 0}, and MINRES minimizes the residual in the norm
+    of :attr:`_State.kkt_residual`, rᵀRr = ‖Rr‖²_K.
+
+    The stripping matters in rounding.  Unstripped, the Ku and M·1 parts
+    pile up in the Lanczos residual: R alone would step out of T, and
+    Π R's form ‖Rr‖²_K − (uᵀK·Rr)², a difference of nearly equal numbers,
+    goes negative (on acceptance 8's first Newton state, at scipy's rtol
+    1e-8).  Where MINRES still breaks down, stops at ``MINRES_MAX_ITER``
+    or returns a non-finite step, there is no Newton step and None is
+    returned.
     """
-    h_c, w, corner, r = _newton_system(st)
+    h, u_mat, c2 = _newton_system(st)
+    surface, u, ku, n = st.surface, st.u, st.ku, st.u.size
+    m1 = assembly.mass_row_of_ones(surface)
+    area = assembly.area(surface)
+
+    def hessian(v):
+        y = -(h @ v + u_mat @ (c2 @ (u_mat.T @ v)))
+        y -= float(u @ y) * ku
+        return y - (float(y.sum()) / area) * m1
+
     try:
-        lu = spla.splu(h_c, permc_spec="MMD_AT_PLUS_A",
-                       options=dict(SymmetricMode=True))
-    except RuntimeError:
+        du, info = spla.minres(
+            spla.LinearOperator((n, n), matvec=hessian, dtype=float),
+            st.lagrangian_gradient,
+            M=spla.LinearOperator(
+                (n, n), matvec=lambda r: assembly.riesz_map(surface, r),
+                dtype=float),
+            rtol=MINRES_RTOL, maxiter=MINRES_MAX_ITER)
+    except ValueError:  # a negative preconditioner form
         return None
-    sol = lu.solve(np.column_stack([r, w]))
-    if not np.all(np.isfinite(sol)):
+    if info != 0 or not np.all(np.isfinite(du)):
         return None
-    x_r, z = sol[:, 0], sol[:, 1:]
-    schur = w.T @ z - corner
-    diag = np.abs(np.diag(schur))
-    if np.all(diag > 0.0):
-        scale = 1.0 / np.sqrt(diag)
-        scaled = schur * np.outer(scale, scale)
-        if np.linalg.cond(scaled) <= SCHUR_COND_MAX:
-            y = scale * np.linalg.solve(scaled, scale * (w.T @ x_r))
-            return x_r - z @ y
-    return None
+    return du
 
 
 def maximize_subcritical(
@@ -520,15 +530,15 @@ def maximize_subcritical(
     s = u₊ − u and y = d₊ − d over the last accepted step, or from 1.3
     times the last step when sᵀKy ≥ 0 (Barzilai and Borwein, *IMA J.
     Numer. Anal.* 8, 1988; on constraint manifolds Wen and Yin, *Math.
-    Program.* 142, 2013).  Phase 2 is damped Newton, its KKT system solved by
-    block elimination (:func:`_newton_step`), accepting steps only when the
-    stationarity residual decreases, with one ascent step where there is no
-    Newton step or no damped one does.  ``residual`` is the final state's
-    stationarity residual (see :attr:`_State.kkt_residual` for its norm),
-    the number the loop stops on, and ``converged`` compares that same
-    number with ``tol``; :func:`el_residual` recomputes it from the
-    Euler–Lagrange form.  At most the current state and one trial state
-    are alive at a time.
+    Program.* 142, 2013).  Phase 2 is damped Newton, its system solved by
+    preconditioned MINRES on the tangent space (:func:`_newton_step`),
+    accepting steps only when the stationarity residual decreases, with one
+    ascent step where there is no Newton step or no damped one does.
+    ``residual`` is the final state's stationarity residual (see
+    :attr:`_State.kkt_residual` for its norm), the number the loop stops
+    on, and ``converged`` compares that same number with ``tol``;
+    :func:`el_residual` recomputes it from the Euler–Lagrange form.  At
+    most the current state and one trial state are alive at a time.
     """
     beta = check_subcritical(alpha, eps)
     if alpha > 0.0 or u0 is None:

@@ -178,14 +178,14 @@ def test_maximize_alpha_above_threshold_exits_3(half_disk_mesh, tmp_path):
 
 def test_maximize_factors_the_bordered_k_once(tmp_path, splu_sizes):
     # The eigen seed keeps the LU of K bordered with M·1, the eigen solve
-    # borrows it and the maximizer reuses it.  The n-row LUs are the eigen
-    # residual's K + M and the Newton steps' Hessian blocks.
+    # borrows it and the maximizer reuses it, Newton steps included.  The
+    # n-row LU is the eigen residual's K + M.
     mesh, out = tmp_path / "half.json", tmp_path / "max0.json"
     assert run("mesh", "--shape", "half-disk", "--radius", "1", "--h", "0.05",
                "--out", str(mesh)) == 0
     assert run("maximize", "--mesh", str(mesh), "--alpha", "0",
                "--eps", "0.5", "--out", str(out)) == 0
-    assert Counter(splu_sizes) == {862: 1, 861: 3}
+    assert Counter(splu_sizes) == {862: 1, 861: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +494,10 @@ GOLDEN_OUTPUTS = {
     "r.json": "4eca5819c5b707410df111f21532b5d716556743f88556e1d03f03aae2a9bb22",
     "eig.json": "58dc9f194a47b27339b4b9fcdf4c88c388a842b419d4a7c8a61ac78eadfb9b33",
     "eig.u0.json": "d346be98e518824c537a83e2f27321d18dae208b06bd482ad2946b8d797dd65a",
-    "max0.json": "9159fa94ed4798e56571411082bb302edc958c82fcbc7b546cae5beda9f33b92",
-    "max0.u.json": "f3f432c98255ca728b44eb2ad7adb698ca645223293701b9658fa9fdb05888a7",
-    "max1.json": "bd0b1f4e20e507a00a3c519d14707520b540fec3f131434993a71f263b212561",
-    "max1.u.json": "5e476c8c702297fa83b4cd1fac5c9e38b8ae4e821e06c5039ef2d4636dedcd52",
+    "max0.json": "5a5c6f9ef42dfddb9f566e72edef574f399630cb93c1b57c8778ad022a9e9e98",
+    "max0.u.json": "2c1a3de1ef98519e5d0a755a82557d3435974df0f24c4e2779526b4250326af9",
+    "max1.json": "da4b78bc44a59394393eac8c4f1d4982efc80a497fcbd5c7d402b736ac6f79cb",
+    "max1.u.json": "cd8769b7e925425aa95e48e57e4fc247885ee0ffe038b3863fac7ca15e83ae7c",
     "g0.json": "390365b06cc91b7711e43348eca1f44d09f7c9d45191eb73aacf40f1e1b089ac",
     "g0.G.json": "e2de9a86d149cde17c08bfbe059650f8f45f0edfd1cd3808cd49c98a4909e69d",
     "g05.json": "72ed46b8fec2760c4469e4f30694f0356b2e0b90722bafecfb93eedbd95c72e3",

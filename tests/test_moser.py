@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from tmlab import assembly, cli, moser, spectrum
+from tmlab import assembly, cli, moser, spectrum, witness
 from tmlab.errors import NumericalError, PreconditionError, UsageError
 from tmlab.surface import refine
 
@@ -298,24 +298,24 @@ def test_blowup_phi_nonpositive(half_disk, maximized):
 # domain and their samples beyond the peak read NaN.
 GOLDEN_BLOWUP = {
     ("h0.05", 0.0, 1.0): (
-        "dc5abf74e0622880be0a7dd80d373025b78945a02e9cac7aa4b36654f534d7ec",
-        "b493f281bfae04568dd5ebef540b9b16d7457cb885c448c71d36f58844c749f0",
+        "03eb48495d00bf7422cbcb625a0d82bc3488a8d9bfbbb7f89f20fd6ee56022b4",
+        "86e3225fe5d7b49824244d19e999f03bc437fd0cb49a31d61abaf7dcf9b022ad",
     ),
     ("h0.05", 1.0, 1.0): (
-        "a0f0516d35f41a3efdb6b83057e92972d8f8b2fa1834e1e141f207371ee814c4",
-        "346ee49bed70bf55a546c622b6433d280f44193107145eedf4d9356560366150",
+        "8665af7b7117051ec334e0eac87201282b454d1512339b38ecff30ab87131849",
+        "d91299189ad95d1911081f4c3d292486ae5422808cc81bbdb80ab68337de8d41",
     ),
     ("h0.05", 0.0, 40.0): (
-        "8db91ae30a8d0c9035253dad8be00fee9d4a56a0b97b7002fa944c7dbd30746d",
-        "01d7abc2313a8a43beb44b70e55650149fd46e1b074bc4218ee945c6a1a274e5",
+        "75b3eb13d07bb94f725ce19946d096539a9d938f2b06269d14e7cff4871fca29",
+        "82817b84eefe0f2e0fa6efbd4c32225b4be10ffd34754a5e095479361b8d9e15",
     ),
     ("h0.1 refined", 0.0, 1.0): (
-        "c1b80abf1e4faeccc4d0dd9fefa361af08777797995c9e7469a45ad566d3ebfc",
-        "877eb010611572af40acbb94fc84fa57ed84e68397d09dcda7863dd3070d17a9",
+        "1534ffa3235ceb28dbc6328f1d54e329735a48989bf4babf991b0a377c6c1db5",
+        "7035ebec356c8153d3204b862a361a2e35fe0e2a6d71809024be3e7f664c77b3",
     ),
     ("h0.1 refined", 1.0, 1.0): (
-        "4528372c3845dab91507ebfcc39770f430db34f73485c5900935c724f442499f",
-        "01e024428f5b39827aed8ea94949ffd7122e8f05286f1055205490a6a5c1d3a4",
+        "8b164e03652beea23133a9a37f272ca54bc7d6a8b7e439510250884cfcc9cae8",
+        "359cab9990c2a35a6d0d17fb114c51f831b6635fae73c26e13c4cf2bdc960972",
     ),
 }
 
@@ -423,7 +423,7 @@ def test_newton_fallback_ascent_step(half_disk, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# phase 1 in the K metric, Newton by block elimination
+# phase 1 in the K metric, Newton by preconditioned MINRES
 # ---------------------------------------------------------------------------
 
 
@@ -453,41 +453,65 @@ def newton_states(half_disk_fine):
 
 
 def _bordered_reference(st):
-    h_c, w, corner, r = moser._newton_system(st)
-    mat = sp.bmat([[h_c, sp.csc_matrix(w)],
+    """The Newton step by one LU of the KKT matrix, every border explicit.
+
+    The rank-two term is bordered through C₂⁻¹ = [[0,1],[1,−κ]] and the
+    constraint gradients B = [2Ku, M·1]: the matrix is
+    [[h, U, B], [Uᵀ, −C₂⁻¹, 0], [Bᵀ, 0, 0]] and the right-hand side
+    [−∇L; 0; 0].
+    """
+    h, u_mat, c2 = moser._newton_system(st)
+    b = np.column_stack([2.0 * st.ku, assembly.mass_row_of_ones(st.surface)])
+    w = np.column_stack([u_mat, b])
+    corner = np.zeros((w.shape[1], w.shape[1]))
+    if u_mat.shape[1]:
+        corner[:2, :2] = -np.linalg.inv(c2)
+    mat = sp.bmat([[h, sp.csc_matrix(w)],
                    [sp.csc_matrix(w.T), sp.csc_matrix(corner)]], format="csc")
-    rhs = np.concatenate([r, np.zeros(w.shape[1])])
-    return spla.splu(mat).solve(rhs)[:r.size]
+    rhs = np.concatenate([-st.lagrangian_gradient, np.zeros(w.shape[1])])
+    return spla.splu(mat).solve(rhs)[:st.u.size]
 
 
-def _fail_hessian_lu(monkeypatch):
-    """Make every Hessian-block LU fail as singular, still counted."""
-    counted = spla.splu  # the splu_sizes fixture's counter
-
-    def singular_h(mat, *args, **kwargs):
-        lu = counted(mat, *args, **kwargs)
-        if kwargs.get("permc_spec") == "MMD_AT_PLUS_A":
-            raise RuntimeError("Factor is exactly singular")
-        return lu
-
-    monkeypatch.setattr(spla, "splu", singular_h)
+def _assert_step_matches_bordered_solve(st, splu_sizes, rel=1e-5):
+    ref = _bordered_reference(st)
+    splu_sizes.clear()
+    du = moser._newton_step(st)
+    assert splu_sizes == []  # MINRES on the kept bordered-K LU only
+    assert np.linalg.norm(du - ref) <= rel * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.3])
 def test_block_newton_step_matches_bordered_solve(newton_states, ratio,
                                                   splu_sizes):
-    st = newton_states[ratio]
-    ref = _bordered_reference(st)
-    splu_sizes.clear()
-    du = moser._newton_step(st)
-    assert splu_sizes == [st.u.size]  # h_c only: no fallback
-    assert np.linalg.norm(du - ref) <= 1e-12 * np.linalg.norm(ref)
+    _assert_step_matches_bordered_solve(newton_states[ratio], splu_sizes)
+
+
+def test_newton_step_matches_bordered_solve_at_a_saddle(half_disk, splu_sizes,
+                                                        monkeypatch):
+    # Acceptance 8's first rung: the glued seed at (1, 0) on the h = 0.1
+    # half-disk, ε = 1, after phase 1.  The Lagrangian Hessian there has
+    # one direction of positive curvature on T (the rung converges to an
+    # index-1 saddle), so a CG that stops on nonpositive curvature returns
+    # a truncated step (after two steps, 53% off); MINRES returns the
+    # Newton step.
+    s = half_disk
+    vtx = witness.smooth_boundary_vertex(s, (1.0, 0.0))
+    seed = witness.glued_state(s, vtx, witness.STUDY_SEED_SCALE)
+    res = moser.maximize_subcritical(seed.surface, 0.0, 1.0, u0=seed.v,
+                                     max_newton=0)
+    st = moser._State(seed.surface, res.u, 0.0, TWO_PI - 1.0)
+    _assert_step_matches_bordered_solve(st, splu_sizes)
+    # With the constraint components stripped, the preconditioner form
+    # stays positive far below MINRES_RTOL: unstripped, MINRES raised on
+    # it at rtol 1e-8, and without the M·1 part at 1e-10.
+    monkeypatch.setattr(moser, "MINRES_RTOL", 1e-12)
+    _assert_step_matches_bordered_solve(st, splu_sizes, rel=1e-9)
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.3])
 def test_newton_system_matches_three_term_assembly(newton_states, ratio):
     # The Hessian block as two weighted masses plus scaled M and K, added
-    # as scipy sparse matrices; the border from the state's powers.
+    # as scipy sparse matrices; the rank-two term from the state's powers.
     st = newton_states[ratio]
     s, ae, a_mult = st.surface, st.alpha_eps, st.multipliers[0]
     h_ref = (
@@ -495,27 +519,24 @@ def test_newton_system_matches_three_term_assembly(newton_states, ratio):
         + 4.0 * ae * ae * assembly.weighted_mass(s, st.uq**2 * st.eE)
         + (2.0 * st.alpha * st.beta * st.moment(2)) * assembly.mass(s)
         - (2.0 * a_mult) * assembly.stiffness(s)
-    ).tocsc()
-    b = np.column_stack([2.0 * st.ku, assembly.mass_row_of_ones(s)])
+    )
     if st.alpha > 0.0:
         s3 = assembly.load(s, st.power(3) * st.eE)
         w_t = 4.0 * st.alpha * st.beta * (st.s1 + ae * s3)
-        w_ref = np.column_stack([st.mu_vec, w_t, b])
+        u_ref = np.column_stack([st.mu_vec, w_t])
         kappa = 4.0 * st.alpha * st.alpha * st.beta * st.beta * st.moment(4)
-        corner_ref = np.zeros((4, 4))
-        corner_ref[:2, :2] = [[0.0, -1.0], [-1.0, kappa]]
+        c2_ref = np.array([[kappa, 1.0], [1.0, 0.0]])
     else:
-        w_ref, corner_ref = b, np.zeros((2, 2))
+        u_ref, c2_ref = np.zeros((s.num_vertices, 0)), np.zeros((0, 0))
 
-    h_c, w, corner, r = moser._newton_system(st)
-    assert h_c.format == "csc"
+    h, u_mat, c2 = moser._newton_system(st)
+    assert h.format == "csr"
     ref = h_ref.toarray()
-    got = h_c.toarray()
+    got = h.toarray()
     np.testing.assert_array_equal(got != 0.0, ref != 0.0)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
-    np.testing.assert_array_equal(w, w_ref)
-    np.testing.assert_array_equal(corner, corner_ref)
-    np.testing.assert_array_equal(r, -st.lagrangian_gradient)
+    np.testing.assert_array_equal(u_mat, u_ref)
+    np.testing.assert_array_equal(c2, c2_ref)
 
 
 def test_state_moments_match_powers(newton_states):
@@ -533,16 +554,28 @@ def test_state_moments_match_powers(newton_states):
     assert np.abs(s3 - ref3).max() <= 1e-14 * np.abs(ref3).max()
 
 
+def _negated_preconditioner(minres):
+    # MINRES raises on the first negative preconditioner form.
+    return lambda a, b, M, **kw: minres(a, b, M=-M, **kw)
+
+
+def _one_iteration(minres):
+    # MINRES reports its iteration cap as info > 0.
+    return lambda a, b, **kw: minres(a, b, **{**kw, "maxiter": 1})
+
+
+@pytest.mark.parametrize("breakdown", [_negated_preconditioner, _one_iteration],
+                         ids=["indefinite", "capped"])
 @pytest.mark.parametrize("ratio", [0.0, 0.3])
-def test_failed_hessian_lu_falls_back_to_ascent(newton_states, ratio,
-                                                splu_sizes, monkeypatch):
+def test_krylov_breakdown_falls_back_to_ascent(newton_states, ratio, breakdown,
+                                               splu_sizes, monkeypatch):
     st = newton_states[ratio]
     s, alpha = st.surface, st.alpha
     phase1 = moser.maximize_subcritical(s, alpha, 0.5, max_newton=0)
     splu_sizes.clear()
-    _fail_hessian_lu(monkeypatch)
+    monkeypatch.setattr(spla, "minres", breakdown(spla.minres))
     assert moser._newton_step(st) is None
-    assert splu_sizes == [st.u.size]  # the Hessian block only: no bordered LU
+    assert splu_sizes == []
     res = moser.maximize_subcritical(s, alpha, 0.5, max_newton=3)
     assert res.newton_iterations > 0
     assert math.isfinite(res.value)
