@@ -267,7 +267,8 @@ def neumann_solver(surface: Surface):
     x with Kx = b − μ·M·1 (:func:`riesz_map`).  Its readers:
 
     - the maximizer (:mod:`tmlab.moser`): one solve per state gives the
-      ascent direction and the stationarity residual;
+      ascent direction and the stationarity residual, and it
+      preconditions the Newton step's MINRES;
     - :func:`tmlab.green.green_function`: the preconditioner of its
       conjugate gradients, at every α;
     - :func:`tmlab.spectrum.first_eigenpair`: the shift-invert operator
@@ -300,10 +301,11 @@ def riesz_map(surface: Surface, b: np.ndarray) -> np.ndarray:
 
     For 1ᵀb = 0 the multiplier μ vanishes, Kx = b, and √(bᵀx) = √(xᵀKx)
     is the norm of b dual to the mean-zero H¹ seminorm √(uᵀKu).  Readers:
-    the maximizer's ascent direction and stationarity residual
-    (:mod:`tmlab.moser`, also :func:`tmlab.moser.el_residual`), and the
-    preconditioner of :func:`tmlab.green.green_function` (a constraint
-    preconditioner: every iterate it makes is mean-zero).
+    the maximizer's ascent direction, stationarity residual (also
+    :func:`tmlab.moser.el_residual`) and Newton MINRES preconditioner
+    (:mod:`tmlab.moser`), and the preconditioner of
+    :func:`tmlab.green.green_function` (a constraint preconditioner: every
+    iterate it makes is mean-zero).
     """
     return neumann_solver(surface).solve(np.append(b, 0.0))[:-1]
 

@@ -138,7 +138,7 @@ def _write_field(path: str, values, mesh_hash: str,
         "format_version": 1,
         "kind": "field",
         "mesh_hash": mesh_hash,
-        "values": np.asarray(values, dtype=float).tolist(),
+        "values": values,
     }
     records.write_json(path, payload, record)
 
@@ -479,14 +479,17 @@ def cmd_witness(args) -> int:
 
 
 def cmd_green(args) -> int:
+    moser.check_coefficients(args.alpha)
+    annuli = _parse_annuli(args.annuli)
     surf, mesh_hash = _load_surface(args.mesh)
     if (args.vertex is None) == (args.point is None):
         raise UsageError("exactly one of --vertex/--point is required")
     if args.vertex is not None:
         vertex = args.vertex
+        surf.require_smooth_boundary_vertex(vertex)
     else:
         vertex = witness.smooth_boundary_vertex(surf, _parse_point(args.point))
-    annuli = _parse_annuli(args.annuli)
+    green_mod.check_annuli(surf, surf.vertices[vertex], annuli)
 
     result = green_mod.green_function(surf, vertex, alpha=args.alpha)
     decomp = green_mod.green_decomposition(surf, result, annuli=annuli)

@@ -116,6 +116,13 @@ def _annulus(surface: Surface, x0: np.ndarray, r_inner: float,
     return idx, r[idx]
 
 
+def check_annuli(surface: Surface, x0: np.ndarray, annuli: list) -> None:
+    """PreconditionError unless each annulus around ``x0`` holds enough
+    vertices; the log fit's span contains them all, so it holds enough too."""
+    for r_inner, r_outer in annuli:
+        _annulus(surface, x0, r_inner, r_outer)
+
+
 def extract_A(
     surface: Surface,
     green: GreenResult,

@@ -8,12 +8,12 @@ and atomic replace-on-write so readers never observe partial files.
 Wall-clock timing is omitted unless explicitly requested, keeping default
 outputs byte-identical across runs.
 
-The serializer formats numeric arrays in one pass: a flat list whose
-elements are all exactly ``float`` or all exactly ``int``, and a matrix of
-equal-length ``list`` rows of one such type (vertices, triangles, field
-values), are checked for finiteness once and joined without recursing per
-value.  Every other shape takes the recursive path, and both paths apply
-the same scalar rule, so the bytes do not depend on which one ran.
+The serializer formats numeric arrays in one pass: a non-empty 1-D or 2-D
+``np.ndarray`` of int, uint or float dtype (vertices, triangles, field
+values) is checked for finiteness once and joined without recursing per
+value.  Lists, tuples and every other array take the recursive path, and
+both paths apply the same scalar rule, so the bytes do not depend on which
+one ran.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -80,46 +79,27 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _fmt_floats(values: list) -> list:
-    """``_fmt_float`` of every element of a list of floats, vectorized.
+def _numeric_array(a: np.ndarray, pad: str, pad_in: str) -> str:
+    """The bytes the recursive path gives for a non-empty 1-D or 2-D
+    int, uint or float array, in one pass.
 
     For a finite float, ``x == int(x)`` holds exactly when
-    ``x == trunc(x)``, so the integral mask selects the same elements as
-    the scalar rule, and both format each element with the same spec.
+    ``x == trunc(x)``, so the integral mask selects the elements that
+    ``_fmt_float`` writes with ``.1f``; the rest take ``.17g`` in both.
     """
-    a = require_finite(values)
-    cells = list(map("{:.17g}".format, values))
-    integral = (a == np.trunc(a)) & (np.abs(a) < 1e16)
-    for i in np.flatnonzero(integral).tolist():
-        cells[i] = "{:.1f}".format(values[i])
-    return cells
-
-
-def _fmt_scalars(values: list, types: set) -> list | None:
-    """Cells of a list whose element types are ``types``, or None unless
-    they are all exactly ``int`` or all exactly ``float``."""
-    if types == {int}:
-        return list(map(str, values))
-    if types == {float}:
-        return _fmt_floats(values)
-    return None
-
-
-def _numeric_array(seq: list, pad: str, pad_in: str) -> str | None:
-    """The bytes the recursive path gives for a flat numeric list or a
-    matrix of equal-length numeric ``list`` rows; None for any other shape."""
-    types = set(map(type, seq))
-    if types != {list}:
-        cells = _fmt_scalars(seq, types)
-        return None if cells is None else "[" + ", ".join(cells) + "]"
-    widths = set(map(len, seq))
-    if len(widths) != 1 or 0 in widths:
-        return None
-    flat = list(chain.from_iterable(seq))
-    cells = _fmt_scalars(flat, set(map(type, flat)))
-    if cells is None:
-        return None
-    (k,) = widths
+    flat = a.ravel()
+    if a.dtype.kind == "f":
+        flat = require_finite(flat)
+        values = flat.tolist()
+        cells = list(map("{:.17g}".format, values))
+        integral = (flat == np.trunc(flat)) & (np.abs(flat) < 1e16)
+        for i in np.flatnonzero(integral).tolist():
+            cells[i] = "{:.1f}".format(values[i])
+    else:
+        cells = list(map(str, flat.tolist()))
+    if a.ndim == 1:
+        return "[" + ", ".join(cells) + "]"
+    k = a.shape[1]
     rows = [
         f"{pad_in}[" + ", ".join(cells[i:i + k]) + "]"
         for i in range(0, len(cells), k)
@@ -130,11 +110,10 @@ def _numeric_array(seq: list, pad: str, pad_in: str) -> str | None:
 def canonical_json(obj, indent: int = 0) -> str:
     """Serialize with deterministic layout and round-trip-exact floats.
 
-    Lists, tuples and arrays of exactly-``float`` or exactly-``int``
-    elements, and lists of equal-length, non-empty ``list`` rows of one
-    such type, are formatted in one pass by ``_numeric_array``.  Bools,
-    numpy scalars, mixed ``int``/``float``, tuple rows, ragged or empty
-    rows and dicts recurse per value.  Both paths give the same bytes.
+    Numeric arrays (non-empty 1-D or 2-D ``np.ndarray`` of int, uint or
+    float dtype) are formatted in one pass by ``_numeric_array``.  Lists,
+    tuples, bool arrays, empty or 3-D arrays, scalars and dicts recurse
+    per value.  Both paths give the same bytes.
     """
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
@@ -146,13 +125,13 @@ def canonical_json(obj, indent: int = 0) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if (isinstance(obj, np.ndarray) and obj.dtype.kind in "iuf"
+            and obj.ndim in (1, 2) and obj.size):
+        return _numeric_array(obj, pad, pad_in)
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         if not seq:
             return "[]"
-        fast = _numeric_array(seq, pad, pad_in)
-        if fast is not None:
-            return fast
         scalar = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
         if scalar:
             return "[" + ", ".join(canonical_json(v) for v in seq) + "]"

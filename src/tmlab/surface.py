@@ -347,13 +347,15 @@ class Surface:
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The canonical mesh dictionary; its arrays are copies, so a caller
+        may change them without changing the surface."""
         return {
             "format_version": 1,
             "domain": self.spec.to_dict(),
-            "vertices": self.vertices.tolist(),
-            "triangles": self.triangles.tolist(),
-            "boundary_edges": self.boundary_edges.tolist(),
-            "f_nodal": self.f_nodal.tolist(),
+            "vertices": self.vertices.copy(),
+            "triangles": self.triangles.copy(),
+            "boundary_edges": self.boundary_edges.copy(),
+            "f_nodal": self.f_nodal.copy(),
         }
 
     @classmethod
@@ -361,20 +363,25 @@ class Surface:
         try:
             if int(d.get("format_version", 0)) != 1:
                 raise UsageError("unsupported mesh format_version")
+            tris, bedges = np.array(d["triangles"]), np.array(d["boundary_edges"])
+            if tris.dtype.kind not in "iu" or bedges.dtype.kind not in "iu":
+                # A cast to int64 would read 0.4 as 0 and True as 1.
+                raise TypeError("mesh indices must be integers")
             surf = cls(
-                vertices=np.asarray(d["vertices"], dtype=float),
-                triangles=np.asarray(d["triangles"], dtype=np.int64),
-                boundary_edges=np.asarray(d["boundary_edges"], dtype=np.int64),
-                f_nodal=np.asarray(d["f_nodal"], dtype=float),
+                vertices=np.array(d["vertices"], dtype=float),
+                triangles=tris.astype(np.int64, casting="safe", copy=False),
+                boundary_edges=bedges.astype(np.int64, casting="safe", copy=False),
+                f_nodal=np.array(d["f_nodal"], dtype=float),
                 spec=DomainSpec.from_dict(d["domain"]),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise UsageError(f"malformed mesh dictionary: {exc}") from exc
         return surf
 
     def content_hash(self) -> str:
         """Stable sha256 over the canonical serialized form."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"),
+                             default=np.ndarray.tolist)
         return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -46,7 +46,10 @@ def test_mesh_file_round_trips(square_mesh):
     doc = records.read_json(str(square_mesh))
     surf = Surface.from_dict(doc)
     surf.validate()
-    assert surf.to_dict() == {k: doc[k] for k in surf.to_dict()}
+    for key, value in surf.to_dict().items():
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        assert value == doc[key], key
 
 
 def test_mesh_refine_quadruples(square_mesh, tmp_path):
@@ -130,6 +133,29 @@ def test_eigen_unreachable_tol_exits_4(square_mesh, tmp_path):
 def test_eigen_missing_mesh_is_usage_error(tmp_path):
     assert run("eigen", "--mesh", str(tmp_path / "none.json"),
                "--out", str(tmp_path / "o.json")) == 2
+
+
+def _set_first(rows, value):
+    rows[0][0] = value
+
+
+@pytest.mark.parametrize("alter", [
+    lambda d: _set_first(d["triangles"], 0.4),
+    lambda d: _set_first(d["triangles"], 2**70),
+    lambda d: d.update(boundary_edges=[[True, False]] * len(d["boundary_edges"])),
+    lambda d: _set_first(d["vertices"], 2**1100),
+    lambda d: _set_first([d["f_nodal"]], 2**1100),
+], ids=["fractional-index", "huge-index", "bool-indices", "huge-vertex",
+        "huge-f"])
+def test_eigen_rejects_bad_mesh_numbers(square_mesh, tmp_path, capfd, alter):
+    doc = json.loads(square_mesh.read_text())
+    alter(doc)
+    square_mesh.write_text(json.dumps(doc))
+    capfd.readouterr()
+    assert run("eigen", "--mesh", str(square_mesh),
+               "--out", str(tmp_path / "eig.json")) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [square_mesh.name]
+    assert capfd.readouterr().err.startswith("error: malformed mesh")
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +350,24 @@ def test_green_output_schema(half_disk_mesh, tmp_path):
 def test_green_alpha_above_threshold_exits_3(half_disk_mesh, tmp_path):
     assert run("green", "--mesh", str(half_disk_mesh), "--point", "1,0",
                "--alpha", "100", "--out", str(tmp_path / "g.json")) == 3
+
+
+def test_green_checks_annuli_before_solving(half_disk_mesh, tmp_path, capfd,
+                                           monkeypatch):
+    from tmlab import green, spectrum
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the annuli were checked")
+
+    for module, name in ((spectrum, "first_eigenpair"),
+                         (green, "green_function")):
+        monkeypatch.setattr(module, name, no_solve)
+    capfd.readouterr()
+    assert run("green", "--mesh", str(half_disk_mesh), "--point", "1,0",
+               "--annuli", "0.001:0.002", "--alpha", "0.5",
+               "--out", str(tmp_path / "g.json")) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == [half_disk_mesh.name]
+    assert "holds only 0 vertices" in capfd.readouterr().err
 
 
 def test_green_requires_exactly_one_pole_flag(half_disk_mesh, tmp_path):

@@ -201,6 +201,30 @@ def _random_array(rng: np.random.Generator):
     return out
 
 
+_SHAPES = [(0,), (0, 2), (3, 0), (1,), (7,), (1, 3), (4, 2), (5, 1), (2, 2, 2)]
+
+
+def _random_ndarray(rng: np.random.Generator) -> np.ndarray:
+    """An array of one of the dtypes and shapes the one-pass path sees."""
+    shape = _SHAPES[int(rng.integers(len(_SHAPES)))]
+    n = math.prod(shape)
+    kind = rng.integers(5)
+    if kind == 0:
+        out = np.array([_random_float(rng) for _ in range(n)], dtype=np.float64)
+    elif kind == 1:
+        out = (rng.standard_normal(n) * 10.0 ** rng.integers(-42, 30, n))
+        out[: n // 3] = np.round(out[: n // 3])
+        out = out.astype(np.float32)
+    elif kind == 2:
+        out = rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64, endpoint=True)
+    elif kind == 3:
+        out = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+        out[: n // 2] |= np.uint64(2**63)
+    else:
+        out = rng.integers(0, 2, n).astype(bool)
+    return out.reshape(shape)
+
+
 def _random_doc(rng: np.random.Generator, depth: int = 0):
     kind = rng.integers(5) if depth < 3 else 4
     if kind == 0:
@@ -211,7 +235,7 @@ def _random_doc(rng: np.random.Generator, depth: int = 0):
     if kind == 2:
         return _random_array(rng)
     if kind == 3:
-        return np.asarray(rng.standard_normal((int(rng.integers(1, 4)), 2)))
+        return _random_ndarray(rng)
     return _random_scalar(rng)
 
 
@@ -220,6 +244,15 @@ def test_numeric_arrays_match_recursive_serializer(seed):
     rng = np.random.default_rng(seed)
     doc = {"doc": [_random_doc(rng) for _ in range(6)]}
     assert records.canonical_json(doc) == _recursive_json(doc)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ndarrays_match_recursive_serializer(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        a = _random_ndarray(rng)
+        assert records.canonical_json(a) == _recursive_json(a)
+        assert records.canonical_json({"a": a}) == _recursive_json({"a": a})
 
 
 EDGE_CASES = {
@@ -246,6 +279,21 @@ EDGE_CASES = {
     "array_2d": np.array([[1.0, 0.5], [-0.0, 3e-310]]),
     "array_int": np.arange(5, dtype=np.int64),
     "array_bool": np.array([True, False]),
+    "array_bool_matrix": np.array([[True, False], [False, True]]),
+    "array_negative_zero": np.array([-0.0, 0.0, -0.0]),
+    "array_around_1e16": np.array([[1e16 - 2, 1e16], [-1e16, 1e16 + 2]]),
+    "array_subnormal": np.array([5e-324, -5e-324, 2.2250738585072009e-308]),
+    "array_float32": np.array([0.1, -0.0, 3.0, 1e-40, 3e38], dtype=np.float32),
+    "array_float32_matrix": np.array([[0.5, 2.0], [1e7, -1.5e-3]],
+                                     dtype=np.float32),
+    "array_int64_extremes": np.array([[-(2**63), 2**63 - 1]], dtype=np.int64),
+    "array_uint64_big": np.array([2**63, 2**64 - 1, 0], dtype=np.uint64),
+    "array_empty": np.zeros(0),
+    "array_0x2": np.zeros((0, 2)),
+    "array_3x0": np.zeros((3, 0)),
+    "array_3d": np.arange(8.0).reshape(2, 2, 2),
+    "array_one_column": np.array([[1.5], [2.0]]),
+    "array_transposed": np.arange(6.0).reshape(2, 3).T,
 }
 
 
@@ -262,3 +310,9 @@ def test_non_finite_in_numeric_arrays_rejected(bad):
         records.canonical_json([0.5, bad, 1.0])
     with pytest.raises(UsageError, match="non-finite"):
         records.canonical_json({"m": [[0.5, 1.0], [2.0, bad]]})
+    for dtype in (np.float64, np.float32):
+        with pytest.raises(UsageError, match="non-finite"):
+            records.canonical_json(np.array([0.5, bad, 1.0], dtype=dtype))
+        with pytest.raises(UsageError, match="non-finite"):
+            records.canonical_json({"m": np.array([[0.5, 1.0], [2.0, bad]],
+                                                  dtype=dtype)})

@@ -311,8 +311,23 @@ def test_area_invariant_under_relabeling(half_disk):
 def test_mesh_dict_round_trip(half_disk):
     d = half_disk.to_dict()
     back = Surface.from_dict(d)
-    assert back.to_dict() == d
+    for key, value in back.to_dict().items():
+        if isinstance(value, np.ndarray):
+            assert value.dtype == d[key].dtype, key
+            assert np.array_equal(value, d[key]), key
+        else:
+            assert value == d[key], key
     assert back.content_hash() == half_disk.content_hash()
+
+
+def test_to_dict_arrays_are_copies(half_disk):
+    before = half_disk.content_hash()
+    d = half_disk.to_dict()
+    back = Surface.from_dict(d)
+    for key in ("vertices", "triangles", "boundary_edges", "f_nodal"):
+        d[key][0] += 1
+    assert half_disk.content_hash() == before
+    assert back.content_hash() == before
 
 
 def test_malformed_mesh_dict_rejected(half_disk):
