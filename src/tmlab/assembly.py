@@ -10,10 +10,15 @@ conditions close exactly.
 The Dirichlet energy is conformally invariant in two dimensions, so the
 stiffness matrix is the flat one and does not involve f.
 
-:func:`interpolate` and :func:`load` fix the order in which they sum, so
-their results do not depend on how a numpy version contracts arrays.  The
-order is the one ``np.einsum`` used when the result files were recorded,
-and ``tests/test_assembly.py`` pins it against an ``einsum`` copy.
+:func:`interpolate`, :func:`load` and the element matrices of
+:func:`stiffness`, :func:`mass` and :func:`weighted_mass` fix the order in
+which they sum, so their results do not depend on how a numpy version
+contracts arrays.  The order is the one ``np.einsum`` used when the result
+files were recorded: Σ_k (a·g_ik)·g_jk for K, Σ_q (w_q·B_qi)·B_qj with q
+ascending for the mass matrices, each sum starting from +0.0.
+``tests/test_assembly.py`` pins each against an ``einsum`` copy.  The
+loops run over whole columns, never along an axis of length 2 or 3, which
+numpy reduces or broadcasts per row, an order of magnitude slower.
 """
 
 from __future__ import annotations
@@ -140,7 +145,11 @@ def stiffness(surface: Surface) -> sp.csr_matrix:
     if key not in surface.cache:
         g = p1_gradients(surface)
         areas = surface.euclidean_tri_areas()
-        element = np.einsum("t,tik,tjk->tij", areas, g, g)
+        element = np.empty((areas.size, 3, 3))
+        for i, j in np.ndindex(3, 3):
+            element[:, i, j] = (areas * g[:, i, 0] * g[:, j, 0]
+                                + areas * g[:, i, 1] * g[:, j, 1])
+        element += 0.0  # einsum's sums start from +0.0
         surface.cache[key] = _scatter(surface, element)
     return surface.cache[key]
 
@@ -149,17 +158,36 @@ def mass(surface: Surface) -> sp.csr_matrix:
     """Consistent metric mass matrix ∫ φ_i φ_j e^{2f} dx."""
     key = "mass"
     if key not in surface.cache:
-        w = quad_weights(surface)
-        element = np.einsum("tq,qi,qj->tij", w, quad.BARY, quad.BARY)
-        surface.cache[key] = _scatter(surface, element)
+        surface.cache[key] = _scatter(surface, _mass_element(quad_weights(surface)))
     return surface.cache[key]
 
 
 def weighted_mass(surface: Surface, gq: np.ndarray) -> sp.csr_matrix:
     """Mass matrix weighted by a quadrature-point field, ∫ g φ_i φ_j dv."""
-    w = quad_weights(surface) * gq
-    element = np.einsum("tq,qi,qj->tij", w, quad.BARY, quad.BARY)
-    return _scatter(surface, element)
+    return _scatter(surface, _mass_element(quad_weights(surface) * gq))
+
+
+# Rows per pass of `_mass_element`.  Temporary columns as long as the mesh
+# raised the adaptation benchmark's peak RSS by about 0.3 MiB over einsum's.
+_MASS_ROWS = 4096
+
+
+def _mass_element(w: np.ndarray) -> np.ndarray:
+    """(nt, 3, 3) element matrices Σ_q (w_q·B_qi)·B_qj from (nt, 6) weights."""
+    element = np.empty((w.shape[0], 3, 3))
+    col, term = np.empty((2, min(w.shape[0], _MASS_ROWS)))
+    for start in range(0, w.shape[0], _MASS_ROWS):
+        wt, el = w[start:start + _MASS_ROWS], element[start:start + _MASS_ROWS]
+        c, t = col[:wt.shape[0]], term[:wt.shape[0]]
+        for i in range(3):
+            wb = [wt[:, q] * quad.BARY[q, i] for q in range(quad.NQ)]
+            for j in range(3):
+                np.multiply(wb[0], quad.BARY[0, j], out=c)
+                for q in range(1, quad.NQ):
+                    c += np.multiply(wb[q], quad.BARY[q, j], out=t)
+                el[:, i, j] = c
+    element += 0.0  # einsum's sums start from +0.0
+    return element
 
 
 def load(surface: Surface, gq: np.ndarray) -> np.ndarray:
@@ -327,6 +355,16 @@ HIT_TOL = 1e-10
 _BLOCK = 1 << 16  # (point, candidate) pairs per pass
 
 
+def _boxes(c: np.ndarray) -> tuple:
+    """``(lo, hi)`` corners of the (nt, 3, 2) triangles' boxes, widened by twice
+    the 2·HIT_TOL of its extent by which a point a triangle contains can lie
+    outside its box."""
+    lo = np.minimum(np.minimum(c[:, 0], c[:, 1]), c[:, 2])
+    hi = np.maximum(np.maximum(c[:, 0], c[:, 1]), c[:, 2])
+    pad = 4 * HIT_TOL * np.maximum(*(hi - lo).T)[:, None]
+    return lo - pad, hi + pad
+
+
 def evaluate(surface: Surface, u: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The piecewise-linear field ``u`` at (n, 2) points, NaN outside the mesh.
 
@@ -345,16 +383,14 @@ def evaluate(surface: Surface, u: np.ndarray, points: np.ndarray) -> np.ndarray:
         raise UsageError(f"point {pts[np.argmin(finite)]} is not finite")
     out = np.full(pts.shape[0], np.nan)
 
-    # A point a triangle contains lies outside its bounding box by at most
-    # 2·HIT_TOL of its extent; the boxes are widened by twice that.  Points
-    # off the mesh's box are outside, and kept from overflowing the test.
+    # Points off the mesh's box are outside, and kept from overflowing the test.
     c = surface.tri_coords()
-    pad = 4 * HIT_TOL * np.ptp(c, axis=1).max(axis=1, keepdims=True)
-    lo, hi = c.min(axis=1) - pad, c.max(axis=1) + pad
+    lo, hi = _boxes(c)
     idx = np.flatnonzero(((pts >= lo.min(axis=0)) & (pts <= hi.max(axis=0))).all(axis=1))
     p = pts[idx]
-    cand = np.flatnonzero(((lo <= p.max(axis=0, initial=-np.inf))
-                           & (hi >= p.min(axis=0, initial=np.inf))).all(axis=1))
+    meets = ((lo <= p.max(axis=0, initial=-np.inf))
+             & (hi >= p.min(axis=0, initial=np.inf)))
+    cand = np.flatnonzero(meets[:, 0] & meets[:, 1])
     if not cand.size:
         return out
 
@@ -363,7 +399,7 @@ def evaluate(surface: Surface, u: np.ndarray, points: np.ndarray) -> np.ndarray:
     d1 = c[:, 1] - p0
     d2 = c[:, 2] - p0
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    centroid = c.mean(axis=1)
+    centroid = (c[:, 0] + c[:, 1] + c[:, 2]) / 3
     uu = u[surface.triangles[cand]]
     step = max(1, _BLOCK // cand.size)
     for k in range(0, idx.size, step):

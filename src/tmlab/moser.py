@@ -435,7 +435,7 @@ def _newton_system(st: _State) -> tuple:
     and M·1.
 
     The two weighted masses are one pass: Mass((2β(1+αs) + 4β²(1+αs)²u²)e^E)
-    is a single einsum and scatter.  It, M and K are all assembled by
+    is a single element pass and scatter.  It, M and K are all assembled by
     ``assembly._scatter`` into the surface's one CSR pattern, so h is one
     linear combination of their ``data`` arrays, kept in CSR.
     """

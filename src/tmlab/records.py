@@ -113,8 +113,11 @@ def canonical_json(obj, indent: int = 0) -> str:
     Numeric arrays (non-empty 1-D or 2-D ``np.ndarray`` of int, uint or
     float dtype) are formatted in one pass by ``_numeric_array``.  Lists,
     tuples, bool arrays, empty or 3-D arrays, scalars and dicts recurse
-    per value.  Both paths give the same bytes.
+    per value.  Both paths give the same bytes.  A 0-d array is written as
+    its scalar.  Anything else raises :class:`UsageError`.
     """
+    if isinstance(obj, np.ndarray) and obj.ndim == 0:
+        obj = obj.item()
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -132,7 +135,8 @@ def canonical_json(obj, indent: int = 0) -> str:
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         if not seq:
             return "[]"
-        scalar = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
+        scalar = all(not isinstance(v, (dict, list, tuple))
+                     and getattr(v, "ndim", 0) == 0 for v in seq)
         if scalar:
             return "[" + ", ".join(canonical_json(v) for v in seq) + "]"
         items = [f"{pad_in}{canonical_json(v, indent + 1)}" for v in seq]

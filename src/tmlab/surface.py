@@ -250,7 +250,12 @@ class Surface:
 
     def edge_lengths(self) -> np.ndarray:
         """(nt, 3) lengths of edges opposite each local vertex."""
-        return _edge_lengths(self.tri_coords())
+        c = self.tri_coords()
+        out = np.empty(c.shape[:2])
+        for k in range(3):
+            d = c[:, (k + 1) % 3] - c[:, (k + 2) % 3]
+            out[:, k] = np.hypot(d[:, 0], d[:, 1])
+        return out
 
     def distances(self, point) -> np.ndarray:
         """(nv,) Euclidean distances from ``point`` to every vertex."""
@@ -363,14 +368,10 @@ class Surface:
         try:
             if int(d.get("format_version", 0)) != 1:
                 raise UsageError("unsupported mesh format_version")
-            tris, bedges = np.array(d["triangles"]), np.array(d["boundary_edges"])
-            if tris.dtype.kind not in "iu" or bedges.dtype.kind not in "iu":
-                # A cast to int64 would read 0.4 as 0 and True as 1.
-                raise TypeError("mesh indices must be integers")
             surf = cls(
                 vertices=np.array(d["vertices"], dtype=float),
-                triangles=tris.astype(np.int64, casting="safe", copy=False),
-                boundary_edges=bedges.astype(np.int64, casting="safe", copy=False),
+                triangles=_index_array(d["triangles"]),
+                boundary_edges=_index_array(d["boundary_edges"]),
                 f_nodal=np.array(d["f_nodal"], dtype=float),
                 spec=DomainSpec.from_dict(d["domain"]),
             )
@@ -385,13 +386,20 @@ class Surface:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _edge_lengths(c: np.ndarray) -> np.ndarray:
-    """(nt, 3) edge lengths from (nt, 3, 2) triangle coordinates."""
-    out = np.empty(c.shape[:2])
-    for k in range(3):
-        d = c[:, (k + 1) % 3] - c[:, (k + 2) % 3]
-        out[:, k] = np.hypot(d[:, 0], d[:, 1])
-    return out
+def _index_array(rows) -> np.ndarray:
+    """Mesh indices as int64, or TypeError if one is not an integer.  A cast
+    would read 0.4 as 0 and True as 1; a list mixing bools with ints reads
+    as int64, so its entries read as 0 or 1 are checked for bools."""
+    arr = np.array(rows)
+    if arr.dtype.kind not in "iu":
+        raise TypeError("mesh indices must be integers")
+    if arr.ndim and not isinstance(rows, np.ndarray):
+        small = np.flatnonzero((arr == 0) | (arr == 1))
+        for pos in zip(*np.unravel_index(small, arr.shape)):
+            item = functools.reduce(operator.getitem, pos, rows)
+            if isinstance(item, (bool, np.bool_)):
+                raise TypeError("mesh indices must be integers, not bools")
+    return arr.astype(np.int64, casting="safe", copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +515,8 @@ def _edge_topology(tris: np.ndarray, n: int):
     the number of triangles sharing each unique edge.
     """
     oriented = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    lo = oriented.min(axis=1)
-    hi = oriented.max(axis=1)
+    lo = np.minimum(oriented[:, 0], oriented[:, 1])
+    hi = np.maximum(oriented[:, 0], oriented[:, 1])
     keys, inverse, counts = np.unique(
         lo * n + hi, return_inverse=True, return_counts=True
     )
@@ -625,13 +633,16 @@ class _Bisection(NamedTuple):
     its reference edge; ``nbr[k, t]`` (3, nt) is the triangle across edge
     k → k + 1 of ``rot[t]``, −1 on the boundary; ``centroid`` (nt, 2) and
     ``longest`` (nt,) are each triangle's vertex mean and longest edge, as
-    ``adapt_for_point`` reads them.
+    ``adapt_for_point`` reads them.  ``first_new`` is the first of the rows
+    that the round which made the record created; the rows before it are
+    input rows the round left unchanged.  A whole-mesh pass gives 0.
     """
 
     rot: np.ndarray
     nbr: np.ndarray
     centroid: np.ndarray
     longest: np.ndarray
+    first_new: int
 
 
 _BISECTION = "bisection"
@@ -644,7 +655,7 @@ def _bisection(surface: Surface) -> _Bisection:
     if rec is None:
         rot, centroid, longest = _measure(surface.tri_coords(), surface.triangles)
         rec = _Bisection(rot, _neighbours(rot, surface.num_vertices), centroid,
-                         longest)
+                         longest, 0)
         surface.cache[_BISECTION] = rec
     return rec
 
@@ -653,26 +664,40 @@ def _measure(c: np.ndarray, tris: np.ndarray):
     """``(rot, centroid, longest)`` of the rows ``tris`` with coordinates ``c``.
 
     The reference edge is the longest edge, ties going to the larger sorted
-    vertex pair.
+    vertex pair.  Every value is computed column by column: numpy reduces
+    an axis of length 2 or 3 per row, an order of magnitude slower.
     """
-    nxt = np.roll(tris, -1, axis=1)
-    d = c - c[:, [1, 2, 0]]
-    sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
-    # Largest (sq, lo, hi) in each row: no vertex count enters, so a row
-    # carried into a larger mesh keeps the rotation a rebuild would give it.
-    first = np.lexsort((np.maximum(tris, nxt), np.minimum(tris, nxt), sq))[:, -1]
+    keys, lengths = [], []
+    for k in range(3):  # edge k runs from vertex k to k + 1
+        a, b = tris[:, k], tris[:, (k + 1) % 3]
+        dx = c[:, k, 0] - c[:, (k + 1) % 3, 0]
+        dy = c[:, k, 1] - c[:, (k + 1) % 3, 1]
+        keys.append((dx * dx + dy * dy, np.minimum(a, b), np.maximum(a, b)))
+        lengths.append(np.hypot(dx, dy))
+    # The largest (sq, lo, hi) wins, the later edge on a tie as in a stable
+    # sort.  No vertex count enters, so a row carried into a larger mesh
+    # keeps the rotation a rebuild would give it.
+    def wins(x, y):
+        return (x[0] > y[0]) | ((x[0] == y[0]) & (
+            (x[1] > y[1]) | ((x[1] == y[1]) & (x[2] >= y[2]))))
+    one = wins(keys[1], keys[0])
+    best = [np.where(one, x, y) for x, y in zip(keys[1], keys[0])]
+    first = np.where(wins(keys[2], best), 2, one)
     rot = np.take_along_axis(tris, (first[:, None] + np.arange(3)) % 3, axis=1)
-    return rot, c.mean(axis=1), _edge_lengths(c).max(axis=1)
+    centroid = (c[:, 0] + c[:, 1] + c[:, 2]) / 3
+    return rot, centroid, np.maximum(np.maximum(lengths[0], lengths[1]), lengths[2])
 
 
 def _neighbours(rot: np.ndarray, n: int) -> np.ndarray:
     """(3, len(rot)) row of the triangle across each edge of ``rot``, or −1
     where no other row of ``rot`` shares it; ``n`` exceeds every vertex."""
-    _, _, inverse, _ = _edge_topology(rot, n)
-    order = np.argsort(inverse, kind="stable")
-    twin = inverse[order[1:]] == inverse[order[:-1]]
+    nxt = rot[:, [1, 2, 0]]
+    # Slot k·len(rot) + t holds edge k → k + 1 of row t; a twin shares its key.
+    keys = (np.minimum(rot, nxt) * n + np.maximum(rot, nxt)).T.ravel()
+    order = np.argsort(keys)
+    twin = keys[order[1:]] == keys[order[:-1]]
     a, b = order[:-1][twin], order[1:][twin]
-    out = np.full(inverse.size, -1, dtype=np.int64)
+    out = np.full(keys.size, -1, dtype=np.int64)
     out[a] = b % rot.shape[0]
     out[b] = a % rot.shape[0]
     return out.reshape(3, -1)
@@ -696,11 +721,14 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
     whole-mesh pass, an edge sort, to build it; the result carries its own,
     derived from the input's, so a sequence of rounds sorts the whole mesh
     once.  The closure is a walk from the marked triangles to the neighbours
-    across their reference edges, and only the children are measured and
-    linked, to one another and to the unchanged triangles around them, by an
-    edge sort of that patch.  What each round still does to the whole mesh
-    is a few copies and gathers, no sort.  The boundary edges are the slots
-    with no neighbour, sorted by (u, v) as `_extract_boundary` sorts them.
+    across their reference edges, and only the children are measured, column
+    by column with no per-row sort, and linked, to one another and to the
+    unchanged triangles around them, by one sort of that patch's edge keys.
+    What each round still does to the whole mesh is a few copies and
+    gathers, no sort, and one scan for the slots with no neighbour: the
+    boundary edges, sorted by (u, v) as `_extract_boundary` sorts them.  The
+    record says where the children start, so `adapt_for_point` marks only
+    them.
 
     Numbering.  Unsplit triangles keep their input rows and order at the
     front of the result; the children follow, grouped by their place in the
@@ -722,7 +750,7 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
     if not marked.any():
         return surface
     verts, tris = surface.vertices, surface.triangles
-    rot, nbr, centroid, longest = _bisection(surface)
+    rot, nbr, centroid, longest, _ = _bisection(surface)
 
     # Closure: a cut triangle's reference edge is split, so the neighbour
     # across it has a split edge and is cut too.
@@ -811,9 +839,11 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
         nbr_new,
         np.concatenate([centroid.take(kept, axis=0), kid_centroid]),
         np.concatenate([longest.take(kept), kid_longest]),
+        nk,
     )
 
-    k, t = np.nonzero(nbr_new < 0)
+    # np.nonzero of a 2-D array is several times slower than this.
+    k, t = np.divmod(np.flatnonzero(nbr_new < 0), nbr_new.shape[1])
     bedges = np.column_stack([rot_new[t, k], rot_new[t, (k + 1) % 3]])
     out = Surface(
         new_verts,
@@ -846,25 +876,34 @@ def adapt_for_point(
     ``inner_scale/ratio`` near the center.  The result records the parent
     edges of the rounds' new vertices, the identity when no round runs, so
     :func:`prolong` carries a state on ``surface`` over to it.
+
+    The first round tests every triangle; each later round tests only the
+    rows the previous round created (``_Bisection.first_new`` on).  That is
+    exact: a row before them is an input row the round did not cut, so it
+    was unmarked, and the mark reads nothing but the row's centroid and
+    longest edge, which it carries over unchanged.
     """
     if inner_scale <= 0 or outer_radius <= 0:
         raise UsageError("adaptation scales must be positive")
     cx, cy = float(center[0]), float(center[1])
-    surf, rounds = surface, ()
+    surf, rounds, start = surface, (), 0
     for _ in range(ADAPT_MAX_ROUNDS):
         rec = _bisection(surf)
-        cc, longest = rec.centroid, rec.longest
+        cc, longest = rec.centroid[start:], rec.longest[start:]
         d = np.hypot(cc[:, 0] - cx, cc[:, 1] - cy)
         target = np.maximum(inner_scale, np.minimum(d, outer_radius)) / ratio
-        marks = (longest > target) & (d <= outer_radius + longest)
-        if not marks.any():
+        new = (longest > target) & (d <= outer_radius + longest)
+        if not new.any():
             # The record only speeds up further rounds; an adapted mesh
             # would otherwise hold it for its lifetime.
             surf.cache.pop(_BISECTION, None)
             surf.cache[_PROLONGATION] = (surface.num_vertices, rounds)
             return surf
+        marks = np.zeros(surf.num_triangles, dtype=bool)
+        marks[start:] = new
         surf = refine_local(surf, marks)
         rounds += surf.cache[_PROLONGATION][1]
+        start = surf.cache[_BISECTION].first_new
     raise PreconditionError("adaptation did not settle within the round limit")
 
 

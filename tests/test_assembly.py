@@ -383,6 +383,62 @@ def test_scatter_matches_coo_reference(located_meshes, name, rng):
         assert assembly.interpolate(s, field).tobytes() == want.tobytes()
 
 
+def _element_matrices(monkeypatch, s, gq):
+    """The (nt, 3, 3) arrays that K, M and the gq-weighted mass hand to
+    ``_scatter``."""
+    seen = []
+    scatter = assembly._scatter
+
+    def recording(surf, element):
+        seen.append(element.copy())
+        return scatter(surf, element)
+
+    monkeypatch.setattr(assembly, "_scatter", recording)
+    assembly.stiffness(s), assembly.mass(s), assembly.weighted_mass(s, gq)
+    return seen
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_element_matrices_match_einsum(located_meshes, name, rng, monkeypatch):
+    """K's and the mass matrices' element arrays are byte for byte the
+    einsum's, signed zeros included: the rectangle's axis-parallel edges
+    give gradient components of ±0.0, and the weights below hold ±0.0."""
+    s = Surface.from_dict(located_meshes[name].to_dict())  # nothing cached
+    gq = rng.standard_normal((s.num_triangles, 6))
+    gq[rng.random(gq.shape) < 0.3] = 0.0
+    gq[rng.random(gq.shape) < 0.3] = -0.0
+    neg = np.arange(s.num_triangles) % 7 == 3
+    gq[neg] = -0.0  # every term −0.0: einsum's sum from +0.0 reads +0.0
+    g, w = assembly.p1_gradients(s), assembly.quad_weights(s)
+    want = [np.einsum("t,tik,tjk->tij", s.euclidean_tri_areas(), g, g),
+            np.einsum("tq,qi,qj->tij", w, quad.BARY, quad.BARY),
+            np.einsum("tq,qi,qj->tij", w * gq, quad.BARY, quad.BARY)]
+    got = _element_matrices(monkeypatch, s, gq)
+    assert len(got) == 3
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    zeros = want[2][neg]
+    assert zeros.size and (zeros == 0).all() and not np.signbit(zeros).any()
+    assert (want[0] == 0).any() == (name == "rect21")
+
+
+def _boxes_reference(c):
+    """``_boxes`` as written with axis reductions of length 3 and 2."""
+    pad = 4 * assembly.HIT_TOL * np.ptp(c, axis=1).max(axis=1, keepdims=True)
+    return c.min(axis=1) - pad, c.max(axis=1) + pad
+
+
+@pytest.mark.parametrize("name", [*MESHES, "random"])
+def test_boxes_match_axis_reductions(located_meshes, name, rng):
+    if name == "random":
+        c = rng.standard_normal((4000, 3, 2)) * 10.0 ** rng.uniform(-8, 8, (4000, 1, 1))
+        c[::7, 1] = c[::7, 0]  # ties between corners
+    else:
+        c = located_meshes[name].tri_coords()
+    for got, want in zip(assembly._boxes(c), _boxes_reference(c)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_huge_and_non_finite_points(half_disk):
     u = half_disk.vertices[:, 0].copy()
     huge = np.array([[0.5, 0.0], [1e300, 0.0], [-1e308, 1e308]])

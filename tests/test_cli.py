@@ -139,14 +139,22 @@ def _set_first(rows, value):
     rows[0][0] = value
 
 
+def _replace_index(rows, old, new):
+    """Write ``new`` over the first entry of ``rows`` that reads ``old``."""
+    row = next(r for r in rows if old in r)
+    row[row.index(old)] = new
+
+
 @pytest.mark.parametrize("alter", [
     lambda d: _set_first(d["triangles"], 0.4),
     lambda d: _set_first(d["triangles"], 2**70),
     lambda d: d.update(boundary_edges=[[True, False]] * len(d["boundary_edges"])),
+    lambda d: _replace_index(d["triangles"], 1, True),
+    lambda d: _replace_index(d["boundary_edges"], 0, False),
     lambda d: _set_first(d["vertices"], 2**1100),
     lambda d: _set_first([d["f_nodal"]], 2**1100),
-], ids=["fractional-index", "huge-index", "bool-indices", "huge-vertex",
-        "huge-f"])
+], ids=["fractional-index", "huge-index", "bool-indices", "true-among-indices",
+        "false-among-edges", "huge-vertex", "huge-f"])
 def test_eigen_rejects_bad_mesh_numbers(square_mesh, tmp_path, capfd, alter):
     doc = json.loads(square_mesh.read_text())
     alter(doc)

@@ -40,6 +40,29 @@ def test_numpy_scalars_and_arrays_serialize():
     assert back == {"arr": [1.5, 2.5], "i": 7, "f": 0.25, "flag": True}
 
 
+@pytest.mark.parametrize("value", [
+    np.array(2.5), np.array(-0.0), np.array(1e16), np.array(np.float32(0.1)),
+    np.array(np.float32(3.0)), np.array(-7, dtype=np.int64),
+    np.array(2**63 - 1, dtype=np.int64), np.array(True), np.array(False),
+], ids=lambda v: f"{v.dtype}:{v.item()!r}")
+def test_zero_dim_array_writes_as_its_scalar(value):
+    scalar = value.item()
+    for wrap in (lambda x: x, lambda x: {"a": x, "b": [1, x]}, lambda x: [x, x]):
+        want = records.canonical_json(wrap(scalar))
+        assert records.canonical_json(wrap(value)) == want
+    assert records.canonical_json(value) == records.canonical_json(value[()])
+
+
+@pytest.mark.parametrize("bad", [
+    np.array(np.nan), np.array(np.inf), np.array(1 + 2j), np.array({1}, dtype=object),
+    {"x": np.array(np.float32(-np.inf))}, [np.array(1j)], object(),
+], ids=["nan", "inf", "complex", "object-array", "float32-inf-in-dict",
+        "complex-in-list", "plain-object"])
+def test_unserializable_raises_usage_error(bad):
+    with pytest.raises(UsageError):
+        records.canonical_json(bad)
+
+
 def test_non_finite_rejected():
     with pytest.raises(UsageError):
         records.canonical_json({"x": float("nan")})

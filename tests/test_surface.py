@@ -22,9 +22,11 @@ from tmlab.surface import (
     Surface,
     _arc_chord,
     _arc_radius,
+    _PROLONGATION,
     _bisection,
     _edge_topology,
     _extract_boundary,
+    _measure,
     _new_f,
     adapt_for_point,
     build_domain,
@@ -330,6 +332,25 @@ def test_to_dict_arrays_are_copies(half_disk):
     assert back.content_hash() == before
 
 
+@pytest.mark.parametrize("key, old, new", [
+    ("triangles", 1, True), ("triangles", 0, False), ("triangles", 1, np.True_),
+    ("boundary_edges", 0, False), ("boundary_edges", 1, True),
+])
+def test_from_dict_rejects_bools_among_indices(unit_square, key, old, new):
+    """numpy reads a list mixing bools with ints as int64, True as 1."""
+    d = unit_square.to_dict()
+    rows = d[key].tolist()
+    row = next(r for r in rows if old in r)
+    row[row.index(old)] = new
+    assert np.array(rows).dtype == np.int64
+    with pytest.raises(UsageError, match="malformed mesh dictionary"):
+        Surface.from_dict({**d, key: rows})
+    # The same integers, or an int64 array, load.
+    for same in (d[key].tolist(), np.array(rows)):
+        assert Surface.from_dict({**d, key: same}).content_hash() == \
+            unit_square.content_hash()
+
+
 def test_malformed_mesh_dict_rejected(half_disk):
     d = half_disk.to_dict()
     d.pop("triangles")
@@ -562,6 +583,7 @@ def _assert_marked_replaced(before, marks, after):
     assert not any(tuple(t) in kept for t in before.triangles[marks].tolist())
     survivors = [t for t in before.triangles.tolist() if tuple(t) in kept]
     assert after.triangles[: len(survivors)].tolist() == survivors
+    assert after.cache[_BISECTION].first_new == len(survivors)
 
 
 def test_refine_local_random_marks(rng, half_disk):
@@ -607,14 +629,115 @@ def test_refine_local_multi_round_properties(rng, spec):
 
 def _assert_record_fresh(s):
     """The bisection record ``refine_local`` left on ``s`` is the one a
-    whole-mesh pass builds, its boundary is ``_extract_boundary``'s, and the
-    mesh is valid."""
+    whole-mesh pass builds, apart from where the round's new rows start, its
+    boundary is ``_extract_boundary``'s, and the mesh is valid."""
     fresh = Surface(s.vertices, s.triangles, s.boundary_edges, s.f_nodal, s.spec)
     carried = s.cache[_BISECTION]
-    for name, x, y in zip(carried._fields, carried, _bisection(fresh)):
+    for name, x, y in zip(carried._fields[:-1], carried, _bisection(fresh)):
         assert np.array_equal(x, y), name
+    assert _bisection(fresh).first_new == 0
     assert np.array_equal(s.boundary_edges, _extract_boundary(s.triangles))
     s.validate()
+
+
+def _measure_reference(c, tris):
+    """``_measure`` as written before it went column by column: a per-row
+    lexsort, an axis mean and an axis max over the opposite edges."""
+    nxt = np.roll(tris, -1, axis=1)
+    d = c - c[:, [1, 2, 0]]
+    sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    first = np.lexsort((np.maximum(tris, nxt), np.minimum(tris, nxt), sq))[:, -1]
+    rot = np.take_along_axis(tris, (first[:, None] + np.arange(3)) % 3, axis=1)
+    lengths = np.empty(c.shape[:2])
+    for k in range(3):
+        e = c[:, (k + 1) % 3] - c[:, (k + 2) % 3]
+        lengths[:, k] = np.hypot(e[:, 0], e[:, 1])
+    return rot, c.mean(axis=1), lengths.max(axis=1)
+
+
+def _random_rows(rng, n, grid):
+    """n rows of three distinct vertex indices and their coordinates; with
+    ``grid`` the coordinates are small integers, so squared edge lengths tie
+    often, and the longest edges too."""
+    tris = np.argsort(rng.random((n, 40)), axis=1)[:, :3] + rng.integers(0, 50, (n, 1))
+    if grid:
+        return rng.integers(-2, 3, (n, 3, 2)).astype(float), tris
+    return rng.standard_normal((n, 3, 2)) * 10.0 ** rng.uniform(-6, 2, (n, 1, 1)), tris
+
+
+@pytest.mark.parametrize("case", ["random", "grid_ties", "rectangle", "half_disk"])
+def test_measure_matches_lexsort_reference(rng, case):
+    """The column-wise rotation, centroid and longest edge are byte for byte
+    the per-row lexsort's and axis reductions'.  On the uniform rectangle the
+    right isosceles triangles' legs tie, so the vertex pair decides."""
+    if case in ("random", "grid_ties"):
+        c, tris = _random_rows(rng, 5000, case == "grid_ties")
+    else:
+        spec = (DomainSpec("rectangle", (2.0, 1.0)) if case == "rectangle"
+                else DomainSpec("half_disk", (1.0,)))
+        s = refine(build_domain(spec, 0.1))
+        c, tris = s.tri_coords(), s.triangles
+    for got, want in zip(_measure(c, tris), _measure_reference(c, tris)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["random", "rectangle"])
+def test_edge_topology_matches_axis_reductions(rng, case):
+    if case == "random":
+        tris = _random_rows(rng, 3000, False)[1]
+    else:
+        tris = build_domain(DomainSpec("rectangle", (2.0, 1.0)), 0.1).triangles
+    n = int(tris.max()) + 1
+    oriented = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    want = (oriented, *np.unique(oriented.min(axis=1) * n + oriented.max(axis=1),
+                                 return_inverse=True, return_counts=True))
+    for got, ref in zip(_edge_topology(tris, n), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def _adapt_reference(surface, center, inner, outer, ratio=8.0):
+    """``adapt_for_point`` as written before it marked only the last round's
+    rows: each round marks from the whole record.  Returns the mesh and the
+    number of rounds."""
+    surf, rounds = surface, 0
+    while True:
+        rec = _bisection(surf)
+        d = np.hypot(rec.centroid[:, 0] - center[0], rec.centroid[:, 1] - center[1])
+        target = np.maximum(inner, np.minimum(d, outer)) / ratio
+        marks = (rec.longest > target) & (d <= outer + rec.longest)
+        if not marks.any():
+            return surf, rounds
+        surf, rounds = refine_local(surf, marks), rounds + 1
+
+
+@pytest.mark.parametrize("spec, params", [
+    (DomainSpec("rectangle", (2.0, 1.0)), ((0.0, 0.45), 1e-7, 0.3)),
+    (DomainSpec("rectangle", (2.0, 1.0)), ((1.3, 1.0), 1e-3, 0.5)),
+    (DomainSpec("half_disk", (1.0,)), ((math.cos(0.3), math.sin(0.3)), 1e-6, 0.3)),
+    (DomainSpec("half_disk", (1.0,)), ((0.0, -0.6), 1e-3, 0.4)),
+    (DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"), ((0.6, 0.8), 1e-5, 0.3)),
+    (DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"), ((0.4, 0.1), 1e-3, 0.2)),
+], ids=["rect-side", "rect-top", "arc", "diameter", "f-arc", "f-inside"])
+def test_adapt_marking_new_rows_matches_whole_mesh_marking(spec, params):
+    """Marking only the rows the last round made gives the mesh, and the
+    number of rounds, that marking every row each round gives."""
+    base = build_domain(spec, 0.1)
+    want, rounds = _adapt_reference(base, *params)
+    got = adapt_for_point(base, *params)
+    assert rounds > 3 and len(got.cache[_PROLONGATION][1]) == rounds
+    assert got.content_hash() == want.content_hash()
+
+
+def test_adapt_marks_every_row_in_its_first_round(rng, half_disk):
+    """A surface made by ``refine_local`` holds a record whose new rows
+    start past 0; adaptation still tests all its rows first."""
+    marks = rng.random(half_disk.num_triangles) < 0.2
+    for args in (((1.0, 0.0), 1e-4, 0.3), ((0.0, 0.2), 1e-3, 0.9)):
+        s = refine_local(half_disk, marks)
+        assert s.cache[_BISECTION].first_new > 0
+        bare = Surface(s.vertices, s.triangles, s.boundary_edges, s.f_nodal, s.spec)
+        assert (adapt_for_point(s, *args).content_hash()
+                == adapt_for_point(bare, *args).content_hash())
 
 
 def _reference_refine_local(surface, marked):
