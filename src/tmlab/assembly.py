@@ -29,24 +29,35 @@ import scipy.sparse.linalg as spla
 
 from . import quadrature as quad
 from .errors import NumericalError, UsageError
-from .surface import Surface
+from .surface import Surface, flat_areas
 
 # ---------------------------------------------------------------------------
 # Geometry caches
 # ---------------------------------------------------------------------------
 
 
+def _p1_geometry(surface: Surface) -> tuple:
+    """Hat-function gradients, (2, 3, nt) indexed [axis, local vertex,
+    triangle], and the flat areas, from one gather of the corners.
+
+    The gradient of hat i is the edge e from corner i+1 to corner i+2
+    rotated a quarter turn counter-clockwise, (−e_y, e_x), over twice the
+    area.
+    """
+    xy = surface.tri_xy()
+    areas = flat_areas(xy)
+    two_a = 2.0 * areas
+    (x, y), grad = xy, np.empty_like(xy)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.divide(-(y[k] - y[j]), two_a, out=grad[0, i])
+        np.divide(x[k] - x[j], two_a, out=grad[1, i])
+    return grad, areas
+
+
 def p1_gradients(surface: Surface) -> np.ndarray:
     """(nt, 3, 2) gradients of the three hat functions on each triangle."""
-    c = surface.tri_coords()
-    areas = surface.euclidean_tri_areas()
-    g = np.empty((surface.num_triangles, 3, 2))
-    for i in range(3):
-        e = c[:, (i + 2) % 3] - c[:, (i + 1) % 3]
-        g[:, i, 0] = -e[:, 1]
-        g[:, i, 1] = e[:, 0]
-    g /= (2.0 * areas)[:, None, None]
-    return g
+    return np.ascontiguousarray(_p1_geometry(surface)[0].transpose(2, 1, 0))
 
 
 def quad_weights(surface: Surface) -> np.ndarray:
@@ -143,15 +154,21 @@ def stiffness(surface: Surface) -> sp.csr_matrix:
     """Flat Dirichlet stiffness matrix (conformally invariant)."""
     key = "stiffness"
     if key not in surface.cache:
-        g = p1_gradients(surface)
-        areas = surface.euclidean_tri_areas()
-        element = np.empty((areas.size, 3, 3))
-        for i, j in np.ndindex(3, 3):
-            element[:, i, j] = (areas * g[:, i, 0] * g[:, j, 0]
-                                + areas * g[:, i, 1] * g[:, j, 1])
-        element += 0.0  # einsum's sums start from +0.0
-        surface.cache[key] = _scatter(surface, element)
+        surface.cache[key] = _scatter(surface, _stiffness_element(surface))
     return surface.cache[key]
+
+
+def _stiffness_element(surface: Surface) -> np.ndarray:
+    """(nt, 3, 3) element matrices Σ_k (a·g_ik)·g_jk.  The gradients are
+    dropped before `_scatter` runs, which keeps its peak memory down."""
+    (gx, gy), areas = _p1_geometry(surface)
+    element = np.empty((areas.size, 3, 3))
+    for i in range(3):
+        agx, agy = areas * gx[i], areas * gy[i]
+        for j in range(3):
+            element[:, i, j] = agx * gx[j] + agy * gy[j]
+    element += 0.0  # einsum's sums start from +0.0
+    return element
 
 
 def mass(surface: Surface) -> sp.csr_matrix:

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import PreconditionError, UsageError
 
 _SNAP = 1e-14  # coordinates smaller than this in magnitude are snapped to 0
+_HASH_TAG = b"tmlab.Surface.content_hash v2\n"
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +192,14 @@ def _run_f(steps: list, a, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def flat_areas(xy: np.ndarray) -> np.ndarray:
+    """Signed flat areas of triangles with corners ``xy`` as from
+    :meth:`Surface.tri_xy`: half the cross product of the edges from
+    corner 0 to corners 1 and 2."""
+    (x0, x1, x2), (y0, y1, y2) = xy
+    return 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+
+
 @dataclass
 class Surface:
     """A conforming triangulation carrying a nodal conformal factor.
@@ -241,12 +250,14 @@ class Surface:
         """(nt, 3, 2) vertex coordinates of each triangle."""
         return self.vertices[self.triangles]
 
+    def tri_xy(self) -> np.ndarray:
+        """(2, 3, nt) vertex coordinates of each triangle, indexed [axis,
+        local vertex, triangle]: one contiguous row per coordinate."""
+        return self.vertices.T.take(self.triangles.T, axis=1)
+
     def euclidean_tri_areas(self) -> np.ndarray:
         """Flat (metric-free) triangle areas, all positive for a valid mesh."""
-        c = self.tri_coords()
-        d1 = c[:, 1] - c[:, 0]
-        d2 = c[:, 2] - c[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return flat_areas(self.tri_xy())
 
     def edge_lengths(self) -> np.ndarray:
         """(nt, 3) lengths of edges opposite each local vertex."""
@@ -311,8 +322,10 @@ class Surface:
 
     def validate(self) -> None:
         """Raise PreconditionError if any mesh invariant fails."""
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
-            raise PreconditionError("vertices must be an (nv, 2) array")
+        for name, width in (("vertices", 2), ("triangles", 3), ("boundary_edges", 2)):
+            a = getattr(self, name)
+            if a.ndim != 2 or a.shape[1] != width:
+                raise PreconditionError(f"{name} must be an (n, {width}) array")
         if not np.all(np.isfinite(self.vertices)):
             raise PreconditionError("non-finite vertex coordinates")
         if not np.all(np.isfinite(self.f_nodal)) or self.f_nodal.shape != (
@@ -332,7 +345,7 @@ class Surface:
         _, keys, _, counts = _edge_topology(self.triangles, nv)
         if np.any(counts > 2):
             raise PreconditionError("non-manifold edge (shared by >2 triangles)")
-        declared = np.sort(self.boundary_edges.reshape(-1, 2), axis=1)
+        declared = np.sort(self.boundary_edges, axis=1)
         in_range = declared.size == 0 or (declared.min() >= 0 and declared.max() < nv)
         declared_keys = np.unique(declared[:, 0] * nv + declared[:, 1])
         if not (in_range and np.array_equal(keys[counts == 1], declared_keys)):
@@ -370,8 +383,8 @@ class Surface:
                 raise UsageError("unsupported mesh format_version")
             surf = cls(
                 vertices=np.array(d["vertices"], dtype=float),
-                triangles=_index_array(d["triangles"]),
-                boundary_edges=_index_array(d["boundary_edges"]),
+                triangles=_index_array(d["triangles"], 3),
+                boundary_edges=_index_array(d["boundary_edges"], 2),
                 f_nodal=np.array(d["f_nodal"], dtype=float),
                 spec=DomainSpec.from_dict(d["domain"]),
             )
@@ -380,20 +393,41 @@ class Surface:
         return surf
 
     def content_hash(self) -> str:
-        """Stable sha256 over the canonical serialized form."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"),
-                             default=np.ndarray.tolist)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """sha256 identity of the mesh, its conformal factor and its domain.
+
+        Hashed in order: a version tag; the domain spec's canonical JSON,
+        prefixed with its length; then ``vertices``, ``triangles``,
+        ``boundary_edges`` and ``f_nodal``, each as its ndim and shape
+        (``<i8``) followed by its bytes as ``<f8`` or ``<i8``.  Every part
+        is fixed-size or length-prefixed, so the bytes hashed determine the
+        mesh.  For meshes with finite, non-empty arrays two hashes are
+        equal exactly when the JSON dumps of ``to_dict()`` are: ``repr`` of
+        a float is round-trip exact and tells -0.0 from 0.0, and
+        ``__post_init__`` fixes the dtypes.  ``tests/test_surface.py``
+        pins both.  No output file carries this hash.
+        """
+        spec = json.dumps(self.spec.to_dict(), sort_keys=True,
+                          separators=(",", ":")).encode()
+        h = hashlib.sha256(_HASH_TAG + len(spec).to_bytes(8, "little") + spec)
+        for a, dtype in ((self.vertices, "<f8"), (self.triangles, "<i8"),
+                         (self.boundary_edges, "<i8"), (self.f_nodal, "<f8")):
+            a = np.ascontiguousarray(a, dtype=dtype)
+            h.update(np.array([a.ndim, *a.shape], dtype="<i8"))
+            h.update(a)
+        return h.hexdigest()
 
 
-def _index_array(rows) -> np.ndarray:
-    """Mesh indices as int64, or TypeError if one is not an integer.  A cast
+def _index_array(rows, width: int) -> np.ndarray:
+    """Mesh indices as an (n, width) int64 array, or TypeError if one is not
+    an integer and ValueError if the rows are not ``width`` wide.  A cast
     would read 0.4 as 0 and True as 1; a list mixing bools with ints reads
     as int64, so its entries read as 0 or 1 are checked for bools."""
     arr = np.array(rows)
     if arr.dtype.kind not in "iu":
         raise TypeError("mesh indices must be integers")
-    if arr.ndim and not isinstance(rows, np.ndarray):
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"index rows must have {width} entries, not shape {arr.shape}")
+    if not isinstance(rows, np.ndarray):
         small = np.flatnonzero((arr == 0) | (arr == 1))
         for pos in zip(*np.unravel_index(small, arr.shape)):
             item = functools.reduce(operator.getitem, pos, rows)

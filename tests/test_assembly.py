@@ -422,6 +422,47 @@ def test_element_matrices_match_einsum(located_meshes, name, rng, monkeypatch):
     assert (want[0] == 0).any() == (name == "rect21")
 
 
+def _geometry_reference(s):
+    """p1_gradients and the flat areas as written on (nt, 3, 2) corner
+    gathers, one for each, with the division broadcast along the short
+    axes; and K's element matrices summed from them."""
+    c = s.tri_coords()
+    d1 = c[:, 1] - c[:, 0]
+    d2 = c[:, 2] - c[:, 0]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    c = s.tri_coords()
+    g = np.empty((s.num_triangles, 3, 2))
+    for i in range(3):
+        e = c[:, (i + 2) % 3] - c[:, (i + 1) % 3]
+        g[:, i, 0] = -e[:, 1]
+        g[:, i, 1] = e[:, 0]
+    g /= (2.0 * areas)[:, None, None]
+    element = np.empty((areas.size, 3, 3))
+    for i, j in np.ndindex(3, 3):
+        element[:, i, j] = (areas * g[:, i, 0] * g[:, j, 0]
+                            + areas * g[:, i, 1] * g[:, j, 1])
+    element += 0.0
+    return g, areas, element
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_geometry_matches_gather_reference(located_meshes, name, monkeypatch):
+    """The gradients, the areas and K are byte for byte those of the
+    per-quantity gathers, signed zeros included: axis-parallel edges give
+    gradient components of +0.0 and −0.0 on every mesh here."""
+    s = Surface.from_dict(located_meshes[name].to_dict())  # nothing cached
+    g, areas, element = _geometry_reference(s)
+    assert assembly.p1_gradients(s).tobytes() == g.tobytes()
+    assert s.euclidean_tri_areas().tobytes() == areas.tobytes()
+    assert np.unique(np.signbit(g[g == 0])).size == 2
+    got = _element_matrices(monkeypatch, s, np.zeros((s.num_triangles, 6)))[0]
+    assert got.tobytes() == element.tobytes()
+    want = assembly._scatter(s, element)
+    for part in ("data", "indices", "indptr"):
+        assert getattr(assembly.stiffness(s), part).tobytes() == \
+            getattr(want, part).tobytes()
+
+
 def _boxes_reference(c):
     """``_boxes`` as written with axis reductions of length 3 and 2."""
     pad = 4 * assembly.HIT_TOL * np.ptp(c, axis=1).max(axis=1, keepdims=True)

@@ -153,8 +153,12 @@ def _replace_index(rows, old, new):
     lambda d: _replace_index(d["boundary_edges"], 0, False),
     lambda d: _set_first(d["vertices"], 2**1100),
     lambda d: _set_first([d["f_nodal"]], 2**1100),
+    lambda d: d.update(triangles=[r + r[:1] for r in d["triangles"]]),
+    lambda d: d.update(triangles=[1, 2]),
+    lambda d: d.update(boundary_edges=[r + r[:1] for r in d["boundary_edges"]]),
 ], ids=["fractional-index", "huge-index", "bool-indices", "true-among-indices",
-        "false-among-edges", "huge-vertex", "huge-f"])
+        "false-among-edges", "huge-vertex", "huge-f", "triangle-rows-of-4",
+        "flat-triangles", "edge-rows-of-3"])
 def test_eigen_rejects_bad_mesh_numbers(square_mesh, tmp_path, capfd, alter):
     doc = json.loads(square_mesh.read_text())
     alter(doc)

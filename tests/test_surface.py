@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -409,6 +410,20 @@ def test_validate_rejects_boundary_mismatch(unit_square):
             s.validate()
 
 
+@pytest.mark.parametrize("key, shape", [
+    ("vertices", (-1, 1)), ("triangles", (-1, 1)), ("triangles", (-1,)),
+    ("boundary_edges", (-1, 1)), ("boundary_edges", (-1,)),
+], ids=["vertex-column", "triangle-column", "flat-triangles", "edge-column",
+        "flat-edges"])
+def test_validate_rejects_arrays_of_wrong_shape(unit_square, key, shape):
+    arrays = {k: v for k, v in unit_square.to_dict().items()
+              if isinstance(v, np.ndarray)}
+    s = Surface(**{**arrays, key: arrays[key].reshape(shape)},
+                spec=unit_square.spec)
+    with pytest.raises(PreconditionError, match=f"{key} must be an"):
+        s.validate()
+
+
 def test_validate_rejects_wrong_euler_characteristic():
     verts, tris = _square_annulus()
     with pytest.raises(PreconditionError, match="Euler characteristic 0"):
@@ -436,32 +451,88 @@ def test_extract_boundary_sorted_and_oriented(half_disk):
 # refine_local / adapt_for_point
 # ---------------------------------------------------------------------------
 
-# content_hash values of adapted meshes, recorded with the whole-array
-# refine_local; any drift means the mesh or its numbering changed.
+def _json_digest(self):
+    """The mesh digest that ``content_hash`` was before it hashed the
+    arrays' bytes: sha256 of a JSON dump of the whole mesh.  The mesh
+    goldens were recorded with it and keep their values through it."""
+    payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"),
+                         default=np.ndarray.tolist)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+# Digests of adapted meshes: _json_digest, recorded with the whole-array
+# refine_local, then content_hash; any drift means the mesh or its
+# numbering changed.
 GOLDEN_ADAPT = {
     "rectangle": (
         DomainSpec("rectangle", (1.0, 1.0)),
         (1.0, 0.5),
         "763b685b79da15f60ff7c003a94e164f998ff5aee23739d18b8ab6d4a3c4a8fc",
+        "22f7d5de1e48b1222a2988e8ae21c26025c1de7a427040b4a74e8b3102def888",
     ),
     "half_disk_arc": (
         DomainSpec("half_disk", (1.0,)),
         (math.cos(0.3), math.sin(0.3)),
         "f50b80dee2a3cc3f8ac70e05eec92b9eb042fce1dfeed0dd6ea8ca83c6ddc2fe",
+        "9ad731f11e30c288ac7b749691e1f55a2e29142d0f9faef1941e9ff58861e09e",
     ),
     "f_expr": (
         DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"),
         (0.6, 0.8),
         "840d2b5280482bd2ccfcaf09d805a18f43ff5f8d948b334da156d9f7ed532d42",
+        "80c4eff0d4c144c05179df7c6b36b5949adf4547aef9d682aeb0a32f33608dda",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_ADAPT))
 def test_adapt_for_point_golden_hash(case):
-    spec, center, digest = GOLDEN_ADAPT[case]
+    spec, center, digest, content = GOLDEN_ADAPT[case]
     s = adapt_for_point(build_domain(spec, 0.1), center, 1e-3, 0.3)
-    assert s.content_hash() == digest
+    assert _json_digest(s) == digest
+    assert s.content_hash() == content
+
+
+def test_content_hash_equals_iff_json_digest_equals():
+    """content_hash tells two meshes apart exactly when _json_digest does,
+    so the goldens above mean the same under either."""
+    spec = DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2")
+    s = build_domain(spec, 0.2)
+    d = s.to_dict()
+
+    def variant(**changes):
+        arrays = {k: d[k] for k in ("vertices", "triangles", "boundary_edges",
+                                    "f_nodal")}
+        return Surface(**{**arrays, "spec": spec, **changes})
+
+    ulp, f_ulp = d["vertices"].copy(), d["f_nodal"].copy()
+    ulp[5, 1] = np.nextafter(ulp[5, 1], np.inf)
+    f_ulp[7] = np.nextafter(f_ulp[7], -np.inf)
+    f_pos, f_neg = d["f_nodal"].copy(), d["f_nodal"].copy()
+    f_pos[3], f_neg[3] = 0.0, -0.0
+    rotated, swapped = d["triangles"].copy(), d["triangles"].copy()
+    rotated[2] = np.roll(rotated[2], 1)
+    swapped[[0, 1]] = swapped[[1, 0]]
+    pairs = [  # (case, a, b, same mesh?)
+        ("from_dict copy", s, Surface.from_dict(d), True),
+        ("int32 triangles", s, variant(triangles=d["triangles"].astype(np.int32)),
+         True),
+        ("one-ulp vertex", s, variant(vertices=ulp), False),
+        ("one-ulp f_nodal", s, variant(f_nodal=f_ulp), False),
+        ("f_nodal +0.0 against -0.0", variant(f_nodal=f_pos),
+         variant(f_nodal=f_neg), False),
+        ("rotated triangle row", s, variant(triangles=rotated), False),
+        ("swapped triangle rows", s, variant(triangles=swapped), False),
+        ("index rows reshaped", s, variant(triangles=d["triangles"].reshape(-1, 1)),
+         False),
+        ("domain parameter", s, variant(spec=DomainSpec("half_disk", (2.0,),
+                                                        spec.f_expr)), False),
+        ("f_expr", s, variant(spec=DomainSpec("half_disk", (1.0,), "0.1*x1")),
+         False),
+    ]
+    for case, a, b, same in pairs:
+        assert (_json_digest(a) == _json_digest(b)) is same, case
+        assert (a.content_hash() == b.content_hash()) is same, case
 
 
 def test_adapted_surface_holds_no_bisection_record(half_disk):
@@ -510,8 +581,11 @@ def test_adapt_for_point_golden_geometry(case):
 
 def test_refine_golden_hash():
     s = refine(refine(build_domain(DomainSpec("half_disk", (1.0,)), 0.2)))
-    assert s.content_hash() == (
+    assert _json_digest(s) == (
         "27dbe3727a12df1c88c3ef124b648456d1c3c02249ac3f483ea072fdf3546adb"
+    )
+    assert s.content_hash() == (
+        "32fd9442feb142c5a8091c236c7a6d0b45ce83b98649fd2c0097f4c596d438c6"
     )
 
 
