@@ -219,8 +219,10 @@ class Surface:
         the LU of K bordered with M·1, λ₁'s eigenpair, glued-state meshes,
         the parent map `prolong` applies, and the bisection record
         (``"bisection"``: each triangle's reference-edge rotation,
-        neighbours, centroid and longest edge) that `refine_local` carries
-        from round to round and `adapt_for_point` drops from its result.
+        neighbours, centroid and longest edge) that a `refine_local` call on
+        a surface leaves on its result for the next call.  `adapt_for_point`
+        reads that record but writes none: its rounds run on a working state
+        (`_Working`) that lives only for the call.
     """
 
     vertices: np.ndarray
@@ -661,22 +663,23 @@ def refine(surface: Surface) -> Surface:
 
 
 class _Bisection(NamedTuple):
-    """Per-surface state carried from one ``refine_local`` round to the next.
+    """The bisection record of a surface, row by row.
 
     ``rot`` (nt, 3) is each triangle rotated, still CCW, so that edge 0–1 is
     its reference edge; ``nbr[k, t]`` (3, nt) is the triangle across edge
     k → k + 1 of ``rot[t]``, −1 on the boundary; ``centroid`` (nt, 2) and
     ``longest`` (nt,) are each triangle's vertex mean and longest edge, as
-    ``adapt_for_point`` reads them.  ``first_new`` is the first of the rows
-    that the round which made the record created; the rows before it are
-    input rows the round left unchanged.  A whole-mesh pass gives 0.
+    ``adapt_for_point`` reads them.
+
+    A surface made by `refine_local` carries its record, so the next
+    `refine_local` or `adapt_for_point` call on it starts its `_Working`
+    state from the record instead of a whole-mesh pass.
     """
 
     rot: np.ndarray
     nbr: np.ndarray
     centroid: np.ndarray
     longest: np.ndarray
-    first_new: int
 
 
 _BISECTION = "bisection"
@@ -684,13 +687,13 @@ _PROLONGATION = "prolongation"  # (coarse vertex count, each round's parents)
 
 
 def _bisection(surface: Surface) -> _Bisection:
-    """The surface's bisection record, built with one whole-mesh pass if absent."""
+    """The surface's bisection record, or one built by a whole-mesh pass;
+    a built record is not kept on the surface."""
     rec = surface.cache.get(_BISECTION)
     if rec is None:
         rot, centroid, longest = _measure(surface.tri_coords(), surface.triangles)
         rec = _Bisection(rot, _neighbours(rot, surface.num_vertices), centroid,
-                         longest, 0)
-        surface.cache[_BISECTION] = rec
+                         longest)
     return rec
 
 
@@ -737,32 +740,120 @@ def _neighbours(rot: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(3, -1)
 
 
-def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D integer array, by one sort.  numpy 2.3 and
+    later hash before they sort, several times slower on the few thousand
+    slots of a patch."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _grown(a: np.ndarray, n: int, need: int = 0) -> np.ndarray:
+    """A new buffer holding ``a[:n]``, with room for ``need`` rows and at
+    least half as many again as ``n``."""
+    out = np.empty((max(need, n + n // 2),) + a.shape[1:], a.dtype)
+    out[:n] = a[:n]
+    return out
+
+
+class _Working:
+    """A mesh under bisection rounds, in append-only buffers.
+
+    Vertices and their conformal factor fill ``verts[:nv]`` and ``f[:nv]``.
+    Triangles fill slots ``[:nt]`` of the row buffers ``tris`` (the rows
+    as the surface holds them), ``rot``, ``nbr``, ``centroid`` and
+    ``longest``, which hold `_Bisection`'s values slot by slot (``nbr[t,
+    k]`` is the record's ``nbr[k, t]``).  A `refine_local` round tombstones
+    its cut rows in ``dead``, appends their children after the last slot
+    and relinks only the live rows that faced a cut row; a full buffer
+    grows by half.  The rows of the `Surface` chain that single rounds
+    would give are the unsplit rows in input order, then the children: the
+    live slots in slot order.  So no slot is ever renumbered, and
+    `surface` reads the mesh off the live slots.  ``first_new`` is the
+    first slot of the last round's children; ``parents`` holds each round's
+    parent edges for `prolong`.
+    """
+
+    _ROWS = ("tris", "rot", "nbr", "centroid", "longest", "dead")
+
+    def __init__(self, surface: Surface):
+        rec = _bisection(surface)
+        nv, nt = surface.num_vertices, surface.num_triangles
+        self.spec, self.nv0, self.nv, self.nt = surface.spec, nv, nv, nt
+        self.first_new, self.parents = 0, []
+        self.verts = _grown(surface.vertices, nv)
+        self.f = _grown(surface.f_nodal, nv)
+        for name, a in zip(self._ROWS, (surface.triangles, rec.rot, rec.nbr.T,
+                                        rec.centroid, rec.longest,
+                                        np.zeros(nt, dtype=bool))):
+            setattr(self, name, _grown(a, nt))
+
+    def reserve(self, nv: int, nt: int) -> None:
+        """Room for ``nv`` vertices and ``nt`` triangle slots."""
+        if nv > len(self.verts):
+            self.verts, self.f = (_grown(a, self.nv, nv) for a in (self.verts, self.f))
+        if nt > len(self.tris):
+            for name in self._ROWS:
+                setattr(self, name, _grown(getattr(self, name), self.nt, nt))
+
+    def surface(self, record: bool = False) -> Surface:
+        """The live mesh as a new `Surface` holding the `prolong` record,
+        and with ``record`` the bisection record too.  The buffers are
+        dropped before the `Surface` is built, so the state is spent."""
+        n, dead = self.nt, self.dead[: self.nt]
+        live = np.flatnonzero(~dead)
+        t, k = np.divmod(np.flatnonzero((self.nbr[:n] < 0) & ~dead[:, None]), 3)
+        bedges = np.column_stack([self.rot[t, k], self.rot[t, (k + 1) % 3]])
+        cache = {_PROLONGATION: (self.nv0, tuple(self.parents))}
+        if record:
+            newid = np.full(n + 1, -1, dtype=np.int64)  # newid[-1]: no neighbour
+            newid[live] = np.arange(live.size)
+            cache[_BISECTION] = _Bisection(
+                self.rot.take(live, axis=0), newid.take(self.nbr.take(live, axis=0).T),
+                self.centroid.take(live, axis=0), self.longest.take(live),
+            )
+        arrays = (self.verts[: self.nv].copy(), self.tris.take(live, axis=0),
+                  bedges[np.lexsort((bedges[:, 1], bedges[:, 0]))],
+                  self.f[: self.nv].copy())
+        del dead
+        for name in ("verts", "f", *self._ROWS):
+            setattr(self, name, None)
+        out = Surface(*arrays, self.spec)
+        out.cache.update(cache)
+        return out
+
+
+def refine_local(surface: Surface | _Working, marked: np.ndarray) -> Surface | _Working:
     """Bisect the marked triangles and close the refinement conformingly.
 
-    ``marked`` is a bool mask with one entry per triangle.  Each triangle's
-    reference edge is its longest edge, ties going to the larger sorted
-    vertex pair.  Closure rule: mark the reference edges of the marked
-    triangles, then the reference edge of every triangle that has a marked
-    edge, until no edge is added.  A triangle with a marked edge is bisected
-    across its reference edge, and each child is bisected again across its
-    other parent edge if that edge is marked: 2, 3 or 4 children.  The result
-    is conforming because every marked edge is split at its midpoint in both
-    triangles containing it, and triangles with no marked edge are unchanged.
+    ``marked`` is a bool mask with one entry per triangle of ``surface``,
+    and the result a new `Surface`; or, on a `_Working` state, the sorted
+    slots of the live rows to mark, and the result the same state, advanced
+    by the round.  Each triangle's reference edge is its longest edge, ties
+    going to the larger sorted vertex pair.  Closure rule: mark the
+    reference edges of the marked triangles, then the reference edge of
+    every triangle that has a marked edge, until no edge is added.  A
+    triangle with a marked edge is bisected across its reference edge, and
+    each child is bisected again across its other parent edge if that edge
+    is marked: 2, 3 or 4 children.  The result is conforming because every
+    marked edge is split at its midpoint in both triangles containing it,
+    and triangles with no marked edge are unchanged.
 
-    Cost.  The work follows the surface's bisection record, kept in
-    ``surface.cache`` (see `_Bisection`).  A surface without one pays one
-    whole-mesh pass, an edge sort, to build it; the result carries its own,
-    derived from the input's, so a sequence of rounds sorts the whole mesh
-    once.  The closure is a walk from the marked triangles to the neighbours
-    across their reference edges, and only the children are measured, column
-    by column with no per-row sort, and linked, to one another and to the
-    unchanged triangles around them, by one sort of that patch's edge keys.
-    What each round still does to the whole mesh is a few copies and
-    gathers, no sort, and one scan for the slots with no neighbour: the
-    boundary edges, sorted by (u, v) as `_extract_boundary` sorts them.  The
-    record says where the children start, so `adapt_for_point` marks only
-    them.
+    Cost.  A round runs on a `_Working` state.  A `Surface` is wrapped in
+    one, from its bisection record (see `_Bisection`) or from one
+    whole-mesh pass, an edge sort, if it holds none; the round's result is
+    unwrapped into a new `Surface` that carries its own record.  Both are
+    whole-mesh copies.  On the state itself a round costs the patch, not
+    the mesh: the closure is a walk from the marked triangles to the
+    neighbours across their reference edges; the cut rows are tombstoned
+    in place; only the children are measured, column by column with no
+    per-row sort, and linked, to one another and to the unchanged rows
+    around them, by one sort of that patch's edge keys; and the vertices
+    are appended.  So `adapt_for_point` wraps once, runs every round on
+    the state, marking only the children of the last one, and unwraps
+    once.
 
     Numbering.  Unsplit triangles keep their input rows and order at the
     front of the result; the children follow, grouped by their place in the
@@ -777,38 +868,44 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
     Midpoints of arc chords are reprojected onto the arc.  The result
     records each midpoint's parent edge for `prolong`.
     """
-    marked = np.asarray(marked)
-    nv, nt = surface.num_vertices, surface.num_triangles
-    if marked.dtype != bool or marked.shape != (nt,):
-        raise UsageError("refine_local takes a bool mask with one entry per triangle")
-    if not marked.any():
-        return surface
-    verts, tris = surface.vertices, surface.triangles
-    rot, nbr, centroid, longest, _ = _bisection(surface)
+    if isinstance(surface, _Working):
+        w, front = surface, np.asarray(marked, dtype=np.int64)
+    else:
+        marked = np.asarray(marked)
+        if marked.dtype != bool or marked.shape != (surface.num_triangles,):
+            raise UsageError("refine_local takes a bool mask with one entry per triangle")
+        if not marked.any():
+            return surface
+        w, front = _Working(surface), np.flatnonzero(marked)
+    # No buffer is bound to a local name: growing one in w.reserve must
+    # free the old one.
+    nv, nt = w.nv, w.nt
 
     # Closure: a cut triangle's reference edge is split, so the neighbour
-    # across it has a split edge and is cut too.
-    cut = marked.copy()
-    front = np.flatnonzero(marked)
+    # across it has a split edge and is cut too.  Cut rows are tombstoned
+    # as the walk reaches them.
+    w.dead[front] = True
+    cut = [front]
     while front.size:
-        nxt = nbr[0, front]
+        nxt = w.nbr[front, 0]
         nxt = nxt[nxt >= 0]
-        front = np.unique(nxt[~cut[nxt]])
-        cut[front] = True
+        front = _sorted_unique(nxt[~w.dead[nxt]])
+        w.dead[front] = True
+        cut.append(front)
 
     # One midpoint per split edge, owned by the cut triangle whose reference
     # edge it is, or by the lower-index one of two that share it; owners in
     # index order number the midpoints.
-    idx = np.flatnonzero(cut)
-    across = nbr[:, idx]
-    shared = (across[0] >= 0) & (nbr[0, across[0]] == idx)
+    idx = np.sort(np.concatenate(cut))
+    across = w.nbr[idx].T
+    shared = (across[0] >= 0) & (w.nbr[across[0], 0] == idx)
     owner = ~(shared & (across[0] < idx))
-    ends = np.sort(rot[idx[owner], :2], axis=1)
-    mids = 0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]])
-    radius = _arc_radius(surface.spec)
+    ends = np.sort(w.rot[idx[owner], :2], axis=1)
+    pu, pv = w.verts[ends[:, 0]], w.verts[ends[:, 1]]
+    mids = 0.5 * (pu + pv)
+    radius = _arc_radius(w.spec)
     if radius is not None:
-        arc = (across[0, owner] < 0) & _arc_chord(verts[ends[:, 0]],
-                                                  verts[ends[:, 1]], radius)
+        arc = (across[0, owner] < 0) & _arc_chord(pu, pv, radius)
         if arc.any():
             x, y = mids[arc, 0], mids[arc, 1]
             # math.hypot, not np.hypot: the two differ in the last bit for
@@ -817,21 +914,23 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
             r = np.frompyfunc(math.hypot, 2, 1)(x, y).astype(float)
             mids[arc] = np.column_stack([x * radius / r, y * radius / r])
     mids[np.abs(mids) < _SNAP] = 0.0
-    # mid[t]: the midpoint of cut triangle t's reference edge.
-    mid = np.full(nt, -1, dtype=np.int64)
-    mid[idx[owner]] = nv + np.arange(ends.shape[0])
-    mid[idx[~owner]] = mid[across[0, ~owner]]
-    new_verts = np.concatenate([verts, mids])
-    f_new = _new_f(surface.spec, surface.f_nodal, new_verts, slice(nv, None), ends)
+    # mid[i]: the midpoint of the reference edge of cut row idx[i], found
+    # from a row's slot by bisection in idx; meaningful for cut rows only.
+    mid = np.empty(idx.size, dtype=np.int64)
+
+    def mid_of(rows):
+        return mid[np.minimum(np.searchsorted(idx, rows), idx.size - 1)]
+
+    mid[owner] = nv + np.arange(ends.shape[0])
+    mid[~owner] = mid_of(across[0, ~owner])
 
     # Children: bisect (v0, v1, v2) at m0 into (v0, m0, v2) and (m0, v1, v2),
     # then split these across v2-v0 at m2 and v1-v2 at m1 where marked.
     # Edge k ≥ 1 is marked when it is the reference edge of the neighbour
     # across it and that neighbour is cut.
-    v0, v1, v2 = rot[idx].T
-    m0 = mid[idx]
-    s1, s2 = [(n >= 0) & cut[n] & (nbr[0, n] == idx) for n in across[1:]]
-    m1, m2 = mid[across[1]], mid[across[2]]
+    v0, v1, v2 = w.rot[idx].T
+    m0, m1, m2 = mid, mid_of(across[1]), mid_of(across[2])
+    s1, s2 = [(n >= 0) & w.dead[n] & (w.nbr[n, 0] == idx) for n in across[1:]]
 
     def tri(a, b, c):
         return np.column_stack([a, b, c])
@@ -846,49 +945,32 @@ def refine_local(surface: Surface, marked: np.ndarray) -> Surface:
     )
     used = np.stack([np.ones_like(s2), s2, np.ones_like(s1), s1])
     kids = kids[used]
-    kept = np.flatnonzero(~cut)
-    new_tris = np.concatenate([tris.take(kept, axis=0), kids])
 
-    # The output's record.  Kept rows carry over, renumbered; a slot that
-    # faced a cut triangle reads −1 until the children are linked, with the
-    # kept triangles around them, by an edge sort of that patch.
-    nk, nkids = kept.size, kids.shape[0]
-    newid = np.full(nt + 1, -1, dtype=np.int64)  # newid[-1]: no neighbour
-    newid[kept] = np.arange(nk)
-    kid_rot, kid_centroid, kid_longest = _measure(new_verts[kids], kids)
-    rot_new = np.concatenate([rot.take(kept, axis=0), kid_rot])
-    nbr_new = np.concatenate(
-        [newid.take(nbr.take(kept, axis=1)), np.empty((3, nkids), np.int64)], axis=1
-    )
-    rim = np.unique(newid.take(across))
+    # Append the midpoints and the children's slots.
+    nmids, nkids = ends.shape[0], kids.shape[0]
+    w.reserve(nv + nmids, nt + nkids)
+    w.verts[nv : nv + nmids] = mids
+    w.f[nv : nv + nmids] = _new_f(w.spec, w.f, mids, slice(None), ends)
+    new = slice(nt, nt + nkids)
+    w.tris[new] = kids
+    w.rot[new], w.centroid[new], w.longest[new] = _measure(w.verts[kids], kids)
+    w.dead[new] = False
+
+    # Link the children, to one another and to the live rows around them,
+    # by an edge sort of that patch.  A rim face that points at a tombstoned
+    # slot counts as −1 and takes the link.
+    rim = _sorted_unique(across.ravel())
     rim = rim[rim >= 0]
-    patch = np.concatenate([rim, nk + np.arange(nkids)])
-    link = _neighbours(rot_new[patch], new_verts.shape[0])
+    rim = rim[~w.dead[rim]]
+    patch = np.concatenate([rim, np.arange(nt, nt + nkids)])
+    link = _neighbours(w.rot[patch], nv + nmids)
     link = np.where(link >= 0, patch[link], -1)
-    face = nbr_new[:, rim]
-    nbr_new[:, rim] = np.where(face >= 0, face, link[:, : rim.size])
-    nbr_new[:, nk:] = link[:, rim.size:]
-    rec = _Bisection(
-        rot_new,
-        nbr_new,
-        np.concatenate([centroid.take(kept, axis=0), kid_centroid]),
-        np.concatenate([longest.take(kept), kid_longest]),
-        nk,
-    )
-
-    # np.nonzero of a 2-D array is several times slower than this.
-    k, t = np.divmod(np.flatnonzero(nbr_new < 0), nbr_new.shape[1])
-    bedges = np.column_stack([rot_new[t, k], rot_new[t, (k + 1) % 3]])
-    out = Surface(
-        new_verts,
-        new_tris,
-        bedges[np.lexsort((bedges[:, 1], bedges[:, 0]))],
-        np.concatenate([surface.f_nodal, f_new]),
-        surface.spec,
-    )
-    out.cache[_BISECTION] = rec
-    out.cache[_PROLONGATION] = (nv, (ends,))
-    return out
+    face = w.nbr[rim]
+    w.nbr[rim] = np.where((face >= 0) & ~w.dead[face], face, link[:, : rim.size].T)
+    w.nbr[new] = link[:, rim.size :].T
+    w.nv, w.nt, w.first_new = nv + nmids, nt + nkids, nt
+    w.parents.append(ends)
+    return w if w is surface else w.surface(record=True)
 
 
 ADAPT_MAX_ROUNDS = 400  # bisection rounds before adapt_for_point gives up
@@ -909,35 +991,43 @@ def adapt_for_point(
     centroid distance — i.e. resolution ~ d/ratio, saturating at
     ``inner_scale/ratio`` near the center.  The result records the parent
     edges of the rounds' new vertices, the identity when no round runs, so
-    :func:`prolong` carries a state on ``surface`` over to it.
+    :func:`prolong` carries a state on ``surface`` over to it.  A centre
+    that is not finite, or scales or a ratio that are not positive and
+    finite, raise :class:`UsageError`.
 
-    The first round tests every triangle; each later round tests only the
-    rows the previous round created (``_Bisection.first_new`` on).  That is
+    The rounds run on one `_Working` state, one `refine_local` call each,
+    and one `Surface` is built at the end.  ``surface`` is left as it was,
+    unless no round runs and it is the result.  The first round tests every triangle; each later round tests
+    only the rows the previous round created (``first_new`` on).  That is
     exact: a row before them is an input row the round did not cut, so it
     was unmarked, and the mark reads nothing but the row's centroid and
     longest edge, which it carries over unchanged.
     """
-    if inner_scale <= 0 or outer_radius <= 0:
-        raise UsageError("adaptation scales must be positive")
     cx, cy = float(center[0]), float(center[1])
-    surf, rounds, start = surface, (), 0
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise UsageError(f"adaptation centre must be finite, not ({cx}, {cy})")
+    for name, value in (("inner_scale", inner_scale),
+                        ("outer_radius", outer_radius), ("ratio", ratio)):
+        if not (0 < value < math.inf):
+            raise UsageError(f"adaptation {name} must be positive and finite, "
+                             f"not {value}")
+    w, start = _Working(surface), 0
     for _ in range(ADAPT_MAX_ROUNDS):
-        rec = _bisection(surf)
-        cc, longest = rec.centroid[start:], rec.longest[start:]
+        cc, longest = w.centroid[start : w.nt], w.longest[start : w.nt]
         d = np.hypot(cc[:, 0] - cx, cc[:, 1] - cy)
         target = np.maximum(inner_scale, np.minimum(d, outer_radius)) / ratio
         new = (longest > target) & (d <= outer_radius + longest)
         if not new.any():
-            # The record only speeds up further rounds; an adapted mesh
-            # would otherwise hold it for its lifetime.
-            surf.cache.pop(_BISECTION, None)
-            surf.cache[_PROLONGATION] = (surface.num_vertices, rounds)
-            return surf
-        marks = np.zeros(surf.num_triangles, dtype=bool)
-        marks[start:] = new
-        surf = refine_local(surf, marks)
-        rounds += surf.cache[_PROLONGATION][1]
-        start = surf.cache[_BISECTION].first_new
+            if w.parents:
+                return w.surface()
+            # No round ran: the input is the result.  A bisection record it
+            # holds only speeds up further rounds; an adapted mesh would
+            # otherwise hold it for its lifetime.
+            surface.cache.pop(_BISECTION, None)
+            surface.cache[_PROLONGATION] = (surface.num_vertices, ())
+            return surface
+        refine_local(w, start + np.flatnonzero(new))
+        start = w.first_new
     raise PreconditionError("adaptation did not settle within the round limit")
 
 

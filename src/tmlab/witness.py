@@ -631,11 +631,16 @@ class ConcentrationResult:
 
 
 def _peak_resolution(surface: Surface, vertex: int) -> float:
-    """Longest edge among triangles touching the given vertex."""
-    mask = np.any(surface.triangles == vertex, axis=1)
-    if not mask.any():
+    """Longest edge among triangles touching the given vertex: the lengths
+    of `Surface.edge_lengths`, column by column, for those rows only."""
+    tris = surface.triangles
+    rows = tris[(tris[:, 0] == vertex) | (tris[:, 1] == vertex)
+                | (tris[:, 2] == vertex)]
+    if not rows.size:
         raise NumericalError("peak vertex not referenced by any triangle")
-    return float(surface.edge_lengths()[mask].max())
+    c = surface.vertices[rows]
+    return float(max(np.hypot(d[:, 0], d[:, 1]).max()
+                     for d in (c[:, (k + 1) % 3] - c[:, (k + 2) % 3] for k in range(3))))
 
 
 def concentration_study(

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 import tmlab
+import tmlab.surface as surface_mod
 
 from tmlab.assembly import area
 from tmlab.errors import PreconditionError, UsageError
 from tmlab.surface import (
     _BISECTION,
+    _Bisection,
     _SNAP,
     DomainSpec,
     Surface,
@@ -28,7 +30,9 @@ from tmlab.surface import (
     _edge_topology,
     _extract_boundary,
     _measure,
+    _neighbours,
     _new_f,
+    _sorted_unique,
     adapt_for_point,
     build_domain,
     prolong,
@@ -657,7 +661,6 @@ def _assert_marked_replaced(before, marks, after):
     assert not any(tuple(t) in kept for t in before.triangles[marks].tolist())
     survivors = [t for t in before.triangles.tolist() if tuple(t) in kept]
     assert after.triangles[: len(survivors)].tolist() == survivors
-    assert after.cache[_BISECTION].first_new == len(survivors)
 
 
 def test_refine_local_random_marks(rng, half_disk):
@@ -703,13 +706,12 @@ def test_refine_local_multi_round_properties(rng, spec):
 
 def _assert_record_fresh(s):
     """The bisection record ``refine_local`` left on ``s`` is the one a
-    whole-mesh pass builds, apart from where the round's new rows start, its
-    boundary is ``_extract_boundary``'s, and the mesh is valid."""
+    whole-mesh pass builds, its boundary is ``_extract_boundary``'s, and the
+    mesh is valid."""
     fresh = Surface(s.vertices, s.triangles, s.boundary_edges, s.f_nodal, s.spec)
     carried = s.cache[_BISECTION]
-    for name, x, y in zip(carried._fields[:-1], carried, _bisection(fresh)):
+    for name, x, y in zip(carried._fields, carried, _bisection(fresh)):
         assert np.array_equal(x, y), name
-    assert _bisection(fresh).first_new == 0
     assert np.array_equal(s.boundary_edges, _extract_boundary(s.triangles))
     s.validate()
 
@@ -769,6 +771,14 @@ def test_edge_topology_matches_axis_reductions(rng, case):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
+def test_sorted_unique_is_np_unique(rng):
+    for a in (np.empty(0, np.int64), np.array([-1, -1]), rng.integers(-1, 50, 300),
+              rng.integers(-1, 10**6, 3000)):
+        want = np.unique(a)
+        got = _sorted_unique(a)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def _adapt_reference(surface, center, inner, outer, ratio=8.0):
     """``adapt_for_point`` as written before it marked only the last round's
     rows: each round marks from the whole record.  Returns the mesh and the
@@ -803,15 +813,194 @@ def test_adapt_marking_new_rows_matches_whole_mesh_marking(spec, params):
 
 
 def test_adapt_marks_every_row_in_its_first_round(rng, half_disk):
-    """A surface made by ``refine_local`` holds a record whose new rows
-    start past 0; adaptation still tests all its rows first."""
+    """A surface made by ``refine_local`` holds a record and new rows at
+    its end; adaptation still tests all its rows first."""
     marks = rng.random(half_disk.num_triangles) < 0.2
     for args in (((1.0, 0.0), 1e-4, 0.3), ((0.0, 0.2), 1e-3, 0.9)):
         s = refine_local(half_disk, marks)
-        assert s.cache[_BISECTION].first_new > 0
+        assert _BISECTION in s.cache
         bare = Surface(s.vertices, s.triangles, s.boundary_edges, s.f_nodal, s.spec)
         assert (adapt_for_point(s, *args).content_hash()
                 == adapt_for_point(bare, *args).content_hash())
+
+
+def _surface_per_round_refine_local(surface, marked):
+    """``refine_local`` as written before the working state: each round
+    reads the input's record, copies and renumbers every kept row, scans the
+    whole neighbour table for the boundary and builds a new ``Surface``.
+    Returns it and the row where the children start, which the record then
+    held as ``first_new``."""
+    nv, nt = surface.num_vertices, surface.num_triangles
+    verts, tris = surface.vertices, surface.triangles
+    rot, nbr, centroid, longest = _bisection(surface)
+    cut = marked.copy()
+    front = np.flatnonzero(marked)
+    while front.size:
+        nxt = nbr[0, front]
+        nxt = nxt[nxt >= 0]
+        front = np.unique(nxt[~cut[nxt]])
+        cut[front] = True
+    idx = np.flatnonzero(cut)
+    across = nbr[:, idx]
+    shared = (across[0] >= 0) & (nbr[0, across[0]] == idx)
+    owner = ~(shared & (across[0] < idx))
+    ends = np.sort(rot[idx[owner], :2], axis=1)
+    mids = 0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]])
+    radius = _arc_radius(surface.spec)
+    if radius is not None:
+        arc = (across[0, owner] < 0) & _arc_chord(verts[ends[:, 0]],
+                                                  verts[ends[:, 1]], radius)
+        if arc.any():
+            x, y = mids[arc, 0], mids[arc, 1]
+            r = np.frompyfunc(math.hypot, 2, 1)(x, y).astype(float)
+            mids[arc] = np.column_stack([x * radius / r, y * radius / r])
+    mids[np.abs(mids) < _SNAP] = 0.0
+    mid = np.full(nt, -1, dtype=np.int64)
+    mid[idx[owner]] = nv + np.arange(ends.shape[0])
+    mid[idx[~owner]] = mid[across[0, ~owner]]
+    new_verts = np.concatenate([verts, mids])
+    f_new = _new_f(surface.spec, surface.f_nodal, new_verts, slice(nv, None), ends)
+    v0, v1, v2 = rot[idx].T
+    m0 = mid[idx]
+    s1, s2 = [(n >= 0) & cut[n] & (nbr[0, n] == idx) for n in across[1:]]
+    m1, m2 = mid[across[1]], mid[across[2]]
+
+    def tri(a, b, c):
+        return np.column_stack([a, b, c])
+
+    kids = np.stack([
+        np.where(s2[:, None], tri(v2, m2, m0), tri(v0, m0, v2)),
+        tri(m2, v0, m0),
+        np.where(s1[:, None], tri(v1, m1, m0), tri(m0, v1, v2)),
+        tri(m1, v2, m0),
+    ])
+    used = np.stack([np.ones_like(s2), s2, np.ones_like(s1), s1])
+    kids = kids[used]
+    kept = np.flatnonzero(~cut)
+    new_tris = np.concatenate([tris.take(kept, axis=0), kids])
+    nk, nkids = kept.size, kids.shape[0]
+    newid = np.full(nt + 1, -1, dtype=np.int64)
+    newid[kept] = np.arange(nk)
+    kid_rot, kid_centroid, kid_longest = _measure(new_verts[kids], kids)
+    rot_new = np.concatenate([rot.take(kept, axis=0), kid_rot])
+    nbr_new = np.concatenate(
+        [newid.take(nbr.take(kept, axis=1)), np.empty((3, nkids), np.int64)], axis=1
+    )
+    rim = np.unique(newid.take(across))
+    rim = rim[rim >= 0]
+    patch = np.concatenate([rim, nk + np.arange(nkids)])
+    link = _neighbours(rot_new[patch], new_verts.shape[0])
+    link = np.where(link >= 0, patch[link], -1)
+    face = nbr_new[:, rim]
+    nbr_new[:, rim] = np.where(face >= 0, face, link[:, : rim.size])
+    nbr_new[:, nk:] = link[:, rim.size:]
+    rec = _Bisection(rot_new, nbr_new,
+                     np.concatenate([centroid.take(kept, axis=0), kid_centroid]),
+                     np.concatenate([longest.take(kept), kid_longest]))
+    k, t = np.divmod(np.flatnonzero(nbr_new < 0), nbr_new.shape[1])
+    bedges = np.column_stack([rot_new[t, k], rot_new[t, (k + 1) % 3]])
+    out = Surface(new_verts, new_tris, bedges[np.lexsort((bedges[:, 1], bedges[:, 0]))],
+                  np.concatenate([surface.f_nodal, f_new]), surface.spec)
+    out.cache[_BISECTION] = rec
+    out.cache[_PROLONGATION] = (nv, (ends,))
+    return out, nk
+
+
+def _surface_per_round_adapt(surface, center, inner_scale, outer_radius, ratio=8.0):
+    """``adapt_for_point`` as written before the working state: one
+    ``Surface`` per round, from ``_surface_per_round_refine_local``."""
+    cx, cy = float(center[0]), float(center[1])
+    surf, rounds, start = surface, (), 0
+    while True:
+        rec = _bisection(surf)
+        cc, longest = rec.centroid[start:], rec.longest[start:]
+        d = np.hypot(cc[:, 0] - cx, cc[:, 1] - cy)
+        target = np.maximum(inner_scale, np.minimum(d, outer_radius)) / ratio
+        new = (longest > target) & (d <= outer_radius + longest)
+        if not new.any():
+            surf.cache.pop(_BISECTION, None)
+            surf.cache[_PROLONGATION] = (surface.num_vertices, rounds)
+            return surf
+        marks = np.zeros(surf.num_triangles, dtype=bool)
+        marks[start:] = new
+        surf, start = _surface_per_round_refine_local(surf, marks)
+        rounds += surf.cache[_PROLONGATION][1]
+
+
+@pytest.mark.parametrize("spec, h, params, triangles", [
+    (DomainSpec("rectangle", (2.0, 1.0)), 0.05,
+     ((0.0, 0.45), 0.405 * math.sqrt(1e-14), 0.405), 21068),
+    (DomainSpec("half_disk", (1.0,)), 0.04,
+     ((math.cos(0.2), math.sin(0.2)), 1e-4, 0.5), 12994),
+], ids=["adapt_ladder", "glued_bound"])
+def test_adapt_working_state_matches_surface_per_round_chain(monkeypatch, spec, h,
+                                                            params, triangles):
+    """Rounds on one working state give, byte for byte, the mesh and the
+    ``prolong`` record that a new ``Surface`` per round gives, on meshes
+    shaped like the two adapting benchmark workloads; the buffers grow
+    several times on the way."""
+    growths = []  # one entry per growth of the slot buffers
+
+    def counted(a, n, need=0):
+        if need and a.dtype == bool:
+            growths.append(need)
+        return grown(a, n, need)
+
+    grown = surface_mod._grown
+    monkeypatch.setattr(surface_mod, "_grown", counted)
+    base = build_domain(spec, h)
+    want = _surface_per_round_adapt(base, *params)
+    got = adapt_for_point(base, *params)
+    assert got.num_triangles == triangles and len(growths) >= 5
+    for name in ("vertices", "triangles", "boundary_edges", "f_nodal"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    (nv, rounds), (want_nv, want_rounds) = (s.cache[_PROLONGATION] for s in (got, want))
+    assert nv == want_nv == base.num_vertices and len(rounds) == len(want_rounds) > 20
+    for x, y in zip(rounds, want_rounds):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert _BISECTION not in got.cache
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(center=(math.nan, 0.0)),
+    dict(center=(1.0, math.inf)),
+    dict(inner_scale=math.nan),
+    dict(inner_scale=0.0),
+    dict(inner_scale=math.inf),
+    dict(outer_radius=math.inf),
+    dict(outer_radius=-0.3),
+    dict(outer_radius=math.nan),
+    dict(ratio=0.0),
+    dict(ratio=-8.0),
+    dict(ratio=math.nan),
+], ids=["centre-nan", "centre-inf", "inner-nan", "inner-zero", "inner-inf",
+        "outer-inf", "outer-negative", "outer-nan", "ratio-zero", "ratio-negative",
+        "ratio-nan"])
+def test_adapt_rejects_bad_centre_scales_and_ratio(half_disk, kwargs):
+    """Before, a NaN centre or scale marked nothing and returned the input
+    unadapted, and an infinite outer radius was taken as given."""
+    args = {"center": (1.0, 0.0), "inner_scale": 1e-3, "outer_radius": 0.3, **kwargs}
+    with pytest.raises(UsageError, match="adaptation"):
+        adapt_for_point(half_disk, **args)
+
+
+@pytest.mark.parametrize("made_by", ["build_domain", "refine_local"])
+def test_adapt_round_limit_leaves_the_input_as_it_was(monkeypatch, half_disk, made_by):
+    s = half_disk
+    if made_by == "refine_local":
+        s = refine_local(half_disk, np.arange(half_disk.num_triangles) % 5 == 0)
+    arrays = {k: v.copy() for k, v in s.to_dict().items() if isinstance(v, np.ndarray)}
+    content, cache = s.content_hash(), dict(s.cache)
+    monkeypatch.setattr(surface_mod, "ADAPT_MAX_ROUNDS", 2)
+    with pytest.raises(PreconditionError, match="round limit"):
+        adapt_for_point(s, (1.0, 0.0), 1e-6, 0.3)
+    for name, a in arrays.items():
+        assert getattr(s, name).tobytes() == a.tobytes(), name
+    assert s.content_hash() == content
+    assert s.cache.keys() == cache.keys()
+    assert all(s.cache[k] is v for k, v in cache.items())
 
 
 def _reference_refine_local(surface, marked):

@@ -342,3 +342,15 @@ def test_concentration_study_prolongs_onto_readapted_meshes(half_disk):
     for res, want in zip(results, STUDY_VALUES, strict=True):
         assert res.residual <= witness.STUDY_TOL
         assert abs(res.value - want) <= 1e-12 * want
+
+
+def test_peak_resolution_matches_whole_mesh_edge_lengths(half_disk):
+    """The longest edge at a vertex, measured on its own rows, is bit for
+    bit the one read off the whole mesh's edge lengths."""
+    s = adapt_for_point(half_disk, (1.0, 0.0), 1e-3, 0.3)
+    lengths = s.edge_lengths()
+    for v in range(0, s.num_vertices, 7):
+        want = lengths[np.any(s.triangles == v, axis=1)].max()
+        assert witness._peak_resolution(s, v) == float(want)
+    with pytest.raises(NumericalError, match="not referenced"):
+        witness._peak_resolution(s, s.num_vertices)
