@@ -55,11 +55,6 @@ def _p1_geometry(surface: Surface) -> tuple:
     return grad, areas
 
 
-def p1_gradients(surface: Surface) -> np.ndarray:
-    """(nt, 3, 2) gradients of the three hat functions on each triangle."""
-    return np.ascontiguousarray(_p1_geometry(surface)[0].transpose(2, 1, 0))
-
-
 def quad_weights(surface: Surface) -> np.ndarray:
     """(nt, 6) metric quadrature weights A_t · w_q · e^{2 f(x_q)}."""
     key = "quad_weights"

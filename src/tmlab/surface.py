@@ -27,7 +27,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -216,13 +216,8 @@ class Surface:
         a value is kept only when a later call on the same surface reads
         it again; a value with one reader is made in that reader and
         dropped.  Kept: quadrature weights, CSR pattern, K, M, M·1, area,
-        the LU of K bordered with M·1, λ₁'s eigenpair, glued-state meshes,
-        the parent map `prolong` applies, and the bisection record
-        (``"bisection"``: each triangle's reference-edge rotation,
-        neighbours, centroid and longest edge) that a `refine_local` call on
-        a surface leaves on its result for the next call.  `adapt_for_point`
-        reads that record but writes none: its rounds run on a working state
-        (`_Working`) that lives only for the call.
+        the LU of K bordered with M·1, λ₁'s eigenpair, glued-state meshes
+        and the parent map `prolong` applies.
     """
 
     vertices: np.ndarray
@@ -608,16 +603,17 @@ def _midpoint_values(u: np.ndarray, parents: np.ndarray) -> np.ndarray:
     return 0.5 * (u[parents[:, 0]] + u[parents[:, 1]])
 
 
-def _new_f(spec: DomainSpec, old_f, verts, new_slice, parents):
-    """Conformal factor at newly created vertices.
+def _new_f(spec: DomainSpec, f, points, parents):
+    """Conformal factor at new vertices ``points``, whose parent edges are
+    ``parents``.
 
     Evaluated exactly when an expression is available, otherwise linearly
     interpolated from the two parent vertices of each midpoint.
     """
     if spec.f_expr is not None:
         fn = spec.f_callable()
-        return fn(verts[new_slice, 0], verts[new_slice, 1])
-    return _midpoint_values(old_f, parents)
+        return fn(points[:, 0], points[:, 1])
+    return _midpoint_values(f, parents)
 
 
 def refine(surface: Surface) -> Surface:
@@ -652,7 +648,7 @@ def refine(surface: Surface) -> Surface:
         ],
         axis=0,
     )
-    f_new = _new_f(surface.spec, surface.f_nodal, new_verts, slice(nv, None), uniq)
+    f_new = _new_f(surface.spec, surface.f_nodal, mids, uniq)
     return Surface(
         new_verts,
         new_tris,
@@ -662,39 +658,7 @@ def refine(surface: Surface) -> Surface:
     )
 
 
-class _Bisection(NamedTuple):
-    """The bisection record of a surface, row by row.
-
-    ``rot`` (nt, 3) is each triangle rotated, still CCW, so that edge 0–1 is
-    its reference edge; ``nbr[k, t]`` (3, nt) is the triangle across edge
-    k → k + 1 of ``rot[t]``, −1 on the boundary; ``centroid`` (nt, 2) and
-    ``longest`` (nt,) are each triangle's vertex mean and longest edge, as
-    ``adapt_for_point`` reads them.
-
-    A surface made by `refine_local` carries its record, so the next
-    `refine_local` or `adapt_for_point` call on it starts its `_Working`
-    state from the record instead of a whole-mesh pass.
-    """
-
-    rot: np.ndarray
-    nbr: np.ndarray
-    centroid: np.ndarray
-    longest: np.ndarray
-
-
-_BISECTION = "bisection"
 _PROLONGATION = "prolongation"  # (coarse vertex count, each round's parents)
-
-
-def _bisection(surface: Surface) -> _Bisection:
-    """The surface's bisection record, or one built by a whole-mesh pass;
-    a built record is not kept on the surface."""
-    rec = surface.cache.get(_BISECTION)
-    if rec is None:
-        rot, centroid, longest = _measure(surface.tri_coords(), surface.triangles)
-        rec = _Bisection(rot, _neighbours(rot, surface.num_vertices), centroid,
-                         longest)
-    return rec
 
 
 def _measure(c: np.ndarray, tris: np.ndarray):
@@ -763,31 +727,31 @@ class _Working:
 
     Vertices and their conformal factor fill ``verts[:nv]`` and ``f[:nv]``.
     Triangles fill slots ``[:nt]`` of the row buffers ``tris`` (the rows
-    as the surface holds them), ``rot``, ``nbr``, ``centroid`` and
-    ``longest``, which hold `_Bisection`'s values slot by slot (``nbr[t,
-    k]`` is the record's ``nbr[k, t]``).  A `refine_local` round tombstones
+    as the surface holds them), ``rot`` (each row rotated, still CCW, so
+    that edge 0–1 is its reference edge), ``nbr`` (``nbr[t, k]`` is the
+    slot across edge k → k + 1 of ``rot[t]``, −1 on the boundary),
+    ``centroid`` and ``longest`` (the vertex mean and longest edge, as
+    `adapt_for_point` reads them).  A `refine_local` round tombstones
     its cut rows in ``dead``, appends their children after the last slot
     and relinks only the live rows that faced a cut row; a full buffer
-    grows by half.  The rows of the `Surface` chain that single rounds
-    would give are the unsplit rows in input order, then the children: the
-    live slots in slot order.  So no slot is ever renumbered, and
-    `surface` reads the mesh off the live slots.  ``first_new`` is the
-    first slot of the last round's children; ``parents`` holds each round's
-    parent edges for `prolong`.
+    grows by half.  After each round the mesh's rows are the unsplit rows
+    in input order, then the children: the live slots in slot order.  So
+    no slot is ever renumbered, and `surface` reads the mesh off the live
+    slots.  ``first_new`` is the first slot of the last round's children;
+    ``parents`` holds each round's parent edges for `prolong`.
     """
 
     _ROWS = ("tris", "rot", "nbr", "centroid", "longest", "dead")
 
     def __init__(self, surface: Surface):
-        rec = _bisection(surface)
         nv, nt = surface.num_vertices, surface.num_triangles
+        rot, centroid, longest = _measure(surface.tri_coords(), surface.triangles)
         self.spec, self.nv0, self.nv, self.nt = surface.spec, nv, nv, nt
         self.first_new, self.parents = 0, []
         self.verts = _grown(surface.vertices, nv)
         self.f = _grown(surface.f_nodal, nv)
-        for name, a in zip(self._ROWS, (surface.triangles, rec.rot, rec.nbr.T,
-                                        rec.centroid, rec.longest,
-                                        np.zeros(nt, dtype=bool))):
+        for name, a in zip(self._ROWS, (surface.triangles, rot, _neighbours(rot, nv).T,
+                                        centroid, longest, np.zeros(nt, dtype=bool))):
             setattr(self, name, _grown(a, nt))
 
     def reserve(self, nv: int, nt: int) -> None:
@@ -798,22 +762,14 @@ class _Working:
             for name in self._ROWS:
                 setattr(self, name, _grown(getattr(self, name), self.nt, nt))
 
-    def surface(self, record: bool = False) -> Surface:
-        """The live mesh as a new `Surface` holding the `prolong` record,
-        and with ``record`` the bisection record too.  The buffers are
-        dropped before the `Surface` is built, so the state is spent."""
+    def surface(self) -> Surface:
+        """The live mesh as a new `Surface` holding the `prolong` record.
+        The buffers are dropped before the `Surface` is built, so the state
+        is spent."""
         n, dead = self.nt, self.dead[: self.nt]
         live = np.flatnonzero(~dead)
         t, k = np.divmod(np.flatnonzero((self.nbr[:n] < 0) & ~dead[:, None]), 3)
         bedges = np.column_stack([self.rot[t, k], self.rot[t, (k + 1) % 3]])
-        cache = {_PROLONGATION: (self.nv0, tuple(self.parents))}
-        if record:
-            newid = np.full(n + 1, -1, dtype=np.int64)  # newid[-1]: no neighbour
-            newid[live] = np.arange(live.size)
-            cache[_BISECTION] = _Bisection(
-                self.rot.take(live, axis=0), newid.take(self.nbr.take(live, axis=0).T),
-                self.centroid.take(live, axis=0), self.longest.take(live),
-            )
         arrays = (self.verts[: self.nv].copy(), self.tris.take(live, axis=0),
                   bedges[np.lexsort((bedges[:, 1], bedges[:, 0]))],
                   self.f[: self.nv].copy())
@@ -821,39 +777,31 @@ class _Working:
         for name in ("verts", "f", *self._ROWS):
             setattr(self, name, None)
         out = Surface(*arrays, self.spec)
-        out.cache.update(cache)
+        out.cache[_PROLONGATION] = (self.nv0, tuple(self.parents))
         return out
 
 
-def refine_local(surface: Surface | _Working, marked: np.ndarray) -> Surface | _Working:
+def refine_local(w: _Working, marked: np.ndarray) -> None:
     """Bisect the marked triangles and close the refinement conformingly.
 
-    ``marked`` is a bool mask with one entry per triangle of ``surface``,
-    and the result a new `Surface`; or, on a `_Working` state, the sorted
-    slots of the live rows to mark, and the result the same state, advanced
-    by the round.  Each triangle's reference edge is its longest edge, ties
-    going to the larger sorted vertex pair.  Closure rule: mark the
-    reference edges of the marked triangles, then the reference edge of
-    every triangle that has a marked edge, until no edge is added.  A
-    triangle with a marked edge is bisected across its reference edge, and
-    each child is bisected again across its other parent edge if that edge
-    is marked: 2, 3 or 4 children.  The result is conforming because every
-    marked edge is split at its midpoint in both triangles containing it,
-    and triangles with no marked edge are unchanged.
+    One round on the working state ``w`` of `adapt_for_point`, which it
+    advances; ``marked`` holds the sorted slots of the live rows to mark.
+    Each triangle's reference edge is its longest edge, ties going to the
+    larger sorted vertex pair.  Closure rule: mark the reference edges of
+    the marked triangles, then the reference edge of every triangle that
+    has a marked edge, until no edge is added.  A triangle with a marked
+    edge is bisected across its reference edge, and each child is bisected
+    again across its other parent edge if that edge is marked: 2, 3 or 4
+    children.  The result is conforming because every marked edge is split
+    at its midpoint in both triangles containing it, and triangles with no
+    marked edge are unchanged.
 
-    Cost.  A round runs on a `_Working` state.  A `Surface` is wrapped in
-    one, from its bisection record (see `_Bisection`) or from one
-    whole-mesh pass, an edge sort, if it holds none; the round's result is
-    unwrapped into a new `Surface` that carries its own record.  Both are
-    whole-mesh copies.  On the state itself a round costs the patch, not
-    the mesh: the closure is a walk from the marked triangles to the
-    neighbours across their reference edges; the cut rows are tombstoned
-    in place; only the children are measured, column by column with no
-    per-row sort, and linked, to one another and to the unchanged rows
-    around them, by one sort of that patch's edge keys; and the vertices
-    are appended.  So `adapt_for_point` wraps once, runs every round on
-    the state, marking only the children of the last one, and unwraps
-    once.
+    Cost.  A round costs the patch, not the mesh: the closure is a walk
+    from the marked triangles to the neighbours across their reference
+    edges; the cut rows are tombstoned in place; only the children are
+    measured, column by column with no per-row sort, and linked, to one
+    another and to the unchanged rows around them, by one sort of that
+    patch's edge keys; and the vertices are appended.
 
     Numbering.  Unsplit triangles keep their input rows and order at the
     front of the result; the children follow, grouped by their place in the
@@ -864,19 +812,12 @@ def refine_local(surface: Surface | _Working, marked: np.ndarray) -> Surface | _
     This is the order a whole-mesh pass over the sorted edges gives, and the
     children's rotations, centroids and longest edges are computed from
     their output rows with the whole-mesh arithmetic, so every mesh, and
-    every record, is bit for bit what a rebuild from scratch gives.
-    Midpoints of arc chords are reprojected onto the arc.  The result
-    records each midpoint's parent edge for `prolong`.
+    every slot's rotation, neighbours, centroid and longest edge, is bit
+    for bit what a rebuild from scratch gives.  Midpoints of arc chords are
+    reprojected onto the arc.  The state records each midpoint's parent
+    edge for `prolong`.
     """
-    if isinstance(surface, _Working):
-        w, front = surface, np.asarray(marked, dtype=np.int64)
-    else:
-        marked = np.asarray(marked)
-        if marked.dtype != bool or marked.shape != (surface.num_triangles,):
-            raise UsageError("refine_local takes a bool mask with one entry per triangle")
-        if not marked.any():
-            return surface
-        w, front = _Working(surface), np.flatnonzero(marked)
+    front = np.asarray(marked, dtype=np.int64)
     # No buffer is bound to a local name: growing one in w.reserve must
     # free the old one.
     nv, nt = w.nv, w.nt
@@ -950,7 +891,7 @@ def refine_local(surface: Surface | _Working, marked: np.ndarray) -> Surface | _
     nmids, nkids = ends.shape[0], kids.shape[0]
     w.reserve(nv + nmids, nt + nkids)
     w.verts[nv : nv + nmids] = mids
-    w.f[nv : nv + nmids] = _new_f(w.spec, w.f, mids, slice(None), ends)
+    w.f[nv : nv + nmids] = _new_f(w.spec, w.f, mids, ends)
     new = slice(nt, nt + nkids)
     w.tris[new] = kids
     w.rot[new], w.centroid[new], w.longest[new] = _measure(w.verts[kids], kids)
@@ -970,7 +911,6 @@ def refine_local(surface: Surface | _Working, marked: np.ndarray) -> Surface | _
     w.nbr[new] = link[:, rim.size :].T
     w.nv, w.nt, w.first_new = nv + nmids, nt + nkids, nt
     w.parents.append(ends)
-    return w if w is surface else w.surface(record=True)
 
 
 ADAPT_MAX_ROUNDS = 400  # bisection rounds before adapt_for_point gives up
@@ -997,11 +937,12 @@ def adapt_for_point(
 
     The rounds run on one `_Working` state, one `refine_local` call each,
     and one `Surface` is built at the end.  ``surface`` is left as it was,
-    unless no round runs and it is the result.  The first round tests every triangle; each later round tests
-    only the rows the previous round created (``first_new`` on).  That is
-    exact: a row before them is an input row the round did not cut, so it
-    was unmarked, and the mark reads nothing but the row's centroid and
-    longest edge, which it carries over unchanged.
+    unless no round runs and it is the result.  The first round tests
+    every triangle; each later round tests only the rows the previous
+    round created (``first_new`` on).  That is exact: a row before them is
+    an input row the round did not cut, so it was unmarked, and the mark
+    reads nothing but the row's centroid and longest edge, which it
+    carries over unchanged.
     """
     cx, cy = float(center[0]), float(center[1])
     if not (math.isfinite(cx) and math.isfinite(cy)):
@@ -1020,10 +961,7 @@ def adapt_for_point(
         if not new.any():
             if w.parents:
                 return w.surface()
-            # No round ran: the input is the result.  A bisection record it
-            # holds only speeds up further rounds; an adapted mesh would
-            # otherwise hold it for its lifetime.
-            surface.cache.pop(_BISECTION, None)
+            # No round ran: the input is the result.
             surface.cache[_PROLONGATION] = (surface.num_vertices, ())
             return surface
         refine_local(w, start + np.flatnonzero(new))
@@ -1034,16 +972,16 @@ def adapt_for_point(
 def prolong(fine: Surface, u) -> np.ndarray:
     """Carry the P1 state ``u`` on the coarse mesh over to ``fine``.
 
-    ``fine`` comes from :func:`refine_local` or :func:`adapt_for_point`,
-    which number each midpoint after the vertices it was made from.  So u at
-    a new vertex is ½(u[a] + u[b]) over its parent edge (a, b), round by
-    round in creation order: the same P1 function, except that a midpoint
-    reprojected onto the arc takes its chord midpoint's value.  Raises
-    :class:`UsageError` when ``fine`` holds no such record or ``u`` does not
-    have the coarse vertex count.
+    ``fine`` comes from :func:`adapt_for_point`, which numbers each
+    midpoint after the vertices it was made from.  So u at a new vertex is
+    ½(u[a] + u[b]) over its parent edge (a, b), round by round in creation
+    order: the same P1 function, except that a midpoint reprojected onto
+    the arc takes its chord midpoint's value.  Raises :class:`UsageError`
+    when ``fine`` holds no such record or ``u`` does not have the coarse
+    vertex count.
     """
     if _PROLONGATION not in fine.cache:
-        raise UsageError("surface was not made by refine_local or adapt_for_point")
+        raise UsageError("surface was not made by adapt_for_point")
     nv, rounds = fine.cache[_PROLONGATION]
     u = np.asarray(u, dtype=float)
     if u.shape != (nv,):

@@ -354,7 +354,7 @@ def test_locate_matches_per_point_reference(located_meshes, name, rng):
 @pytest.mark.parametrize("name", MESHES)
 def test_scatter_matches_coo_reference(located_meshes, name, rng):
     s = located_meshes[name]
-    g = assembly.p1_gradients(s)
+    g = _geometry_reference(s)[0]
     gq = rng.standard_normal((s.num_triangles, 6))
     w = assembly.quad_weights(s)
     cases = [
@@ -409,7 +409,7 @@ def test_element_matrices_match_einsum(located_meshes, name, rng, monkeypatch):
     gq[rng.random(gq.shape) < 0.3] = -0.0
     neg = np.arange(s.num_triangles) % 7 == 3
     gq[neg] = -0.0  # every term −0.0: einsum's sum from +0.0 reads +0.0
-    g, w = assembly.p1_gradients(s), assembly.quad_weights(s)
+    g, w = _geometry_reference(s)[0], assembly.quad_weights(s)
     want = [np.einsum("t,tik,tjk->tij", s.euclidean_tri_areas(), g, g),
             np.einsum("tq,qi,qj->tij", w, quad.BARY, quad.BARY),
             np.einsum("tq,qi,qj->tij", w * gq, quad.BARY, quad.BARY)]
@@ -423,9 +423,9 @@ def test_element_matrices_match_einsum(located_meshes, name, rng, monkeypatch):
 
 
 def _geometry_reference(s):
-    """p1_gradients and the flat areas as written on (nt, 3, 2) corner
-    gathers, one for each, with the division broadcast along the short
-    axes; and K's element matrices summed from them."""
+    """The (nt, 3, 2) hat-function gradients and the flat areas as written
+    on corner gathers, one for each, with the division broadcast along the
+    short axes; and K's element matrices summed from them."""
     c = s.tri_coords()
     d1 = c[:, 1] - c[:, 0]
     d2 = c[:, 2] - c[:, 0]
@@ -452,7 +452,7 @@ def test_geometry_matches_gather_reference(located_meshes, name, monkeypatch):
     gradient components of +0.0 and −0.0 on every mesh here."""
     s = Surface.from_dict(located_meshes[name].to_dict())  # nothing cached
     g, areas, element = _geometry_reference(s)
-    assert assembly.p1_gradients(s).tobytes() == g.tobytes()
+    assert assembly._p1_geometry(s)[0].transpose(2, 1, 0).tobytes() == g.tobytes()
     assert s.euclidean_tri_areas().tobytes() == areas.tobytes()
     assert np.unique(np.signbit(g[g == 0])).size == 2
     got = _element_matrices(monkeypatch, s, np.zeros((s.num_triangles, 6)))[0]

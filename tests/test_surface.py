@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,15 +19,13 @@ import tmlab.surface as surface_mod
 from tmlab.assembly import area
 from tmlab.errors import PreconditionError, UsageError
 from tmlab.surface import (
-    _BISECTION,
-    _Bisection,
     _SNAP,
     DomainSpec,
     Surface,
     _arc_chord,
     _arc_radius,
     _PROLONGATION,
-    _bisection,
+    _Working,
     _edge_topology,
     _extract_boundary,
     _measure,
@@ -539,13 +538,21 @@ def test_content_hash_equals_iff_json_digest_equals():
         assert (a.content_hash() == b.content_hash()) is same, case
 
 
-def test_adapted_surface_holds_no_bisection_record(half_disk):
+def test_adapted_surface_caches_only_its_prolongation(half_disk):
+    """The cache rule: an adapted surface holds the parent map that
+    ``prolong`` reads, and nothing else."""
     s = adapt_for_point(half_disk, (1.0, 0.0), 1e-3, 0.3)
-    assert s is not half_disk and _BISECTION not in s.cache
-    # Already graded: no round runs and the input comes back, without the
-    # record its marks were read from.
-    assert adapt_for_point(s, (1.0, 0.0), 1e-3, 0.3) is s
-    assert _BISECTION not in s.cache
+    assert s is not half_disk and s.cache.keys() == {_PROLONGATION}
+    # Already graded: no round runs and the input comes back with the
+    # identity map added, every value it held kept.
+    graded = Surface(s.vertices, s.triangles, s.boundary_edges, s.f_nodal, s.spec)
+    area(graded)
+    held = dict(graded.cache)
+    assert held and _PROLONGATION not in held
+    assert adapt_for_point(graded, (1.0, 0.0), 1e-3, 0.3) is graded
+    assert graded.cache.keys() == held.keys() | {_PROLONGATION}
+    assert all(graded.cache[k] is v for k, v in held.items())
+    assert graded.cache[_PROLONGATION] == (graded.num_vertices, ())
 
 
 def _geometry_digest(s):
@@ -665,7 +672,7 @@ def _assert_marked_replaced(before, marks, after):
 
 def test_refine_local_random_marks(rng, half_disk):
     marks = rng.random(half_disk.num_triangles) < 0.1
-    s = refine_local(half_disk, marks)
+    s = _refine_once(half_disk, marks)
     s.validate()
     _assert_boundary_on_half_disk(s)
     assert s.num_triangles >= half_disk.num_triangles + marks.sum()
@@ -695,7 +702,7 @@ def test_refine_local_multi_round_properties(rng, spec):
     f = spec.f_callable()
     for _ in range(12):
         marks = rng.random(s.num_triangles) < 0.15
-        out = refine_local(s, marks)
+        out = _refine_once(s, marks)
         _assert_record_fresh(out)
         _assert_marked_replaced(s, marks, out)
         assert np.array_equal(out.f_nodal, f(out.vertices[:, 0], out.vertices[:, 1]))
@@ -704,14 +711,55 @@ def test_refine_local_multi_round_properties(rng, spec):
         s = out
 
 
+class _Record(NamedTuple):
+    """The bisection record of a mesh, row by row: ``rot`` (nt, 3) is each
+    triangle rotated so that edge 0–1 is its reference edge; ``nbr[k, t]``
+    (3, nt) is the row across edge k → k + 1 of ``rot[t]``, −1 on the
+    boundary; ``centroid`` and ``longest`` are as ``adapt_for_point`` reads
+    them.  The Surface-per-round chain below carried it from one round to
+    the next under ``_RECORD``."""
+
+    rot: np.ndarray
+    nbr: np.ndarray
+    centroid: np.ndarray
+    longest: np.ndarray
+
+
+_RECORD = "bisection"
+
+
+def _record(surface):
+    """The record ``surface`` carries, or one built by a whole-mesh pass."""
+    rec = surface.cache.get(_RECORD)
+    if rec is None:
+        rot, centroid, longest = _measure(surface.tri_coords(), surface.triangles)
+        rec = _Record(rot, _neighbours(rot, surface.num_vertices), centroid, longest)
+    return rec
+
+
+def _refine_once(surface, marks):
+    """One ``refine_local`` round with the bool mask ``marks``: a
+    ``_Working`` state of ``surface``, the round, then ``.surface()``.  The
+    result carries the state's live slots as its record, slot ids mapped
+    to rows, for ``_assert_record_fresh`` and the next round's marks."""
+    w = _Working(surface)
+    refine_local(w, np.flatnonzero(marks))
+    live = np.flatnonzero(~w.dead[: w.nt])
+    row = np.full(w.nt + 1, -1, dtype=np.int64)  # row[-1]: no neighbour
+    row[live] = np.arange(live.size)
+    rec = _Record(w.rot[live], row[w.nbr[live]].T, w.centroid[live], w.longest[live])
+    out = w.surface()
+    out.cache[_RECORD] = rec
+    return out
+
+
 def _assert_record_fresh(s):
-    """The bisection record ``refine_local`` left on ``s`` is the one a
-    whole-mesh pass builds, its boundary is ``_extract_boundary``'s, and the
-    mesh is valid."""
+    """The record ``_refine_once`` left on ``s`` is, byte for byte, the one
+    a whole-mesh pass builds; the boundary is ``_extract_boundary``'s, and
+    the mesh is valid."""
     fresh = Surface(s.vertices, s.triangles, s.boundary_edges, s.f_nodal, s.spec)
-    carried = s.cache[_BISECTION]
-    for name, x, y in zip(carried._fields, carried, _bisection(fresh)):
-        assert np.array_equal(x, y), name
+    for name, x, y in zip(_Record._fields, s.cache[_RECORD], _record(fresh)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
     assert np.array_equal(s.boundary_edges, _extract_boundary(s.triangles))
     s.validate()
 
@@ -785,13 +833,13 @@ def _adapt_reference(surface, center, inner, outer, ratio=8.0):
     number of rounds."""
     surf, rounds = surface, 0
     while True:
-        rec = _bisection(surf)
+        rec = _record(surf)
         d = np.hypot(rec.centroid[:, 0] - center[0], rec.centroid[:, 1] - center[1])
         target = np.maximum(inner, np.minimum(d, outer)) / ratio
         marks = (rec.longest > target) & (d <= outer + rec.longest)
         if not marks.any():
             return surf, rounds
-        surf, rounds = refine_local(surf, marks), rounds + 1
+        surf, rounds = _refine_once(surf, marks), rounds + 1
 
 
 @pytest.mark.parametrize("spec, params", [
@@ -813,15 +861,13 @@ def test_adapt_marking_new_rows_matches_whole_mesh_marking(spec, params):
 
 
 def test_adapt_marks_every_row_in_its_first_round(rng, half_disk):
-    """A surface made by ``refine_local`` holds a record and new rows at
-    its end; adaptation still tests all its rows first."""
-    marks = rng.random(half_disk.num_triangles) < 0.2
+    """A surface made by a round holds a record and new rows at its end;
+    adaptation still tests all its rows first, as marking every row each
+    round does."""
+    s = _refine_once(half_disk, rng.random(half_disk.num_triangles) < 0.2)
     for args in (((1.0, 0.0), 1e-4, 0.3), ((0.0, 0.2), 1e-3, 0.9)):
-        s = refine_local(half_disk, marks)
-        assert _BISECTION in s.cache
-        bare = Surface(s.vertices, s.triangles, s.boundary_edges, s.f_nodal, s.spec)
         assert (adapt_for_point(s, *args).content_hash()
-                == adapt_for_point(bare, *args).content_hash())
+                == _adapt_reference(s, *args)[0].content_hash())
 
 
 def _surface_per_round_refine_local(surface, marked):
@@ -832,7 +878,7 @@ def _surface_per_round_refine_local(surface, marked):
     held as ``first_new``."""
     nv, nt = surface.num_vertices, surface.num_triangles
     verts, tris = surface.vertices, surface.triangles
-    rot, nbr, centroid, longest = _bisection(surface)
+    rot, nbr, centroid, longest = _record(surface)
     cut = marked.copy()
     front = np.flatnonzero(marked)
     while front.size:
@@ -859,7 +905,7 @@ def _surface_per_round_refine_local(surface, marked):
     mid[idx[owner]] = nv + np.arange(ends.shape[0])
     mid[idx[~owner]] = mid[across[0, ~owner]]
     new_verts = np.concatenate([verts, mids])
-    f_new = _new_f(surface.spec, surface.f_nodal, new_verts, slice(nv, None), ends)
+    f_new = _new_f(surface.spec, surface.f_nodal, mids, ends)
     v0, v1, v2 = rot[idx].T
     m0 = mid[idx]
     s1, s2 = [(n >= 0) & cut[n] & (nbr[0, n] == idx) for n in across[1:]]
@@ -894,14 +940,14 @@ def _surface_per_round_refine_local(surface, marked):
     face = nbr_new[:, rim]
     nbr_new[:, rim] = np.where(face >= 0, face, link[:, : rim.size])
     nbr_new[:, nk:] = link[:, rim.size:]
-    rec = _Bisection(rot_new, nbr_new,
-                     np.concatenate([centroid.take(kept, axis=0), kid_centroid]),
-                     np.concatenate([longest.take(kept), kid_longest]))
+    rec = _Record(rot_new, nbr_new,
+                  np.concatenate([centroid.take(kept, axis=0), kid_centroid]),
+                  np.concatenate([longest.take(kept), kid_longest]))
     k, t = np.divmod(np.flatnonzero(nbr_new < 0), nbr_new.shape[1])
     bedges = np.column_stack([rot_new[t, k], rot_new[t, (k + 1) % 3]])
     out = Surface(new_verts, new_tris, bedges[np.lexsort((bedges[:, 1], bedges[:, 0]))],
                   np.concatenate([surface.f_nodal, f_new]), surface.spec)
-    out.cache[_BISECTION] = rec
+    out.cache[_RECORD] = rec
     out.cache[_PROLONGATION] = (nv, (ends,))
     return out, nk
 
@@ -912,13 +958,13 @@ def _surface_per_round_adapt(surface, center, inner_scale, outer_radius, ratio=8
     cx, cy = float(center[0]), float(center[1])
     surf, rounds, start = surface, (), 0
     while True:
-        rec = _bisection(surf)
+        rec = _record(surf)
         cc, longest = rec.centroid[start:], rec.longest[start:]
         d = np.hypot(cc[:, 0] - cx, cc[:, 1] - cy)
         target = np.maximum(inner_scale, np.minimum(d, outer_radius)) / ratio
         new = (longest > target) & (d <= outer_radius + longest)
         if not new.any():
-            surf.cache.pop(_BISECTION, None)
+            surf.cache.pop(_RECORD, None)
             surf.cache[_PROLONGATION] = (surface.num_vertices, rounds)
             return surf
         marks = np.zeros(surf.num_triangles, dtype=bool)
@@ -960,7 +1006,6 @@ def test_adapt_working_state_matches_surface_per_round_chain(monkeypatch, spec, 
     assert nv == want_nv == base.num_vertices and len(rounds) == len(want_rounds) > 20
     for x, y in zip(rounds, want_rounds):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-    assert _BISECTION not in got.cache
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -990,7 +1035,7 @@ def test_adapt_rejects_bad_centre_scales_and_ratio(half_disk, kwargs):
 def test_adapt_round_limit_leaves_the_input_as_it_was(monkeypatch, half_disk, made_by):
     s = half_disk
     if made_by == "refine_local":
-        s = refine_local(half_disk, np.arange(half_disk.num_triangles) % 5 == 0)
+        s = _refine_once(half_disk, np.arange(half_disk.num_triangles) % 5 == 0)
     arrays = {k: v.copy() for k, v in s.to_dict().items() if isinstance(v, np.ndarray)}
     content, cache = s.content_hash(), dict(s.cache)
     monkeypatch.setattr(surface_mod, "ADAPT_MAX_ROUNDS", 2)
@@ -1043,7 +1088,7 @@ def _reference_refine_local(surface, marked):
     mid = np.full(keys.size, -1, dtype=np.int64)
     mid[sid] = nv + np.arange(sid.size)
     new_verts = np.concatenate([verts, mids])
-    f_new = _new_f(surface.spec, surface.f_nodal, new_verts, slice(nv, None), ends)
+    f_new = _new_f(surface.spec, surface.f_nodal, mids, ends)
 
     v0, v1, v2 = rot[cut].T
     m0, m1, m2 = mid[eid[:, cut]]
@@ -1089,7 +1134,7 @@ def test_refine_local_matches_whole_mesh_reference(rng, spec):
     for density in (0.02, 0.3, 0.1, 0.05, 0.2, 0.01, 0.1, 0.15):
         marks = rng.random(s.num_triangles) < density
         marks[rng.integers(s.num_triangles)] = True
-        out = refine_local(s, marks)
+        out = _refine_once(s, marks)
         _assert_same_mesh(out, _reference_refine_local(s, marks))
         _assert_record_fresh(out)
         s = out
@@ -1106,7 +1151,7 @@ def test_refine_local_long_closure_chains_match_reference(spec):
         d = np.hypot(*(s.tri_coords().mean(axis=1) - point).T)
         marks = np.zeros(s.num_triangles, dtype=bool)
         marks[np.argmin(d)] = True
-        out = refine_local(s, marks)
+        out = _refine_once(s, marks)
         _assert_same_mesh(out, _reference_refine_local(s, marks))
         _assert_record_fresh(out)
         growth.append(out.num_triangles - s.num_triangles)
@@ -1115,15 +1160,16 @@ def test_refine_local_long_closure_chains_match_reference(spec):
     assert max(growth) >= 10
 
 
-def test_refine_local_takes_a_triangle_mask(half_disk):
-    with pytest.raises(UsageError, match="bool mask"):
-        refine_local(half_disk, np.array([0, 3]))
-    with pytest.raises(UsageError, match="bool mask"):
-        refine_local(half_disk, np.ones(half_disk.num_triangles - 1, bool))
-
-
 def test_refine_local_no_marks_is_identity(half_disk):
-    assert refine_local(half_disk, np.zeros(half_disk.num_triangles, bool)) is half_disk
+    """A round with no marks leaves the mesh as it was, byte for byte, and
+    records an empty round."""
+    s = _refine_once(half_disk, np.zeros(half_disk.num_triangles, bool))
+    _assert_record_fresh(s)
+    for name in ("vertices", "triangles", "boundary_edges", "f_nodal"):
+        x, y = getattr(s, name), getattr(half_disk, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    nv, (parents,) = s.cache[_PROLONGATION]
+    assert nv == half_disk.num_vertices and parents.shape == (0, 2)
 
 
 @pytest.mark.parametrize(
@@ -1192,7 +1238,7 @@ def test_prolong_reproduces_linear_field(spec, center):
 def test_prolong_gives_arc_midpoint_its_chord_value(half_disk):
     coarse = half_disk
     for _ in range(3):  # until a round splits arc chords
-        fine = refine_local(coarse, np.ones(coarse.num_triangles, bool))
+        fine = _refine_once(coarse, np.ones(coarse.num_triangles, bool))
         arc = np.flatnonzero(_on_arc(fine))
         arc = arc[arc >= coarse.num_vertices]
         if arc.size:
@@ -1223,7 +1269,7 @@ def test_prolong_rejects_wrong_length_and_unrecorded_surface(half_disk):
     for n in (half_disk.num_vertices - 1, fine.num_vertices):
         with pytest.raises(UsageError, match=f"{half_disk.num_vertices} vertices"):
             prolong(fine, np.zeros(n))
-    with pytest.raises(UsageError, match="refine_local or adapt_for_point"):
+    with pytest.raises(UsageError, match="made by adapt_for_point"):
         prolong(refine(half_disk), np.zeros(half_disk.num_vertices))
 
 
