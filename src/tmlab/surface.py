@@ -208,7 +208,8 @@ class Surface:
     ----------
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array, counter-clockwise
-    boundary_edges : (ne, 2) int array, domain on the left
+    boundary_edges : (ne, 2) int array
+        Each boundary edge once, the domain on its left; rows in any order.
     f_nodal : (nv,) float array, conformal factor at vertices
     spec : DomainSpec
     cache : dict
@@ -337,19 +338,23 @@ class Surface:
         if np.any(areas <= 0):
             raise PreconditionError("degenerate or mis-oriented triangle present")
 
-        # Edge incidence: interior edges in exactly 2 triangles, boundary in 1.
-        nv = self.num_vertices
-        _, keys, _, counts = _edge_topology(self.triangles, nv)
-        if np.any(counts > 2):
+        # Edge incidence: an interior edge in 2 triangles that run it in
+        # opposite directions, a boundary edge in 1.
+        nv, nt = self.num_vertices, self.num_triangles
+        keys, order = _edge_keys(self.triangles, nv)
+        start, open_ = _runs(keys, order)
+        shared = ~start[1:-1]  # sorted slots i and i + 1 hold one edge
+        if np.any(shared[1:] & shared[:-1]):
             raise PreconditionError("non-manifold edge (shared by >2 triangles)")
-        declared = np.sort(self.boundary_edges, axis=1)
-        in_range = declared.size == 0 or (declared.min() >= 0 and declared.max() < nv)
-        declared_keys = np.unique(declared[:, 0] * nv + declared[:, 1])
-        if not (in_range and np.array_equal(keys[counts == 1], declared_keys)):
+        tail = self.triangles.T.ravel()[order]  # where each sorted slot's edge starts
+        if np.any(shared & (tail[1:] == tail[:-1])):
+            raise PreconditionError("triangles fold over a shared edge")
+        declared = self.boundary_edges[np.lexsort(self.boundary_edges.T[::-1])]
+        if not np.array_equal(declared, _boundary(self.triangles, open_)):
             raise PreconditionError("boundary_edges do not match topological boundary")
 
-        # Disk topology: V - E + F = 1.
-        euler = nv - keys.size + self.num_triangles
+        # Disk topology: V - E + F = 1, each edge in two slots or one.
+        euler = nv - (3 * nt + open_.size) // 2 + nt
         if euler != 1:
             raise PreconditionError(f"unexpected Euler characteristic {euler}")
 
@@ -453,10 +458,9 @@ def build_domain(spec: DomainSpec, h: float) -> Surface:
     else:
         verts, tris = _mesh_sector(spec.params[0], 0.0, spec.params[1], h)
     verts[np.abs(verts) < _SNAP] = 0.0
-    bedges = _extract_boundary(tris)
+    bedges = _boundary(tris, _runs(*_edge_keys(tris, len(verts)))[1])
     f = spec.f_callable()(verts[:, 0], verts[:, 1])
-    surf = Surface(verts, tris, bedges, f, spec)
-    return surf
+    return Surface(verts, tris, bedges, f, spec)
 
 
 def _mesh_rectangle(a: float, b: float, h: float):
@@ -536,29 +540,29 @@ def _triangulate_band(inner_idx, inner_ang, outer_idx, outer_ang):
     return tris
 
 
-def _edge_topology(tris: np.ndarray, n: int):
-    """Edge incidence of a triangle array, vectorized.
-
-    Returns ``(oriented, keys, inverse, counts)``: the (3nt, 2) oriented
-    edges in blocks 01, 12, 20 (triangle order within each block); the
-    sorted unique undirected edge keys ``lo * n + hi``, where ``n`` exceeds
-    every vertex index; the index into ``keys`` of each oriented edge; and
-    the number of triangles sharing each unique edge.
-    """
-    oriented = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    lo = np.minimum(oriented[:, 0], oriented[:, 1])
-    hi = np.maximum(oriented[:, 0], oriented[:, 1])
-    keys, inverse, counts = np.unique(
-        lo * n + hi, return_inverse=True, return_counts=True
-    )
-    return oriented, keys, inverse, counts
+def _edge_keys(rows: np.ndarray, n: int):
+    """``(keys, order)``: slot k·len(rows) + t holds the key lo·n + hi of edge
+    k → k + 1 of row t, ``n`` exceeding every vertex; ``keys[order]`` is sorted."""
+    nxt = rows[:, [1, 2, 0]]
+    keys = (np.minimum(rows, nxt) * n + np.maximum(rows, nxt)).T.ravel()
+    return keys, np.argsort(keys)
 
 
-def _extract_boundary(tris: np.ndarray) -> np.ndarray:
-    """Oriented boundary edges, those in exactly one triangle, sorted by (u, v)."""
-    oriented, _, inverse, counts = _edge_topology(tris, int(tris.max()) + 1)
-    out = oriented[counts[inverse] == 1]
-    return out[np.lexsort((out[:, 1], out[:, 0]))]
+def _runs(keys: np.ndarray, order: np.ndarray):
+    """``(start, open_)``: where each run of equal sorted keys starts, with
+    one more True past the end, and the slots whose key no other shares."""
+    sk = keys[order]
+    start = np.ones(sk.size + 1, dtype=bool)
+    start[1:-1] = sk[1:] != sk[:-1]
+    return start, order[start[:-1] & start[1:]]
+
+
+def _boundary(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The edges at the open ``slots`` of ``rows`` as (u, v) rows sorted by
+    (u, v): each boundary edge once, the domain on its left."""
+    k, t = np.divmod(slots, len(rows))
+    e = np.column_stack([rows[t, k], rows[t, (k + 1) % 3]])
+    return e[np.lexsort(e.T[::-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +626,12 @@ def refine(surface: Surface) -> Surface:
     tris = surface.triangles
     nv = surface.num_vertices
 
-    # Global edge list and midpoint index per edge.
-    _, keys, inverse, _ = _edge_topology(tris, nv)
-    uniq = np.column_stack(np.divmod(keys, nv))
+    # Midpoint index per edge: each run of equal keys is one edge, in key order.
+    keys, order = _edge_keys(tris, nv)
+    start = _runs(keys, order)[0][:-1]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(start) - 1
+    uniq = np.column_stack(np.divmod(keys[order[start]], nv))
     mids = 0.5 * (verts[uniq[:, 0]] + verts[uniq[:, 1]])
 
     radius = _arc_radius(surface.spec)
@@ -652,7 +659,7 @@ def refine(surface: Surface) -> Surface:
     return Surface(
         new_verts,
         new_tris,
-        _extract_boundary(new_tris),
+        _boundary(new_tris, _runs(*_edge_keys(new_tris, len(new_verts)))[1]),
         np.concatenate([surface.f_nodal, f_new]),
         surface.spec,
     )
@@ -692,11 +699,9 @@ def _measure(c: np.ndarray, tris: np.ndarray):
 def _neighbours(rot: np.ndarray, n: int) -> np.ndarray:
     """(3, len(rot)) row of the triangle across each edge of ``rot``, or −1
     where no other row of ``rot`` shares it; ``n`` exceeds every vertex."""
-    nxt = rot[:, [1, 2, 0]]
-    # Slot k·len(rot) + t holds edge k → k + 1 of row t; a twin shares its key.
-    keys = (np.minimum(rot, nxt) * n + np.maximum(rot, nxt)).T.ravel()
-    order = np.argsort(keys)
-    twin = keys[order[1:]] == keys[order[:-1]]
+    keys, order = _edge_keys(rot, n)
+    sk = keys[order]
+    twin = sk[1:] == sk[:-1]
     a, b = order[:-1][twin], order[1:][twin]
     out = np.full(keys.size, -1, dtype=np.int64)
     out[a] = b % rot.shape[0]
@@ -768,11 +773,9 @@ class _Working:
         is spent."""
         n, dead = self.nt, self.dead[: self.nt]
         live = np.flatnonzero(~dead)
-        t, k = np.divmod(np.flatnonzero((self.nbr[:n] < 0) & ~dead[:, None]), 3)
-        bedges = np.column_stack([self.rot[t, k], self.rot[t, (k + 1) % 3]])
+        open_ = np.flatnonzero((self.nbr[:n].T < 0) & ~dead)
         arrays = (self.verts[: self.nv].copy(), self.tris.take(live, axis=0),
-                  bedges[np.lexsort((bedges[:, 1], bedges[:, 0]))],
-                  self.f[: self.nv].copy())
+                  _boundary(self.rot[:n], open_), self.f[: self.nv].copy())
         del dead
         for name in ("verts", "f", *self._ROWS):
             setattr(self, name, None)

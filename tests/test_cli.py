@@ -170,6 +170,38 @@ def test_eigen_rejects_bad_mesh_numbers(square_mesh, tmp_path, capfd, alter):
     assert capfd.readouterr().err.startswith("error: malformed mesh")
 
 
+def _fold(doc):
+    """Two CCW triangles on one side of edge 0-1, both running it 0 → 1."""
+    doc.update(vertices=[[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.4, 0.5]],
+               triangles=[[0, 1, 2], [0, 1, 3]], f_nodal=[0.0] * 4,
+               boundary_edges=[[1, 2], [1, 3], [2, 0], [3, 0]])
+
+
+@pytest.mark.parametrize("alter, error", [
+    (lambda d: d.update(boundary_edges=[r[::-1] for r in d["boundary_edges"]]),
+     "boundary_edges do not match"),
+    (lambda d: d["boundary_edges"].append(d["boundary_edges"][3]),
+     "boundary_edges do not match"),
+    (_fold, "triangles fold over a shared edge"),
+    (lambda d: d.update(boundary_edges=np.random.default_rng(5).permutation(
+        d["boundary_edges"]).tolist()), None),
+], ids=["reversed-boundary", "repeated-boundary-row", "fold", "shuffled-boundary"])
+def test_eigen_checks_mesh_topology(square_mesh, tmp_path, capfd, alter, error):
+    """A wrong boundary or a fold exits 3 and writes nothing; boundary rows
+    in any order are accepted."""
+    doc = json.loads(square_mesh.read_text())
+    alter(doc)
+    square_mesh.write_text(json.dumps(doc))
+    capfd.readouterr()
+    code = run("eigen", "--mesh", str(square_mesh), "--out", str(tmp_path / "eig.json"))
+    if error is None:
+        assert code == 0
+        return
+    assert code == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == [square_mesh.name]
+    assert error in capfd.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # maximize
 # ---------------------------------------------------------------------------

@@ -26,11 +26,12 @@ from tmlab.surface import (
     _arc_radius,
     _PROLONGATION,
     _Working,
-    _edge_topology,
-    _extract_boundary,
+    _boundary,
+    _edge_keys,
     _measure,
     _neighbours,
     _new_f,
+    _runs,
     _sorted_unique,
     adapt_for_point,
     build_domain,
@@ -371,6 +372,32 @@ def test_malformed_mesh_dict_rejected(half_disk):
 # ---------------------------------------------------------------------------
 
 
+def _edge_topology(tris, n):
+    """The edge helper ``tmlab.surface`` had before ``_edge_keys``, kept as
+    the reference the one edge sort is pinned to.  Returns ``(oriented,
+    keys, inverse, counts)``: the (3nt, 2) oriented edges in blocks 01, 12,
+    20 (triangle order within each block); the sorted unique undirected
+    edge keys ``lo * n + hi``, where ``n`` exceeds every vertex index; the
+    index into ``keys`` of each oriented edge; and the number of triangles
+    sharing each unique edge."""
+    oriented = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    lo = np.minimum(oriented[:, 0], oriented[:, 1])
+    hi = np.maximum(oriented[:, 0], oriented[:, 1])
+    keys, inverse, counts = np.unique(
+        lo * n + hi, return_inverse=True, return_counts=True
+    )
+    return oriented, keys, inverse, counts
+
+
+def _extract_boundary(tris):
+    """The boundary ``tmlab.surface`` read off before ``_boundary``, kept as
+    its reference: oriented boundary edges, those in exactly one triangle,
+    sorted by (u, v)."""
+    oriented, _, inverse, counts = _edge_topology(tris, int(tris.max()) + 1)
+    out = oriented[counts[inverse] == 1]
+    return out[np.lexsort((out[:, 1], out[:, 0]))]
+
+
 def _flat_surface(verts, tris, bedges=None):
     tris = np.asarray(tris, dtype=np.int64)
     return Surface(
@@ -400,15 +427,31 @@ def test_validate_rejects_non_manifold_edge():
         s.validate()
 
 
+def test_validate_rejects_fold():
+    # Both triangles are CCW and lie on one side of edge 0-1, which both run
+    # from 0 to 1; V - E + F = 1 and the boundary matches.
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.4, 0.5)]
+    s = _flat_surface(verts, [(0, 1, 2), (0, 1, 3)])
+    with pytest.raises(PreconditionError, match="fold over a shared edge"):
+        s.validate()
+
+
 def test_validate_rejects_boundary_mismatch(unit_square):
-    for bedges in (unit_square.boundary_edges[1:], unit_square.boundary_edges + 1):
-        s = Surface(
-            unit_square.vertices,
-            unit_square.triangles,
-            bedges,
-            unit_square.f_nodal,
-            unit_square.spec,
-        )
+    half = build_domain(DomainSpec("half_disk", (1.0,)), 0.2)
+    b = half.boundary_edges
+    assert len(b) == 30
+    cases = [  # (surface, declared boundary, accepted?)
+        (unit_square, unit_square.boundary_edges[1:], False),
+        (unit_square, unit_square.boundary_edges + 1, False),
+        (half, np.concatenate([b, b[7:8]]), False),
+        (half, b[:, ::-1], False),
+        (half, np.random.default_rng(5).permutation(b), True),
+    ]
+    for base, bedges, accepted in cases:
+        s = Surface(base.vertices, base.triangles, bedges, base.f_nodal, base.spec)
+        if accepted:
+            s.validate()
+            continue
         with pytest.raises(PreconditionError, match="boundary_edges do not match"):
             s.validate()
 
@@ -441,13 +484,47 @@ def test_validate_rejects_unreferenced_vertex():
         s.validate()
 
 
-def test_extract_boundary_sorted_and_oriented(half_disk):
-    b = half_disk.boundary_edges
-    assert [tuple(e) for e in b] == sorted(tuple(e) for e in b)
-    # Domain on the left: the boundary encloses positive area.
-    p, q = half_disk.vertices[b[:, 0]], half_disk.vertices[b[:, 1]]
-    shoelace = 0.5 * np.sum(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
-    assert abs(shoelace - half_disk.euclidean_tri_areas().sum()) <= 1e-12
+_TEMPLATES = [  # (spec, smooth boundary point to adapt toward)
+    (DomainSpec("rectangle", (2.0, 1.0)), (1.0, 0.0)),
+    (DomainSpec("half_disk", (1.0,)), (1.0, 0.0)),
+    (DomainSpec("disk_sector", (1.0, 2.0)), (math.cos(1.0), math.sin(1.0))),
+]
+
+
+def _template_meshes(f_expr=None):
+    """``(name, surface)`` for the h = 0.2 mesh of each template, its
+    uniform refinement and its adaptation toward a smooth boundary point."""
+    for spec, center in _TEMPLATES:
+        s = build_domain(DomainSpec(spec.kind, spec.params, f_expr), 0.2)
+        yield spec.kind, s
+        yield spec.kind + "_refined", refine(s)
+        yield spec.kind + "_adapted", adapt_for_point(s, center, 1e-3, 0.3)
+
+
+def test_extract_boundary_sorted_and_oriented():
+    """On every template, built, refined and adapted, with and without a
+    conformal factor: the mesh is valid, and its boundary rows are sorted
+    and form closed CCW loops, whose shoelace areas sum to the mesh area."""
+    for f_expr in (None, "0.2*x1*x2 + 0.1*x1**2"):
+        for name, s in _template_meshes(f_expr):
+            s.validate()
+            b = s.boundary_edges
+            assert [tuple(e) for e in b] == sorted(tuple(e) for e in b), name
+            # Closed loops: each boundary vertex starts one edge and ends one.
+            assert sorted(set(b[:, 0].tolist())) == sorted(b[:, 1].tolist()), name
+            after = dict(b.tolist())
+            areas, todo = [], set(after)
+            while todo:
+                loop = [todo.pop()]
+                while after[loop[-1]] != loop[0]:
+                    loop.append(after[loop[-1]])
+                    todo.remove(loop[-1])
+                p = s.vertices[loop]
+                q = np.roll(p, -1, axis=0)
+                areas.append(0.5 * np.sum(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]))
+            # Domain on the left: every loop encloses positive area.
+            assert min(areas) > 0, name
+            assert abs(sum(areas) - s.euclidean_tri_areas().sum()) <= 1e-12, name
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +894,58 @@ def test_edge_topology_matches_axis_reductions(rng, case):
                                  return_inverse=True, return_counts=True))
     for got, ref in zip(_edge_topology(tris, n), want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def _assert_bytes_equal(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+@pytest.mark.parametrize("case", ["random", "rectangle", "half_disk", "disk_sector"])
+def test_edge_sort_matches_unique_reference(rng, case):
+    """The one edge sort gives, byte for byte, what ``_edge_topology``'s
+    ``np.unique`` and ``_extract_boundary`` gave: ``refine``'s unique edges
+    and inverse, the boundary of ``build_domain``, ``refine`` and
+    ``adapt_for_point``, and ``validate``'s edge count."""
+    if case == "random":
+        tris = _random_rows(rng, 3000, False)[1]
+        verts = rng.random((int(tris.max()) + 1, 2))
+        meshes = []
+    else:
+        meshes = [s for name, s in _template_meshes() if name.startswith(case)]
+        verts, tris = meshes[0].vertices, meshes[0].triangles
+    nv, nt = len(verts), len(tris)
+    got = _boundary(tris, _runs(*_edge_keys(tris, nv))[1])
+    _assert_bytes_equal(got, _extract_boundary(tris), "boundary")
+
+    # refine's unique edges and inverse, read off its output: under a flat
+    # spec a midpoint's f is the mean of f over its edge, and the midpoint
+    # of edge k of row t sits where the child rows put it.
+    _, keys, inverse, _ = _edge_topology(tris, nv)
+    uniq = np.column_stack(np.divmod(keys, nv))
+    f = rng.random(nv)
+    out = refine(Surface(verts, tris, np.empty((0, 2), np.int64), f,
+                         DomainSpec("rectangle", (1.0, 1.0))))
+    mid = np.concatenate([out.triangles[:nt, 1], out.triangles[nt : 2 * nt, 2],
+                          out.triangles[:nt, 2]])
+    _assert_bytes_equal(mid - nv, inverse, "inverse")
+    _assert_bytes_equal(out.f_nodal[nv:], 0.5 * (f[uniq[:, 0]] + f[uniq[:, 1]]),
+                        "unique edges")
+    for m in [*meshes, out]:
+        _assert_bytes_equal(m.boundary_edges, _extract_boundary(m.triangles),
+                            "boundary")
+    # validate's edge count, read off its Euler characteristic once holes
+    # are punched in the mesh.
+    for m in meshes:
+        for k in (1, 2, 3):
+            rows = np.delete(m.triangles, rng.choice(m.num_triangles, k), axis=0)
+            edges = _edge_topology(rows, m.num_vertices)[1].size
+            euler = m.num_vertices - edges + len(rows)
+            holed = Surface(m.vertices, rows, _extract_boundary(rows), m.f_nodal, m.spec)
+            if euler != 1:
+                with pytest.raises(PreconditionError,
+                                   match=f"Euler characteristic {euler}$"):
+                    holed.validate()
 
 
 def test_sorted_unique_is_np_unique(rng):
