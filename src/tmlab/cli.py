@@ -9,8 +9,7 @@ with another output or with an input.  Exit codes: 0 success, 2 usage
 error, 3 violated mathematical precondition, 4 numerical failure.
 
 Outputs are byte-identical across repeated runs of the same command line
-on the same input files; pass ``--timing`` to embed wall-clock seconds at
-the cost of that reproducibility.
+on the same input files: no run record holds a clock reading.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import argparse
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -92,17 +90,6 @@ def _parse_annuli(text: str) -> list:
     if not annuli:
         raise UsageError("at least one annulus is required")
     return annuli
-
-
-def _record(command: str, params: dict, input_hashes: dict,
-            args) -> records.RunRecord:
-    elapsed = (time.monotonic() - args.started) if args.timing else None
-    return records.RunRecord(
-        command=command,
-        params=params,
-        input_hashes=input_hashes,
-        elapsed_seconds=elapsed,
-    )
 
 
 def _field_out_path(out: str, tag: str) -> str:
@@ -200,7 +187,7 @@ def cmd_mesh(args) -> int:
             "f": args.f,
             "times": times,
         }
-    record = _record("mesh", params, input_hashes, args)
+    record = records.RunRecord("mesh", params, input_hashes)
     records.write_json(args.out, surf.to_dict(), record)
     print(
         f"mesh: {surf.num_vertices} vertices, {surf.num_triangles} "
@@ -218,7 +205,7 @@ def cmd_eigen(args) -> int:
     surf, mesh_hash = _load_surface(args.mesh)
     pair = spectrum.first_eigenpair(surf, tol=args.tol)
     params = {"mesh": args.mesh, "tol": args.tol}
-    record = _record("eigen", params, {"mesh": mesh_hash}, args)
+    record = records.RunRecord("eigen", params, {"mesh": mesh_hash})
     _write_field(args.field, pair.vector, mesh_hash, record)
     payload = {
         "format_version": 1,
@@ -274,7 +261,7 @@ def cmd_maximize(args) -> int:
         "seed": args.seed,
         "tol": args.tol,
     }
-    record = _record("maximize", params, {"mesh": mesh_hash}, args)
+    record = records.RunRecord("maximize", params, {"mesh": mesh_hash})
     _write_field(args.field, best.u, mesh_hash, record)
 
     def seed_block(res) -> dict:
@@ -355,7 +342,7 @@ def cmd_sweep(args) -> int:
         "lambda1": matrix["lambda1"],
         "vertex": matrix["vertex"],
     }
-    record = _record("sweep", params, {"mesh": mesh_hash}, args)
+    record = records.RunRecord("sweep", params, {"mesh": mesh_hash})
     records.write_csv(args.out, header, rows, record)
     grown = sum(1 for lad in ladders if lad.growth)
     print(
@@ -463,7 +450,7 @@ def cmd_witness(args) -> int:
             vertex = args.vertex
         build = _witness_moser if args.kind == "moser" else _witness_glued
         payload, params, profile, message = build(args, surf, vertex)
-    record = _record("witness", params, input_hashes, args)
+    record = records.RunRecord("witness", params, input_hashes)
     if args.plot:
         xs, ys = (records.require_finite(a) for a in profile)
     records.write_json(args.out, payload, record)
@@ -501,7 +488,7 @@ def cmd_green(args) -> int:
         "alpha": args.alpha,
         "annuli": args.annuli,
     }
-    record = _record("green", params, {"mesh": mesh_hash}, args)
+    record = records.RunRecord("green", params, {"mesh": mesh_hash})
     _write_field(args.field, result.values, mesh_hash, record)
 
     payload = {
@@ -539,8 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--timing", action="store_true",
-                       help="embed wall-clock seconds (breaks determinism)")
 
     p = sub.add_parser("mesh", help="build or refine a triangulated domain")
     p.add_argument("--shape", choices=sorted(_SHAPES))
@@ -629,7 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.started = time.monotonic()
     try:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):

@@ -56,14 +56,7 @@ def green_function(surface: Surface, vertex: int, alpha: float = 0.0) -> GreenRe
     """Solve the mean-zero Green problem with pole at ``vertex``."""
     moser.check_coefficients(alpha)
     surface.require_smooth_boundary_vertex(vertex)
-    if alpha > 0.0:
-        # The shifted operator is definite on mean-zero fields only below
-        # the first nonzero Neumann eigenvalue; alpha = 0 needs no check.
-        lam1 = spectrum.lambda1(surface).value
-        if alpha >= lam1:
-            raise PreconditionError(
-                f"alpha = {alpha} is not below the spectral threshold {lam1:.6f}"
-            )
+    spectrum.require_below_lambda1(surface, alpha)
 
     k = assembly.stiffness(surface)
     m = assembly.mass(surface)

@@ -541,15 +541,9 @@ def maximize_subcritical(
     most the current state and one trial state are alive at a time.
     """
     beta = check_subcritical(alpha, eps)
-    if alpha > 0.0 or u0 is None:
-        # alpha = 0 always lies below the spectral threshold; resolve the
-        # eigenpair only when the threshold bites or it seeds the ascent.
-        lam1 = spectrum.lambda1(surface).value
-        if alpha >= lam1:
-            raise PreconditionError(
-                f"alpha = {alpha} is not below the spectral threshold {lam1:.6f}"
-            )
-
+    # Keep the LU that every state reads, so the eigen solve borrows it.
+    assembly.neumann_solver(surface)
+    spectrum.require_below_lambda1(surface, alpha)
     if u0 is None:
         u = spectrum.lambda1(surface).vector.copy()
     else:

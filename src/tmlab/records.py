@@ -5,8 +5,8 @@ parameters, input content hashes, tool version) and is written through a
 canonical JSON serializer: fixed key order (insertion order of the
 constructing code), floats rendered with ``%.17g`` (round-trip exact),
 and atomic replace-on-write so readers never observe partial files.
-Wall-clock timing is omitted unless explicitly requested, keeping default
-outputs byte-identical across runs.
+The run record holds nothing that depends on the clock, so outputs are
+byte-identical across runs.
 
 The serializer formats numeric arrays in one pass: a non-empty 1-D or 2-D
 ``np.ndarray`` of int, uint or float dtype (vertices, triangles, field
@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,16 +38,9 @@ class RunRecord:
     params: dict
     input_hashes: dict = field(default_factory=dict)
     tool_version: str = __version__
-    elapsed_seconds: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "input_hashes": self.input_hashes,
-            "tool_version": self.tool_version,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return asdict(self)  # the fields in the order declared
 
 
 def hash_file(path: str) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .errors import NumericalError
+from .errors import NumericalError, PreconditionError
 from .surface import Surface
 
 
@@ -119,3 +119,17 @@ def lambda1(surface: Surface) -> Eigenpair:
     if pair is None:
         pair = surface.cache["lambda1"] = first_eigenpair(surface, tol=1e-8)
     return pair
+
+
+
+def require_below_lambda1(surface: Surface, alpha: float) -> None:
+    """PreconditionError unless α < λ₁, below which K − αM is definite on
+    mean-zero fields; α = 0 always lies below λ₁ and solves nothing."""
+    if alpha > 0.0 and alpha >= (lam1 := lambda1(surface).value):
+        raise PreconditionError(
+            f"alpha = {alpha} is not below the spectral threshold {lam1:.6f}")
+
+
+def reaches_threshold(alpha: float, threshold: float) -> bool:
+    """Whether α is at the threshold λ₁ or above it, to 1e-12 relative."""
+    return alpha >= threshold * (1.0 - 1e-12)

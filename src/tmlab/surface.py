@@ -353,10 +353,16 @@ class Surface:
         if not np.array_equal(declared, _boundary(self.triangles, open_)):
             raise PreconditionError("boundary_edges do not match topological boundary")
 
-        # Disk topology: V - E + F = 1, each edge in two slots or one.
+        # Disk topology: V - E + F = 1 (each edge in two slots or one), no
+        # pinched boundary vertex, one piece through the shared edges.
         euler = nv - (3 * nt + open_.size) // 2 + nt
         if euler != 1:
             raise PreconditionError(f"unexpected Euler characteristic {euler}")
+        if np.any(declared[1:, 0] == declared[:-1, 0]):
+            raise PreconditionError("boundary pinched at a vertex")
+        twin, tri = np.flatnonzero(shared), order % nt
+        if not _connected(tri[twin], tri[twin + 1], nt):
+            raise PreconditionError("triangles not connected through shared edges")
 
         # Referenced vertices only.
         used = np.zeros(self.num_vertices, dtype=bool)
@@ -555,6 +561,19 @@ def _runs(keys: np.ndarray, order: np.ndarray):
     start = np.ones(sk.size + 1, dtype=bool)
     start[1:-1] = sk[1:] != sk[:-1]
     return start, order[start[:-1] & start[1:]]
+
+
+def _connected(a: np.ndarray, b: np.ndarray, n: int) -> bool:
+    """Whether the links ``a[i]``–``b[i]`` join nodes 0 … n − 1 into one piece:
+    each round hooks the larger root of every link across two roots under the
+    smaller, then jumps pointers until each node points at its root."""
+    root = np.arange(n)
+    while (apart := np.flatnonzero((ra := root[a]) != (rb := root[b]))).size:
+        ra, rb = ra[apart], rb[apart]
+        root[np.maximum(ra, rb)] = np.minimum(ra, rb)
+        while not np.array_equal(up := root[root], root):
+            root = up
+    return bool(np.all(root == 0))
 
 
 def _boundary(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:

@@ -351,7 +351,7 @@ def evaluate_ladder(
     The eigenfunction-reinforced branch is used exactly when α reaches
     the spectral threshold of the base surface.
     """
-    use_eigen = alpha >= threshold * (1.0 - 1e-12)
+    use_eigen = spectrum.reaches_threshold(alpha, threshold)
     states, values = [], []
     for rung in rungs:
         state = rung.state_eigen if use_eigen else rung.state_plain
@@ -416,7 +416,7 @@ def divergence_matrix(
     threshold = spectrum.lambda1(surface).value
     if vertex is None:
         vertex = peak_boundary_vertex(surface)
-    need_eigen = any(a >= threshold * (1.0 - 1e-12) for a in alphas)
+    need_eigen = any(spectrum.reaches_threshold(a, threshold) for a in alphas)
     rungs = ladder_states(
         surface, vertex, eps_list, q=q,
         need_eigen_branch=need_eigen, adapt=adapt,

@@ -177,18 +177,44 @@ def _fold(doc):
                boundary_edges=[[1, 2], [1, 3], [2, 0], [3, 0]])
 
 
+def _annulus_and_island(doc):
+    """A square annulus of 8 triangles (χ = 0) and a separate triangle
+    (χ = 1): V − E + F = 1, but two pieces."""
+    outer = [[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [0.0, 3.0]]
+    inner = [[1.0, 1.0], [2.0, 1.0], [2.0, 2.0], [1.0, 2.0]]
+    tris = []
+    for k in range(4):
+        o0, o1, i0, i1 = k, (k + 1) % 4, 4 + k, 4 + (k + 1) % 4
+        tris += [[o0, o1, i1], [o0, i1, i0]]
+    doc.update(vertices=outer + inner + [[4.0, 0.0], [5.0, 0.0], [4.0, 1.0]],
+               triangles=tris + [[8, 9, 10]], f_nodal=[0.0] * 11,
+               boundary_edges=[[0, 1], [1, 2], [2, 3], [3, 0], [5, 4], [6, 5],
+                               [7, 6], [4, 7], [8, 9], [9, 10], [10, 8]])
+
+
+def _bow_tie(doc):
+    """Two triangles that share only vertex 0: 5 − 6 + 2 = 1."""
+    doc.update(vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                         [0.0, -1.0]],
+               triangles=[[0, 1, 2], [0, 3, 4]], f_nodal=[0.0] * 5,
+               boundary_edges=[[0, 1], [1, 2], [2, 0], [0, 3], [3, 4], [4, 0]])
+
+
 @pytest.mark.parametrize("alter, error", [
     (lambda d: d.update(boundary_edges=[r[::-1] for r in d["boundary_edges"]]),
      "boundary_edges do not match"),
     (lambda d: d["boundary_edges"].append(d["boundary_edges"][3]),
      "boundary_edges do not match"),
     (_fold, "triangles fold over a shared edge"),
+    (_annulus_and_island, "not connected through shared edges"),
+    (_bow_tie, "boundary pinched at a vertex"),
     (lambda d: d.update(boundary_edges=np.random.default_rng(5).permutation(
         d["boundary_edges"]).tolist()), None),
-], ids=["reversed-boundary", "repeated-boundary-row", "fold", "shuffled-boundary"])
+], ids=["reversed-boundary", "repeated-boundary-row", "fold", "annulus-and-island",
+        "bow-tie", "shuffled-boundary"])
 def test_eigen_checks_mesh_topology(square_mesh, tmp_path, capfd, alter, error):
-    """A wrong boundary or a fold exits 3 and writes nothing; boundary rows
-    in any order are accepted."""
+    """A wrong boundary, a fold, two pieces or a pinch exits 3 and writes
+    nothing; boundary rows in any order are accepted."""
     doc = json.loads(square_mesh.read_text())
     alter(doc)
     square_mesh.write_text(json.dumps(doc))
@@ -528,16 +554,36 @@ def test_output_sharing_a_file_rejected_up_front(
     assert err.startswith("error: ") and all(opt in err for opt in named)
 
 
-@pytest.mark.parametrize("timing", [False, True])
-def test_timing_flag_records_elapsed_seconds(tmp_path, timing):
-    out = tmp_path / "b.json"
-    flag = ["--timing"] if timing else []
-    assert run("witness", "--kind", "bubble", "--out", str(out), *flag) == 0
-    elapsed = records.read_json(str(out))["run_record"]["elapsed_seconds"]
-    if timing:
-        assert isinstance(elapsed, float) and elapsed >= 0.0
-    else:
-        assert elapsed is None
+def test_run_record_holds_no_clock(square_mesh, tmp_path, capsys):
+    """No subcommand takes ``--timing``, and the run record of a JSON, a CSV
+    and a plot file holds the command, its parameters, the input hashes and
+    the tool version, nothing else."""
+    mesh, out = str(square_mesh), str(tmp_path / "out.json")
+    argvs = [
+        ["mesh", "--shape", "rectangle", "--width", "1", "--height", "1",
+         "--h", "0.2"],
+        ["eigen", "--mesh", mesh],
+        ["maximize", "--mesh", mesh, "--eps", "0.5"],
+        ["sweep", "--mesh", mesh, "--alphas", "0", "--eps-ladder", "1e-2,1e-3"],
+        ["witness", "--kind", "bubble", "--plot", str(tmp_path / "out.dat")],
+        ["green", "--mesh", mesh, "--point", "1,0"],
+    ]
+    for argv in argvs:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", out, "--timing")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --timing" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [square_mesh.name]
+
+    assert run(*argvs[4], "--out", out) == 0
+    assert run(*argvs[3], "--out", str(tmp_path / "out.csv")) == 0
+    docs = [records.read_json(out)["run_record"]]
+    for name in ("out.dat", "out.csv"):
+        line = (tmp_path / name).read_text().splitlines()[0]
+        docs.append(json.loads(line.removeprefix("# run_record: ")))
+    for doc in docs:
+        assert list(doc) == ["command", "params", "input_hashes", "tool_version"]
 
 
 # ---------------------------------------------------------------------------
@@ -576,27 +622,27 @@ GOLDEN_COMMANDS = [
 # sha256 of each output file; for sweep.csv, of the lines after the run
 # record (the header and the data rows).
 GOLDEN_OUTPUTS = {
-    "half.json": "b72f691123898590b9b2b3e908c78fdf74fb02bc91054f7a7ab8057cffffba77",
-    "hd.json": "e62df9444ea9f77f2e96e5fc4f9b54ec8098139cc9f000504d99382a19010da1",
-    "hd2.json": "0871d3fdd531ea51f51ec5636f3896c1f278a3b83298773e1316cdfb09b22759",
-    "r.json": "4eca5819c5b707410df111f21532b5d716556743f88556e1d03f03aae2a9bb22",
-    "eig.json": "58dc9f194a47b27339b4b9fcdf4c88c388a842b419d4a7c8a61ac78eadfb9b33",
-    "eig.u0.json": "d346be98e518824c537a83e2f27321d18dae208b06bd482ad2946b8d797dd65a",
-    "max0.json": "5a5c6f9ef42dfddb9f566e72edef574f399630cb93c1b57c8778ad022a9e9e98",
-    "max0.u.json": "2c1a3de1ef98519e5d0a755a82557d3435974df0f24c4e2779526b4250326af9",
-    "max1.json": "da4b78bc44a59394393eac8c4f1d4982efc80a497fcbd5c7d402b736ac6f79cb",
-    "max1.u.json": "cd8769b7e925425aa95e48e57e4fc247885ee0ffe038b3863fac7ca15e83ae7c",
-    "g0.json": "390365b06cc91b7711e43348eca1f44d09f7c9d45191eb73aacf40f1e1b089ac",
-    "g0.G.json": "e2de9a86d149cde17c08bfbe059650f8f45f0edfd1cd3808cd49c98a4909e69d",
-    "g05.json": "72ed46b8fec2760c4469e4f30694f0356b2e0b90722bafecfb93eedbd95c72e3",
-    "g05.G.json": "2f8586087e92c21cc79530f4d496d1a876e59cb51de75ae2a60266a433c963fe",
+    "half.json": "6cfed5b9a5d783c61cb8324f2d4189612299faeda1e1a219b94962b3e0a96e87",
+    "hd.json": "dc3427d004f1bd296586d224dd5ffb56bfb2f98ad8ad94df5d4f1d9abc2d845c",
+    "hd2.json": "4163471f058276d1b6a98920cfb0f95d51dcf1712ae6f352bb38f771ad1b2f12",
+    "r.json": "78cd21f1eac09d2539aba734531de86209080a27f8d9f0611755e64004fb78a3",
+    "eig.json": "38f511dcc464ae7dbe4edc840cc83df62282b184ba94931934c3a2cc420e0522",
+    "eig.u0.json": "5e263d774b1a7567284e2aaa7e1c35dbf64366ddf4e47894b153340ccea0a73f",
+    "max0.json": "f81c1f5a15240779cae1ada3f6624e17317f6e04aafb9b0e40cf9401af8ffecd",
+    "max0.u.json": "31c7d8b8fb6bb45d9f14041aedc8ca432114d6fb2583552a2a437a0a52b1964c",
+    "max1.json": "c851c371158a9241300b099dca622634facd82548e10bed9bb7eb1f50c9e3cd4",
+    "max1.u.json": "e25b2f876ce71389e860410f82c8f2577525210110ab1ce653ebee887804c3f3",
+    "g0.json": "1cadec81cc8c69c83686b8bb5664f1d7986c01351dd9364aab4dc4ae4334fb88",
+    "g0.G.json": "ea3c1ffcb9414055c6c0028b4372d3aad2688f24f1bbb31ebd053aa3c2d542aa",
+    "g05.json": "3dde3d872f20e690aade3b210dadac95159f0ac3162f37608cd227a92c9d926c",
+    "g05.G.json": "ab5c9ecc42d20efe0f312fa900b386f77f8528a209a94d57ceb8bdf2fe4d672c",
     "sweep.csv": "8208a7bcf3b15c029dd4f266e00bc2f678d655955efc1225afad7288f784b36a",
-    "wb.json": "9869dadaa8fa922ca18b4f60d548066dffca85450ec1887cb98fd64a22ce2612",
-    "wb.dat": "23be5030ebfba36c79fd14a7354fc396aad5f72ff2a0bb24abf931047c2e6e9d",
-    "wm.json": "35b6fe9e7427d6364ff0f66f7f7cd7e3d12c159daf17e6464754b221a610628b",
-    "wm.dat": "9789ea51b3ec9641d8622c7865934fa44d3d32091cdcdfabc50b5e694b45f186",
-    "wg.json": "f58d1d64482c4277001eddd543891b299fee41575697e3705ff1fb39f645fdff",
-    "wg.dat": "7bc3b13241f3b0838ac173aba7cbaf24106c89e3951c9c6302670a0f09a1df8c",
+    "wb.json": "271febd392d3bb649360b12ff234caabb648ea1d8c86be368df94f07415d3e62",
+    "wb.dat": "159da8093d694bde0eb36045cc02261847f1002ca9f0ee6e4a52e6c2d9898e45",
+    "wm.json": "a362ac9b305d6f51723a659576c4a40476baed51b113c02d53e3d96a224ddc79",
+    "wm.dat": "d96b9a66fb92cd8b398982b6dea5c1b78c7054de1e1d599d6ae91b25214fc2a6",
+    "wg.json": "e1903ef02784750b92d71d079876e16d623c09c939ab53cec7ec6f93aed6c726",
+    "wg.dat": "f089f1280ad723130b68b7459196c223c71542205b3195dc7898a7dbbd3c5c99",
 }
 
 

@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 from tmlab import assembly, cli, moser, spectrum, witness
 from tmlab.errors import NumericalError, PreconditionError, UsageError
-from tmlab.surface import refine
+from tmlab.surface import DomainSpec, build_domain, refine
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -236,6 +236,18 @@ def test_maximize_beats_feasible_competitors(half_disk, maximized, rng):
 
 def test_maximize_value_at_least_area(half_disk, maximized):
     assert maximized.value >= assembly.area(half_disk)
+
+
+def test_default_seed_factors_the_bordered_k_once(splu_sizes):
+    # The maximizer keeps the bordered-K LU before it solves lambda1, so
+    # the eigen solve borrows it; the n-row LU is the eigen residual's
+    # K + M.  The result is the CLI eigen seed's, bit for bit.
+    s, t = (build_domain(DomainSpec("half_disk", (1.0,)), 0.1) for _ in range(2))
+    res = moser.maximize_subcritical(s, 0.0, 0.5)
+    assert sorted(splu_sizes) == [s.num_vertices, s.num_vertices + 1]
+    seeded = moser.maximize_subcritical(t, 0.0, 0.5, u0=cli._eigen_seed(t))
+    assert res.value == seeded.value
+    assert np.array_equal(res.u, seeded.u)
 
 
 def test_alpha_at_threshold_rejected(half_disk):

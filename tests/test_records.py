@@ -76,7 +76,6 @@ def test_write_json_embeds_run_record(tmp_path):
     records.write_json(str(path), {"value": 2.5}, rec)
     doc = json.loads(path.read_text())
     assert doc["run_record"]["command"] == "demo"
-    assert doc["run_record"]["elapsed_seconds"] is None
     assert doc["value"] == 2.5
 
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from tmlab import assembly, spectrum
-from tmlab.errors import NumericalError, TmlabError
+from tmlab import assembly, green, moser, spectrum
+from tmlab.errors import NumericalError, PreconditionError, TmlabError
 from tmlab.surface import DomainSpec, build_domain
 
 PI = math.pi
@@ -197,3 +197,24 @@ def test_bordered_solve_deflates_the_constant_mode():
     m1 = assembly.mass_row_of_ones(s)
     x = assembly.neumann_lu(s).solve(np.append(m1, 0.0))[:-1]
     assert np.max(np.abs(x)) <= 1e-12
+
+
+def test_one_alpha_rule_for_maximizer_and_green(splu_sizes):
+    # alpha = 0 solves nothing; at alpha = lambda1 the maximizer and the
+    # Green solve raise the rule's one message.
+    s = build_domain(DomainSpec("half_disk", (1.0,)), 0.2)
+    spectrum.require_below_lambda1(s, 0.0)
+    assert splu_sizes == [] and "lambda1" not in s.cache
+    lam1 = spectrum.lambda1(s).value
+    spectrum.require_below_lambda1(s, lam1 * (1.0 - 1e-9))
+    vertex = int(s.smooth_boundary_vertices()[0])
+    want = f"alpha = {lam1} is not below the spectral threshold {lam1:.6f}"
+    for check in (lambda: spectrum.require_below_lambda1(s, lam1),
+                  lambda: moser.maximize_subcritical(s, lam1, 0.5),
+                  lambda: green.green_function(s, vertex, alpha=lam1)):
+        with pytest.raises(PreconditionError) as exc:
+            check()
+        assert str(exc.value) == want
+    assert spectrum.reaches_threshold(lam1, lam1)
+    assert spectrum.reaches_threshold(lam1 * (1.0 - 1e-13), lam1)
+    assert not spectrum.reaches_threshold(lam1 * (1.0 - 1e-11), lam1)

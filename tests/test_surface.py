@@ -12,6 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 import tmlab
 import tmlab.surface as surface_mod
@@ -27,6 +29,7 @@ from tmlab.surface import (
     _PROLONGATION,
     _Working,
     _boundary,
+    _connected,
     _edge_keys,
     _measure,
     _neighbours,
@@ -472,8 +475,57 @@ def test_validate_rejects_arrays_of_wrong_shape(unit_square, key, shape):
 
 def test_validate_rejects_wrong_euler_characteristic():
     verts, tris = _square_annulus()
+    annulus = _flat_surface(verts, tris)
     with pytest.raises(PreconditionError, match="Euler characteristic 0"):
-        _flat_surface(verts, tris).validate()
+        annulus.validate()
+    # Only the disk count rejects it: its two boundary loops pass the pinch
+    # check, and its triangles are one piece.
+    starts = annulus.boundary_edges[:, 0]
+    assert len(set(starts.tolist())) == len(starts) == 8
+    keys, order = _edge_keys(annulus.triangles, len(verts))
+    twin = keys[order][1:] == keys[order][:-1]
+    assert _connected(order[:-1][twin] % 8, order[1:][twin] % 8, 8)
+
+
+def _annulus_and_island():
+    """The square annulus (χ = 0) and a separate triangle (χ = 1)."""
+    verts, tris = _square_annulus()
+    return verts + [(4.0, 0.0), (5.0, 0.0), (4.0, 1.0)], tris + [(8, 9, 10)]
+
+
+def _bow_tie():
+    """Two triangles that share only vertex 0: 5 − 6 + 2 = 1."""
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    return verts, [(0, 1, 2), (0, 3, 4)]
+
+
+def test_validate_rejects_disconnected_triangles():
+    s = _flat_surface(*_annulus_and_island())
+    with pytest.raises(PreconditionError, match="not connected through shared edges"):
+        s.validate()
+
+
+def test_validate_rejects_pinched_vertex():
+    s = _flat_surface(*_bow_tie())
+    with pytest.raises(PreconditionError, match="pinched at a vertex"):
+        s.validate()
+
+
+def test_connected_matches_csgraph(rng):
+    """``_connected`` against scipy's connected components, on random link
+    sets from one piece to many, under random node numberings."""
+    seen = set()
+    for n, m in [(1, 0), (2, 1), (50, 30), (50, 49), (200, 400), (500, 2000)]:
+        for _ in range(5):
+            a, b = rng.integers(0, n, (2, m))
+            if m == n - 1:  # a random tree, each node below a lower one
+                child = np.arange(1, n)
+                a, b = rng.permutation(n)[[child, rng.integers(0, child)]]
+            g = sp.coo_matrix((np.ones(m), (a, b)), shape=(n, n))
+            want = connected_components(g, directed=False)[0] == 1
+            assert _connected(a, b, n) == want
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_validate_rejects_unreferenced_vertex():
