@@ -14,10 +14,21 @@ symmetric domains carry numerically split multiple eigenvalues (splits
 ~1e-6 relative), and the smaller pair of a resolved cluster is the one
 returned.  The start vector is deterministic, so results are
 reproducible across runs.
+
+Every α > 0 solve first checks α < λ₁ (:func:`require_below_lambda1`),
+by one rule in three steps: compare α with λ₁ when λ₁ is cached; else
+return when α lies below :func:`lambda1_lower_bound`; else solve for λ₁
+and compare.  The bound is e^{−2·max f}·π²/d² on a mesh whose boundary
+polygon is convex with diameter at most d, and 0 on any other mesh.  It
+holds for the discrete λ₁ of the mesh itself: K and M are exact P1
+integrals and P1 ⊂ H¹, so by min-max the P1 λ₁ is at least the λ₁ of the
+polygon, which Payne and Weinberger bound below by π²/d²; the metric
+weight e^{2f} at the quadrature points is at most e^{2·max f}.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,11 +132,56 @@ def lambda1(surface: Surface) -> Eigenpair:
     return pair
 
 
+def lambda1_lower_bound(surface: Surface) -> float:
+    """A proven lower bound on the discrete λ₁ of ``surface``, from its
+    geometry alone: e^{−2·max f}·π²/d²·(1 − 1e-9), d the bound of
+    :meth:`Surface.convex_diameter_bound`, and 0 when the boundary polygon
+    Ω_h is not convex.
+
+    Proof, for a surface that passes ``validate``:
+
+    * f = 0.  K and M are the exact integrals of P1 fields over Ω_h: the
+      gradients are constant on each triangle, and the degree-4 rule, whose
+      weights are positive, integrates the quadratic products φᵢφⱼ exactly.
+      P1 ⊂ H¹(Ω_h), so by min-max the P1 λ₁ is at least λ₁(Ω_h).
+    * On a convex Ω_h of diameter d, λ₁(Ω_h) ≥ π²/d² (Payne and
+      Weinberger, *Arch. Rational Mech. Anal.* 5, 1960; the proof corrected
+      by Bebendorf, *Z. Anal. Anwend.* 22, 2003).
+    * f ≠ 0.  K does not depend on f.  At each quadrature point f_h is a
+      convex combination of nodal values, so f_h ≤ max f, and the weights
+      are positive: uᵀM_f u ≤ e^{2·max f}·uᵀM_0 u for every u.  Let u have
+      metric mean zero and c be its flat mean.  The metric mean minimizes
+      (u − c)ᵀM_f(u − c) over constants, and K kills constants, so
+      uᵀKu / uᵀM_f u ≥ e^{−2·max f}·(u − c)ᵀK(u − c) / (u − c)ᵀM_0(u − c)
+      ≥ e^{−2·max f}·λ₁^h(0).
+
+    The factor 1 − 1e-9 absorbs the rounding of the quadrature weights,
+    of the convexity test and of d.  The exponent is capped at 700, which
+    only lowers the bound, so that it stays finite.
+    """
+    d = surface.convex_diameter_bound()
+    if d is None:
+        return 0.0
+    scale = math.exp(min(-2.0 * float(surface.f_nodal.max()), 700.0))
+    return (1.0 - 1e-9) * scale * math.pi**2 / d**2
+
 
 def require_below_lambda1(surface: Surface, alpha: float) -> None:
     """PreconditionError unless α < λ₁, below which K − αM is definite on
-    mean-zero fields; α = 0 always lies below λ₁ and solves nothing."""
-    if alpha > 0.0 and alpha >= (lam1 := lambda1(surface).value):
+    mean-zero fields.
+
+    α = 0 always lies below λ₁ and solves nothing.  For α > 0:
+
+    1. λ₁ cached (:func:`lambda1`): compare α with it;
+    2. else, α below :func:`lambda1_lower_bound` (its docstring holds the
+       proof): return without solving;
+    3. else: solve for λ₁, keep it, and compare.
+    """
+    if alpha <= 0.0:
+        return
+    if "lambda1" not in surface.cache and alpha < lambda1_lower_bound(surface):
+        return
+    if alpha >= (lam1 := lambda1(surface).value):
         raise PreconditionError(
             f"alpha = {alpha} is not below the spectral threshold {lam1:.6f}")
 

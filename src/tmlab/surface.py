@@ -35,6 +35,7 @@ from .errors import PreconditionError, UsageError
 
 _SNAP = 1e-14  # coordinates smaller than this in magnitude are snapped to 0
 _HASH_TAG = b"tmlab.Surface.content_hash v2\n"
+_WIDTH_DIRECTIONS = 64  # directions whose widths bound a convex diameter
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +275,39 @@ class Surface:
 
     def boundary_vertex_indices(self) -> np.ndarray:
         return np.unique(self.boundary_edges)
+
+    def convex_diameter_bound(self) -> float | None:
+        """An upper bound on the diameter of the boundary polygon, or None
+        when the polygon is not convex.
+
+        Convex means: at every boundary vertex the cross product of the
+        incoming and the outgoing boundary edge is ≥ 0 (a left turn or
+        straight on), and the turning angles sum to 2π.  A closed polygon's
+        turning angles sum to a multiple of 2π, so left turns that sum to 2π
+        go round once: the polygon is simple and convex.  On a surface that
+        passes :meth:`validate` (positive areas, no folds, disk topology)
+        the triangles then tile that polygon.  A side that is straight only
+        up to rounding can turn right by ~1e-17 and reads as not convex.
+
+        The bound: the diameter d is the polygon's width in the direction
+        of its longest chord, which lies within π/(2n) of one of n
+        directions spaced π/n apart, so d ≤ max width / cos(π/(2n)).
+        """
+        e = self.boundary_edges
+        after = np.zeros(self.num_vertices, dtype=np.int64)
+        after[e[:, 0]] = e[:, 1]
+        p = self.vertices
+        a = p[e[:, 1]] - p[e[:, 0]]  # edge u → v
+        b = p[after[e[:, 1]]] - p[e[:, 1]]  # edge v → w
+        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        turning = np.arctan2(cross, a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]).sum()
+        if np.any(cross < 0.0) or round(turning / (2.0 * math.pi)) != 1:
+            return None
+        n = _WIDTH_DIRECTIONS
+        theta = np.arange(n) * (math.pi / n)
+        reach = p[e[:, 0]] @ np.array([np.cos(theta), np.sin(theta)])
+        width = float((reach.max(axis=0) - reach.min(axis=0)).max())
+        return width / math.cos(math.pi / (2 * n))
 
     def corner_vertex_indices(self) -> np.ndarray:
         """Indices of mesh vertices sitting at the domain's corners."""

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from tmlab import assembly, green, moser, spectrum
+from tmlab import assembly, green, moser, spectrum, witness
 from tmlab.errors import NumericalError, PreconditionError, TmlabError
-from tmlab.surface import DomainSpec, build_domain
+from tmlab.surface import DomainSpec, Surface, adapt_for_point, build_domain, refine
 
 PI = math.pi
 
@@ -218,3 +218,125 @@ def test_one_alpha_rule_for_maximizer_and_green(splu_sizes):
     assert spectrum.reaches_threshold(lam1, lam1)
     assert spectrum.reaches_threshold(lam1 * (1.0 - 1e-13), lam1)
     assert not spectrum.reaches_threshold(lam1 * (1.0 - 1e-11), lam1)
+
+
+# ---------------------------------------------------------------------------
+# alpha < lambda1 certified by the convex-domain lower bound
+# ---------------------------------------------------------------------------
+
+# (domain, smooth boundary point the graded mesh adapts toward)
+CONVEX_DOMAINS = {
+    "2x1 rectangle": (("rectangle", (2.0, 1.0)), (1.0, 0.0)),
+    "unit square": (("rectangle", (1.0, 1.0)), (0.5, 0.0)),
+    "half-disk": (("half_disk", (1.0,)), (1.0, 0.0)),
+}
+
+
+def _mesh(kind, params, f_expr, level, point):
+    spec = DomainSpec(kind, params, f_expr)
+    if level == "refined":
+        return refine(build_domain(spec, 0.1))
+    if level == "graded":  # glued_bound's mesh on the half-disk
+        return adapt_for_point(build_domain(spec, 0.04), point, 1e-4, 0.5)
+    return build_domain(spec, float(level))
+
+
+@pytest.mark.parametrize("f_expr", [None, "0.3*x1*x2", "0.5"])
+@pytest.mark.parametrize("level", ["0.1", "0.05", "refined", "graded"])
+@pytest.mark.parametrize("domain", sorted(CONVEX_DOMAINS))
+def test_lower_bound_holds_on_convex_meshes(domain, level, f_expr):
+    (kind, params), point = CONVEX_DOMAINS[domain]
+    s = _mesh(kind, params, f_expr, level, point)
+    bound = spectrum.lambda1_lower_bound(s)
+    assert 0.0 < bound <= spectrum.first_eigenpair(s).value
+
+
+def _notched_square():
+    """The h = 0.1 unit square without the two triangles of its top-right
+    cell: a valid mesh whose boundary turns right at (0.9, 0.9)."""
+    s = build_domain(DomainSpec("rectangle", (1.0, 1.0)), 0.1)
+    keep = ~np.all(s.tri_coords().mean(axis=1) > 0.9, axis=1)
+    used = np.unique(s.triangles[keep])
+    index = np.full(s.num_vertices, -1)
+    index[used] = np.arange(used.size)
+    tris = index[s.triangles[keep]]
+    edges = {(int(a), int(b)) for t in tris for a, b in zip(t, np.roll(t, -1))}
+    boundary = sorted(e for e in edges if e[::-1] not in edges)
+    notched = Surface(s.vertices[used], tris, np.array(boundary),
+                      np.zeros(used.size), s.spec)
+    notched.validate()
+    return notched
+
+
+@pytest.mark.parametrize("name", ["sector 1.0", "sector 2.5", "notched square"])
+def test_lower_bound_is_zero_off_convex_meshes(name):
+    # The sectors' slanted side is straight only up to rounding, so they
+    # read as not convex and fall back to the eigen solve.
+    if name == "notched square":
+        s = _notched_square()
+    else:
+        s = build_domain(DomainSpec("disk_sector", (1.0, float(name[-3:]))), 0.1)
+    assert s.convex_diameter_bound() is None
+    assert spectrum.lambda1_lower_bound(s) == 0.0
+
+
+@pytest.fixture()
+def eigen_calls(monkeypatch):
+    """The surfaces ``first_eigenpair`` is called on during the test."""
+    calls = []
+    solve = spectrum.first_eigenpair
+
+    def counted(surface, *args, **kwargs):
+        calls.append(surface)
+        return solve(surface, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "first_eigenpair", counted)
+    return calls
+
+
+def _graded_half_disk():
+    base = build_domain(DomainSpec("half_disk", (1.0,)), 0.1)
+    return base, adapt_for_point(base, (1.0, 0.0), 1e-4, 0.5)
+
+
+def test_green_below_the_bound_solves_no_eigenpair(eigen_calls):
+    base, fresh = _graded_half_disk()
+    _, cached = _graded_half_disk()
+    alpha = 0.05 * spectrum.lambda1(base).value
+    vertex = witness.smooth_boundary_vertex(fresh, (1.0, 0.0))
+    spectrum.lambda1(cached)
+    eigen_calls.clear()
+    g = green.green_function(fresh, vertex, alpha=alpha)
+    assert eigen_calls == [] and "lambda1" not in fresh.cache
+    want = green.green_function(cached, vertex, alpha=alpha)
+    assert np.array_equal(g.values, want.values)
+
+
+def test_maximizer_below_the_bound_solves_no_eigenpair(eigen_calls):
+    base, fresh = _graded_half_disk()
+    _, cached = _graded_half_disk()
+    alpha = 0.3 * spectrum.lambda1(base).value
+    u0 = fresh.vertices[:, 0] + 0.3 * fresh.vertices[:, 1]
+    spectrum.lambda1(cached)
+    eigen_calls.clear()
+    res = moser.maximize_subcritical(fresh, alpha, 0.5, u0=u0)
+    assert eigen_calls == [] and "lambda1" not in fresh.cache
+    want = moser.maximize_subcritical(cached, alpha, 0.5, u0=u0)
+    assert res.value == want.value and np.array_equal(res.u, want.u)
+
+
+def test_alpha_between_bound_and_lambda1_solves(eigen_calls):
+    s = build_domain(DomainSpec("half_disk", (1.0,)), 0.2)
+    lam1 = spectrum.first_eigenpair(s, tol=1e-8).value
+    bound = spectrum.lambda1_lower_bound(s)
+    assert 0.0 < bound < lam1
+    eigen_calls.clear()
+    spectrum.require_below_lambda1(s, 0.5 * (bound + lam1))
+    assert eigen_calls == [s] and s.cache["lambda1"].value == lam1
+    # At lambda1 a fresh surface solves and raises the rule's message.
+    fresh = build_domain(DomainSpec("half_disk", (1.0,)), 0.2)
+    with pytest.raises(PreconditionError) as exc:
+        spectrum.require_below_lambda1(fresh, lam1)
+    assert str(exc.value) == (
+        f"alpha = {lam1} is not below the spectral threshold {lam1:.6f}")
+    assert eigen_calls == [s, fresh]

@@ -536,6 +536,22 @@ def test_validate_rejects_unreferenced_vertex():
         s.validate()
 
 
+@pytest.mark.parametrize("spec, diameter", [
+    (DomainSpec("rectangle", (2.0, 1.0)), math.sqrt(5.0)),
+    (DomainSpec("rectangle", (1.0, 1.0)), math.sqrt(2.0)),
+    (DomainSpec("half_disk", (1.0,)), 2.0),
+], ids=["rect21", "square", "half_disk"])
+def test_convex_diameter_bound_brackets_the_diameter(spec, diameter):
+    # 64 directions: the bound exceeds d by at most 1/cos(pi/128) - 1.
+    s = adapt_for_point(build_domain(spec, 0.1), (1.0, 0.0), 1e-3, 0.3)
+    assert diameter <= s.convex_diameter_bound() <= diameter / math.cos(math.pi / 128)
+
+
+def test_convex_diameter_bound_rejects_a_hole():
+    # The hole's boundary turns right at each of its corners.
+    assert _flat_surface(*_square_annulus()).convex_diameter_bound() is None
+
+
 _TEMPLATES = [  # (spec, smooth boundary point to adapt toward)
     (DomainSpec("rectangle", (2.0, 1.0)), (1.0, 0.0)),
     (DomainSpec("half_disk", (1.0,)), (1.0, 0.0)),
