@@ -202,6 +202,7 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    spectrum.check_tol(args.tol)
     surf, mesh_hash = _load_surface(args.mesh)
     pair = spectrum.first_eigenpair(surf, tol=args.tol)
     params = {"mesh": args.mesh, "tol": args.tol}
@@ -242,6 +243,7 @@ def _bubble_seed(surf: surface_mod.Surface) -> np.ndarray:
 
 def cmd_maximize(args) -> int:
     moser.check_subcritical(args.alpha, args.eps)
+    spectrum.check_tol(args.tol)
     surf, mesh_hash = _load_surface(args.mesh)
 
     seed_names = ["eigen", "bubble"] if args.seed == "both" else [args.seed]

@@ -537,10 +537,12 @@ def maximize_subcritical(
     ``residual`` is the final state's stationarity residual (see
     :attr:`_State.kkt_residual` for its norm), the number the loop stops
     on, and ``converged`` compares that same number with ``tol``;
-    :func:`el_residual` recomputes it from the Euler–Lagrange form.  At
-    most the current state and one trial state are alive at a time.
+    :func:`el_residual` recomputes it from the Euler–Lagrange form.  A
+    ``tol`` not above 0 raises :class:`UsageError` (:func:`spectrum.check_tol`).
+    At most the current state and one trial state are alive at a time.
     """
     beta = check_subcritical(alpha, eps)
+    spectrum.check_tol(tol)
     # Keep the LU that every state reads, so the eigen solve borrows it.
     assembly.neumann_solver(surface)
     spectrum.require_below_lambda1(surface, alpha)

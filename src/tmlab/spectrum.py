@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .errors import NumericalError, PreconditionError
+from .errors import NumericalError, PreconditionError, UsageError
 from .surface import Surface
 
 
@@ -90,12 +90,20 @@ def _shift_invert(surface: Surface, k, m) -> tuple:
     return vals, vecs, solves
 
 
+def check_tol(tol: float) -> None:
+    """The one rule for a residual tolerance: ``tol > 0``, else :class:`UsageError`."""
+    if not tol > 0:
+        raise UsageError(f"tol must be positive, not {tol}")
+
+
 def first_eigenpair(surface: Surface, tol: float = 1e-10) -> Eigenpair:
     """Compute the smallest nonzero Neumann eigenvalue and its eigenfunction.
 
-    Raises :class:`NumericalError` when the factorization or ARPACK fails,
-    or when the dual-norm residual of the returned pair exceeds ``tol``.
+    Raises :class:`UsageError` when ``tol`` is not positive (:func:`check_tol`),
+    and :class:`NumericalError` when the factorization or ARPACK fails, or
+    when the dual-norm residual of the returned pair exceeds ``tol``.
     """
+    check_tol(tol)
     k = assembly.stiffness(surface)
     m = assembly.mass(surface)
     vals, vecs, solves = _shift_invert(surface, k, m)

@@ -499,9 +499,11 @@ def test_non_finite_float_options_rejected_up_front(
     (["witness", "--kind", "glued", "--vertex", "55", "--alpha", "-1"],
      "alpha must be"),
     (["witness", "--kind", "glued", "--alpha", "-1"], "alpha must be"),
+    (["eigen", "--tol", "0"], "tol must be positive"),
+    (["maximize", "--eps", "0.5", "--tol", "-1"], "tol must be positive"),
 ], ids=["sweep-beta", "sweep-q-high", "sweep-q-low", "sweep-ladder",
         "moser-alpha", "moser-beta", "moser-q", "glued-vertex-alpha",
-        "glued-alpha"])
+        "glued-alpha", "eigen-tol-zero", "maximize-tol-negative"])
 def test_invalid_parameters_rejected_before_solving(
         half_disk_mesh, tmp_path, capfd, monkeypatch, argv, named):
     from tmlab import spectrum, witness

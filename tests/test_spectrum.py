@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg as sla
 
 from tmlab import assembly, green, moser, spectrum, witness
-from tmlab.errors import NumericalError, PreconditionError, TmlabError
+from tmlab.errors import NumericalError, PreconditionError, TmlabError, UsageError
 from tmlab.surface import DomainSpec, Surface, adapt_for_point, build_domain, refine
 
 PI = math.pi
@@ -98,6 +98,24 @@ def test_tolerance_bounds_residual(unit_square):
 def test_unreachable_tol_raises(unit_square):
     with pytest.raises(NumericalError):
         spectrum.first_eigenpair(unit_square, tol=1e-18)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_non_positive_tol_rejected_before_solving(monkeypatch, tol):
+    """Both solvers reject a tol not above 0 before any solve; before, the
+    eigen solve ran and then failed, and the maximizer ran to both
+    iteration caps."""
+    s = build_domain(DomainSpec("half_disk", (1.0,)), 0.2)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with a non-positive tol")
+
+    monkeypatch.setattr(assembly, "neumann_solver", no_solve)
+    monkeypatch.setattr(assembly, "stiffness", no_solve)
+    with pytest.raises(UsageError, match="tol must be positive"):
+        spectrum.first_eigenpair(s, tol=tol)
+    with pytest.raises(UsageError, match="tol must be positive"):
+        moser.maximize_subcritical(s, 0.0, 0.5, tol=tol)
 
 
 @pytest.mark.parametrize("size, h", [((1.0, 1.0), 0.1), ((2.0, 1.0), 0.05)])

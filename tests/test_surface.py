@@ -1,4 +1,6 @@
-"""Mesh construction, refinement, and metric area."""
+"""Meshes: construction, uniform and local refinement, adaptation toward a
+point, metric area, serialization and validation.  Each optimized mesh
+kernel is pinned, byte for byte, against one test-local reference."""
 
 from __future__ import annotations
 
@@ -8,7 +10,6 @@ import math
 import os
 import subprocess
 import sys
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -818,7 +819,6 @@ def _assert_marked_replaced(before, marks, after):
 def test_refine_local_random_marks(rng, half_disk):
     marks = rng.random(half_disk.num_triangles) < 0.1
     s = _refine_once(half_disk, marks)
-    s.validate()
     _assert_boundary_on_half_disk(s)
     assert s.num_triangles >= half_disk.num_triangles + marks.sum()
     _assert_marked_replaced(half_disk, marks, s)
@@ -848,7 +848,6 @@ def test_refine_local_multi_round_properties(rng, spec):
     for _ in range(12):
         marks = rng.random(s.num_triangles) < 0.15
         out = _refine_once(s, marks)
-        _assert_record_fresh(out)
         _assert_marked_replaced(s, marks, out)
         assert np.array_equal(out.f_nodal, f(out.vertices[:, 0], out.vertices[:, 1]))
         # Rivara's bound for longest-edge bisection.
@@ -856,57 +855,28 @@ def test_refine_local_multi_round_properties(rng, spec):
         s = out
 
 
-class _Record(NamedTuple):
-    """The bisection record of a mesh, row by row: ``rot`` (nt, 3) is each
-    triangle rotated so that edge 0–1 is its reference edge; ``nbr[k, t]``
-    (3, nt) is the row across edge k → k + 1 of ``rot[t]``, −1 on the
-    boundary; ``centroid`` and ``longest`` are as ``adapt_for_point`` reads
-    them.  The Surface-per-round chain below carried it from one round to
-    the next under ``_RECORD``."""
-
-    rot: np.ndarray
-    nbr: np.ndarray
-    centroid: np.ndarray
-    longest: np.ndarray
-
-
-_RECORD = "bisection"
-
-
-def _record(surface):
-    """The record ``surface`` carries, or one built by a whole-mesh pass."""
-    rec = surface.cache.get(_RECORD)
-    if rec is None:
-        rot, centroid, longest = _measure(surface.tri_coords(), surface.triangles)
-        rec = _Record(rot, _neighbours(rot, surface.num_vertices), centroid, longest)
-    return rec
-
-
 def _refine_once(surface, marks):
     """One ``refine_local`` round with the bool mask ``marks``: a
     ``_Working`` state of ``surface``, the round, then ``.surface()``.  The
-    result carries the state's live slots as its record, slot ids mapped
-    to rows, for ``_assert_record_fresh`` and the next round's marks."""
+    state's live slots must hold, byte for byte, the rotation, neighbours,
+    centroid and longest edge that a whole-mesh ``_measure`` and
+    ``_neighbours`` pass of the result gives; the boundary must be
+    ``_extract_boundary``'s, and the result valid."""
     w = _Working(surface)
     refine_local(w, np.flatnonzero(marks))
     live = np.flatnonzero(~w.dead[: w.nt])
     row = np.full(w.nt + 1, -1, dtype=np.int64)  # row[-1]: no neighbour
     row[live] = np.arange(live.size)
-    rec = _Record(w.rot[live], row[w.nbr[live]].T, w.centroid[live], w.longest[live])
+    slots = (w.rot[live], row[w.nbr[live]].T, w.centroid[live], w.longest[live])
     out = w.surface()
-    out.cache[_RECORD] = rec
+    rot, centroid, longest = _measure(out.tri_coords(), out.triangles)
+    whole = (rot, _neighbours(rot, out.num_vertices), centroid, longest)
+    for name, x, y in zip(("rot", "nbr", "centroid", "longest"), slots, whole):
+        _assert_bytes_equal(x, y, name)
+    _assert_bytes_equal(out.boundary_edges, _extract_boundary(out.triangles),
+                        "boundary")
+    out.validate()
     return out
-
-
-def _assert_record_fresh(s):
-    """The record ``_refine_once`` left on ``s`` is, byte for byte, the one
-    a whole-mesh pass builds; the boundary is ``_extract_boundary``'s, and
-    the mesh is valid."""
-    fresh = Surface(s.vertices, s.triangles, s.boundary_edges, s.f_nodal, s.spec)
-    for name, x, y in zip(_Record._fields, s.cache[_RECORD], _record(fresh)):
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-    assert np.array_equal(s.boundary_edges, _extract_boundary(s.triangles))
-    s.validate()
 
 
 def _measure_reference(c, tris):
@@ -948,20 +918,6 @@ def test_measure_matches_lexsort_reference(rng, case):
         c, tris = s.tri_coords(), s.triangles
     for got, want in zip(_measure(c, tris), _measure_reference(c, tris)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("case", ["random", "rectangle"])
-def test_edge_topology_matches_axis_reductions(rng, case):
-    if case == "random":
-        tris = _random_rows(rng, 3000, False)[1]
-    else:
-        tris = build_domain(DomainSpec("rectangle", (2.0, 1.0)), 0.1).triangles
-    n = int(tris.max()) + 1
-    oriented = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    want = (oriented, *np.unique(oriented.min(axis=1) * n + oriented.max(axis=1),
-                                 return_inverse=True, return_counts=True))
-    for got, ref in zip(_edge_topology(tris, n), want):
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def _assert_bytes_equal(got, want, what):
@@ -1024,240 +980,15 @@ def test_sorted_unique_is_np_unique(rng):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def _adapt_reference(surface, center, inner, outer, ratio=8.0):
-    """``adapt_for_point`` as written before it marked only the last round's
-    rows: each round marks from the whole record.  Returns the mesh and the
-    number of rounds."""
-    surf, rounds = surface, 0
-    while True:
-        rec = _record(surf)
-        d = np.hypot(rec.centroid[:, 0] - center[0], rec.centroid[:, 1] - center[1])
-        target = np.maximum(inner, np.minimum(d, outer)) / ratio
-        marks = (rec.longest > target) & (d <= outer + rec.longest)
-        if not marks.any():
-            return surf, rounds
-        surf, rounds = _refine_once(surf, marks), rounds + 1
-
-
-@pytest.mark.parametrize("spec, params", [
-    (DomainSpec("rectangle", (2.0, 1.0)), ((0.0, 0.45), 1e-7, 0.3)),
-    (DomainSpec("rectangle", (2.0, 1.0)), ((1.3, 1.0), 1e-3, 0.5)),
-    (DomainSpec("half_disk", (1.0,)), ((math.cos(0.3), math.sin(0.3)), 1e-6, 0.3)),
-    (DomainSpec("half_disk", (1.0,)), ((0.0, -0.6), 1e-3, 0.4)),
-    (DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"), ((0.6, 0.8), 1e-5, 0.3)),
-    (DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"), ((0.4, 0.1), 1e-3, 0.2)),
-], ids=["rect-side", "rect-top", "arc", "diameter", "f-arc", "f-inside"])
-def test_adapt_marking_new_rows_matches_whole_mesh_marking(spec, params):
-    """Marking only the rows the last round made gives the mesh, and the
-    number of rounds, that marking every row each round gives."""
-    base = build_domain(spec, 0.1)
-    want, rounds = _adapt_reference(base, *params)
-    got = adapt_for_point(base, *params)
-    assert rounds > 3 and len(got.cache[_PROLONGATION][1]) == rounds
-    assert got.content_hash() == want.content_hash()
-
-
-def test_adapt_marks_every_row_in_its_first_round(rng, half_disk):
-    """A surface made by a round holds a record and new rows at its end;
-    adaptation still tests all its rows first, as marking every row each
-    round does."""
-    s = _refine_once(half_disk, rng.random(half_disk.num_triangles) < 0.2)
-    for args in (((1.0, 0.0), 1e-4, 0.3), ((0.0, 0.2), 1e-3, 0.9)):
-        assert (adapt_for_point(s, *args).content_hash()
-                == _adapt_reference(s, *args)[0].content_hash())
-
-
-def _surface_per_round_refine_local(surface, marked):
-    """``refine_local`` as written before the working state: each round
-    reads the input's record, copies and renumbers every kept row, scans the
-    whole neighbour table for the boundary and builds a new ``Surface``.
-    Returns it and the row where the children start, which the record then
-    held as ``first_new``."""
+def _reference_refine_local(surface, rot, marked):
+    """Whole-mesh longest-edge bisection (Rivara, *Int. J. Numer. Methods
+    Eng.* 20, 1984), as ``refine_local`` did it before the bisection record:
+    an edge sort and a closure loop over every triangle each round.  The one
+    reference for a round, which ``refine_local`` must match bit for bit.
+    ``rot`` is ``_measure_reference``'s rotation of ``surface``'s rows.
+    Returns the mesh and the parent edges of its midpoints, in their order."""
     nv, nt = surface.num_vertices, surface.num_triangles
     verts, tris = surface.vertices, surface.triangles
-    rot, nbr, centroid, longest = _record(surface)
-    cut = marked.copy()
-    front = np.flatnonzero(marked)
-    while front.size:
-        nxt = nbr[0, front]
-        nxt = nxt[nxt >= 0]
-        front = np.unique(nxt[~cut[nxt]])
-        cut[front] = True
-    idx = np.flatnonzero(cut)
-    across = nbr[:, idx]
-    shared = (across[0] >= 0) & (nbr[0, across[0]] == idx)
-    owner = ~(shared & (across[0] < idx))
-    ends = np.sort(rot[idx[owner], :2], axis=1)
-    mids = 0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]])
-    radius = _arc_radius(surface.spec)
-    if radius is not None:
-        arc = (across[0, owner] < 0) & _arc_chord(verts[ends[:, 0]],
-                                                  verts[ends[:, 1]], radius)
-        if arc.any():
-            x, y = mids[arc, 0], mids[arc, 1]
-            r = np.frompyfunc(math.hypot, 2, 1)(x, y).astype(float)
-            mids[arc] = np.column_stack([x * radius / r, y * radius / r])
-    mids[np.abs(mids) < _SNAP] = 0.0
-    mid = np.full(nt, -1, dtype=np.int64)
-    mid[idx[owner]] = nv + np.arange(ends.shape[0])
-    mid[idx[~owner]] = mid[across[0, ~owner]]
-    new_verts = np.concatenate([verts, mids])
-    f_new = _new_f(surface.spec, surface.f_nodal, mids, ends)
-    v0, v1, v2 = rot[idx].T
-    m0 = mid[idx]
-    s1, s2 = [(n >= 0) & cut[n] & (nbr[0, n] == idx) for n in across[1:]]
-    m1, m2 = mid[across[1]], mid[across[2]]
-
-    def tri(a, b, c):
-        return np.column_stack([a, b, c])
-
-    kids = np.stack([
-        np.where(s2[:, None], tri(v2, m2, m0), tri(v0, m0, v2)),
-        tri(m2, v0, m0),
-        np.where(s1[:, None], tri(v1, m1, m0), tri(m0, v1, v2)),
-        tri(m1, v2, m0),
-    ])
-    used = np.stack([np.ones_like(s2), s2, np.ones_like(s1), s1])
-    kids = kids[used]
-    kept = np.flatnonzero(~cut)
-    new_tris = np.concatenate([tris.take(kept, axis=0), kids])
-    nk, nkids = kept.size, kids.shape[0]
-    newid = np.full(nt + 1, -1, dtype=np.int64)
-    newid[kept] = np.arange(nk)
-    kid_rot, kid_centroid, kid_longest = _measure(new_verts[kids], kids)
-    rot_new = np.concatenate([rot.take(kept, axis=0), kid_rot])
-    nbr_new = np.concatenate(
-        [newid.take(nbr.take(kept, axis=1)), np.empty((3, nkids), np.int64)], axis=1
-    )
-    rim = np.unique(newid.take(across))
-    rim = rim[rim >= 0]
-    patch = np.concatenate([rim, nk + np.arange(nkids)])
-    link = _neighbours(rot_new[patch], new_verts.shape[0])
-    link = np.where(link >= 0, patch[link], -1)
-    face = nbr_new[:, rim]
-    nbr_new[:, rim] = np.where(face >= 0, face, link[:, : rim.size])
-    nbr_new[:, nk:] = link[:, rim.size:]
-    rec = _Record(rot_new, nbr_new,
-                  np.concatenate([centroid.take(kept, axis=0), kid_centroid]),
-                  np.concatenate([longest.take(kept), kid_longest]))
-    k, t = np.divmod(np.flatnonzero(nbr_new < 0), nbr_new.shape[1])
-    bedges = np.column_stack([rot_new[t, k], rot_new[t, (k + 1) % 3]])
-    out = Surface(new_verts, new_tris, bedges[np.lexsort((bedges[:, 1], bedges[:, 0]))],
-                  np.concatenate([surface.f_nodal, f_new]), surface.spec)
-    out.cache[_RECORD] = rec
-    out.cache[_PROLONGATION] = (nv, (ends,))
-    return out, nk
-
-
-def _surface_per_round_adapt(surface, center, inner_scale, outer_radius, ratio=8.0):
-    """``adapt_for_point`` as written before the working state: one
-    ``Surface`` per round, from ``_surface_per_round_refine_local``."""
-    cx, cy = float(center[0]), float(center[1])
-    surf, rounds, start = surface, (), 0
-    while True:
-        rec = _record(surf)
-        cc, longest = rec.centroid[start:], rec.longest[start:]
-        d = np.hypot(cc[:, 0] - cx, cc[:, 1] - cy)
-        target = np.maximum(inner_scale, np.minimum(d, outer_radius)) / ratio
-        new = (longest > target) & (d <= outer_radius + longest)
-        if not new.any():
-            surf.cache.pop(_RECORD, None)
-            surf.cache[_PROLONGATION] = (surface.num_vertices, rounds)
-            return surf
-        marks = np.zeros(surf.num_triangles, dtype=bool)
-        marks[start:] = new
-        surf, start = _surface_per_round_refine_local(surf, marks)
-        rounds += surf.cache[_PROLONGATION][1]
-
-
-@pytest.mark.parametrize("spec, h, params, triangles", [
-    (DomainSpec("rectangle", (2.0, 1.0)), 0.05,
-     ((0.0, 0.45), 0.405 * math.sqrt(1e-14), 0.405), 21068),
-    (DomainSpec("half_disk", (1.0,)), 0.04,
-     ((math.cos(0.2), math.sin(0.2)), 1e-4, 0.5), 12994),
-], ids=["adapt_ladder", "glued_bound"])
-def test_adapt_working_state_matches_surface_per_round_chain(monkeypatch, spec, h,
-                                                            params, triangles):
-    """Rounds on one working state give, byte for byte, the mesh and the
-    ``prolong`` record that a new ``Surface`` per round gives, on meshes
-    shaped like the two adapting benchmark workloads; the buffers grow
-    several times on the way."""
-    growths = []  # one entry per growth of the slot buffers
-
-    def counted(a, n, need=0):
-        if need and a.dtype == bool:
-            growths.append(need)
-        return grown(a, n, need)
-
-    grown = surface_mod._grown
-    monkeypatch.setattr(surface_mod, "_grown", counted)
-    base = build_domain(spec, h)
-    want = _surface_per_round_adapt(base, *params)
-    got = adapt_for_point(base, *params)
-    assert got.num_triangles == triangles and len(growths) >= 5
-    for name in ("vertices", "triangles", "boundary_edges", "f_nodal"):
-        x, y = getattr(got, name), getattr(want, name)
-        assert x.dtype == y.dtype and x.shape == y.shape, name
-        assert x.tobytes() == y.tobytes(), name
-    (nv, rounds), (want_nv, want_rounds) = (s.cache[_PROLONGATION] for s in (got, want))
-    assert nv == want_nv == base.num_vertices and len(rounds) == len(want_rounds) > 20
-    for x, y in zip(rounds, want_rounds):
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(center=(math.nan, 0.0)),
-    dict(center=(1.0, math.inf)),
-    dict(inner_scale=math.nan),
-    dict(inner_scale=0.0),
-    dict(inner_scale=math.inf),
-    dict(outer_radius=math.inf),
-    dict(outer_radius=-0.3),
-    dict(outer_radius=math.nan),
-    dict(ratio=0.0),
-    dict(ratio=-8.0),
-    dict(ratio=math.nan),
-], ids=["centre-nan", "centre-inf", "inner-nan", "inner-zero", "inner-inf",
-        "outer-inf", "outer-negative", "outer-nan", "ratio-zero", "ratio-negative",
-        "ratio-nan"])
-def test_adapt_rejects_bad_centre_scales_and_ratio(half_disk, kwargs):
-    """Before, a NaN centre or scale marked nothing and returned the input
-    unadapted, and an infinite outer radius was taken as given."""
-    args = {"center": (1.0, 0.0), "inner_scale": 1e-3, "outer_radius": 0.3, **kwargs}
-    with pytest.raises(UsageError, match="adaptation"):
-        adapt_for_point(half_disk, **args)
-
-
-@pytest.mark.parametrize("made_by", ["build_domain", "refine_local"])
-def test_adapt_round_limit_leaves_the_input_as_it_was(monkeypatch, half_disk, made_by):
-    s = half_disk
-    if made_by == "refine_local":
-        s = _refine_once(half_disk, np.arange(half_disk.num_triangles) % 5 == 0)
-    arrays = {k: v.copy() for k, v in s.to_dict().items() if isinstance(v, np.ndarray)}
-    content, cache = s.content_hash(), dict(s.cache)
-    monkeypatch.setattr(surface_mod, "ADAPT_MAX_ROUNDS", 2)
-    with pytest.raises(PreconditionError, match="round limit"):
-        adapt_for_point(s, (1.0, 0.0), 1e-6, 0.3)
-    for name, a in arrays.items():
-        assert getattr(s, name).tobytes() == a.tobytes(), name
-    assert s.content_hash() == content
-    assert s.cache.keys() == cache.keys()
-    assert all(s.cache[k] is v for k, v in cache.items())
-
-
-def _reference_refine_local(surface, marked):
-    """Whole-mesh longest-edge bisection, as ``refine_local`` did it before
-    the bisection record: an edge sort and a closure loop over every triangle
-    each round.  The reference the incremental version must match bit for bit."""
-    nv, nt = surface.num_vertices, surface.num_triangles
-    verts, tris = surface.vertices, surface.triangles
-    nxt = np.roll(tris, -1, axis=1)
-    d = verts[tris] - verts[nxt]
-    sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
-    pair = np.minimum(tris, nxt) * nv + np.maximum(tris, nxt)
-    first = np.lexsort((pair, sq))[:, -1]
-    rot = np.take_along_axis(tris, (first[:, None] + np.arange(3)) % 3, axis=1)
-
     _, keys, inverse, counts = _edge_topology(rot, nv)
     eid = inverse.reshape(3, nt)
     split = np.zeros(keys.size, dtype=bool)
@@ -1305,12 +1036,141 @@ def _reference_refine_local(surface, marked):
     used = np.stack([np.ones_like(s2), s2, np.ones_like(s1), s1])
     new_tris = np.concatenate([tris[~cut], kids[used]])
     return Surface(new_verts, new_tris, _extract_boundary(new_tris),
-                   np.concatenate([surface.f_nodal, f_new]), surface.spec)
+                   np.concatenate([surface.f_nodal, f_new]), surface.spec), ends
+
+
+def _reference_adapt(surface, center, inner, outer, ratio=8.0):
+    """``adapt_for_point`` as whole-mesh passes, one ``Surface`` per round:
+    each round measures every row with ``_measure_reference``, marks by
+    ``adapt_for_point``'s rule and runs ``_reference_refine_local``.
+    Returns the mesh and each round's parent edges."""
+    s, rounds = surface, []
+    while True:
+        rot, centroid, longest = _measure_reference(s.tri_coords(), s.triangles)
+        d = np.hypot(centroid[:, 0] - center[0], centroid[:, 1] - center[1])
+        target = np.maximum(inner, np.minimum(d, outer)) / ratio
+        marks = (longest > target) & (d <= outer + longest)
+        if not marks.any():
+            return s, rounds
+        s, ends = _reference_refine_local(s, rot, marks)
+        rounds.append(ends)
 
 
 def _assert_same_mesh(a, b):
     for name in ("vertices", "triangles", "boundary_edges", "f_nodal"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        _assert_bytes_equal(getattr(a, name), getattr(b, name), name)
+
+
+def _assert_adapts_as_reference(surface, *params):
+    """``adapt_for_point`` gives, byte for byte, the mesh and the ``prolong``
+    parents that ``_reference_adapt`` gives.  Returns the adapted mesh and
+    its number of rounds."""
+    got = adapt_for_point(surface, *params)
+    want, rounds = _reference_adapt(surface, *params)
+    _assert_same_mesh(got, want)
+    nv, parents = got.cache[_PROLONGATION]
+    assert nv == surface.num_vertices and len(parents) == len(rounds)
+    for x, y in zip(parents, rounds):
+        _assert_bytes_equal(x, y, "parents")
+    return got, len(rounds)
+
+
+def _round_as_reference(surface, marks):
+    """``_refine_once``, checked byte for byte against
+    ``_reference_refine_local``: the mesh and its parent edges."""
+    out = _refine_once(surface, marks)
+    rot = _measure_reference(surface.tri_coords(), surface.triangles)[0]
+    want, ends = _reference_refine_local(surface, rot, marks)
+    _assert_same_mesh(out, want)
+    _assert_bytes_equal(out.cache[_PROLONGATION][1][0], ends, "parents")
+    return out
+
+
+@pytest.mark.parametrize("spec, params", [
+    (DomainSpec("rectangle", (2.0, 1.0)), ((0.0, 0.45), 1e-7, 0.3)),
+    (DomainSpec("rectangle", (2.0, 1.0)), ((1.3, 1.0), 1e-3, 0.5)),
+    (DomainSpec("half_disk", (1.0,)), ((math.cos(0.3), math.sin(0.3)), 1e-6, 0.3)),
+    (DomainSpec("half_disk", (1.0,)), ((0.0, -0.6), 1e-3, 0.4)),
+    (DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"), ((0.6, 0.8), 1e-5, 0.3)),
+    (DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"), ((0.4, 0.1), 1e-3, 0.2)),
+], ids=["rect-side", "rect-top", "arc", "diameter", "f-arc", "f-inside"])
+def test_adapt_marking_new_rows_matches_whole_mesh_marking(spec, params):
+    """Marking only the rows the last round made gives the mesh, the rounds
+    and their parent edges that marking every row each round gives."""
+    assert _assert_adapts_as_reference(build_domain(spec, 0.1), *params)[1] > 3
+
+
+def test_adapt_marks_every_row_in_its_first_round(rng, half_disk):
+    """A surface made by a round has new rows at its end; adaptation still
+    tests all its rows first, as marking every row each round does."""
+    s = _refine_once(half_disk, rng.random(half_disk.num_triangles) < 0.2)
+    for args in (((1.0, 0.0), 1e-4, 0.3), ((0.0, 0.2), 1e-3, 0.9)):
+        _assert_adapts_as_reference(s, *args)
+
+
+@pytest.mark.parametrize("spec, h, params, triangles", [
+    (DomainSpec("rectangle", (2.0, 1.0)), 0.05,
+     ((0.0, 0.45), 0.405 * math.sqrt(1e-14), 0.405), 21068),
+    (DomainSpec("half_disk", (1.0,)), 0.04,
+     ((math.cos(0.2), math.sin(0.2)), 1e-4, 0.5), 12994),
+], ids=["adapt_ladder", "glued_bound"])
+def test_adapt_working_state_matches_surface_per_round_chain(monkeypatch, spec, h,
+                                                            params, triangles):
+    """Rounds on one working state give, byte for byte, the mesh and the
+    ``prolong`` record that the whole-mesh chain of one ``Surface`` per round
+    gives, on meshes shaped like the two adapting benchmark workloads; the
+    buffers grow several times on the way."""
+    growths = []  # one entry per growth of the slot buffers
+
+    def counted(a, n, need=0):
+        if need and a.dtype == bool:
+            growths.append(need)
+        return grown(a, n, need)
+
+    grown = surface_mod._grown
+    monkeypatch.setattr(surface_mod, "_grown", counted)
+    got, rounds = _assert_adapts_as_reference(build_domain(spec, h), *params)
+    assert got.num_triangles == triangles and len(growths) >= 5 and rounds > 20
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(center=(math.nan, 0.0)),
+    dict(center=(1.0, math.inf)),
+    dict(inner_scale=math.nan),
+    dict(inner_scale=0.0),
+    dict(inner_scale=math.inf),
+    dict(outer_radius=math.inf),
+    dict(outer_radius=-0.3),
+    dict(outer_radius=math.nan),
+    dict(ratio=0.0),
+    dict(ratio=-8.0),
+    dict(ratio=math.nan),
+], ids=["centre-nan", "centre-inf", "inner-nan", "inner-zero", "inner-inf",
+        "outer-inf", "outer-negative", "outer-nan", "ratio-zero", "ratio-negative",
+        "ratio-nan"])
+def test_adapt_rejects_bad_centre_scales_and_ratio(half_disk, kwargs):
+    """Before, a NaN centre or scale marked nothing and returned the input
+    unadapted, and an infinite outer radius was taken as given."""
+    args = {"center": (1.0, 0.0), "inner_scale": 1e-3, "outer_radius": 0.3, **kwargs}
+    with pytest.raises(UsageError, match="adaptation"):
+        adapt_for_point(half_disk, **args)
+
+
+@pytest.mark.parametrize("made_by", ["build_domain", "refine_local"])
+def test_adapt_round_limit_leaves_the_input_as_it_was(monkeypatch, half_disk, made_by):
+    s = half_disk
+    if made_by == "refine_local":
+        s = _refine_once(half_disk, np.arange(half_disk.num_triangles) % 5 == 0)
+    arrays = {k: v.copy() for k, v in s.to_dict().items() if isinstance(v, np.ndarray)}
+    content, cache = s.content_hash(), dict(s.cache)
+    monkeypatch.setattr(surface_mod, "ADAPT_MAX_ROUNDS", 2)
+    with pytest.raises(PreconditionError, match="round limit"):
+        adapt_for_point(s, (1.0, 0.0), 1e-6, 0.3)
+    for name, a in arrays.items():
+        assert getattr(s, name).tobytes() == a.tobytes(), name
+    assert s.content_hash() == content
+    assert s.cache.keys() == cache.keys()
+    assert all(s.cache[k] is v for k, v in cache.items())
 
 
 REFERENCE_SPECS = [
@@ -1331,10 +1191,7 @@ def test_refine_local_matches_whole_mesh_reference(rng, spec):
     for density in (0.02, 0.3, 0.1, 0.05, 0.2, 0.01, 0.1, 0.15):
         marks = rng.random(s.num_triangles) < density
         marks[rng.integers(s.num_triangles)] = True
-        out = _refine_once(s, marks)
-        _assert_same_mesh(out, _reference_refine_local(s, marks))
-        _assert_record_fresh(out)
-        s = out
+        s = _round_as_reference(s, marks)
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_IDS)
@@ -1348,9 +1205,7 @@ def test_refine_local_long_closure_chains_match_reference(spec):
         d = np.hypot(*(s.tri_coords().mean(axis=1) - point).T)
         marks = np.zeros(s.num_triangles, dtype=bool)
         marks[np.argmin(d)] = True
-        out = _refine_once(s, marks)
-        _assert_same_mesh(out, _reference_refine_local(s, marks))
-        _assert_record_fresh(out)
+        out = _round_as_reference(s, marks)
         growth.append(out.num_triangles - s.num_triangles)
         s = out
     # Each bisected triangle adds at least one: some closures cut 10+.
@@ -1361,10 +1216,7 @@ def test_refine_local_no_marks_is_identity(half_disk):
     """A round with no marks leaves the mesh as it was, byte for byte, and
     records an empty round."""
     s = _refine_once(half_disk, np.zeros(half_disk.num_triangles, bool))
-    _assert_record_fresh(s)
-    for name in ("vertices", "triangles", "boundary_edges", "f_nodal"):
-        x, y = getattr(s, name), getattr(half_disk, name)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    _assert_same_mesh(s, half_disk)
     nv, (parents,) = s.cache[_PROLONGATION]
     assert nv == half_disk.num_vertices and parents.shape == (0, 2)
 
