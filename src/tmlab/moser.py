@@ -601,7 +601,7 @@ def maximize_subcritical(
         converged=bool(st.kkt_residual <= tol),
         tainted=False,
         peak_vertex=peak,
-        peak_is_corner=bool(np.isin(peak, surface.corner_vertex_indices())),
+        peak_is_corner=bool(surface.boundary()[2][peak]),
     )
 
 

@@ -111,7 +111,7 @@ def first_eigenpair(surface: Surface, tol: float = 1e-10) -> Eigenpair:
     u /= assembly.l2_norm(surface, u)
     # Sign anchor: the lowest-index boundary vertex within 1e-9 (relative)
     # of max |u|, so mirror peaks that differ by solver noise cannot flip u.
-    bidx = surface.boundary_vertex_indices()
+    bidx = np.flatnonzero(surface.boundary()[1] >= 0)
     mag = np.abs(u[bidx])
     top = float(mag.max())
     anchor = bidx[int(np.argmax(mag >= top - 1e-9 * max(top, 1.0)))]

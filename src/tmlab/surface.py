@@ -218,8 +218,8 @@ class Surface:
         a value is kept only when a later call on the same surface reads
         it again; a value with one reader is made in that reader and
         dropped.  Kept: quadrature weights, CSR pattern, K, M, M·1, area,
-        the LU of K bordered with M·1, λ₁'s eigenpair, glued-state meshes
-        and the parent map `prolong` applies.
+        the boundary record, the LU of K bordered with M·1, λ₁'s eigenpair,
+        glued-state meshes and the parent map `prolong` applies.
     """
 
     vertices: np.ndarray
@@ -273,8 +273,23 @@ class Surface:
             self.vertices[:, 0] - point[0], self.vertices[:, 1] - point[1]
         )
 
-    def boundary_vertex_indices(self) -> np.ndarray:
-        return np.unique(self.boundary_edges)
+    def boundary(self) -> tuple:
+        """``(before, after, corner)``, kept in ``cache``: per vertex the
+        previous and the next boundary vertex (the domain on the left), −1
+        off the boundary, and whether it is the boundary vertex nearest a
+        spec corner c and within 1e-9·(1 + max |c|) of it."""
+        if "boundary" not in self.cache:
+            e, nv = self.boundary_edges, self.num_vertices
+            before, after = np.full((2, nv), -1, dtype=np.int64)
+            before[e[:, 1]], after[e[:, 0]] = e[:, 0], e[:, 1]
+            on = np.flatnonzero(after >= 0)
+            corner = np.zeros(nv, dtype=bool)
+            for c in self.spec.corners():
+                d = np.hypot(*(self.vertices[on] - c).T)
+                j = int(np.argmin(d))
+                corner[on[j]] |= d[j] < 1e-9 * (1.0 + np.abs(c).max())
+            self.cache["boundary"] = before, after, corner
+        return self.cache["boundary"]
 
     def convex_diameter_bound(self) -> float | None:
         """An upper bound on the diameter of the boundary polygon, or None
@@ -293,32 +308,20 @@ class Surface:
         of its longest chord, which lies within π/(2n) of one of n
         directions spaced π/n apart, so d ≤ max width / cos(π/(2n)).
         """
-        e = self.boundary_edges
-        after = np.zeros(self.num_vertices, dtype=np.int64)
-        after[e[:, 0]] = e[:, 1]
+        before, after, _ = self.boundary()
+        v = np.flatnonzero(after >= 0)
         p = self.vertices
-        a = p[e[:, 1]] - p[e[:, 0]]  # edge u → v
-        b = p[after[e[:, 1]]] - p[e[:, 1]]  # edge v → w
+        a = p[v] - p[before[v]]  # edge u → v
+        b = p[after[v]] - p[v]  # edge v → w
         cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
         turning = np.arctan2(cross, a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]).sum()
         if np.any(cross < 0.0) or round(turning / (2.0 * math.pi)) != 1:
             return None
         n = _WIDTH_DIRECTIONS
         theta = np.arange(n) * (math.pi / n)
-        reach = p[e[:, 0]] @ np.array([np.cos(theta), np.sin(theta)])
+        reach = p[v] @ np.array([np.cos(theta), np.sin(theta)])
         width = float((reach.max(axis=0) - reach.min(axis=0)).max())
         return width / math.cos(math.pi / (2 * n))
-
-    def corner_vertex_indices(self) -> np.ndarray:
-        """Indices of mesh vertices sitting at the domain's corners."""
-        corners = self.spec.corners()
-        idx = []
-        for c in corners:
-            d = self.distances(c)
-            j = int(np.argmin(d))
-            if d[j] < 1e-9 * (1.0 + np.abs(c).max()):
-                idx.append(j)
-        return np.array(sorted(set(idx)), dtype=np.int64)
 
     # -- concentration centres ----------------------------------------------
     # Blow-up concentrates at a point of the smooth boundary, so every
@@ -333,18 +336,14 @@ class Surface:
             np.min(np.hypot(corners[:, 0] - x0[0], corners[:, 1] - x0[1]))
         )
 
-    def smooth_boundary_vertices(self) -> np.ndarray:
-        """Sorted boundary vertex indices that are not domain corners."""
-        bidx = self.boundary_vertex_indices()
-        return bidx[~np.isin(bidx, self.corner_vertex_indices())]
-
     def require_smooth_boundary_vertex(self, vertex: int) -> None:
         """Usage error out of range; precondition error off the smooth boundary."""
         if not (0 <= vertex < self.num_vertices):
             raise UsageError(f"vertex index {vertex} out of range")
-        if vertex not in self.boundary_edges:
+        _, after, corner = self.boundary()
+        if after[vertex] < 0:
             raise PreconditionError(f"vertex {vertex} is not on the boundary")
-        if vertex in self.corner_vertex_indices():
+        if corner[vertex]:
             raise PreconditionError(
                 f"vertex {vertex} is a domain corner, where the smooth-boundary "
                 "constants do not apply"

@@ -95,7 +95,7 @@ def unit_radius_gap(diag: "moser.BlowupDiagnostics") -> float:
 
 def smooth_boundary_vertex(surface: Surface, point) -> int:
     """Boundary vertex nearest ``point``, rejecting corner hits."""
-    bidx = surface.boundary_vertex_indices()
+    bidx = np.flatnonzero(surface.boundary()[1] >= 0)
     vertex = int(bidx[int(np.argmin(surface.distances(point)[bidx]))])
     surface.require_smooth_boundary_vertex(vertex)
     return vertex
@@ -180,7 +180,7 @@ def cap_state(
 
     # Mollifier in the domain bulk, clear of the cap support.
     anchor = _metric_centroid(surface)
-    bidx = surface.boundary_vertex_indices()
+    bidx = np.flatnonzero(surface.boundary()[1] >= 0)
     room = min(
         float(np.min(surface.distances(anchor)[bidx])),
         float(np.hypot(*(anchor - x0))) - delta,
@@ -384,7 +384,8 @@ def peak_boundary_vertex(surface: Surface) -> int:
     the corners; the final tie-break is the lowest index.
     """
     u0 = spectrum.lambda1(surface).vector
-    candidates = surface.smooth_boundary_vertices()
+    _, after, corner = surface.boundary()
+    candidates = np.flatnonzero((after >= 0) & ~corner)
     if candidates.size == 0:
         raise PreconditionError("no smooth boundary vertex available")
     values = u0[candidates]

@@ -76,7 +76,7 @@ def test_dense_solver_oracle(half_disk):
 
 
 def test_corner_pole_rejected(half_disk_refined):
-    corner = int(half_disk_refined.corner_vertex_indices()[0])
+    corner = int(np.flatnonzero(half_disk_refined.boundary()[2])[0])
     with pytest.raises(PreconditionError):
         green.green_function(half_disk_refined, corner)
 

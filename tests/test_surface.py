@@ -60,7 +60,7 @@ def test_coarse_square_has_positive_orientation():
 
 def test_half_disk_boundary_vertices_on_analytic_curve():
     s = build_domain(DomainSpec("half_disk", (1.0,)), 0.1)
-    for i in s.boundary_vertex_indices():
+    for i in np.flatnonzero(s.boundary()[1] >= 0):
         x, y = s.vertices[i]
         on_diameter = abs(x) <= 1e-12
         on_arc = abs(math.hypot(x, y) - 1.0) <= 1e-12
@@ -758,7 +758,7 @@ def _assert_graded(s, center, inner, outer, ratio=8.0):
 
 
 def _assert_boundary_on_half_disk(s):
-    x, y = s.vertices[s.boundary_vertex_indices()].T
+    x, y = s.vertices[s.boundary()[1] >= 0].T
     on_diameter = np.abs(x) <= 1e-12
     on_arc = np.abs(np.hypot(x, y) - 1.0) <= 1e-12
     assert np.all(on_diameter | on_arc)
@@ -1333,10 +1333,11 @@ def template(request):
 
 
 def test_smooth_boundary_vertices_exclude_corners(template):
-    corners = template.corner_vertex_indices()
+    _, after, corner = template.boundary()
+    corners = np.flatnonzero(corner)
     assert corners.size == len(template.spec.corners())
-    want = np.setdiff1d(template.boundary_vertex_indices(), corners)
-    assert np.array_equal(template.smooth_boundary_vertices(), want)
+    want = np.setdiff1d(np.unique(template.boundary_edges), corners)
+    assert np.array_equal(np.flatnonzero((after >= 0) & ~corner), want)
 
 
 def test_require_smooth_boundary_vertex(template):
@@ -1344,13 +1345,14 @@ def test_require_smooth_boundary_vertex(template):
     for vertex in (-1, n):
         with pytest.raises(UsageError, match="out of range"):
             template.require_smooth_boundary_vertex(vertex)
-    interior = np.setdiff1d(np.arange(n), template.boundary_vertex_indices())
+    _, after, corner = template.boundary()
+    interior = np.setdiff1d(np.arange(n), np.unique(template.boundary_edges))
     with pytest.raises(PreconditionError, match="not on the boundary"):
         template.require_smooth_boundary_vertex(int(interior[0]))
-    for corner in template.corner_vertex_indices():
+    for vertex in np.flatnonzero(corner):
         with pytest.raises(PreconditionError, match="domain corner"):
-            template.require_smooth_boundary_vertex(int(corner))
-    for vertex in template.smooth_boundary_vertices():
+            template.require_smooth_boundary_vertex(int(vertex))
+    for vertex in np.flatnonzero((after >= 0) & ~corner):
         template.require_smooth_boundary_vertex(int(vertex))
 
 
@@ -1363,9 +1365,10 @@ def test_distances_bit_equal_to_inline_form(template, rng):
 
 def test_corner_free_radius_is_nearest_corner_distance(template):
     corners = template.spec.corners()
-    for vertex in template.boundary_vertex_indices().tolist():
+    _, after, corner = template.boundary()
+    for vertex in np.flatnonzero(after >= 0).tolist():
         x0 = template.vertices[vertex]
         want = np.min(np.hypot(corners[:, 0] - x0[0], corners[:, 1] - x0[1]))
         assert template.corner_free_radius(vertex) == float(want)
-    for corner in template.corner_vertex_indices().tolist():
-        assert template.corner_free_radius(corner) <= 1e-9
+    for vertex in np.flatnonzero(corner).tolist():
+        assert template.corner_free_radius(vertex) <= 1e-9

@@ -151,7 +151,7 @@ def test_cap_state_keeps_no_quadrature_points():
 
 
 def test_cap_rejects_corner_center(half_disk):
-    corner = int(half_disk.corner_vertex_indices()[0])
+    corner = int(np.flatnonzero(half_disk.boundary()[2])[0])
     with pytest.raises(PreconditionError):
         witness.cap_state(half_disk, corner, 1e-3, 0.1)
 
@@ -177,10 +177,9 @@ def test_centre_off_smooth_boundary_rejected_before_adapting(
 
     monkeypatch.setattr(witness, "adapt_for_point", no_adapt)
     if where == "corner":
-        vertex = int(half_disk.corner_vertex_indices()[0])
+        vertex = int(np.flatnonzero(half_disk.boundary()[2])[0])
     else:
-        vertex = int(np.setdiff1d(np.arange(half_disk.num_vertices),
-                                  half_disk.boundary_vertex_indices())[0])
+        vertex = int(np.flatnonzero(half_disk.boundary()[1] < 0)[0])
     with pytest.raises(PreconditionError):
         CENTRE_CALLS[call](half_disk, vertex)
 
