@@ -116,10 +116,12 @@ class MaximizeResult:
 class BlowupDiagnostics:
     """Concentration diagnostics of a (near-)maximizer.
 
-    ``psi``/``phi`` are sampled on a fan of inward directions at the
-    scaled radii ``rho``: psi(ρ) = u(x* + r ρ ω)/c and
+    ``psi``/``phi`` are sampled on a fan of FAN_DIRS directions ω (rows)
+    at the scaled radii ``rho`` (columns): psi(ρ) = u(x* + r ρ ω)/c and
     phi(ρ) = c (u(x* + r ρ ω) − c); entries are NaN where no triangle of
-    the mesh contains the sample point.
+    the mesh contains the sample point.  At a boundary peak the fan keeps
+    inside the domain's angle at x* (see :func:`blowup_diagnostics`), so
+    only samples that reach past the far side of the domain read NaN.
     """
 
     c: float
@@ -643,10 +645,17 @@ def blowup_diagnostics(
 
     The state is sign-normalized so its extremum is a positive peak; the
     concentration scale is r = √(λ_ε / (β_ε c² e^{α_ε c²})).  Rescaled
-    profiles ψ = u(x* + rρω)/c and φ = c(u(x* + rρω) − c) are sampled on a
-    fan of FAN_DIRS directions ω spread ±FAN_HALF_ANGLE degrees around the
-    inward direction at the peak by :func:`assembly.evaluate`, NaN outside
-    the mesh.
+    profiles ψ = u(x* + rρω)/c and φ = c(u(x* + rρω) − c) are sampled by
+    :func:`assembly.evaluate`, NaN outside the mesh, on a fan of FAN_DIRS
+    directions ω evenly spread over [base − half, base + half]:
+
+    * at a boundary peak, base is the bisector of the inward normals of
+      the two boundary edges at x* (from :meth:`Surface.boundary`); half
+      is FAN_HALF_ANGLE at a smooth vertex and FAN_HALF_ANGLE − turn/2 at
+      a domain corner, where turn is the boundary polygon's turning angle,
+      so every ray stays 90° − FAN_HALF_ANGLE inside the corner's angle;
+    * at an interior peak, base is 0 and the rays are spaced 2π/FAN_DIRS
+      over the full turn.
     """
     u = np.asarray(u, dtype=float)
     if abs(float(u.min())) > abs(float(u.max())):
@@ -663,19 +672,18 @@ def blowup_diagnostics(
         raise NumericalError("peak exponent overflows the concentration scale")
     r = math.sqrt(co.lambda_eps / (co.beta_eps * c * c * math.exp(arg)))
 
-    # Inward direction: for a boundary peak use the inward normal proxy
-    # (domain centroid direction works for all template domains); for an
-    # interior peak any fan covers the neighborhood.
-    centroid = surface.vertices.mean(axis=0)
-    inward = centroid - x_star
-    nrm = float(np.hypot(*inward))
-    if nrm == 0.0:
-        inward = np.array([1.0, 0.0])
+    before, after, corner = surface.boundary()
+    if after[vertex] < 0:  # interior peak: the full turn, evenly spaced
+        base, half = 0.0, math.pi * (1.0 - 1.0 / FAN_DIRS)
     else:
-        inward = inward / nrm
-
-    half = math.radians(FAN_HALF_ANGLE)
-    base = math.atan2(inward[1], inward[0])
+        a = x_star - surface.vertices[before[vertex]]  # incoming edge
+        b = surface.vertices[after[vertex]] - x_star  # outgoing edge
+        turn = math.atan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1])
+        # The bisector of the two edges' inward (left) normals.
+        base = math.atan2(a[1], a[0]) + 0.5 * (math.pi + turn)
+        half = math.radians(FAN_HALF_ANGLE)
+        if corner[vertex]:  # keep the outer rays 90° − FAN_HALF_ANGLE inside
+            half -= 0.5 * turn
     angles = base + np.linspace(-half, half, FAN_DIRS)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     rho = np.linspace(0.0, rho_max, FAN_RADII)

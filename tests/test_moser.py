@@ -306,28 +306,28 @@ def test_blowup_phi_nonpositive(half_disk, maximized):
 
 # sha256 of the psi and phi arrays of blowup_diagnostics at the maximizer
 # that moser.best_seed picks from the eigen and bubble seeds (eps = 0.5).
-# The peak is the corner (0, 1), so four of the nine fan rays leave the
-# domain and their samples beyond the peak read NaN.
+# The peak is the corner (0, 1); the fan keeps inside its angle, so no
+# sample reads NaN.
 GOLDEN_BLOWUP = {
     ("h0.05", 0.0, 1.0): (
-        "03eb48495d00bf7422cbcb625a0d82bc3488a8d9bfbbb7f89f20fd6ee56022b4",
-        "86e3225fe5d7b49824244d19e999f03bc437fd0cb49a31d61abaf7dcf9b022ad",
+        "94d44541310ea62cf92306034f94f4a04a2eb170b47dffe8824858613b46f6cf",
+        "90e9b8db6cf666c1c2be7ef4e84f1882a9816ac904d04bea05e72c5640e6bb29",
     ),
     ("h0.05", 1.0, 1.0): (
-        "8665af7b7117051ec334e0eac87201282b454d1512339b38ecff30ab87131849",
-        "d91299189ad95d1911081f4c3d292486ae5422808cc81bbdb80ab68337de8d41",
+        "d93c3d9d7dc704cb2a610704c1dab0bdc2beee1eae480a511fe9e8e928102562",
+        "e1b63adf20128b7a8642afd733728709aa67d1aef30b59067511be247022e9f5",
     ),
     ("h0.05", 0.0, 40.0): (
-        "75b3eb13d07bb94f725ce19946d096539a9d938f2b06269d14e7cff4871fca29",
-        "82817b84eefe0f2e0fa6efbd4c32225b4be10ffd34754a5e095479361b8d9e15",
+        "ba5ecba13a88319f7b31c1c305013cd4cde1d9d9cab6e20227265078391ce174",
+        "46c943dfdb28410d2cf1eef5585b4be05689d883497c044199d03e5e25d5c2c5",
     ),
     ("h0.1 refined", 0.0, 1.0): (
-        "1534ffa3235ceb28dbc6328f1d54e329735a48989bf4babf991b0a377c6c1db5",
-        "7035ebec356c8153d3204b862a361a2e35fe0e2a6d71809024be3e7f664c77b3",
+        "30aaa8e1e6f9c563b7ddc4788e01fa48bd26ac2ca30303198e7e13b0245cf4f0",
+        "91376ab872cbc018425873eae6ac390334a4a6fecf3b3b8fbf939be3e6d0f891",
     ),
     ("h0.1 refined", 1.0, 1.0): (
-        "8b164e03652beea23133a9a37f272ca54bc7d6a8b7e439510250884cfcc9cae8",
-        "359cab9990c2a35a6d0d17fb114c51f831b6635fae73c26e13c4cf2bdc960972",
+        "ebe130bdbe8e32b5b9872ee89613892068c70c79c543f19a15408ef7e0a46043",
+        "7a9bdecce204097cb79182ced545868f48ef6ef9dfded135dd6f650033359af2",
     ),
 }
 
@@ -351,10 +351,45 @@ def test_blowup_golden_bytes(blowup_maximizers, case):
     mesh, alpha, rho_max = case
     s, u = blowup_maximizers[mesh, alpha]
     diag = moser.blowup_diagnostics(s, u, alpha, 0.5, rho_max=rho_max)
-    assert np.isnan(diag.psi).any()
+    assert not np.isnan(diag.psi).any() and not np.isnan(diag.phi).any()
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
                     for a in (diag.psi, diag.phi))
     assert digests == GOLDEN_BLOWUP[case]
+
+
+def _boundary_fan(s, diag):
+    """The fan's sample points as the blowup_diagnostics docstring defines
+    them at a boundary peak, built from ``boundary_edges`` and the spec's
+    corners: FAN_DIRS rays spread ±FAN_HALF_ANGLE degrees (less half the
+    turning angle at a corner) around the bisector of the inward normals
+    of the two boundary edges at the peak, sampled at x* + r·ρ·ω."""
+    e = s.boundary_edges
+    (prev,), (nxt,) = e[e[:, 1] == diag.vertex, 0], e[e[:, 0] == diag.vertex, 1]
+    a, b = diag.x - s.vertices[prev], s.vertices[nxt] - diag.x
+    normals = [np.array([-d[1], d[0]]) / np.hypot(*d) for d in (a, b)]
+    bisector = normals[0] + normals[1]
+    turn = math.atan2(a[0] * b[1] - a[1] * b[0], a @ b)
+    corner = np.hypot(*(s.spec.corners() - diag.x).T).min() <= 1e-9
+    half = math.radians(moser.FAN_HALF_ANGLE) - (turn / 2 if corner else 0.0)
+    angles = math.atan2(bisector[1], bisector[0]) + np.linspace(
+        -half, half, moser.FAN_DIRS)
+    omega = np.column_stack([np.cos(angles), np.sin(angles)])
+    return diag.x + diag.r * diag.rho[None, :, None] * omega[:, None, :]
+
+
+def _inside_mesh(s, pts):
+    """(k, p) mask of the sample points some triangle contains."""
+    c = s.tri_coords()
+    p0, d1, d2 = c[:, 0], c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    inside = np.empty(pts.shape[:2], dtype=bool)
+    for k, p in np.ndindex(*inside.shape):
+        rhs = pts[k, p] - p0
+        b1 = (rhs[:, 0] * d2[:, 1] - rhs[:, 1] * d2[:, 0]) / det
+        b2 = (d1[:, 0] * rhs[:, 1] - d1[:, 1] * rhs[:, 0]) / det
+        inside[k, p] = ((b1 >= -1e-10) & (b2 >= -1e-10)
+                        & (b1 + b2 <= 1 + 1e-10)).any()
+    return inside
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_BLOWUP))
@@ -362,29 +397,37 @@ def test_blowup_fan_is_nan_exactly_outside_the_mesh(blowup_maximizers, case):
     mesh, alpha, rho_max = case
     s, u = blowup_maximizers[mesh, alpha]
     diag = moser.blowup_diagnostics(s, u, alpha, 0.5, rho_max=rho_max)
-    # The fan as the docstring defines it: FAN_DIRS rays spread
-    # ±FAN_HALF_ANGLE degrees around the direction from the peak to the
-    # vertex mean, sampled at x* + r·ρ·ω.
-    inward = s.vertices.mean(axis=0) - diag.x
-    half = math.radians(moser.FAN_HALF_ANGLE)
-    angles = math.atan2(inward[1], inward[0]) + np.linspace(-half, half,
-                                                            moser.FAN_DIRS)
+    assert _inside_mesh(s, _boundary_fan(s, diag)).all()
+    # A fan reaching 2.5 from the corner peak crosses the unit half-disk,
+    # so its far samples leave the mesh: NaN there and only there.
+    far = moser.blowup_diagnostics(s, u, alpha, 0.5, rho_max=2.5 / diag.r)
+    inside = _inside_mesh(s, _boundary_fan(s, far))
+    assert np.array_equal(np.isfinite(far.psi), inside)
+    assert np.array_equal(np.isfinite(far.phi), inside)
+    assert inside.any() and not inside.all()
+
+
+def test_blowup_fan_at_an_interior_peak_covers_the_full_turn(half_disk):
+    """An interior peak gets FAN_DIRS rays spaced 2π/FAN_DIRS, the first
+    at angle −π(1 − 1/FAN_DIRS); a tilted bump tells the rays apart."""
+    s = half_disk
+    vertex = int(np.argmin(s.distances((0.5, 0.0))))
+    assert s.boundary()[1][vertex] < 0
+    dx, dy = (s.vertices - s.vertices[vertex]).T
+    bump = np.exp(-(dx * dx + dy * dy) / 0.02) * (1.0 + 0.3 * dx + 0.2 * dy)
+    u = assembly.admissible(s, bump)[0]
+    reach = moser.blowup_diagnostics(s, u, 0.0, 0.5).r
+    diag = moser.blowup_diagnostics(s, u, 0.0, 0.5, rho_max=0.3 / reach)
+    assert diag.vertex == vertex
+    n = moser.FAN_DIRS
+    angles = 2.0 * math.pi * (np.arange(n) - (n - 1) / 2) / n
     omega = np.column_stack([np.cos(angles), np.sin(angles)])
     pts = diag.x + diag.r * diag.rho[None, :, None] * omega[:, None, :]
-
-    c = s.tri_coords()
-    p0, d1, d2 = c[:, 0], c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    inside = np.empty(diag.psi.shape, dtype=bool)
-    for k, p in np.ndindex(*diag.psi.shape):
-        rhs = pts[k, p] - p0
-        b1 = (rhs[:, 0] * d2[:, 1] - rhs[:, 1] * d2[:, 0]) / det
-        b2 = (d1[:, 0] * rhs[:, 1] - d1[:, 1] * rhs[:, 0]) / det
-        inside[k, p] = ((b1 >= -1e-10) & (b2 >= -1e-10)
-                        & (b1 + b2 <= 1 + 1e-10)).any()
-    assert np.array_equal(np.isfinite(diag.psi), inside)
-    assert np.array_equal(np.isfinite(diag.phi), inside)
-    assert inside.any() and not inside.all()
+    want = assembly.evaluate(s, u, pts.reshape(-1, 2)).reshape(pts.shape[:2])
+    assert np.all(np.isfinite(diag.psi))
+    np.testing.assert_allclose(diag.psi[:, 1:], want[:, 1:] / diag.c,
+                               rtol=1e-12, atol=0.0)
+    assert np.ptp(diag.psi[:, -1]) > 1e-3  # the rays see different values
 
 
 # ---------------------------------------------------------------------------
