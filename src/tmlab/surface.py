@@ -337,7 +337,11 @@ class Surface:
         )
 
     def require_smooth_boundary_vertex(self, vertex: int) -> None:
-        """Usage error out of range; precondition error off the smooth boundary."""
+        """Usage error unless an integer in range (a bool or a float is not
+        one: ``rhs[True] += 1`` would add 1 everywhere); precondition error
+        off the smooth boundary."""
+        if isinstance(vertex, bool) or not isinstance(vertex, (int, np.integer)):
+            raise UsageError(f"vertex index {vertex!r} is not an integer")
         if not (0 <= vertex < self.num_vertices):
             raise UsageError(f"vertex index {vertex} out of range")
         _, after, corner = self.boundary()

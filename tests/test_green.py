@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from tmlab import assembly, green, spectrum, witness
-from tmlab.errors import NumericalError, PreconditionError
+from tmlab.errors import NumericalError, PreconditionError, UsageError
 from tmlab.surface import DomainSpec, build_domain, refine
 
 PI = math.pi
@@ -79,6 +79,16 @@ def test_corner_pole_rejected(half_disk_refined):
     corner = int(np.flatnonzero(half_disk_refined.boundary()[2])[0])
     with pytest.raises(PreconditionError):
         green.green_function(half_disk_refined, corner)
+
+
+@pytest.mark.parametrize("vertex", [True, 1.0, np.float64(1.0)],
+                         ids=["True", "1.0", "np.float64"])
+def test_non_integer_pole_rejected(vertex):
+    # rhs[True] += 1 would add 1 to every entry, and the solve would fail
+    # after its CG steps with a misleading NumericalError.
+    s = build_domain(DomainSpec("half_disk", (1.0,)), 0.2)
+    with pytest.raises(UsageError, match="not an integer"):
+        green.green_function(s, vertex)
 
 
 def test_alpha_at_threshold_rejected(half_disk_refined, pole_vertex):

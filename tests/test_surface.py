@@ -1356,6 +1356,22 @@ def test_require_smooth_boundary_vertex(template):
         template.require_smooth_boundary_vertex(int(vertex))
 
 
+@pytest.mark.parametrize("vertex", [True, False, np.True_, 1.0, np.float64(1.0),
+                                    "1", None, np.array([1])],
+                         ids=["True", "False", "np.True_", "1.0", "np.float64",
+                              "str", "None", "array"])
+def test_require_smooth_boundary_vertex_rejects_non_integers(half_disk, vertex):
+    with pytest.raises(UsageError, match="not an integer"):
+        half_disk.require_smooth_boundary_vertex(vertex)
+
+
+def test_require_smooth_boundary_vertex_takes_numpy_integers(half_disk):
+    _, after, corner = half_disk.boundary()
+    vertex = int(np.flatnonzero((after >= 0) & ~corner)[0])
+    for kind in (np.int64, np.int32, np.uint16, int):
+        half_disk.require_smooth_boundary_vertex(kind(vertex))
+
+
 def test_distances_bit_equal_to_inline_form(template, rng):
     v = template.vertices
     for p in [*rng.uniform(-1.0, 2.0, size=(5, 2)), v[7], (0.3, -0.2)]:
