@@ -1388,3 +1388,149 @@ def test_corner_free_radius_is_nearest_corner_distance(template):
         assert template.corner_free_radius(vertex) == float(want)
     for vertex in np.flatnonzero(corner).tolist():
         assert template.corner_free_radius(vertex) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The boundary record
+# ---------------------------------------------------------------------------
+
+
+def _spec_angles(spec):
+    """Interior angle of the domain at each of ``spec.corners()``."""
+    if spec.kind == "rectangle":
+        return [PI / 2] * 4
+    if spec.kind == "half_disk":
+        return [PI / 2] * 2
+    return [spec.params[1], PI / 2, PI / 2]
+
+
+def _record_mesh(name):
+    half = DomainSpec("half_disk", (1.0,))
+    if name in REFERENCE_IDS:
+        return build_domain(REFERENCE_SPECS[REFERENCE_IDS.index(name)], 0.1)
+    if name == "half_disk_refined":
+        return refine(build_domain(half, 0.1))
+    if name == "half_disk_adapted":
+        return adapt_for_point(build_domain(half, 0.1), (1.0, 0.0), 1e-3, 0.3)
+    if name == "sector_adapted_f":
+        spec = DomainSpec("disk_sector", (1.0, 2.5), "0.5*x2")
+        return adapt_for_point(build_domain(spec, 0.1), (0.0, 0.0), 1e-2, 0.3)
+    verts, tris = _square_annulus()  # two loops: outer CCW, hole CW
+    s = _flat_surface(verts, tris)
+    return Surface(s.vertices, s.triangles, s.boundary_edges, s.f_nodal,
+                   DomainSpec("rectangle", (3.0, 3.0)))
+
+
+RECORD_MESHES = [*REFERENCE_IDS, "half_disk_refined", "half_disk_adapted",
+                 "sector_adapted_f", "square_annulus"]
+
+
+@pytest.fixture(scope="module", params=RECORD_MESHES)
+def recorded(request):
+    return _record_mesh(request.param)
+
+
+def _loops(after):
+    """The boundary's loops, each from its lowest vertex along ``after``."""
+    seen, loops = set(), []
+    for start in np.flatnonzero(after >= 0).tolist():
+        if start not in seen:
+            loop, v = [], start
+            while v not in seen:
+                seen.add(v)
+                loop.append(v)
+                v = int(after[v])
+            assert v == start  # a loop closes where it began
+            loops.append(loop)
+    return loops
+
+
+def _euler(s):
+    """V − E + F: 1 on a disk, 0 on the annulus."""
+    return s.num_vertices - (3 * s.num_triangles + len(s.boundary_edges)) // 2 \
+        + s.num_triangles
+
+
+def _turns(s, before, after, vs):
+    p = s.vertices
+    a, b = p[vs] - p[before[vs]], p[after[vs]] - p[vs]
+    return np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],
+                      a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1])
+
+
+def test_boundary_record_is_cached_and_per_vertex(recorded):
+    record = recorded.boundary()
+    assert recorded.boundary() is record and recorded.cache["boundary"] is record
+    before, after, corner = record
+    n = recorded.num_vertices
+    assert before.shape == after.shape == corner.shape == (n,)
+    assert before.dtype == after.dtype == np.int64 and corner.dtype == bool
+
+
+def test_boundary_record_before_and_after_are_inverse_maps(recorded):
+    before, after, _ = recorded.boundary()
+    on = after >= 0
+    assert np.array_equal(on, before >= 0)
+    assert np.all(before[~on] == -1) and np.all(after[~on] == -1)
+    v = np.flatnonzero(on)
+    assert np.array_equal(before[after[v]], v)
+    assert np.array_equal(after[before[v]], v)
+    # The record's edges (v, after[v]) are the declared edges, once each.
+    e = recorded.boundary_edges
+    assert np.array_equal(np.column_stack([v, after[v]]),
+                          e[np.lexsort(e.T[::-1])])
+
+
+def test_boundary_record_visits_each_boundary_vertex_once(recorded):
+    before, after, _ = recorded.boundary()
+    loops = _loops(after)
+    walked = [v for loop in loops for v in loop]
+    assert len(walked) == len(set(walked))
+    assert sorted(walked) == np.unique(recorded.boundary_edges).tolist()
+    for loop in loops:  # walking back with before retraces the loop
+        assert [int(before[v]) for v in loop] == loop[-1:] + loop[:-1]
+    assert len(loops) == 2 - _euler(recorded)
+
+
+def test_boundary_record_turning_angles_sum_to_2pi_on_disks(recorded):
+    # In all 2π·χ: 2π on a disk; on the annulus the outer loop turns left
+    # once and the hole's loop right once.
+    before, after, _ = recorded.boundary()
+    loops = _loops(after)
+    sums = [float(_turns(recorded, before, after, np.array(loop)).sum())
+            for loop in loops]
+    assert sorted(sums) == pytest.approx([-2 * PI] * (len(loops) - 1) + [2 * PI],
+                                         abs=1e-9)
+    assert sum(sums) == pytest.approx(2 * PI * _euler(recorded), abs=1e-9)
+
+
+def test_boundary_record_corners_are_the_spec_corners(recorded):
+    before, after, corner = recorded.boundary()
+    flagged = np.flatnonzero(corner)
+    spec_corners = recorded.spec.corners()
+    assert flagged.size == len(spec_corners)
+    assert np.all(after[flagged] >= 0)
+    p = recorded.vertices
+    for c, angle in zip(spec_corners, _spec_angles(recorded.spec)):
+        d = np.hypot(*(p - c).T)
+        (at,) = np.flatnonzero(d <= 1e-9)
+        assert corner[at]
+        # π − turn is the polygon's interior angle; on a curved side the
+        # chord leaves the tangent by half the arc it spans, O(h).
+        interior = PI - float(_turns(recorded, before, after, np.array([at]))[0])
+        h = max(np.hypot(*(p[at] - p[before[at]])),
+                np.hypot(*(p[after[at]] - p[at])))
+        assert abs(interior - angle) <= h
+
+
+def test_require_smooth_boundary_vertex_agrees_with_the_record(recorded):
+    _, after, corner = recorded.boundary()
+    for v in range(recorded.num_vertices):
+        if after[v] < 0:
+            with pytest.raises(PreconditionError, match="not on the boundary"):
+                recorded.require_smooth_boundary_vertex(v)
+        elif corner[v]:
+            with pytest.raises(PreconditionError, match="domain corner"):
+                recorded.require_smooth_boundary_vertex(v)
+        else:
+            recorded.require_smooth_boundary_vertex(v)
