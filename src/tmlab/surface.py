@@ -990,7 +990,9 @@ def adapt_for_point(
     centroid distance — i.e. resolution ~ d/ratio, saturating at
     ``inner_scale/ratio`` near the center.  The result records the parent
     edges of the rounds' new vertices, the identity when no round runs, so
-    :func:`prolong` carries a state on ``surface`` over to it.  A centre
+    :func:`prolong` carries a state on ``surface`` over to it.  The record
+    starts from ``surface`` even when that is itself adapted, so a mesh
+    graded further holds only the further rounds.  A centre
     that is not finite, or scales or a ratio that are not positive and
     finite, raise :class:`UsageError`.
 

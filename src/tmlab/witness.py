@@ -157,7 +157,9 @@ def cap_state(
     then 0; L = −log ε.  The mean is cancelled exactly by the mollifier
     term, the eigenfunction term (t > 0) reinforces the peak with the
     sign of u₀ at the center, and the sum is scaled to unit energy.
+    The center must be a smooth boundary vertex, checked first.
     """
+    surface.require_smooth_boundary_vertex(vertex)
     if not (0 < eps < 1):
         raise UsageError("cap parameter eps must lie in (0, 1)")
     if delta <= 0:
@@ -255,7 +257,13 @@ def moser_sequence(
 
 @dataclass
 class LadderRung:
-    """One ε-rung: adapted mesh plus the witness states living on it."""
+    """One ε-rung: adapted mesh plus the witness states living on it.
+
+    A rung graded from the previous rung's mesh (see :func:`ladder_states`)
+    holds the `prolong` record of the rounds from that mesh on, not from
+    the ladder's base surface.  When no further round runs, the two rungs
+    share one surface, whose record then reads the identity.
+    """
 
     surface: Surface = field(repr=False)
     state_plain: CapState = field(repr=False)
@@ -323,6 +331,17 @@ def ladder_states(
     the eigenfunction-reinforced state with t = L^{−q}.  Each rung uses
     the coupled radius δ = 1/(t√L) clipped to 90% of the corner-free
     radius so the cap always fits the domain.
+
+    A rung whose δ equals the previous rung's grades the previous rung's
+    mesh further: with the same centre, outer radius δ and ratio and a
+    smaller inner scale, its rule marks every row the previous rule
+    marks, so only the extra rounds run, and the result is graded as
+    :func:`adapt_for_point` promises.  When grading ``surface`` directly
+    would repeat the previous rung's rounds first (as on acceptance 5's
+    ladder and the benchmark's), the mesh is the same byte for byte;
+    otherwise its numbering can differ, and on rare inputs a few
+    triangles.  Any other rung is graded from ``surface``, since its rule
+    does not contain the previous one.
     """
     eps_list = check_ladder(eps_ladder, q)
     surface.require_smooth_boundary_vertex(vertex)
@@ -330,10 +349,12 @@ def ladder_states(
     x0 = surface.vertices[vertex].copy()
 
     rungs = []
-    for eps, (t, delta) in zip(eps_list, params):
+    for i, (eps, (t, delta)) in enumerate(zip(eps_list, params)):
         surf, vtx = surface, vertex
         if adapt:
-            surf = adapt_for_point(surface, x0,
+            if i and params[i - 1][1] == delta:
+                surf = rungs[-1].surface
+            surf = adapt_for_point(surf, x0,
                                    inner_scale=delta * math.sqrt(eps),
                                    outer_radius=delta)
             vtx = _recentre(surf, x0)

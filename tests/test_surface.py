@@ -1108,6 +1108,72 @@ def test_adapt_marks_every_row_in_its_first_round(rng, half_disk):
         _assert_adapts_as_reference(s, *args)
 
 
+def test_adapt_tests_each_later_round_from_its_first_child(monkeypatch):
+    """A later round tests the rows from the last round's first child on.
+    Graded toward a corner of the two-triangle unit square, that first
+    child is marked in several rounds, so a start one row later leaves it
+    and gives another mesh."""
+    rounds = []  # per round: (first child of the last round, first row marked)
+    round_ = surface_mod.refine_local
+
+    def spied(w, marked):
+        rounds.append((w.first_new, int(marked[0])))
+        round_(w, marked)
+
+    monkeypatch.setattr(surface_mod, "refine_local", spied)
+    base = build_domain(DomainSpec("rectangle", (1.0, 1.0)), 1.0)
+    assert base.num_triangles == 2
+    _assert_adapts_as_reference(base, (0.0, 0.0), 1e-2, 0.3, 2.0)
+    assert sum(first == marked for first, marked in rounds[1:]) >= 3
+
+
+# Grading an adapted mesh further against grading its base: (spec, centre,
+# coarse and fine inner scale) on the h = 0.2 mesh, outer radius 0.3.
+_FURTHER = {
+    "rect-side": (DomainSpec("rectangle", (2.0, 1.0)), (0.0, 0.45), 1e-4, 1e-7),
+    "rect-top": (DomainSpec("rectangle", (2.0, 1.0)), (1.3, 1.0), 1e-2, 1e-3),
+    "arc": (DomainSpec("half_disk", (1.0,)), (math.cos(0.3), math.sin(0.3)),
+            1e-2, 1e-3),
+    "diameter": (DomainSpec("half_disk", (1.0,)), (0.0, -0.6), 1e-4, 1e-7),
+    "sector-arc": (DomainSpec("disk_sector", (1.0, 2.0)),
+                   (math.cos(1.0), math.sin(1.0)), 1e-4, 1e-7),
+    "sector-side": (DomainSpec("disk_sector", (1.0, 2.0)), (0.5, 0.0), 3e-3, 2e-3),
+    "f-arc": (DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"), (0.6, 0.8),
+              1e-4, 1e-7),
+    "f-diameter": (DomainSpec("half_disk", (1.0,), "0.2*x1*x2 + 0.1*x1**2"),
+                   (0.0, 0.3), 1e-2, 1e-3),
+}
+# Where the two meshes hold different triangles.  Grading the base marks
+# rows near the centre that the coarse rule leaves while the coarse rounds
+# still run elsewhere; the rounds then run in another order, and the
+# marking rule reads each row's own centroid, so another order of cuts can
+# end in another mesh.  Both meshes meet the grading contract.
+_FURTHER_DIFFERS = {"f-diameter"}
+
+
+@pytest.mark.parametrize("case", sorted(_FURTHER))
+def test_grading_an_adapted_mesh_further(case):
+    """``adapt_for_point`` on an adapted mesh, with the same centre, outer
+    radius and ratio and a smaller inner scale: the mesh is valid and
+    graded, its record starts from the adapted mesh, it holds the
+    triangles grading the base gives, and when grading the base repeats
+    the coarse rounds first it is that mesh byte for byte."""
+    spec, centre, coarse_inner, inner = _FURTHER[case]
+    base = build_domain(spec, 0.2)
+    coarse = adapt_for_point(base, centre, coarse_inner, 0.3)
+    fine = adapt_for_point(coarse, centre, inner, 0.3)
+    want = adapt_for_point(base, centre, inner, 0.3)
+    fine.validate()
+    _assert_graded(fine, centre, inner, 0.3)
+    assert fine.cache[_PROLONGATION][0] == coarse.num_vertices
+    assert ((_geometry_digest(fine) == _geometry_digest(want))
+            is (case not in _FURTHER_DIFFERS))
+    done = coarse.cache[_PROLONGATION][1]
+    first = want.cache[_PROLONGATION][1][: len(done)]
+    if all(np.array_equal(a, b) for a, b in zip(done, first, strict=True)):
+        assert fine.content_hash() == want.content_hash()
+
+
 @pytest.mark.parametrize("spec, h, params, triangles", [
     (DomainSpec("rectangle", (2.0, 1.0)), 0.05,
      ((0.0, 0.45), 0.405 * math.sqrt(1e-14), 0.405), 21068),

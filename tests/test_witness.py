@@ -10,7 +10,7 @@ import scipy.integrate
 
 from tmlab import assembly, green, quadrature, spectrum, witness
 from tmlab.errors import NumericalError, PreconditionError, UsageError
-from tmlab.surface import DomainSpec, adapt_for_point, build_domain
+from tmlab.surface import _PROLONGATION, DomainSpec, adapt_for_point, build_domain
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -156,6 +156,26 @@ def test_cap_rejects_corner_center(half_disk):
         witness.cap_state(half_disk, corner, 1e-3, 0.1)
 
 
+# Vertex 55 of the h = 0.1 half-disk is interior, at (0.5, 0).
+@pytest.mark.parametrize("vertex, error, named", [
+    (55, PreconditionError, "not on the boundary"),
+    (True, UsageError, "not an integer"),
+], ids=["interior", "bool"])
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_cap_rejects_centre_off_smooth_boundary_before_assembly(
+        half_disk, monkeypatch, vertex, error, named, t):
+    assert half_disk.boundary()[1][55] < 0
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled around a rejected centre")
+
+    for module, name in ((assembly, "mass_row_of_ones"), (assembly, "admissible"),
+                         (assembly, "area"), (spectrum, "lambda1")):
+        monkeypatch.setattr(module, name, no_assembly)
+    with pytest.raises(error, match=named):
+        witness.cap_state(half_disk, vertex, 1e-3, 0.1, t=t)
+
+
 CENTRE_CALLS = {
     "ladder_adapt": lambda s, v: witness.ladder_states(s, v, [1e-2, 1e-3]),
     "ladder_fixed": lambda s, v: witness.ladder_states(s, v, [1e-2, 1e-3],
@@ -189,6 +209,69 @@ def test_ladder_requires_decreasing_eps(half_disk):
     for ladder in ([1e-4, 1e-2], [1e-2, 1e-2]):
         with pytest.raises(UsageError, match="strictly decreasing"):
             witness.ladder_states(half_disk, vtx, ladder, adapt=False)
+
+
+def _rungs_graded_from_base(s, vertex, eps_list, q=0.28):
+    """content_hash of each rung's mesh as grading ``s`` itself gives it."""
+    x0 = s.vertices[vertex]
+    hashes = []
+    for eps in eps_list:
+        delta = witness._rung(s, vertex, eps, q)[1]
+        hashes.append(adapt_for_point(s, x0, delta * math.sqrt(eps),
+                                      delta).content_hash())
+    return hashes
+
+
+def _adapt_ladder_case(centre_y):
+    # The benchmark's adapt_ladder op: acceptance 5 cut to its first two
+    # rungs; centre y = 0.5 is acceptance 5's own.
+    s = build_domain(DomainSpec("rectangle", (2.0, 1.0)), 0.05)
+    return s, witness.smooth_boundary_vertex(s, (0.0, centre_y)), (1e-9, 1e-14)
+
+
+def _sweep_golden_case():
+    # The ladder of the `sweep` golden: r.json and its default centre.
+    s = build_domain(DomainSpec("rectangle", (2.0, 1.0)), 0.2)
+    return s, witness.peak_boundary_vertex(s), (1e-2, 1e-3)
+
+
+LADDER_CASES = {
+    **{f"adapt_ladder_y{y:.2f}": (lambda y=y: _adapt_ladder_case(y))
+       for y in (0.40, 0.45, 0.50, 0.55, 0.60)},
+    "sweep_golden": _sweep_golden_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_CASES))
+def test_continued_rungs_match_rungs_graded_from_the_base(case):
+    """A rung with the previous rung's δ grades that rung's mesh further,
+    and gets the mesh grading the base gives, byte for byte."""
+    s, vertex, eps_list = LADDER_CASES[case]()
+    rungs = witness.ladder_states(s, vertex, eps_list)
+    assert rungs[0].state_plain.delta == rungs[1].state_plain.delta
+    assert rungs[1].surface.cache[_PROLONGATION][0] == rungs[0].surface.num_vertices
+    assert ([r.surface.content_hash() for r in rungs]
+            == _rungs_graded_from_base(s, vertex, eps_list))
+
+
+def test_only_rungs_with_the_previous_delta_continue(monkeypatch):
+    """Acceptance 5's ladder: rungs 1 and 2 share δ = 0.45, rungs 3 and 4
+    have their own, so only rung 2 is graded from a rung's mesh."""
+    s, vertex, _ = _adapt_ladder_case(0.5)
+    adapt, inputs = witness.adapt_for_point, []
+
+    def spied(surface, *args, **kwargs):
+        inputs.append(surface)
+        return adapt(surface, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "adapt_for_point", spied)
+    rungs = witness.ladder_states(s, vertex, (1e-9, 1e-14, 1e-19, 1e-24))
+    deltas = [r.state_plain.delta for r in rungs]
+    assert deltas[:2] == [0.45, 0.45]
+    assert [round(d, 4) for d in deltas[2:]] == [0.4355, 0.4137]
+    assert len(inputs) == 4
+    assert inputs[0] is s and inputs[1] is rungs[0].surface
+    assert inputs[2] is s and inputs[3] is s
 
 
 # ---------------------------------------------------------------------------
