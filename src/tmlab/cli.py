@@ -10,6 +10,10 @@ error, 3 violated mathematical precondition, 4 numerical failure.
 
 Outputs are byte-identical across repeated runs of the same command line
 on the same input files: no run record holds a clock reading.
+
+The solver modules (``assembly``, ``green``, ``moser``, ``spectrum`` and
+``witness``) import scipy, so each subcommand imports the ones it uses:
+``tmlab mesh`` and ``--help`` start without them.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ import sys
 
 import numpy as np
 
-from . import assembly, green as green_mod
-from . import moser, records, spectrum, witness
+from . import records
 from . import surface as surface_mod
 from .errors import TmlabError, UsageError
 
@@ -202,6 +205,8 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    from . import spectrum
+
     spectrum.check_tol(args.tol)
     surf, mesh_hash = _load_surface(args.mesh)
     pair = spectrum.first_eigenpair(surf, tol=args.tol)
@@ -227,6 +232,8 @@ def cmd_eigen(args) -> int:
 
 
 def _eigen_seed(surf: surface_mod.Surface) -> np.ndarray:
+    from . import assembly, spectrum
+
     # Keep the LU the maximizer reads, so the eigen solve borrows it.
     assembly.neumann_solver(surf)
     return spectrum.lambda1(surf).vector.copy()
@@ -234,6 +241,8 @@ def _eigen_seed(surf: surface_mod.Surface) -> np.ndarray:
 
 def _bubble_seed(surf: surface_mod.Surface) -> np.ndarray:
     """Concentrated log-cap seed at the eigenfunction's boundary peak."""
+    from . import assembly, witness
+
     assembly.neumann_solver(surf)  # as in _eigen_seed
     vertex = witness.peak_boundary_vertex(surf)
     delta = witness.default_delta(surf, vertex)
@@ -242,6 +251,8 @@ def _bubble_seed(surf: surface_mod.Surface) -> np.ndarray:
 
 
 def cmd_maximize(args) -> int:
+    from . import moser, spectrum
+
     moser.check_subcritical(args.alpha, args.eps)
     spectrum.check_tol(args.tol)
     surf, mesh_hash = _load_surface(args.mesh)
@@ -311,6 +322,8 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import moser, spectrum, witness
+
     alphas = _parse_float_list(args.alphas, "alpha grid")
     eps_ladder = witness.check_ladder(
         _parse_float_list(args.eps_ladder, "eps ladder"), args.q)
@@ -360,6 +373,8 @@ def cmd_sweep(args) -> int:
 
 
 def _witness_bubble(args) -> tuple:
+    from . import witness
+
     n = args.samples
     if n < 2:
         raise UsageError("--samples must be at least 2")
@@ -382,6 +397,8 @@ def _witness_bubble(args) -> tuple:
 
 
 def _witness_moser(args, surf, vertex) -> tuple:
+    from . import moser, spectrum, witness
+
     eigenpair = spectrum.lambda1(surf)
     state = witness.moser_sequence(surf, eigenpair, vertex, args.eps,
                                    q=args.q)
@@ -412,6 +429,8 @@ def _witness_moser(args, surf, vertex) -> tuple:
 
 
 def _witness_glued(args, surf, vertex) -> tuple:
+    from . import witness
+
     check = witness.lower_bound_check(surf, vertex, args.eps,
                                       alpha=args.alpha)
     state = check.pop("state")
@@ -430,6 +449,8 @@ def _witness_glued(args, surf, vertex) -> tuple:
 
 
 def cmd_witness(args) -> int:
+    from . import moser, witness
+
     if args.kind == "bubble":
         input_hashes = {}
         payload, params, profile, message = _witness_bubble(args)
@@ -468,6 +489,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_green(args) -> int:
+    from . import green as green_mod, moser, witness
+
     moser.check_coefficients(args.alpha)
     annuli = _parse_annuli(args.annuli)
     surf, mesh_hash = _load_surface(args.mesh)

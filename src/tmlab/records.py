@@ -8,12 +8,15 @@ and atomic replace-on-write so readers never observe partial files.
 The run record holds nothing that depends on the clock, so outputs are
 byte-identical across runs.
 
-The serializer formats numeric arrays in one pass: a non-empty 1-D or 2-D
-``np.ndarray`` of int, uint or float dtype (vertices, triangles, field
-values) is checked for finiteness once and joined without recursing per
-value.  Lists, tuples and every other array take the recursive path, and
-both paths apply the same scalar rule, so the bytes do not depend on which
-one ran.
+The serializer formats each numeric array with one template: a non-empty
+1-D or 2-D ``np.ndarray`` of int, uint or float dtype (vertices,
+triangles, field values) is checked for finiteness once and written by a
+single ``template % values``.  The template holds the recursive layout's
+brackets and separators and, per cell, the conversion the scalar rule
+picks (``%d``, ``%.1f`` for integral floats below 1e16, ``%.17g``
+otherwise); those conversions are the ones the scalar rule calls, so the
+bytes do not depend on which path ran.  Lists, tuples and every other
+array take the recursive path.
 """
 
 from __future__ import annotations
@@ -74,39 +77,60 @@ def _fmt_float(x: float) -> str:
 
 def _numeric_array(a: np.ndarray, pad: str, pad_in: str) -> str:
     """The bytes the recursive path gives for a non-empty 1-D or 2-D
-    int, uint or float array, in one pass.
+    int, uint or float array, from one ``template % values``.
 
-    For a finite float, ``x == int(x)`` holds exactly when
-    ``x == trunc(x)``, so the integral mask selects the elements that
-    ``_fmt_float`` writes with ``.1f``; the rest take ``.17g`` in both.
+    The template holds one conversion per cell, in row-major order, with
+    the separators of the recursive layout between them: ``%d`` for an
+    integer, ``%.1f`` for a finite integral float below 1e16 and ``%.17g``
+    for every other float.  When every cell takes the same conversion,
+    the template repeats one row; otherwise each cell's conversion is
+    chosen from the integral mask.  No Python loop runs per value or per
+    row.
+
+    The bytes equal the recursive path's: for a finite float,
+    ``x == int(x)`` holds exactly when ``x == trunc(x)``, so the mask
+    selects the cells ``_fmt_float`` writes with ``.1f``; ``"%.17g" % x``
+    and ``"%.1f" % x`` are ``format(x, ".17g")`` and ``format(x, ".1f")``
+    (one float-to-string conversion behind both), and ``"%d" % n`` is
+    ``str(n)`` for a Python int.
     """
     flat = a.ravel()
     if a.dtype.kind == "f":
         flat = require_finite(flat)
-        values = flat.tolist()
-        cells = list(map("{:.17g}".format, values))
         integral = (flat == np.trunc(flat)) & (np.abs(flat) < 1e16)
-        for i in np.flatnonzero(integral).tolist():
-            cells[i] = "{:.1f}".format(values[i])
+        if integral.all():
+            specs = "%.1f"
+        elif integral.any():
+            specs = list(map(("%.17g", "%.1f").__getitem__, integral.tolist()))
+        else:
+            specs = "%.17g"
     else:
-        cells = list(map(str, flat.tolist()))
+        specs = "%d"
     if a.ndim == 1:
-        return "[" + ", ".join(cells) + "]"
-    k = a.shape[1]
-    rows = [
-        f"{pad_in}[" + ", ".join(cells[i:i + k]) + "]"
-        for i in range(0, len(cells), k)
-    ]
-    return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        m, k = 1, a.size
+        head, tail = "[", "]"
+    else:
+        m, k = a.shape
+        head, tail = "[\n" + pad_in + "[", "]\n" + pad + "]"
+    row_sep = "],\n" + pad_in + "["
+    if isinstance(specs, str):
+        body = row_sep.join([", ".join([specs] * k)] * m) + tail
+    else:
+        parts = [None] * (2 * a.size)
+        parts[::2] = specs
+        parts[1::2] = ([", "] * (k - 1) + [row_sep]) * m
+        parts[-1] = tail
+        body = "".join(parts)
+    return (head + body) % tuple(flat.tolist())
 
 
 def canonical_json(obj, indent: int = 0) -> str:
     """Serialize with deterministic layout and round-trip-exact floats.
 
     Numeric arrays (non-empty 1-D or 2-D ``np.ndarray`` of int, uint or
-    float dtype) are formatted in one pass by ``_numeric_array``.  Lists,
-    tuples, bool arrays, empty or 3-D arrays, scalars and dicts recurse
-    per value.  Both paths give the same bytes.  A 0-d array is written as
+    float dtype) are formatted by one template in ``_numeric_array``.
+    Lists, tuples, bool arrays, empty or 3-D arrays, scalars and dicts
+    recurse per value.  Both paths give the same bytes.  A 0-d array is written as
     its scalar.  Anything else raises :class:`UsageError`.
     """
     if isinstance(obj, np.ndarray) and obj.ndim == 0:
@@ -201,11 +225,20 @@ def write_profile(path: str, xs, ys, record: RunRecord) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_json(path: str) -> dict:
+def read_json(path: str):
+    """The JSON document in ``path``, read as UTF-8 whatever the locale.
+
+    A file that cannot be read, is not UTF-8, is not JSON or nests deeper
+    than the parser's recursion limit raises :class:`UsageError`.
+    """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"{path} nests too deeply to read") from exc

@@ -423,6 +423,9 @@ class Surface:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Surface":
+        if not isinstance(d, dict):
+            raise UsageError("a mesh document must be a JSON object, not "
+                             f"{type(d).__name__}")
         try:
             if int(d.get("format_version", 0)) != 1:
                 raise UsageError("unsupported mesh format_version")

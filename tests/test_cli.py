@@ -6,6 +6,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
@@ -58,6 +60,29 @@ def test_mesh_refine_quadruples(square_mesh, tmp_path):
     d1 = records.read_json(str(square_mesh))
     d2 = records.read_json(str(out))
     assert len(d2["triangles"]) == 4 * len(d1["triangles"])
+
+
+def test_mesh_and_help_import_no_scipy(tmp_path):
+    """The solver modules, and with them scipy, load only in the
+    subcommands that solve."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from tmlab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['mesh', '--shape', 'half-disk', '--h', '0.2',\n"
+        "                     '--out', 'm.json']) == 0\n"
+        "    try:\n"
+        "        cli.main(['--help'])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+    assert (tmp_path / "m.json").is_file()
 
 
 def test_mesh_usage_errors(tmp_path):
@@ -133,6 +158,23 @@ def test_eigen_unreachable_tol_exits_4(square_mesh, tmp_path):
 def test_eigen_missing_mesh_is_usage_error(tmp_path):
     assert run("eigen", "--mesh", str(tmp_path / "none.json"),
                "--out", str(tmp_path / "o.json")) == 2
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'\xff\xfe{"format_version": 1}', "is not UTF-8 text"),
+    (b"[1, 2]", "a mesh document must be a JSON object, not list"),
+    (b"[" * 200000, "nests too deeply to read"),
+], ids=["not-utf8", "top-level-list", "nested-past-recursion-limit"])
+def test_eigen_rejects_mesh_file_that_is_not_a_utf8_json_object(
+        tmp_path, capfd, data, message):
+    mesh = tmp_path / "bad.json"
+    mesh.write_bytes(data)
+    capfd.readouterr()
+    assert run("eigen", "--mesh", str(mesh), "--out", str(tmp_path / "e.json"),
+               "--field", str(tmp_path / "e.u0.json")) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [mesh.name]
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def _set_first(rows, value):

@@ -11,6 +11,7 @@ import pytest
 
 from tmlab import records
 from tmlab.errors import UsageError
+from tmlab.surface import DomainSpec, build_domain, refine
 
 
 def test_floats_round_trip_exactly():
@@ -319,11 +320,66 @@ EDGE_CASES = {
 }
 
 
+def _template_cases() -> dict:
+    """Arrays that exercise each branch of the one-template path."""
+    rng = np.random.default_rng(7)
+    long = rng.standard_normal(100_001)
+    long[::7] = np.round(long[::7] * 1e3)  # integral cells among the rest
+    row_kinds = rng.standard_normal((6, 3))
+    row_kinds[0] = [0.0, -3.0, 1e15]  # every cell integral
+    row_kinds[2] = [2.0, 0.5, -0.0]  # integral and fractional
+    row_kinds[4] = [1e16, 4.25, 7.0]  # 1e16 is integral but takes .17g
+    return {
+        "1d_100001": long,
+        "width_1": rng.standard_normal((5, 1)),
+        "width_1_integral": np.array([[3.0], [-0.0], [1e15]]),
+        "width_4": long[:40].reshape(10, 4),
+        "int_width_4": rng.integers(-10**9, 10**9, (5, 4)),
+        "float_row_kinds": row_kinds,
+        "int64_extremes_2d": np.array(
+            [[-(2**63), 2**63 - 1], [0, -1], [2**62, -(2**62)]], dtype=np.int64),
+        "uint64_big_2d": np.array(
+            [[2**63, 2**64 - 1, 0], [1, 2**63 + 1, 2**63 - 1]], dtype=np.uint64),
+    }
+
+
+TEMPLATE_CASES = _template_cases()
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """``got == want``, reporting the first difference: pytest's own diff
+    of two long one-line strings does not finish in useful time."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"texts differ at {i}: {got[i - 30:i + 30]!r} "
+                    f"!= {want[i - 30:i + 30]!r}")
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_CASES))
+def test_template_cases_match_recursive(name):
+    a = TEMPLATE_CASES[name]
+    _assert_same_text(records.canonical_json(a), _recursive_json(a))
+    _assert_same_text(records.canonical_json({"x": {"y": a}}),
+                      _recursive_json({"x": {"y": a}}))
+
+
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_numeric_array_edge_cases_match_recursive(name):
     obj = EDGE_CASES[name]
     assert records.canonical_json(obj) == _recursive_json(obj)
     assert records.canonical_json({"x": obj}) == _recursive_json({"x": obj})
+
+
+def test_fine_mesh_document_matches_recursive():
+    """A whole mesh file: the twice-refined h = 0.05 half-disk with
+    f = 0.05·x1·x2, 13 041 vertices and 25 600 triangles."""
+    spec = DomainSpec("half_disk", (1.0,), "0.05*x1*x2")
+    surf = refine(refine(build_domain(spec, 0.05)))
+    assert surf.num_vertices == 13041
+    doc = {"run_record": records.RunRecord("mesh", {"times": 2}).to_dict()}
+    doc.update(surf.to_dict())
+    _assert_same_text(records.canonical_json(doc), _recursive_json(doc))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
