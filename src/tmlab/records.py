@@ -130,8 +130,8 @@ def canonical_json(obj, indent: int = 0) -> str:
     Numeric arrays (non-empty 1-D or 2-D ``np.ndarray`` of int, uint or
     float dtype) are formatted by one template in ``_numeric_array``.
     Lists, tuples, bool arrays, empty or 3-D arrays, scalars and dicts
-    recurse per value.  Both paths give the same bytes.  A 0-d array is written as
-    its scalar.  Anything else raises :class:`UsageError`.
+    recurse per value.  Both paths give the same bytes.  A 0-d array is
+    written as its scalar.  Anything else raises :class:`UsageError`.
     """
     if isinstance(obj, np.ndarray) and obj.ndim == 0:
         obj = obj.item()

@@ -337,9 +337,11 @@ def _template_cases() -> dict:
         "int_width_4": rng.integers(-10**9, 10**9, (5, 4)),
         "float_row_kinds": row_kinds,
         "int64_extremes_2d": np.array(
-            [[-(2**63), 2**63 - 1], [0, -1], [2**62, -(2**62)]], dtype=np.int64),
+            [[-(2**63), 2**63 - 1], [0, -1], [2**62, -(2**62)]],
+            dtype=np.int64),
         "uint64_big_2d": np.array(
-            [[2**63, 2**64 - 1, 0], [1, 2**63 + 1, 2**63 - 1]], dtype=np.uint64),
+            [[2**63, 2**64 - 1, 0], [1, 2**63 + 1, 2**63 - 1]],
+            dtype=np.uint64),
     }
 
 
