@@ -31,11 +31,8 @@ from .errors import TmlabError, UsageError
 
 TWO_PI = 2.0 * math.pi
 
-_SHAPES = {
-    "half-disk": "half_disk",
-    "rectangle": "rectangle",
-    "disk-sector": "disk_sector",
-}
+# --shape names a domain kind of surface.KINDS with hyphens for underscores.
+_SHAPES = {kind.replace("_", "-"): kind for kind in surface_mod.KINDS}
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +161,11 @@ def cmd_mesh(args) -> int:
         if args.shape is None:
             raise UsageError("either --shape or --refine is required")
         kind = _SHAPES[args.shape]
-        if kind == "rectangle":
-            if args.width is None or args.height is None:
-                raise UsageError("rectangle needs --width and --height")
-            shape_params = (args.width, args.height)
-        elif kind == "half_disk":
-            shape_params = (args.radius,)
-        else:
-            if args.angle is None:
-                raise UsageError("disk-sector needs --angle (radians)")
-            shape_params = (args.radius, args.angle)
+        names = surface_mod.KINDS[kind].names
+        missing = [f"--{name}" for name in names if getattr(args, name) is None]
+        if missing:
+            raise UsageError(f"{args.shape} needs {' and '.join(missing)}")
+        shape_params = tuple(getattr(args, name) for name in names)
         if args.h is None:
             raise UsageError("--h (target edge length) is required")
         spec = surface_mod.DomainSpec(kind, shape_params, args.f)

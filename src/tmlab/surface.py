@@ -1,21 +1,23 @@
 """Triangulated planar domains with a conformal metric factor.
 
-A `Surface` is a conforming triangulation of one of three template domains
-(rectangle, right half-disk, disk sector) together with a nodal conformal
-factor f, representing the metric e^{2f}(dx₁² + dx₂²); f is given by an
-expression in x1, x2 that `_compile_f` reads without ``eval``.  The module
-builds template meshes at a requested resolution, refines them uniformly or
-locally (longest-edge bisection with conformity closure), validates mesh
-invariants, and (de)serializes meshes to a canonical dictionary form.
+A `Surface` is a conforming triangulation of a template domain together
+with a nodal conformal factor f, representing the metric
+e^{2f}(dx₁² + dx₂²); f is given by an expression in x1, x2 that
+`_compile_f` reads without ``eval``.  The module builds template meshes at a
+requested resolution, refines them uniformly or locally (longest-edge
+bisection with conformity closure), validates mesh invariants, and
+(de)serializes meshes to a canonical dictionary form.
 
 Conventions
 -----------
 * Triangles are counter-clockwise; boundary edges are oriented so the
   domain lies on their left (CCW traversal of the boundary).
-* ``rectangle(a, b)`` is [0, a] × [0, b].
-* ``half_disk(R)`` is the *right* half-disk {x₁ ≥ 0, |x| ≤ R}; its straight
-  side lies on the x₂-axis, so (R, 0) is a smooth boundary point.
-* ``disk_sector(R, angle)`` spans polar angles [0, angle], angle ∈ (0, 2π).
+* A template domain kind is its entry in `KINDS`: parameter names (also
+  the CLI's options), rule, corners, arc radius and mesher.
+  ``rectangle(width, height)`` is [0, width] × [0, height];
+  ``half_disk(radius)`` is the *right* half-disk {x₁ ≥ 0, |x| ≤ R}, its
+  straight side on the x₂-axis, so (R, 0) is a smooth boundary point;
+  ``disk_sector(radius, angle)`` spans polar angles [0, angle].
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,43 +52,40 @@ class DomainSpec:
     Parameters
     ----------
     kind : str
-        One of ``"rectangle"``, ``"half_disk"``, ``"disk_sector"``.
+        A key of `KINDS`.
     params : tuple of float
-        ``rectangle``: (a, b) side lengths; ``half_disk``: (R,);
-        ``disk_sector``: (R, angle).
+        The kind's parameters, in the order of its ``names``.
     f_expr : str or None
         Expression for the conformal factor f(x1, x2) in the variables
         ``x1``, ``x2`` (see `_compile_f`); ``None`` means f ≡ 0 (flat
         metric).  It is compiled once, here, so a bad one is rejected when
         the spec is built or read.
+
+    The spec also holds its kind's corners and ``arc_radius`` (``None``
+    without an arc), computed once.
     """
 
     kind: str
     params: tuple
     f_expr: str | None = None
+    arc_radius: float | None = field(init=False, repr=False, compare=False)
+    _corners: np.ndarray = field(init=False, repr=False, compare=False)
     _steps: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if not all(map(math.isfinite, self.params)):
             raise UsageError(f"domain parameters must be finite: {self.params}")
-        if self.kind == "rectangle":
-            if len(self.params) != 2 or min(self.params) <= 0:
-                raise UsageError("rectangle requires two positive side lengths")
-        elif self.kind == "half_disk":
-            if len(self.params) != 1 or self.params[0] <= 0:
-                raise UsageError("half_disk requires one positive radius")
-        elif self.kind == "disk_sector":
-            if (
-                len(self.params) != 2
-                or self.params[0] <= 0
-                or not (0 < self.params[1] < 2 * math.pi)
-            ):
-                raise UsageError(
-                    "disk_sector requires a positive radius and an angle in (0, 2*pi)"
-                )
-        else:
+        kind = KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if kind is None:
             raise UsageError(f"unknown domain kind: {self.kind!r}")
+        if len(self.params) != len(kind.names) or not kind.valid(*self.params):
+            raise UsageError(kind.message)
+        corners = np.array(kind.corners(*self.params), dtype=float).reshape(-1, 2)
+        corners.flags.writeable = False
+        arc = kind.arc(*self.params) if kind.arc else None
+        object.__setattr__(self, "arc_radius", arc)
+        object.__setattr__(self, "_corners", corners)
         steps = _compile_f("0" if self.f_expr is None else self.f_expr)
         object.__setattr__(self, "_steps", steps)
 
@@ -97,17 +96,8 @@ class DomainSpec:
         return functools.partial(_run_f, self._steps)
 
     def corners(self) -> np.ndarray:
-        """Exact coordinates of the domain's boundary corners."""
-        if self.kind == "rectangle":
-            a, b = self.params
-            return np.array([[0.0, 0.0], [a, 0.0], [a, b], [0.0, b]])
-        if self.kind == "half_disk":
-            (r,) = self.params
-            return np.array([[0.0, r], [0.0, -r]])
-        r, ang = self.params
-        return np.array(
-            [[0.0, 0.0], [r, 0.0], [r * math.cos(ang), r * math.sin(ang)]]
-        )
+        """Exact coordinates of the domain's boundary corners, read-only."""
+        return self._corners
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": list(self.params), "f_expr": self.f_expr}
@@ -497,12 +487,7 @@ def build_domain(spec: DomainSpec, h: float) -> Surface:
     """
     if not (h > 0) or not math.isfinite(h):
         raise UsageError("mesh size h must be positive and finite")
-    if spec.kind == "rectangle":
-        verts, tris = _mesh_rectangle(spec.params[0], spec.params[1], h)
-    elif spec.kind == "half_disk":
-        verts, tris = _mesh_sector(spec.params[0], -math.pi / 2, math.pi / 2, h)
-    else:
-        verts, tris = _mesh_sector(spec.params[0], 0.0, spec.params[1], h)
+    verts, tris = KINDS[spec.kind].mesh(*spec.params, h)
     verts[np.abs(verts) < _SNAP] = 0.0
     bedges = _boundary(tris, _runs(*_edge_keys(tris, len(verts)))[1])
     f = spec.f_callable()(verts[:, 0], verts[:, 1])
@@ -510,24 +495,16 @@ def build_domain(spec: DomainSpec, h: float) -> Surface:
 
 
 def _mesh_rectangle(a: float, b: float, h: float):
+    """Structured mesh of [0, a] × [0, b]: each grid cell, row by row, is
+    cut along its diagonal from (x, y) into two triangles."""
     nx = max(1, int(math.ceil(a / h - 1e-9)))
     ny = max(1, int(math.ceil(b / h - 1e-9)))
-    xs = np.linspace(0.0, a, nx + 1)
-    ys = np.linspace(0.0, b, ny + 1)
-    xv, yv = np.meshgrid(xs, ys, indexing="xy")
+    xv, yv = np.meshgrid(np.linspace(0.0, a, nx + 1), np.linspace(0.0, b, ny + 1))
     verts = np.column_stack([xv.ravel(), yv.ravel()])
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return verts, np.asarray(tris, dtype=np.int64)
+    v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + nx + 1, v00 + nx + 2
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    return verts, tris.astype(np.int64)
 
 
 def _mesh_sector(radius: float, t0: float, t1: float, h: float):
@@ -586,6 +563,35 @@ def _triangulate_band(inner_idx, inner_ang, outer_idx, outer_ang):
     return tris
 
 
+class _Kind(NamedTuple):
+    """A template domain kind.  Each callable takes the spec's params."""
+
+    names: tuple  # parameter names in params order, also the CLI's options
+    valid: Callable  # the rule the params must meet, ...
+    message: str  # ... and the UsageError when they do not
+    corners: Callable  # exact corner coordinates
+    arc: Callable | None  # radius of the boundary arc |x| = r; None: no arc
+    mesh: Callable  # (*params, h) -> (vertices, triangles)
+
+
+KINDS = {
+    "rectangle": _Kind(
+        ("width", "height"), lambda a, b: min(a, b) > 0,
+        "rectangle requires two positive side lengths",
+        lambda a, b: [(0.0, 0.0), (a, 0.0), (a, b), (0.0, b)],
+        None, _mesh_rectangle),
+    "half_disk": _Kind(
+        ("radius",), lambda r: r > 0, "half_disk requires one positive radius",
+        lambda r: [(0.0, r), (0.0, -r)],
+        lambda r: r, lambda r, h: _mesh_sector(r, -math.pi / 2, math.pi / 2, h)),
+    "disk_sector": _Kind(
+        ("radius", "angle"), lambda r, ang: r > 0 and 0 < ang < 2 * math.pi,
+        "disk_sector requires a positive radius and an angle in (0, 2*pi)",
+        lambda r, ang: [(0.0, 0.0), (r, 0.0), (r * math.cos(ang), r * math.sin(ang))],
+        lambda r, ang: r, lambda r, ang, h: _mesh_sector(r, 0.0, ang, h)),
+}
+
+
 def _edge_keys(rows: np.ndarray, n: int):
     """``(keys, order)``: slot k·len(rows) + t holds the key lo·n + hi of edge
     k → k + 1 of row t, ``n`` exceeding every vertex; ``keys[order]`` is sorted."""
@@ -627,12 +633,6 @@ def _boundary(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Refinement
 # ---------------------------------------------------------------------------
-
-
-def _arc_radius(spec: DomainSpec) -> float | None:
-    if spec.kind in ("half_disk", "disk_sector"):
-        return spec.params[0]
-    return None
 
 
 def _arc_chord(pu, pv, radius: float):
@@ -693,7 +693,7 @@ def refine(surface: Surface) -> Surface:
     uniq = np.column_stack(np.divmod(keys[order[start]], nv))
     mids = 0.5 * (verts[uniq[:, 0]] + verts[uniq[:, 1]])
 
-    radius = _arc_radius(surface.spec)
+    radius = surface.spec.arc_radius
     if radius is not None:
         on_arc = _arc_chord(verts[uniq[:, 0]], verts[uniq[:, 1]], radius)
         if on_arc.any():
@@ -906,7 +906,7 @@ def refine_local(w: _Working, marked: np.ndarray) -> None:
     ends = np.sort(w.rot[idx[owner], :2], axis=1)
     pu, pv = w.verts[ends[:, 0]], w.verts[ends[:, 1]]
     mids = 0.5 * (pu + pv)
-    radius = _arc_radius(w.spec)
+    radius = w.spec.arc_radius
     if radius is not None:
         arc = (across[0, owner] < 0) & _arc_chord(pu, pv, radius)
         if arc.any():
@@ -991,22 +991,23 @@ def adapt_for_point(
     ``outer_radius`` of ``center`` has longest edge at most
     ``max(inner_scale, min(d, outer_radius)) / ratio`` where d is the
     centroid distance — i.e. resolution ~ d/ratio, saturating at
-    ``inner_scale/ratio`` near the center.  The result records the parent
-    edges of the rounds' new vertices, the identity when no round runs, so
+    ``inner_scale/ratio`` near the center.  The result is a new `Surface`
+    that records the parent edges of the rounds' new vertices, so
     :func:`prolong` carries a state on ``surface`` over to it.  The record
     starts from ``surface`` even when that is itself adapted, so a mesh
-    graded further holds only the further rounds.  A centre
+    graded further holds only the further rounds.  When no round runs the
+    result holds ``surface``'s arrays, a copy of its cache (the mesh is the
+    same, so nothing is assembled again) and the identity record.  A centre
     that is not finite, or scales or a ratio that are not positive and
     finite, raise :class:`UsageError`.
 
     The rounds run on one `_Working` state, one `refine_local` call each,
-    and one `Surface` is built at the end.  ``surface`` is left as it was,
-    unless no round runs and it is the result.  The first round tests
-    every triangle; each later round tests only the rows the previous
-    round created (``first_new`` on).  That is exact: a row before them is
-    an input row the round did not cut, so it was unmarked, and the mark
-    reads nothing but the row's centroid and longest edge, which it
-    carries over unchanged.
+    and one `Surface` is built at the end.  ``surface`` is left as it was.
+    The first round tests every triangle; each later round tests only the
+    rows the previous round created (``first_new`` on).  That is exact: a
+    row before them is an input row the round did not cut, so it was
+    unmarked, and the mark reads nothing but the row's centroid and longest
+    edge, which it carries over unchanged.
     """
     cx, cy = float(center[0]), float(center[1])
     if not (math.isfinite(cx) and math.isfinite(cy)):
@@ -1025,9 +1026,10 @@ def adapt_for_point(
         if not new.any():
             if w.parents:
                 return w.surface()
-            # No round ran: the input is the result.
-            surface.cache[_PROLONGATION] = (surface.num_vertices, ())
-            return surface
+            out = Surface(surface.vertices, surface.triangles, surface.boundary_edges,
+                          surface.f_nodal, surface.spec, dict(surface.cache))
+            out.cache[_PROLONGATION] = (surface.num_vertices, ())
+            return out
         refine_local(w, start + np.flatnonzero(new))
         start = w.first_new
     raise PreconditionError("adaptation did not settle within the round limit")

@@ -261,8 +261,7 @@ class LadderRung:
 
     A rung graded from the previous rung's mesh (see :func:`ladder_states`)
     holds the `prolong` record of the rounds from that mesh on, not from
-    the ladder's base surface.  When no further round runs, the two rungs
-    share one surface, whose record then reads the identity.
+    the ladder's base surface.
     """
 
     surface: Surface = field(repr=False)

@@ -16,7 +16,7 @@ import pytest
 
 from tmlab import cli, records
 from tmlab.errors import UsageError
-from tmlab.surface import Surface
+from tmlab.surface import DomainSpec, Surface, build_domain
 
 
 def run(*argv) -> int:
@@ -96,6 +96,30 @@ def test_mesh_usage_errors(tmp_path):
     assert run("mesh", "--shape", "rectangle", "--width", "inf", "--height",
                "1", "--h", "0.2", "--out", out) == 2
     assert not os.path.exists(out)
+
+
+def test_mesh_disk_sector_writes_the_library_mesh(tmp_path):
+    out = tmp_path / "sector.json"
+    assert run("mesh", "--shape", "disk-sector", "--angle", "2", "--h", "0.1",
+               "--out", str(out)) == 0
+    surf = build_domain(DomainSpec("disk_sector", (1, 2)), 0.1)
+    params = {"shape": "disk-sector", "params": [1.0, 2.0], "h": 0.1, "f": None,
+              "times": 0}
+    want = tmp_path / "want.json"
+    records.write_json(str(want), surf.to_dict(), records.RunRecord("mesh", params))
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("--shape", "disk-sector"), "--angle"),
+    (("--shape", "rectangle", "--width", "1"), "--height"),
+])
+def test_mesh_missing_shape_parameter_exits_2(tmp_path, capfd, argv, option):
+    out = tmp_path / "x.json"
+    assert run("mesh", *argv, "--h", "0.1", "--out", str(out)) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and option in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("expr", [

@@ -23,10 +23,10 @@ from tmlab.assembly import area
 from tmlab.errors import PreconditionError, UsageError
 from tmlab.surface import (
     _SNAP,
+    KINDS,
     DomainSpec,
     Surface,
     _arc_chord,
-    _arc_radius,
     _PROLONGATION,
     _Working,
     _boundary,
@@ -58,13 +58,53 @@ def test_coarse_square_has_positive_orientation():
     assert np.all(s.euclidean_tri_areas() > 0)
 
 
-def test_half_disk_boundary_vertices_on_analytic_curve():
-    s = build_domain(DomainSpec("half_disk", (1.0,)), 0.1)
-    for i in np.flatnonzero(s.boundary()[1] >= 0):
-        x, y = s.vertices[i]
-        on_diameter = abs(x) <= 1e-12
-        on_arc = abs(math.hypot(x, y) - 1.0) <= 1e-12
-        assert on_diameter or on_arc
+def _straight_sides(spec):
+    """The domain's straight sides, as pairs of ``spec.corners()`` rows."""
+    c = spec.corners()
+    if spec.kind == "rectangle":
+        return [(c[k], c[(k + 1) % 4]) for k in range(4)]
+    if spec.kind == "half_disk":
+        return [(c[0], c[1])]
+    return [(c[0], c[1]), (c[0], c[2])]
+
+
+def _segment_distance(p, a, b):
+    t = min(1.0, max(0.0, float(np.dot(p - a, b - a) / np.dot(b - a, b - a))))
+    return float(np.hypot(*(p - a - t * (b - a))))
+
+
+def test_boundary_vertices_on_sides_and_arcs(template):
+    """Every kind: one flagged vertex per spec corner, on it, and every
+    boundary vertex on a straight side or on the kind's arc."""
+    spec, (_, after, corner) = template.spec, template.boundary()
+    corners = spec.corners()
+    assert np.count_nonzero(corner) == len(corners)
+    for c in corners:
+        near = np.flatnonzero(np.hypot(*(template.vertices - c).T) <= 1e-12)
+        assert near.size == 1 and corner[near[0]]
+    sides, radius = _straight_sides(spec), spec.arc_radius
+    for i in np.flatnonzero(after >= 0):
+        p = template.vertices[i]
+        on_side = min(_segment_distance(p, a, b) for a, b in sides) <= 1e-12
+        on_arc = radius is not None and abs(math.hypot(*p) - radius) <= 1e-12
+        assert on_side or on_arc, i
+
+
+@pytest.mark.parametrize("a, b, h", [(2.0, 1.0, 0.1), (1.0, 1.0, 0.3), (0.3, 1.7, 0.05),
+                                     (1e-3, 5.0, 0.5), (1.0, 1.0, 2.0)])
+def test_mesh_rectangle_matches_cell_loop(a, b, h):
+    """The vectorized grid against one loop over the cells, row by row."""
+    verts, tris = surface_mod._mesh_rectangle(a, b, h)
+    nx, ny = (max(1, math.ceil(s / h - 1e-9)) for s in (a, b))
+    want = []
+    for j in range(ny):
+        for i in range(nx):
+            v00 = j * (nx + 1) + i
+            v10, v01, v11 = v00 + 1, v00 + nx + 1, v00 + nx + 2
+            want += [(v00, v10, v11), (v00, v11, v01)]
+    assert tris.dtype == np.int64 and tris.tolist() == [list(t) for t in want]
+    xv, yv = np.meshgrid(np.linspace(0.0, a, nx + 1), np.linspace(0.0, b, ny + 1))
+    assert verts.tobytes() == np.column_stack([xv.ravel(), yv.ravel()]).tobytes()
 
 
 def test_rectangle_flat_area_exact():
@@ -78,13 +118,33 @@ def test_disk_sector_builds_and_validates():
     assert np.all(s.euclidean_tri_areas() > 0)
 
 
-def test_degenerate_specs_rejected():
-    with pytest.raises(UsageError):
-        DomainSpec("rectangle", (0.0, 1.0))
-    with pytest.raises(UsageError):
-        DomainSpec("half_disk", (-1.0,))
-    with pytest.raises(UsageError):
-        DomainSpec("disk_sector", (1.0, 7.0))
+# Per kind: its message, and parameters with a wrong count or each value
+# out of range.
+DEGENERATE_SPECS = {
+    "rectangle": ("rectangle requires two positive side lengths",
+                  [(1.0,), (1.0, 1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
+                   (1.0, -2.0)]),
+    "half_disk": ("half_disk requires one positive radius",
+                  [(), (1.0, 1.0), (0.0,), (-1.0,)]),
+    "disk_sector": ("disk_sector requires a positive radius and an angle in "
+                    "(0, 2*pi)",
+                    [(1.0,), (1.0, 1.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
+                     (1.0, -1.0), (1.0, 2 * PI), (1.0, 7.0)]),
+    "ellipse": ("unknown domain kind: 'ellipse'", [(2.0, 1.0)]),
+}
+
+
+def test_degenerate_cases_cover_every_kind():
+    assert set(KINDS) < set(DEGENERATE_SPECS)
+
+
+@pytest.mark.parametrize("kind", DEGENERATE_SPECS)
+def test_degenerate_specs_rejected(kind):
+    message, cases = DEGENERATE_SPECS[kind]
+    for params in cases:
+        with pytest.raises(UsageError) as info:
+            DomainSpec(kind, params)
+        assert str(info.value) == message, params
 
 
 @pytest.mark.parametrize("kind, params", [("half_disk", [math.nan]),
@@ -689,16 +749,17 @@ def test_adapted_surface_caches_only_its_prolongation(half_disk):
     ``prolong`` reads, and nothing else."""
     s = adapt_for_point(half_disk, (1.0, 0.0), 1e-3, 0.3)
     assert s is not half_disk and s.cache.keys() == {_PROLONGATION}
-    # Already graded: no round runs and the input comes back with the
-    # identity map added, every value it held kept.
+    # Already graded: no round runs, and a new surface comes back holding
+    # every value the input held and the identity map; the input is kept.
     graded = Surface(s.vertices, s.triangles, s.boundary_edges, s.f_nodal, s.spec)
     area(graded)
     held = dict(graded.cache)
     assert held and _PROLONGATION not in held
-    assert adapt_for_point(graded, (1.0, 0.0), 1e-3, 0.3) is graded
-    assert graded.cache.keys() == held.keys() | {_PROLONGATION}
-    assert all(graded.cache[k] is v for k, v in held.items())
-    assert graded.cache[_PROLONGATION] == (graded.num_vertices, ())
+    again = adapt_for_point(graded, (1.0, 0.0), 1e-3, 0.3)
+    assert again is not graded and graded.cache == held
+    assert again.cache.keys() == held.keys() | {_PROLONGATION}
+    assert all(again.cache[k] is v for k, v in held.items())
+    assert again.cache[_PROLONGATION] == (graded.num_vertices, ())
 
 
 def _geometry_digest(s):
@@ -1004,7 +1065,7 @@ def _reference_refine_local(surface, rot, marked):
     sid = ref[np.argsort(at)]
     ends = np.column_stack(np.divmod(keys[sid], nv))
     mids = 0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]])
-    radius = _arc_radius(surface.spec)
+    radius = surface.spec.arc_radius
     if radius is not None:
         arc = (counts[sid] == 1) & _arc_chord(verts[ends[:, 0]], verts[ends[:, 1]],
                                                radius)
@@ -1373,10 +1434,16 @@ def test_prolong_gives_arc_midpoint_its_chord_value(half_disk):
 
 
 def test_prolong_is_identity_when_adaptation_keeps_the_mesh(half_disk, rng):
+    """No round runs: equal arrays and an identity record, and the input
+    keeps the record from its own base mesh."""
     s = adapt_for_point(half_disk, (1.0, 0.0), 1e-3, 0.3)
-    assert adapt_for_point(s, (1.0, 0.0), 1e-3, 0.3) is s
+    record = s.cache[_PROLONGATION]
+    again = adapt_for_point(s, (1.0, 0.0), 1e-3, 0.3)
+    _assert_same_mesh(again, s)
     u = rng.standard_normal(s.num_vertices)
-    assert prolong(s, u).tobytes() == u.tobytes()
+    assert prolong(again, u).tobytes() == u.tobytes()
+    assert s.cache[_PROLONGATION] is record
+    assert prolong(s, np.zeros(half_disk.num_vertices)).shape == u.shape
 
 
 def test_prolong_rejects_wrong_length_and_unrecorded_surface(half_disk):

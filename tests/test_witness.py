@@ -10,7 +10,8 @@ import scipy.integrate
 
 from tmlab import assembly, green, quadrature, spectrum, witness
 from tmlab.errors import NumericalError, PreconditionError, UsageError
-from tmlab.surface import _PROLONGATION, DomainSpec, adapt_for_point, build_domain
+from tmlab.surface import (_PROLONGATION, DomainSpec, adapt_for_point, build_domain,
+                           prolong)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -265,6 +266,23 @@ def test_only_rungs_with_the_previous_delta_continue(monkeypatch):
     assert len(inputs) == 4
     assert inputs[0] is s and inputs[1] is rungs[0].surface
     assert inputs[2] is s and inputs[3] is s
+
+
+def test_rung_without_further_rounds_leaves_the_previous_rung_as_it_was():
+    """Rung 1 shares rung 0's δ, and its smaller inner scale marks nothing
+    more: it gets a new surface with the identity record, and rung 0 keeps
+    the record from the base mesh."""
+    s = build_domain(DomainSpec("rectangle", (2.0, 1.0)), 0.1)
+    vertex = witness.smooth_boundary_vertex(s, (0.0, 0.5))
+    first, second = (r.surface for r in
+                     witness.ladder_states(s, vertex, (1e-9, 0.99e-9)))
+    assert first is not second
+    assert first.content_hash() == second.content_hash()
+    nv, rounds = first.cache[_PROLONGATION]
+    assert (nv, len(rounds) > 0) == (s.num_vertices, True)
+    assert second.cache[_PROLONGATION] == (first.num_vertices, ())
+    u = prolong(first, np.zeros(s.num_vertices))
+    assert prolong(second, u).tobytes() == u.tobytes()
 
 
 # ---------------------------------------------------------------------------
