@@ -90,8 +90,9 @@ def test_boundary_vertices_on_sides_and_arcs(template):
         assert on_side or on_arc, i
 
 
-@pytest.mark.parametrize("a, b, h", [(2.0, 1.0, 0.1), (1.0, 1.0, 0.3), (0.3, 1.7, 0.05),
-                                     (1e-3, 5.0, 0.5), (1.0, 1.0, 2.0)])
+@pytest.mark.parametrize("a, b, h", [(2.0, 1.0, 0.1), (1.0, 1.0, 0.3),
+                                     (0.3, 1.7, 0.05), (1e-3, 5.0, 0.5),
+                                     (1.0, 1.0, 2.0)])
 def test_mesh_rectangle_matches_cell_loop(a, b, h):
     """The vectorized grid against one loop over the cells, row by row."""
     verts, tris = surface_mod._mesh_rectangle(a, b, h)

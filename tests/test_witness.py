@@ -279,7 +279,7 @@ def test_rung_without_further_rounds_leaves_the_previous_rung_as_it_was():
     assert first is not second
     assert first.content_hash() == second.content_hash()
     nv, rounds = first.cache[_PROLONGATION]
-    assert (nv, len(rounds) > 0) == (s.num_vertices, True)
+    assert nv == s.num_vertices and rounds
     assert second.cache[_PROLONGATION] == (first.num_vertices, ())
     u = prolong(first, np.zeros(s.num_vertices))
     assert prolong(second, u).tobytes() == u.tobytes()
