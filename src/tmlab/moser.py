@@ -173,10 +173,9 @@ class _State:
             raise UsageError("state vector length does not match the mesh")
         self.alpha = float(alpha)
         self.beta = float(beta)
-        m = assembly.mass(surface)
-        self.mu_vec = np.asarray(m @ self.u)
-        self.norm_sq = float(self.u @ self.mu_vec)
-        self.alpha_eps = beta * (1.0 + alpha * self.norm_sq)
+        # At α = 0, β is β·(1 + 0·s) for every finite s, without M.
+        self.alpha_eps = (self.beta * (1.0 + self.alpha * self.norm_sq)
+                          if self.alpha else self.beta)
         self.uq = assembly.interpolate(surface, self.u)
         expo = self.alpha_eps * self.power(2)
         self.max_exponent = float(expo.max(initial=0.0))
@@ -187,6 +186,18 @@ class _State:
             )
         self.eE = np.exp(expo)
         self.w = assembly.quad_weights(surface)
+
+    @cached_property
+    def mu_vec(self) -> np.ndarray:
+        """Mu, read by the gradient, the Euler–Lagrange data and the Newton
+        system, and for ‖u‖₂²; a value at α = 0 reads none of them, so it
+        assembles no M."""
+        return np.asarray(assembly.mass(self.surface) @ self.u)
+
+    @cached_property
+    def norm_sq(self) -> float:
+        """s = ‖u‖₂² = uᵀMu."""
+        return float(self.u @ self.mu_vec)
 
     # -- powers and scalar moments ∫ u^k e^E dv ----------------------------
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from tmlab import assembly
 from tmlab.surface import DomainSpec, build_domain, refine
 
 PI = np.pi
@@ -63,3 +64,17 @@ def splu_sizes(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counted)
     return sizes
+
+
+@pytest.fixture()
+def mass_rows(monkeypatch):
+    """Row (triangle) counts of the mass element passes made during the test."""
+    rows = []
+    mass_element = assembly._mass_element
+
+    def counted(w):
+        rows.append(w.shape[0])
+        return mass_element(w)
+
+    monkeypatch.setattr(assembly, "_mass_element", counted)
+    return rows

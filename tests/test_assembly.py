@@ -75,6 +75,32 @@ def test_mass_of_ones_is_area(unit_square, half_disk):
         assert abs(ones @ (m @ ones) - assembly.area(s)) <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def ones_meshes():
+    """Meshes of their own, so none holds an M before the test asks."""
+    half = build_domain(DomainSpec("half_disk", (1.0,)), 0.1)
+    return {
+        "half_disk": half,
+        "half_disk_f": build_domain(
+            DomainSpec("half_disk", (1.0,), "0.3*x1 - 0.2*x2**2"), 0.1),
+        "rect21": build_domain(DomainSpec("rectangle", (2.0, 1.0)), 0.1),
+        "sector": build_domain(DomainSpec("disk_sector", (1.0, 2.5)), 0.1),
+        "adapted": adapt_for_point(half, (math.cos(0.3), math.sin(0.3)), 1e-3, 0.3),
+    }
+
+
+@pytest.mark.parametrize("name", ["half_disk", "half_disk_f", "rect21", "sector", "adapted"])
+def test_mass_row_of_ones_is_mass_times_ones(ones_meshes, name):
+    """M·1 is the rule's load of 1, with no M assembled; the hat functions
+    sum to 1, so it is M times ones up to rounding, and sums to the area."""
+    s = ones_meshes[name]
+    m1 = assembly.mass_row_of_ones(s)
+    assert "mass" not in s.cache
+    want = assembly.mass(s) @ np.ones(s.num_vertices)
+    assert np.all(np.abs(m1 - want) <= 1e-15 * np.abs(want))
+    assert abs(m1.sum() - assembly.area(s)) <= 1e-14 * assembly.area(s)
+
+
 def test_mass_constant_field_unit_square(unit_square):
     m = assembly.mass(unit_square)
     ones = np.ones(unit_square.num_vertices)
@@ -166,11 +192,33 @@ def test_admissible_is_mean_zero_unit_energy(half_disk, rng):
     assert abs(assembly.dirichlet_norm(half_disk, v) - 1.0) <= 1e-14
 
 
-@pytest.mark.parametrize("fill", [2.5, math.nan], ids=["constant", "nan"])
-def test_admissible_rejects_degenerate_vector(half_disk, fill):
-    u = np.full(half_disk.num_vertices, fill)
+DEGENERATE_MESHES = {
+    "half_disk": (DomainSpec("half_disk", (1.0,)), 0.1),
+    "half_disk_fine": (DomainSpec("half_disk", (1.0,)), 0.05),
+    "rect21_f": (DomainSpec("rectangle", (2.0, 1.0), "0.1*x1*x2"), 0.05),
+    "sector1": (DomainSpec("disk_sector", (1.0, 1.0)), 0.1),
+}
+# A constant projects to a constant, whose Dirichlet norm in rounding is
+# about 1e-23, not 0, on most of these cases; the rule must not read the
+# rounding.  The case "constant" is the h = 0.1 half-disk at 2.5.
+DEGENERATE_CASES = [("half_disk", 2.5, "constant"), ("half_disk", math.nan, "nan")] + [
+    (mesh, c, f"constant-{mesh}-{c:g}")
+    for mesh in DEGENERATE_MESHES for c in (2.5, 3.7, -1.3, 1e3, 7.0, 0.3)
+    if (mesh, c) != ("half_disk", 2.5)]
+
+
+@pytest.fixture(scope="module")
+def degenerate_meshes():
+    return {name: build_domain(*args) for name, args in DEGENERATE_MESHES.items()}
+
+
+@pytest.mark.parametrize("mesh, fill", [c[:2] for c in DEGENERATE_CASES],
+                         ids=[c[2] for c in DEGENERATE_CASES])
+def test_admissible_rejects_degenerate_vector(degenerate_meshes, mesh, fill):
+    s = degenerate_meshes[mesh]
+    u = np.full(s.num_vertices, fill)
     with pytest.raises(NumericalError, match="Dirichlet norm"):
-        assembly.admissible(half_disk, u)
+        assembly.admissible(s, u)
 
 
 def test_l2_norm_matches_independent_oracle(unit_square, rng):

@@ -694,23 +694,23 @@ GOLDEN_OUTPUTS = {
     "hd.json": "dc3427d004f1bd296586d224dd5ffb56bfb2f98ad8ad94df5d4f1d9abc2d845c",
     "hd2.json": "4163471f058276d1b6a98920cfb0f95d51dcf1712ae6f352bb38f771ad1b2f12",
     "r.json": "78cd21f1eac09d2539aba734531de86209080a27f8d9f0611755e64004fb78a3",
-    "eig.json": "38f511dcc464ae7dbe4edc840cc83df62282b184ba94931934c3a2cc420e0522",
-    "eig.u0.json": "5e263d774b1a7567284e2aaa7e1c35dbf64366ddf4e47894b153340ccea0a73f",
-    "max0.json": "f81c1f5a15240779cae1ada3f6624e17317f6e04aafb9b0e40cf9401af8ffecd",
-    "max0.u.json": "31c7d8b8fb6bb45d9f14041aedc8ca432114d6fb2583552a2a437a0a52b1964c",
-    "max1.json": "c851c371158a9241300b099dca622634facd82548e10bed9bb7eb1f50c9e3cd4",
-    "max1.u.json": "e25b2f876ce71389e860410f82c8f2577525210110ab1ce653ebee887804c3f3",
-    "g0.json": "1cadec81cc8c69c83686b8bb5664f1d7986c01351dd9364aab4dc4ae4334fb88",
-    "g0.G.json": "ea3c1ffcb9414055c6c0028b4372d3aad2688f24f1bbb31ebd053aa3c2d542aa",
-    "g05.json": "3dde3d872f20e690aade3b210dadac95159f0ac3162f37608cd227a92c9d926c",
-    "g05.G.json": "ab5c9ecc42d20efe0f312fa900b386f77f8528a209a94d57ceb8bdf2fe4d672c",
-    "sweep.csv": "8208a7bcf3b15c029dd4f266e00bc2f678d655955efc1225afad7288f784b36a",
+    "eig.json": "4a18df2a2a3af24a9828b5f7d50917f6155a4f3f1495deaf11d7da66d153fa8e",
+    "eig.u0.json": "1c65727317bd633870f6b0e9aba71b99a1c773d4ced876108d8860bd62683df6",
+    "max0.json": "3a725591cdcc6734d4e35fb48be37832ffac1a28342801a6ac84b52ed170d851",
+    "max0.u.json": "c0b13bb4c03765f2e58850e32eb09702755055048a5e4c6a7ef0d5e6278dbf25",
+    "max1.json": "07c5c507701e934dfa35b7bb566f3d9fe9a58fd810e886704b7133cc16f78eb3",
+    "max1.u.json": "92dd0a38cafdd75623a126b488e62cbdb491efa61788531e01661dae94108bf7",
+    "g0.json": "f535a2230ea86a8f149aa7a1df28084556d93187656a8e047c7bcab61ded555b",
+    "g0.G.json": "d7e25ea487492efd861eea90def3a92cf3415697417d1a9ba61a8318bf8137d9",
+    "g05.json": "f08bbfdb793fc7362d56efec33c7a0d1ed34d17e9492337c56a62791ccb103b6",
+    "g05.G.json": "65a2c78575067059dcfb8d53c636d315a4bca04cbb475be538282e2680c70b0c",
+    "sweep.csv": "6ad2cfd5b591ae19f879952940c5db040d810ddc6d55d9586fcac40f379fa9f6",
     "wb.json": "271febd392d3bb649360b12ff234caabb648ea1d8c86be368df94f07415d3e62",
     "wb.dat": "159da8093d694bde0eb36045cc02261847f1002ca9f0ee6e4a52e6c2d9898e45",
-    "wm.json": "a362ac9b305d6f51723a659576c4a40476baed51b113c02d53e3d96a224ddc79",
-    "wm.dat": "d96b9a66fb92cd8b398982b6dea5c1b78c7054de1e1d599d6ae91b25214fc2a6",
-    "wg.json": "e1903ef02784750b92d71d079876e16d623c09c939ab53cec7ec6f93aed6c726",
-    "wg.dat": "f089f1280ad723130b68b7459196c223c71542205b3195dc7898a7dbbd3c5c99",
+    "wm.json": "5097b740b2fa48a2d2022c717c67fe259690bcd949773b07a11a0e1a796d0591",
+    "wm.dat": "ff0fad5e6896472d5f35448af5578d35c5b584e8602be3ad78b9dc41f4f21bf2",
+    "wg.json": "b46e4ae80e9f4e5943d8c027b82850ddc29fed34d345cc40035902bdf5db2d6b",
+    "wg.dat": "7d5513d7d4f8286e3651c1ac048b86bbd60e941c2b8e84718bb4a7efe3ad55b3",
 }
 
 

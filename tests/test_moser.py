@@ -61,6 +61,20 @@ def test_functional_exceeds_area_for_nonzero_state(half_disk, rng):
     assert fv.value > assembly.area(half_disk)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_value_assembles_the_mass_matrix_only_at_positive_alpha(mass_rows, alpha):
+    """At α = 0, α_ε = β reads no ‖u‖₂², so a value assembles no M."""
+    s = build_domain(DomainSpec("half_disk", (1.0,)), 0.1)
+    u = assembly.admissible(s, s.vertices[:, 0] ** 2)[0]
+    fv = moser.functional_at_beta(s, u, alpha, TWO_PI)
+    assert mass_rows == ([s.num_triangles] if alpha else [])
+    st = moser._State(s, u, alpha, TWO_PI)
+    assert st.norm_sq == u @ (assembly.mass(s) @ u)  # bit-equal
+    assert st.alpha_eps == TWO_PI * (1.0 + alpha * st.norm_sq)  # bit-equal
+    assert fv.value == st.value
+    assert mass_rows == [s.num_triangles]
+
+
 def test_functional_rejects_bad_parameters(half_disk):
     u = np.zeros(half_disk.num_vertices)
     with pytest.raises(UsageError):
@@ -310,24 +324,24 @@ def test_blowup_phi_nonpositive(half_disk, maximized):
 # sample reads NaN.
 GOLDEN_BLOWUP = {
     ("h0.05", 0.0, 1.0): (
-        "94d44541310ea62cf92306034f94f4a04a2eb170b47dffe8824858613b46f6cf",
-        "90e9b8db6cf666c1c2be7ef4e84f1882a9816ac904d04bea05e72c5640e6bb29",
+        "deedf00c200705372f1986acfca9a52015f89f29df8315bac7790a51ad2b3b23",
+        "a8c5d8cc08d0f94c4c21dc1ebcc190e5f85ea486066e9886dda41c75df852dc6",
     ),
     ("h0.05", 1.0, 1.0): (
-        "d93c3d9d7dc704cb2a610704c1dab0bdc2beee1eae480a511fe9e8e928102562",
-        "e1b63adf20128b7a8642afd733728709aa67d1aef30b59067511be247022e9f5",
+        "37bfa8b8234c388c4c7e1d70766983f0f0410a75c6f3d06afe8214169cc1adbe",
+        "9fc2bbbc3e500e8061920bbc41f0e9360effe480a84d0887b88aabfbc1e48ee1",
     ),
     ("h0.05", 0.0, 40.0): (
-        "ba5ecba13a88319f7b31c1c305013cd4cde1d9d9cab6e20227265078391ce174",
-        "46c943dfdb28410d2cf1eef5585b4be05689d883497c044199d03e5e25d5c2c5",
+        "1a2609c56bcf684756da6900d197150760479a1863e2c2e117772f9fe60cbacf",
+        "f70e0aff786391b5b33d1d6eec57d7ab5c111a4cb824abeabb885e7c0185300a",
     ),
     ("h0.1 refined", 0.0, 1.0): (
-        "30aaa8e1e6f9c563b7ddc4788e01fa48bd26ac2ca30303198e7e13b0245cf4f0",
-        "91376ab872cbc018425873eae6ac390334a4a6fecf3b3b8fbf939be3e6d0f891",
+        "8a8ef869a625bc163c62c8384a65c64067a7312c2c3fe62e2fe8acfefe7427e3",
+        "fc106c6f1b262ec63b9a565cc727b0caac57cbbb895484845075876840fb9513",
     ),
     ("h0.1 refined", 1.0, 1.0): (
-        "ebe130bdbe8e32b5b9872ee89613892068c70c79c543f19a15408ef7e0a46043",
-        "7a9bdecce204097cb79182ced545868f48ef6ef9dfded135dd6f650033359af2",
+        "6e53d6490e056f44440881990c91e1d8182d5cba523cd56616207010415dff89",
+        "5138e2688b468876353f908ea3d34c7590826e572adda069408001b90732a190",
     ),
 }
 

@@ -268,6 +268,20 @@ def test_only_rungs_with_the_previous_delta_continue(monkeypatch):
     assert inputs[2] is s and inputs[3] is s
 
 
+def test_ladder_at_alpha_zero_assembles_the_mass_matrix_only_on_the_base_mesh(
+        mass_rows):
+    """The benchmark's adapt_ladder op: the base mesh's eigen solve reads M,
+    and the rungs read only M·1 (the rule's load of 1) and values at α = 0,
+    so no rung assembles M."""
+    s, vertex, eps_list = _adapt_ladder_case(0.5)
+    lam1 = spectrum.lambda1(s).value
+    rungs = witness.ladder_states(s, vertex, eps_list)
+    for beta in (2.2 * PI, 1.8 * PI):
+        witness.evaluate_ladder(rungs, 0.0, beta, lam1)
+    assert mass_rows == [s.num_triangles]
+    assert all("mass" not in r.surface.cache for r in rungs)
+
+
 def test_rung_without_further_rounds_leaves_the_previous_rung_as_it_was():
     """Rung 1 shares rung 0's δ, and its smaller inner scale marks nothing
     more: it gets a new surface with the identity record, and rung 0 keeps
